@@ -50,10 +50,8 @@ from .models import (
     spiral_mixing_series,
 )
 from .spectral import (
-    Field,
     InnerProduct,
     Spectrum,
-    dual_norm_hminus,
     fractional_symbol,
     project_low,
     sobolev_norm,
@@ -63,12 +61,12 @@ from .sweep import RowResult, SweepConfig, SweepResult, load_sweep, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "DecayTrace", "EvolutionError", "ExpRateFit", "Field",
+    "BoundReport", "DecayTrace", "EvolutionError", "ExpRateFit",
     "InnerProduct", "KineticModel", "KolmogorovModel", "ModelProblem",
     "RateFit", "RowResult", "ShearModel", "SpiralModel", "Spectrum",
     "SweepConfig", "SweepResult", "build_model", "constant_c0_exp",
     "constant_c0_poly", "constant_c0_spiral", "constant_cs",
-    "dual_norm_hminus", "ed_exponent", "energy_residual", "evolve",
+    "ed_exponent", "energy_residual", "evolve",
     "exact_inviscid", "exp_mixing_nu_threshold", "fit_decay_rate",
     "fit_mixing_amplitude", "fit_power_law", "fractional_symbol",
     "initial_datum", "load_profile_csv", "load_sweep", "predicted_rates",

@@ -20,9 +20,9 @@ from ._svg import line_plot_svg
 from .diagnostics import ed_exponent, fit_mixing_amplitude, fit_power_law, \
     theorem_bound_check
 from .evolution import EvolutionError, evolve, read_trace, write_trace
-from .models import build_model, initial_datum, predicted_rates, \
-    shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, load_sweep, run_sweep
+from .models import build_model, initial_datum, model_params, \
+    predicted_rates, shear_mixing_series, spiral_mixing_series
+from .sweep import SweepConfig, load_sweep, row_key, run_sweep, sweep_dt
 
 MODELS = ("shear", "kolmogorov", "spiral", "kinetic", "heat")
 
@@ -53,44 +53,6 @@ def _add_model_flags(p, models=MODELS):
                    help="space dimension for the kinetic model")
 
 
-def _model_kwargs(args):
-    """Split CLI flags into (family name, constructor kwargs)."""
-    name = args.model
-    res = args.resolution
-    kw: dict = {"k": args.k}
-    if name in ("shear", "heat"):
-        if name == "shear":
-            kw.update(profile=args.profile, gamma=args.gamma)
-            if args.n0 is not None:
-                kw["n0"] = args.n0
-        if res:
-            kw["M"] = res
-    elif name == "kolmogorov":
-        kw["L"] = args.L
-        if res:
-            kw["M"] = res
-    elif name == "spiral":
-        kw["alpha"] = args.alpha
-        if res:
-            kw["N"] = res
-    elif name == "kinetic":
-        kw["d"] = args.d
-        if res:
-            kw["N"] = res
-    return name, kw
-
-
-def _sim_key(args) -> str:
-    parts = [args.model]
-    if args.model == "spiral":
-        parts.append(f"a{args.alpha:g}")
-    elif args.model == "shear":
-        parts.append(f"g{args.gamma:g}")
-    parts.append(f"k{args.k}")
-    parts.append(f"nu{args.nu:.4e}")
-    return "_".join(parts)
-
-
 def _out_dir(args, default=".") -> str:
     out = args.out or default
     os.makedirs(out, exist_ok=True)
@@ -98,13 +60,16 @@ def _out_dir(args, default=".") -> str:
 
 
 def _cmd_simulate(args) -> int:
-    name, kw = _model_kwargs(args)
-    problem = build_model(name, **kw)
+    problem = build_model(args.model, **model_params(args.model, vars(args)))
     f0 = initial_datum(problem, args.datum, seed=args.seed)
     trace = evolve(problem, f0, args.nu, args.t_end, dt=args.dt,
                    sample_every=args.sample_every, stop_ratio=args.stop_ratio)
     out = _out_dir(args)
-    path = os.path.join(out, f"trace_{_sim_key(args)}.csv")
+    key = row_key(args.model, {
+        "alpha": args.alpha if args.model == "spiral" else None,
+        "gamma": args.gamma if args.model == "shear" else None,
+        "k": args.k, "nu": args.nu})
+    path = os.path.join(out, f"trace_{key}.csv")
     write_trace(trace, path)
     print(f"model={args.model} nu={args.nu:g} dt={trace.dt:g} "
           f"samples={len(trace)}")
@@ -123,22 +88,23 @@ def _cmd_mix_rate(args) -> int:
         series = shear_mixing_series(times, profile=args.profile,
                                      gamma=args.gamma, k=args.k, M=res,
                                      datum=datum, seed=args.seed)
-        probe = build_model("shear", profile=args.profile, gamma=args.gamma,
-                            k=args.k, M=8,
-                            **({"n0": args.n0} if args.n0 is not None else {}))
+        probe_res = 8
     else:
         res = args.resolution or 8192
         datum = args.datum or "uniform"
         series = spiral_mixing_series(times, alpha=args.alpha, k=args.k,
                                       N=res, datum=datum, seed=args.seed)
-        probe = build_model("spiral", alpha=args.alpha, k=args.k, N=16)
+        probe_res = 16
+    # a small build of the same model carries the predicted exponent
+    probe = build_model(args.model, **model_params(
+        args.model, {**vars(args), "resolution": probe_res}))
     fit = fit_power_law(series["t"], series["hm1"],
                         window=(args.t_min, args.t_max))
     p_meas = -fit.exponent
     p_pred = probe.p
     print(f"dual-norm decay: hm1 ~ t^{fit.exponent:+.4f} over "
-          f"t in [{args.t_min:g}, {args.t_max:g}]  "
-          f"(predicted mixing exponent p = {p_pred:g})")
+          f"t in [{args.t_min:g}, {args.t_max:g}]  (predicted mixing "
+          f"exponent p = {'none' if p_pred is None else format(p_pred, 'g')})")
 
     out = _out_dir(args)
     stem = os.path.join(out, f"mixing_{args.model}_k{args.k}")
@@ -172,7 +138,8 @@ def _group_rows(rows):
     """Group completed rows by (model, alpha, gamma, k), insertion-ordered."""
     groups: dict = {}
     for r in rows:
-        groups.setdefault((r.model, r.alpha, r.gamma, r.k), []).append(r)
+        if r.status == "ok":
+            groups.setdefault((r.model, r.alpha, r.gamma, r.k), []).append(r)
     return groups
 
 
@@ -180,7 +147,27 @@ def _group_label(rows) -> str:
     return rows[0].key.rsplit("_nu", 1)[0]
 
 
+def _q_fits(rows) -> dict:
+    """Time-scales of one row group and their enhanced-dissipation fit, per
+    basis: basis -> (nus, taus, RateFit or the ValueError that stopped it).
+    """
+    fits = {}
+    for basis, attr in (("crossing", "tau"), ("rate", "tau_rate")):
+        pairs = [(r.nu, getattr(r, attr)) for r in rows if getattr(r, attr)]
+        nus = np.array([p[0] for p in pairs])
+        taus = np.array([p[1] for p in pairs])
+        try:
+            fit = ed_exponent((nus, taus))
+        except ValueError as exc:
+            fit = exc
+        fits[basis] = nus, taus, fit
+    return fits
+
+
 def _cmd_ed_sweep(args) -> int:
+    if model_params(args.model, vars(args)).get("d", 1) != 1:
+        raise ValueError(f"--d {args.d}: a sweep configuration has no space "
+                         "dimension and runs the kinetic model in d = 1")
     if args.nus:
         nus = _parse_floats(args.nus)
     else:
@@ -203,17 +190,11 @@ def _cmd_ed_sweep(args) -> int:
         rate = f"{r.rate:.3e}" if r.rate else "-"
         print(f"{r.key}: tau={tau} rate={rate} [{r.status}]")
         bad += r.status != "ok"
-    for key, rows in _group_rows([r for r in result.rows
-                                  if r.status == "ok"]).items():
+    for rows in _group_rows(result.rows).values():
         label = _group_label(rows)
-        for basis, taus in (("crossing", [r.tau for r in rows]),
-                            ("rate", [r.tau_rate for r in rows])):
-            pairs = [(r.nu, t) for r, t in zip(rows, taus) if t]
-            try:
-                fit = ed_exponent((np.array([p[0] for p in pairs]),
-                                   np.array([p[1] for p in pairs])))
-            except ValueError as exc:
-                print(f"{label}: q ({basis}) not fitted: {exc}")
+        for basis, (_, _, fit) in _q_fits(rows).items():
+            if isinstance(fit, ValueError):
+                print(f"{label}: q ({basis}) not fitted: {fit}")
                 continue
             q_pred = rows[0].q_pred
             pred = f" (predicted {q_pred:.4g})" if q_pred else ""
@@ -226,26 +207,22 @@ def _cmd_ed_sweep(args) -> int:
     return 0
 
 
-def _amplitude_series(cfg, rows, problem, t_max):
+def _amplitude_series(cfg, problem, t_max):
     """Inviscid dual-norm history used to fit the mixing amplitude."""
     times = np.concatenate([[0.0], np.geomspace(0.1, t_max, 48)])
-    model = rows[0].model
-    if model in ("shear", "heat"):
-        series = shear_mixing_series(
-            times, profile="zero" if model == "heat" else cfg.profile,
-            gamma=rows[0].gamma if rows[0].gamma is not None else 2.0,
-            k=rows[0].k, M=max(2048, problem.params["M"]),
+    par = problem.params
+    if problem.name == "shear":
+        return shear_mixing_series(
+            times, profile=par["profile"], gamma=par["gamma"], k=par["k"],
+            M=max(2048, par["M"]), datum=cfg.datum, seed=cfg.seed)
+    if problem.name == "spiral":
+        return spiral_mixing_series(
+            times, alpha=par["alpha"], k=par["k"], N=max(2048, par["N"]),
             datum=cfg.datum, seed=cfg.seed)
-    elif model == "spiral":
-        series = spiral_mixing_series(
-            times, alpha=rows[0].alpha, k=rows[0].k,
-            N=max(2048, problem.params["N"]), datum=cfg.datum, seed=cfg.seed)
-    else:
-        datum = initial_datum(problem, cfg.datum, seed=cfg.seed)
-        dt = 0.1 / max(1.0, problem.bound_B)
-        trace = evolve(problem, datum, 0.0, t_max, dt=dt, sample_every=5)
-        series = {"t": trace.times, "hm1": trace.hm1}
-    return series
+    datum = initial_datum(problem, cfg.datum, seed=cfg.seed)
+    trace = evolve(problem, datum, 0.0, t_max, dt=sweep_dt(problem, t_max),
+                   sample_every=5)
+    return {"t": trace.times, "hm1": trace.hm1}
 
 
 def _cmd_verify_bound(args) -> int:
@@ -254,21 +231,19 @@ def _cmd_verify_bound(args) -> int:
     if cfg is None:
         raise ValueError(f"{args.sweep_dir!r} has no sweep_config.json; "
                          "bound verification needs the sweep provenance")
-    ok_rows = [r for r in result.rows if r.status == "ok"]
     report: dict = {"tol": args.tol, "groups": {}, "rows": []}
     n_fail = 0
     n_checked = 0
-    for (model, alpha, gamma, k), rows in _group_rows(ok_rows).items():
+    for (model, alpha, gamma, k), rows in _group_rows(result.rows).items():
         label = _group_label(rows)
-        problem = build_model(
-            "shear" if model == "heat" else model,
-            **_sweep_model_params(cfg, rows[0]))
+        problem = build_model(model, **model_params(
+            model, {**vars(cfg), "alpha": alpha, "gamma": gamma, "k": k}))
         if problem.p is None or problem.q is None:
             report["groups"][label] = {
                 "skipped": "no algebraic mixing prediction for this family"}
             print(f"{label}: skipped (no mixing prediction)")
             continue
-        series = _amplitude_series(cfg, rows, problem, args.amp_t_max)
+        series = _amplitude_series(cfg, problem, args.amp_t_max)
         a = fit_mixing_amplitude(series["t"], series["hm1"], problem.p,
                                  k, 1.0)
         rates = predicted_rates(problem, a=a)
@@ -309,23 +284,17 @@ def _cmd_verify_bound(args) -> int:
     return 2 if n_fail else 0
 
 
-def _sweep_model_params(cfg: SweepConfig, row) -> dict:
-    from .sweep import _model_params
-    return _model_params(cfg, {"alpha": row.alpha, "gamma": row.gamma,
-                               "k": row.k, "nu": row.nu})
-
-
 def _cmd_report(args) -> int:
     result = load_sweep(args.sweep_dir)
-    ok_rows = [r for r in result.rows if r.status == "ok"]
-    if not ok_rows:
+    groups = _group_rows(result.rows)
+    if not groups:
         print("no completed rows in the sweep; nothing to report",
               file=sys.stderr)
         return 2
     out = args.out or args.sweep_dir
     os.makedirs(out, exist_ok=True)
     report: dict = {"sweep_dir": args.sweep_dir, "groups": {}}
-    for (model, alpha, gamma, k), rows in _group_rows(ok_rows).items():
+    for (model, alpha, gamma, k), rows in groups.items():
         label = _group_label(rows)
         entry: dict = {
             "model": model, "alpha": alpha, "gamma": gamma, "k": k,
@@ -333,15 +302,11 @@ def _cmd_report(args) -> int:
             "nus": [r.nu for r in rows], "taus": [r.tau for r in rows],
         }
         q_meas = None
-        for basis, taus in (("crossing", [r.tau for r in rows]),
-                            ("rate", [r.tau_rate for r in rows])):
-            pairs = [(r.nu, t) for r, t in zip(rows, taus) if t]
-            try:
-                fit = ed_exponent((np.array([p[0] for p in pairs]),
-                                   np.array([p[1] for p in pairs])))
-            except ValueError as exc:
+        fits = _q_fits(rows)
+        for basis, (_, _, fit) in fits.items():
+            if isinstance(fit, ValueError):
                 entry[f"q_{basis}"] = None
-                entry[f"q_{basis}_note"] = str(exc)
+                entry[f"q_{basis}_note"] = str(fit)
                 continue
             entry[f"q_{basis}"] = fit.exponent
             entry[f"q_{basis}_stderr"] = fit.residual
@@ -363,13 +328,8 @@ def _cmd_report(args) -> int:
               f"{entry['verdict']}")
 
         svgs = []
-        tau_series = []
-        for name, attr in (("crossing tau", "tau"),
-                           ("1 / decay rate", "tau_rate")):
-            vals = [(r.nu, getattr(r, attr)) for r in rows if getattr(r, attr)]
-            if vals:
-                tau_series.append((np.array([v[0] for v in vals]),
-                                   np.array([v[1] for v in vals]), name))
+        tau_series = [(nus, taus, name) for (nus, taus, _), name in zip(
+            fits.values(), ("crossing tau", "1 / decay rate")) if nus.size]
         if tau_series:
             path = os.path.join(out, f"tau_vs_nu_{label}.svg")
             with open(path, "w") as fh:

@@ -204,10 +204,8 @@ def ed_exponent(sweep, timescale: str = "crossing") -> RateFit:
             raise ValueError(
                 "sweep mixes several model/parameter groups; fit them separately"
             )
-        if timescale == "crossing":
-            pairs = [(r.nu, r.tau) for r in rows if r.tau is not None]
-        else:
-            pairs = [(r.nu, 1.0 / r.rate) for r in rows if r.rate]
+        attr = "tau" if timescale == "crossing" else "tau_rate"
+        pairs = [(r.nu, getattr(r, attr)) for r in rows if getattr(r, attr)]
         if not pairs:
             raise ValueError("no completed rows with the requested time-scale")
         nus, taus = map(np.asarray, zip(*sorted(pairs)))
@@ -222,6 +220,29 @@ def ed_exponent(sweep, timescale: str = "crossing") -> RateFit:
 
 # ---------------------------------------------------------------------------
 # explicit decay-bound verification
+
+def _bound_margins(trace: DecayTrace, nu: float, rate: float, t_min: float,
+                  lam1: float | None):
+    """Margins (rhs - lhs)/rhs of h(t) <= e^{-rate t} h(0) on the samples
+    past ``t_min``, plus the tail certificate when ``nu * lam1 >= rate``.
+
+    Returns ``(margins, checked samples, tail certified)``.
+    """
+    h0 = trace.h[0]
+    mask = trace.times > t_min
+    rhs = np.exp(-rate * trace.times[mask]) * h0
+    margins = (rhs - trace.h[mask]) / rhs
+    tail_certified = lam1 is not None and bool(nu * lam1 >= rate)
+    if tail_certified:
+        # h(t) <= h(T) e^{-nu lam1 (t-T)} for t >= T, and the bound curve
+        # decays slower, so the worst uncovered time is max(T, t_min).
+        T, hT = trace.times[-1], trace.h[-1]
+        t_star = max(T, t_min)
+        lhs_star = hT * np.exp(-nu * lam1 * (t_star - T))
+        rhs_star = np.exp(-rate * t_star) * h0
+        margins = np.append(margins, (rhs_star - lhs_star) / rhs_star)
+    return margins, int(np.count_nonzero(mask)), tail_certified
+
 
 def theorem_bound_check(trace: DecayTrace, nu: float, q: float, c0: float,
                         tol: float = 5e-2, lam1: float | None = None,
@@ -240,35 +261,15 @@ def theorem_bound_check(trace: DecayTrace, nu: float, q: float, c0: float,
     if rate is None:
         rate = c0 * nu**q
     t_min = nu ** (-q)
-    h0 = trace.h[0]
-    mask = trace.times > t_min
-    margins = []
-    if np.any(mask):
-        lhs = trace.h[mask]
-        rhs = np.exp(-rate * trace.times[mask]) * h0
-        margins = (rhs - lhs) / rhs
-
-    tail_certified = False
-    note = ""
-    if lam1 is not None and nu * lam1 >= rate:
-        # h(t) <= h(T) e^{-nu lam1 (t-T)} for t >= T, and the bound curve
-        # decays slower, so the worst uncovered time is max(T, t_min).
-        T, hT = trace.times[-1], trace.h[-1]
-        t_star = max(T, t_min)
-        lhs_star = hT * np.exp(-nu * lam1 * (t_star - T))
-        rhs_star = np.exp(-rate * t_star) * h0
-        margins = np.append(margins, (rhs_star - lhs_star) / rhs_star)
-        tail_certified = True
-    elif not np.any(mask):
+    margins, checked, tail_certified = _bound_margins(trace, nu, rate, t_min,
+                                                      lam1)
+    if margins.size == 0:
         raise ValueError(
             f"trace ends at t={trace.times[-1]:g} < nu^-q = {t_min:g} and no "
             "tail certificate is available (pass lam1); horizon too short"
         )
-    else:
-        note = "times beyond the trace end not certified"
-
+    note = "" if tail_certified else "times beyond the trace end not certified"
     worst = float(np.min(margins))
-    checked = int(np.count_nonzero(mask))
     return BoundReport(worst >= -tol, worst, checked, tail_certified, note)
 
 
@@ -298,30 +299,13 @@ def theorem_bound_check_exp(trace: DecayTrace, nu: float, p: float,
         )
     c0 = constant_c0_exp(p, a1, a2, c_B)
     scale = np.abs(np.log(nu)) ** (2.0 / p)
-    rate = c0 / scale
-    t_min = scale
-    h0 = trace.h[0]
-    mask = trace.times > t_min
-    margins = []
-    if np.any(mask):
-        lhs = trace.h[mask]
-        rhs = np.exp(-rate * trace.times[mask]) * h0
-        margins = (rhs - lhs) / rhs
-    tail_certified = False
-    note = ""
-    if lam1 is not None and nu * lam1 >= rate:
-        T, hT = trace.times[-1], trace.h[-1]
-        t_star = max(T, t_min)
-        lhs_star = hT * np.exp(-nu * lam1 * (t_star - T))
-        rhs_star = np.exp(-rate * t_star) * h0
-        margins = np.append(margins, (rhs_star - lhs_star) / rhs_star)
-        tail_certified = True
-    if len(margins) == 0:
+    margins, checked, tail_certified = _bound_margins(trace, nu, c0 / scale,
+                                                      scale, lam1)
+    if margins.size == 0:
         return BoundReport(True, np.inf, 0, False,
                            "vacuous: no samples past the window and no certificate")
     worst = float(np.min(margins))
-    return BoundReport(worst >= -tol, worst, int(np.count_nonzero(mask)),
-                       tail_certified, note)
+    return BoundReport(worst >= -tol, worst, checked, tail_certified)
 
 
 # ---------------------------------------------------------------------------

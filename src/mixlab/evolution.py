@@ -2,20 +2,26 @@
 
 The viscous flow  df/dt + B f + nu A f = 0  is integrated by Strang
 splitting: a half-step of exact diffusion, a full advection step, a second
-half-step of diffusion. Both substeps are exact flows of their pieces:
+half-step of diffusion. The model picks one of two realizations, each on
+internal coordinates where A is diagonal and the inner product is flat:
 
-* diffusion is a diagonal multiplier in the eigen/symmetrized coordinates,
-  so the diffusive contraction holds with no step-size restriction;
-* advection is an exact unimodular phase (shear, spiral) or the exact
-  matrix exponential of the skew generator (Kolmogorov, kinetic), computed
-  once per (model, dt) from an eigendecomposition and polished by two
-  Newton-Schulz polar iterations so the unitarity defect sits at machine
-  noise.
+* the FFT phase step (shear, heat): internal coordinates are the Fourier
+  coefficients; advection is the exact unimodular phase
+  exp(-i k u(y) dt), applied on the grid between an inverse and a forward
+  FFT. With a zero profile the step is one diffusion multiply;
+* the eigenbasis step (spiral, Kolmogorov, kinetic): internal coordinates
+  are orthonormal eigencoordinates of A, and a step is
+  half * (U @ (half * g)) with U = exp(-B dt) formed once per (model, dt).
+  For the spiral, U is the radial phase moved into A's eigenbasis; for
+  Kolmogorov and kinetic it is the matrix exponential of the skew
+  generator, from an eigendecomposition polished by two Newton-Schulz
+  polar iterations so the unitarity defect sits at machine noise.
 
-Consequences used elsewhere: the inviscid flow is an exact isometry of the
-working norm, the viscous flow is a strict contraction, and every step
-satisfies  h(t+dt) <= h(t) * exp(-nu * lam1 * dt)  exactly — the tail
-certificate the bound checker relies on.
+Every sampled norm is then an eigenvalue-weighted sum over the internal
+coordinates. Consequences used elsewhere: the inviscid flow is an exact
+isometry of the working norm, the viscous flow is a strict contraction,
+and every step satisfies  h(t+dt) <= h(t) * exp(-nu * lam1 * dt)  exactly
+— the tail certificate the bound checker relies on.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelProblem
+from .spectral import hs_norm
 
 __all__ = [
     "DecayTrace",
@@ -91,116 +98,82 @@ def _polar_unitary(U: np.ndarray) -> np.ndarray:
     return U
 
 
-class _Stepper:
-    """Precomputed one-step propagator acting on internal coordinates.
-
-    Internal coordinates are the symmetrized ones (flat inner product):
-    * torus-fourier: coefficients as-is (flat product already);
-    * matrix models: sqrt(weight)-scaled coefficients;
-    * spiral: sqrt(weight)-scaled grid values.
-    Norms of every order are weighted sums in these coordinates.
-    """
+class _Propagator:
+    """One Strang step on internal coordinates ``g``: orthonormal
+    eigencoordinates of A, in which diffusion is diagonal with eigenvalues
+    ``lam`` and every norm is a lam-weighted sum."""
 
     def __init__(self, problem: ModelProblem, nu: float, dt: float):
-        self.problem = problem
-        self.nu = nu
-        self.dt = dt
-        kind = problem.kind
-        if kind == "phase" and problem.basis == "torus-fourier":
-            self._half = np.exp(-nu * problem.a_diag * dt / 2.0)
-            self._phase = np.exp(-1j * problem.phase_rate * dt)
-            self._mode = "fourier-phase"
-            self._lam = problem.a_diag
-            self._pure_heat = problem.bound_B == 0.0
-            if self._pure_heat:
-                self._full = self._half * self._half
-        elif kind == "phase":  # spiral: compose the whole step into one GEMM
-            lam, V = problem.eig_vals, problem.eig_vecs
-            self._lam = lam
-            phase = np.exp(-1j * problem.phase_rate * dt)
-            if nu > 0.0:
-                E = (V * np.exp(-nu * lam * dt / 2.0)) @ V.T
-                self._step_mat = E @ (phase[:, None] * E)
-                self._mode = "dense"
-            else:
-                self._phase = phase
-                self._mode = "diag-phase"
-            self._V = V
-        else:  # matrix advection: exact exponential of the skew generator
-            H = 1j * problem.b_sym  # Hermitian
-            theta, E = np.linalg.eigh(H)
-            U = (E * np.exp(1j * theta * dt)) @ E.conj().T
-            U = _polar_unitary(U)
-            defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
-            if defect > UNITARITY_TOL:
-                raise EvolutionError(
-                    f"advection substep unitarity defect {defect:.2e} exceeds "
-                    f"{UNITARITY_TOL:g}; reduce dt"
-                )
-            self._lam = problem.a_diag
-            self._half = np.exp(-nu * self._lam * dt / 2.0)
-            self._U = U
-            self._mode = "matrix"
-
-        lam_all = self.problem.spectrum.eigenvalues
-        cut = lam_all[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam_all.size)) - 1]
-        self._top_mask = self._lam >= cut
-
-    # -- coordinates --------------------------------------------------------
+        self.sqw = np.sqrt(problem.inner.weights)
+        self.V = problem.eig_vecs  # None: A is diagonal on the state
+        self.lam = (problem.a_diag if self.V is None
+                    else problem.spectrum.eigenvalues)
+        self.half = np.exp(-nu * self.lam * dt / 2.0)
+        spec = problem.spectrum.eigenvalues
+        cut = spec[int(np.ceil((1.0 - TOP_BAND_FRACTION) * spec.size)) - 1]
+        self.top = (self.lam >= cut).astype(float)
 
     def to_internal(self, state: np.ndarray) -> np.ndarray:
-        c = np.asarray(state, dtype=complex)
-        if self._mode == "fourier-phase":
-            return c.copy()
-        return np.sqrt(self.problem.inner.weights) * c
+        g = self.sqw * state
+        return g if self.V is None else self.V.T @ g
 
     def from_internal(self, g: np.ndarray) -> np.ndarray:
-        if self._mode == "fourier-phase":
-            return g
-        return g / np.sqrt(self.problem.inner.weights)
+        if self.V is not None:
+            g = self.V @ g
+        return g / self.sqw
+
+    def norms(self, g: np.ndarray, orders: tuple):
+        """H^s norms of ``g`` for each order, and the top-band share of h^2
+        (order 0 comes first)."""
+        a2 = np.abs(g) ** 2
+        out = [hs_norm(a2, self.lam, s) for s in orders]
+        return out, float(self.top @ a2) / out[0] ** 2 if out[0] > 0 else 0.0
+
+
+class _FourierPhaseStep(_Propagator):
+    """Shear and heat: the internal coordinates are Fourier coefficients."""
+
+    def __init__(self, problem: ModelProblem, nu: float, dt: float):
+        super().__init__(problem, nu, dt)
+        self.phase = np.exp(-1j * problem.phase_rate * dt)
+        self.full = self.half * self.half if problem.bound_B == 0.0 else None
 
     def step(self, g: np.ndarray) -> np.ndarray:
-        if self._mode == "fourier-phase":
-            if self._pure_heat:
-                return self._full * g
-            g = self._half * g
-            vals = np.fft.ifft(g, norm="forward")
-            g = np.fft.fft(self._phase * vals, norm="forward")
-            return self._half * g
-        if self._mode == "dense":
-            return self._step_mat @ g
-        if self._mode == "diag-phase":
-            return self._phase * g
-        g = self._half * g
-        g = self._U @ g
-        return self._half * g
+        if self.full is not None:  # pure heat: the two halves compose
+            return self.full * g
+        vals = np.fft.ifft(self.half * g, norm="forward")
+        return self.half * np.fft.fft(self.phase * vals, norm="forward")
 
-    # -- sampled norms -------------------------------------------------------
 
-    def norms(self, g: np.ndarray, want_h2: bool = False):
-        if self._mode in ("dense", "diag-phase"):
-            c = self._V.T @ g
-        else:
-            c = g
-        a2 = np.abs(c) ** 2
-        h2sum = float(a2.sum())
-        lam = self._lam
-        h1 = float(np.sqrt(np.sum(lam * a2)))
-        hm1 = float(np.sqrt(np.sum(a2 / lam)))
-        top = float(np.sum(a2[self._top_mask]) / h2sum) if h2sum > 0 else 0.0
-        out = [np.sqrt(h2sum), h1, hm1, top]
-        if want_h2:
-            out.append(float(np.sqrt(np.sum(lam**2 * a2))))
-        return out
+class _EigenStep(_Propagator):
+    """Spiral, Kolmogorov, kinetic: a dense unitary U = exp(-B dt)."""
+
+    def __init__(self, problem: ModelProblem, nu: float, dt: float):
+        super().__init__(problem, nu, dt)
+        if self.V is not None:  # spiral: B is a phase on the radial grid
+            phase = np.exp(-1j * problem.phase_rate * dt)
+            self.U = self.V.T @ (phase[:, None] * self.V)
+            return
+        # exact exponential of the skew generator
+        theta, E = np.linalg.eigh(1j * problem.b_sym)  # Hermitian
+        U = _polar_unitary((E * np.exp(1j * theta * dt)) @ E.conj().T)
+        defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
+        if defect > UNITARITY_TOL:
+            raise EvolutionError(
+                f"advection substep unitarity defect {defect:.2e} exceeds "
+                f"{UNITARITY_TOL:g}; reduce dt"
+            )
+        self.U = U
+
+    def step(self, g: np.ndarray) -> np.ndarray:
+        return self.half * (self.U @ (self.half * g))
 
 
 def step_viscous(problem: ModelProblem, f, nu: float, dt: float) -> np.ndarray:
     """One Strang step of the viscous flow, in the model's working basis."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    st = _Stepper(problem, nu, dt)
-    c = np.asarray(getattr(f, "coefficients", f), dtype=complex)
-    return st.from_internal(st.step(st.to_internal(c)))
+    return evolve(problem, f, nu, dt, dt=dt).final_state
 
 
 def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
@@ -233,54 +206,36 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    c0 = np.asarray(getattr(f_in, "coefficients", f_in), dtype=complex)
+    c0 = np.asarray(f_in, dtype=complex)
     if c0.size != problem.size:
         raise ValueError(
             f"initial state has {c0.size} coefficients, model has {problem.size}"
         )
     want_h2 = "h2" in extras
+    orders = (0.0, 1.0, -1.0, 2.0) if want_h2 else (0.0, 1.0, -1.0)
     if dt is None:
         dt = default_dt(problem, t_end)
 
     meta = {"n_steps": 0, "occupancy_max": 0.0, "warnings": [],
             "stop_reason": "t_end"}
 
-    if t_end == 0.0:
-        st = _Stepper(problem, nu, 1.0)
-        g = st.to_internal(c0)
-        vals = st.norms(g, want_h2)
-        tr = DecayTrace(
-            times=np.array([0.0]), h=np.array([vals[0]]),
-            h1=np.array([vals[1]]), hm1=np.array([vals[2]]), nu=nu,
-            model=problem.name, params=dict(problem.params), dt=dt,
-            meta=meta, final_state=c0.copy(),
-        )
-        if want_h2:
-            tr.extras["h2"] = np.array([vals[4]])
-        return tr
-
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    n_steps = int(np.ceil(t_end / dt - 1e-12))  # 0 for t_end = 0
     stride = int(sample_every) if sample_every else 1
-    st = _Stepper(problem, nu, dt)
+    fourier = problem.basis == "torus-fourier"
+    st = (_FourierPhaseStep if fourier else _EigenStep)(problem, nu, dt)
     g = st.to_internal(c0)
 
-    ts, hs, h1s, hm1s, h2s = [], [], [], [], []
+    samples = []  # rows of t and the norms of each order
 
     def record(t, g):
-        vals = st.norms(g, want_h2)
+        vals, top = st.norms(g, orders)
         if not np.isfinite(vals[0]):
             raise EvolutionError(
                 f"non-finite H norm at t={t:g} "
                 f"(model {problem.name}, nu={nu:g}, dt={dt:g})"
             )
-        ts.append(t)
-        hs.append(vals[0])
-        h1s.append(vals[1])
-        hm1s.append(vals[2])
-        if want_h2:
-            h2s.append(vals[4])
-        if vals[3] > meta["occupancy_max"]:
-            meta["occupancy_max"] = vals[3]
+        samples.append([t] + vals)
+        meta["occupancy_max"] = max(meta["occupancy_max"], top)
         return vals[0]
 
     h0 = record(0.0, g)
@@ -295,10 +250,8 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             if h <= floor:
                 meta["stop_reason"] = "stop_ratio"
                 break
-            if len(ts) > max_samples:
-                del ts[1::2], hs[1::2], h1s[1::2], hm1s[1::2]
-                if want_h2:
-                    del h2s[1::2]
+            if len(samples) > max_samples:
+                del samples[1::2]
                 stride *= 2
 
     meta["n_steps"] = i
@@ -309,15 +262,13 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "spectral truncation may be felt; raise the resolution"
         )
 
-    tr = DecayTrace(
-        times=np.asarray(ts), h=np.asarray(hs), h1=np.asarray(h1s),
-        hm1=np.asarray(hm1s), nu=nu, model=problem.name,
-        params=dict(problem.params), dt=dt, meta=meta,
-        final_state=st.from_internal(g),
+    cols = np.array(samples).T
+    return DecayTrace(
+        times=cols[0], h=cols[1], h1=cols[2], hm1=cols[3], nu=nu,
+        model=problem.name, params=dict(problem.params), dt=dt,
+        extras={"h2": cols[4]} if want_h2 else {}, meta=meta,
+        final_state=st.from_internal(g) if i else c0.copy(),
     )
-    if want_h2:
-        tr.extras["h2"] = np.asarray(h2s)
-    return tr
 
 
 def energy_residual(trace: DecayTrace) -> float:

@@ -30,6 +30,7 @@ kinetic      coefficients on normalized Hermite modes of total degree
 from __future__ import annotations
 
 import csv as _csv
+import os
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from typing import Callable
@@ -37,7 +38,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .spectral import Field, InnerProduct, Spectrum, fractional_symbol
+from .spectral import InnerProduct, Spectrum, fractional_symbol, hs_norm, \
+    sobolev_norm
 
 __all__ = [
     "ShearModel",
@@ -47,11 +49,13 @@ __all__ = [
     "ModelProblem",
     "PROFILES",
     "load_profile_csv",
+    "resolve_profile",
     "build_shear",
     "build_kolmogorov",
     "build_spiral",
     "build_kinetic",
     "build_model",
+    "model_params",
     "exact_inviscid",
     "predicted_rates",
     "initial_datum",
@@ -111,6 +115,19 @@ def load_profile_csv(path) -> tuple[Callable, Callable, None]:
     return u, uprime, None
 
 
+def resolve_profile(profile) -> tuple[Callable, Callable | None, int | None]:
+    """``(u, u' or None, n0 or None)`` of a shear profile given as a
+    registry name, a callable ``u`` or the path of a ``y,u`` CSV table."""
+    if callable(profile):
+        return profile, None, None
+    if profile in PROFILES:
+        return PROFILES[profile]
+    if os.path.isfile(profile):
+        return load_profile_csv(profile)
+    raise ValueError(f"unknown shear profile {profile!r}; registered: "
+                     f"{sorted(PROFILES)}, or the path of a y,u CSV file")
+
+
 # ---------------------------------------------------------------------------
 # model descriptors
 
@@ -157,10 +174,10 @@ class KineticModel:
 class ModelProblem:
     """A built model: operators, inner product, constants, predictions.
 
-    ``kind`` selects the advection realization used by the integrator:
-    ``"phase"`` (B is multiplication by -i * phase_rate in the physical
-    representation; exact unimodular step) or ``"matrix"`` (B is a dense
-    skew generator in symmetrized coordinates; exact matrix exponential).
+    ``kind`` says how B is given: ``"phase"`` (multiplication by
+    -i * phase_rate in the physical representation, so the inviscid flow
+    has a closed form) or ``"matrix"`` (a dense skew generator in
+    symmetrized coordinates).
     """
 
     name: str
@@ -168,19 +185,16 @@ class ModelProblem:
     kind: str
     inner: InnerProduct
     spectrum: Spectrum
-    k: int
     c_B: float
     bound_B: float  # advection strength bound used by the time-step policy
     mixed_bound: float | None  # improved |Re<Bf, Af>| <= C ||f||_H ||f||_H1
     p: float | None  # predicted mixing exponent
     q: float | None  # predicted enhanced-dissipation exponent
     alt_q: float | None = None  # alternative prediction where one exists
-    exact_inviscid: bool = False
     # --- operator data (representation-dependent) ---
     a_diag: np.ndarray | None = None  # diagonal of A in the state basis
     phase_rate: np.ndarray | None = None  # B = -i*phase_rate (phase kind)
     b_sym: np.ndarray | None = None  # skew generator, symmetrized (matrix kind)
-    eig_vals: np.ndarray | None = None  # spiral: eigenvalues of symmetrized A
     eig_vecs: np.ndarray | None = None  # spiral: orthonormal eigenvectors
     basis: str = "eigen"
     grid: np.ndarray | None = None  # y- or r-grid where meaningful
@@ -190,8 +204,7 @@ class ModelProblem:
 
     def symmetrized(self, state) -> np.ndarray:
         """Map a state to coordinates in which the inner product is flat."""
-        c = np.asarray(getattr(state, "coefficients", state), dtype=complex)
-        return np.sqrt(self.inner.weights) * c
+        return np.sqrt(self.inner.weights) * np.asarray(state, dtype=complex)
 
     def eigen_coords(self, state) -> np.ndarray:
         """Coefficients in the (ascending) eigenbasis of A."""
@@ -202,34 +215,29 @@ class ModelProblem:
 
     def sobolev(self, state, s: float) -> float:
         """H^s norm of a state (s = 0: working norm, s = -1: mixing norm)."""
-        g = self.symmetrized(state)
-        if self.eig_vecs is not None:
-            c = self.eig_vecs.T @ g
-            lam = self.eig_vals
-        else:
-            c = g
-            lam = self.a_diag
-        if s == 0.0:
-            return float(np.linalg.norm(c))
-        return float(np.sqrt(np.sum(lam**s * np.abs(c) ** 2)))
+        return sobolev_norm(self.eigen_coords(state), self.spectrum, s)
+
+    def _on_grid(self, mult: np.ndarray, state) -> np.ndarray:
+        """Multiply a phase-kind state pointwise in physical space."""
+        c = np.asarray(state, dtype=complex)
+        if self.basis == "torus-fourier":
+            vals = np.fft.ifft(c, norm="forward")
+            return np.fft.fft(mult * vals, norm="forward")
+        return mult * c
 
     def apply_B(self, state) -> np.ndarray:
         """Advection operator acting on a state vector."""
-        c = np.asarray(getattr(state, "coefficients", state), dtype=complex)
         if self.kind == "phase":
-            if self.basis == "torus-fourier":
-                vals = np.fft.ifft(c, norm="forward")
-                return np.fft.fft(1j * self.phase_rate * vals, norm="forward")
-            return 1j * self.phase_rate * c
-        g = self.symmetrized(c)
+            return self._on_grid(1j * self.phase_rate, state)
+        g = self.symmetrized(state)
         return (self.b_sym @ g) / np.sqrt(self.inner.weights)
 
     def apply_A(self, state) -> np.ndarray:
-        c = np.asarray(getattr(state, "coefficients", state), dtype=complex)
+        c = np.asarray(state, dtype=complex)
         if self.a_diag is not None:
             return self.a_diag * c
-        g = self.symmetrized(c)
-        ag = self.eig_vecs @ (self.eig_vals * (self.eig_vecs.T @ g))
+        V = self.eig_vecs
+        ag = V @ (self.spectrum.eigenvalues * (V.T @ self.symmetrized(c)))
         return ag / np.sqrt(self.inner.weights)
 
     @property
@@ -239,9 +247,6 @@ class ModelProblem:
     @property
     def lam1(self) -> float:
         return self.spectrum.lam_min
-
-    def field(self, coeffs) -> Field:
-        return Field(np.asarray(coeffs, dtype=complex), self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +267,7 @@ def build_shear(m: ShearModel) -> ModelProblem:
         raise ValueError("shear model requires a nonzero x-wavenumber k")
     if not 0.0 < m.gamma <= 2.0:
         raise ValueError(f"diffusion order gamma must lie in (0, 2], got {m.gamma}")
-    if callable(m.profile):
-        u_fn, du_fn, n0_default = m.profile, None, None
-    else:
-        try:
-            u_fn, du_fn, n0_default = PROFILES[m.profile]
-        except KeyError:
-            raise ValueError(
-                f"unknown shear profile {m.profile!r}; "
-                f"registered: {sorted(PROFILES)}"
-            ) from None
+    u_fn, du_fn, n0_default = resolve_profile(m.profile)
     n0 = m.n0 if m.n0 is not None else n0_default
 
     n = 2 * m.M
@@ -309,15 +305,13 @@ def build_shear(m: ShearModel) -> ModelProblem:
         name="shear",
         params=params,
         kind="phase",
-        inner=InnerProduct("flat", np.ones(n)),
+        inner=InnerProduct(np.ones(n)),
         spectrum=Spectrum(lam[perm]),
-        k=m.k,
         c_B=max_du,
         bound_B=abs(m.k) * max_u,
         mixed_bound=None,
         p=p,
         q=q,
-        exact_inviscid=True,
         a_diag=lam,
         phase_rate=m.k * u,
         basis="torus-fourier",
@@ -370,16 +364,14 @@ def build_kolmogorov(m: KolmogorovModel) -> ModelProblem:
         name="kolmogorov",
         params=params,
         kind="matrix",
-        inner=InnerProduct("kolmogorov-modified", s),
+        inner=InnerProduct(s),
         spectrum=Spectrum(mu[perm]),
-        k=m.k,
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,
         p=1.0,
         q=2.0 / 3.0,
         alt_q=3.0 / 5.0,
-        exact_inviscid=False,
         a_diag=mu,
         b_sym=b_sym,
         basis="torus-fourier-sorted",
@@ -430,17 +422,14 @@ def build_spiral(m: SpiralModel) -> ModelProblem:
         name="spiral",
         params=params,
         kind="phase",
-        inner=InnerProduct("weighted-radial", w),
+        inner=InnerProduct(w),
         spectrum=Spectrum(lam),
-        k=m.k,
         c_B=mixed / np.sqrt(lam[0]),
         bound_B=float(abs(m.k) * np.max(r**m.alpha)),
         mixed_bound=mixed,
         p=p_alpha,
         q=q_alpha,
-        exact_inviscid=True,
         phase_rate=m.k * r**m.alpha,
-        eig_vals=lam,
         eig_vecs=vecs,
         basis="radial-grid",
         grid=r,
@@ -502,15 +491,13 @@ def build_kinetic(m: KineticModel) -> ModelProblem:
         name="kinetic",
         params=params,
         kind="matrix",
-        inner=InnerProduct("gibbs-weighted", np.ones(D)),
+        inner=InnerProduct(np.ones(D)),
         spectrum=Spectrum(np.sort(degrees)),
-        k=int(kvec[0]) if m.d == 1 else 0,
         c_B=knorm,  # lam1 = 1, so the mixed bound doubles as the commutator bound
         bound_B=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
         mixed_bound=knorm,
         p=None,
         q=None,
-        exact_inviscid=False,
         a_diag=degrees,
         b_sym=1j * K,
         basis="hermite",
@@ -539,6 +526,37 @@ def build_model(name: str, **params) -> ModelProblem:
     return builder(cls(**params))
 
 
+#: model flag -> builder keyword, per family; ``k`` goes to every family
+_FAMILY_FLAGS = {
+    "shear": {"profile": "profile", "gamma": "gamma", "n0": "n0",
+              "resolution": "M"},
+    "heat": {"gamma": "gamma", "resolution": "M"},
+    "kolmogorov": {"L": "L", "resolution": "M"},
+    "spiral": {"alpha": "alpha", "resolution": "N"},
+    "kinetic": {"d": "d", "resolution": "N"},
+}
+
+
+def model_params(family: str, values) -> dict:
+    """Builder keyword arguments of ``build_model(family, ...)``.
+
+    ``values`` maps flag names (``k``, ``profile``, ``gamma``, ``n0``,
+    ``alpha``, ``L``, ``d``, ``resolution``) to values, as the command
+    line and a sweep row give them; ``k`` is required. Flags the family
+    does not take are ignored, and a missing or None flag keeps the
+    builder's default.
+    """
+    try:
+        flags = _FAMILY_FLAGS[family]
+    except KeyError:
+        raise ValueError(f"unknown model family {family!r}") from None
+    kw = {"k": values["k"]}
+    for flag, key in flags.items():
+        if values.get(flag) is not None:
+            kw[key] = values[flag]
+    return kw
+
+
 # ---------------------------------------------------------------------------
 # closed forms and predictions
 
@@ -550,20 +568,11 @@ def exact_inviscid(problem: ModelProblem, f_in, t: float):
     preserves the working norm to machine precision. Models whose advection
     mixes modes (Kolmogorov, kinetic) have no closed form.
     """
-    if not problem.exact_inviscid:
+    if problem.kind != "phase":
         raise ValueError(
             f"model {problem.name!r} has no closed-form inviscid solution"
         )
-    c = np.asarray(getattr(f_in, "coefficients", f_in), dtype=complex)
-    shift = np.exp(-1j * problem.phase_rate * t)
-    if problem.basis == "torus-fourier":
-        vals = np.fft.ifft(c, norm="forward")
-        out = np.fft.fft(shift * vals, norm="forward")
-    else:
-        out = shift * c
-    if isinstance(f_in, Field):
-        return Field(out, f_in.basis)
-    return out
+    return problem._on_grid(np.exp(-1j * problem.phase_rate * t), f_in)
 
 
 def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
@@ -606,6 +615,24 @@ def _normalize_h1(problem: ModelProblem, state: np.ndarray) -> np.ndarray:
     return state / h1
 
 
+def _fourier_datum(name: str, y: np.ndarray, lam: np.ndarray,
+                   seed) -> np.ndarray:
+    """Named torus datum as unnormalized Fourier coefficients in numpy fft
+    order, on the grid ``y`` with A's eigenvalues ``lam``."""
+    if name in ("single-mode-m1", "single-mode m=1"):
+        c = np.zeros(y.size, dtype=complex)
+        c[1] = 1.0  # fft layout: index 1 is mode m=1
+        return c
+    if name == "gaussian-bump":
+        vals = np.exp(-((y - np.pi) ** 2) / 0.5)
+        return np.fft.fft(vals.astype(complex), norm="forward")
+    if name == "random-h1":
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
+        return c / (1.0 + lam)
+    raise ValueError(f"datum {name!r} is not defined on the torus")
+
+
 def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
                   seed: int | None = None) -> np.ndarray:
     """Named initial data, normalized to unit H^1 norm.
@@ -618,12 +645,13 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
     ``"gaussian-bump"`` — a smooth bump (torus and disk).
     ``"random-h1"`` — seeded random coefficients with a smooth envelope.
     """
+    if problem.basis == "torus-fourier":
+        return _normalize_h1(problem, _fourier_datum(
+            name, problem.grid, problem.a_diag, seed))
     n = problem.size
     if name in ("single-mode-m1", "single-mode m=1"):
         state = np.zeros(n, dtype=complex)
-        if problem.basis == "torus-fourier":
-            state[1] = 1.0  # fft layout: index 1 is mode m=1
-        elif problem.basis == "torus-fourier-sorted":
+        if problem.basis == "torus-fourier-sorted":
             m1 = int(np.where(problem.meta["modes"] == 1.0)[0][0])
             state[m1] = 1.0
         elif problem.basis == "radial-grid":
@@ -636,11 +664,7 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
             raise ValueError("uniform datum is defined on the disk only")
         state = np.ones(n, dtype=complex)
     elif name == "gaussian-bump":
-        if problem.basis == "torus-fourier":
-            y = problem.grid
-            vals = np.exp(-((y - np.pi) ** 2) / 0.5)
-            state = np.fft.fft(vals.astype(complex), norm="forward")
-        elif problem.basis == "torus-fourier-sorted":
+        if problem.basis == "torus-fourier-sorted":
             modes = problem.meta["modes"]
             state = np.exp(-0.125 * modes**2 - 1j * np.pi * modes)
         elif problem.basis == "radial-grid":
@@ -654,7 +678,7 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if problem.eig_vecs is not None:
-            c /= 1.0 + problem.eig_vals
+            c /= 1.0 + problem.spectrum.eigenvalues
             g = problem.eig_vecs @ c
             state = g / np.sqrt(problem.inner.weights)
         else:
@@ -689,28 +713,14 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     -------
     dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm).
     """
-    if profile in PROFILES:
-        u_fun = PROFILES[profile][0]
-    else:
-        u_fun = load_profile_csv(profile)[0]
+    u_fun = resolve_profile(profile)[0]
     n = 2 * M
     y = 2.0 * np.pi * np.arange(n) / n
     u = u_fun(y)
     modes = np.fft.fftfreq(n, d=1.0 / n)
     lam = fractional_symbol(gamma, k, modes)
-    c = np.zeros(n, dtype=complex)
-    if datum in ("single-mode-m1", "single-mode m=1"):
-        c[1] = 1.0
-    elif datum == "gaussian-bump":
-        vals = np.exp(-((y - np.pi) ** 2) / 0.5)
-        c = np.fft.fft(vals.astype(complex), norm="forward")
-    elif datum == "random-h1":
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c /= 1.0 + lam
-    else:
-        raise ValueError(f"unsupported datum {datum!r} for the exact shear series")
-    c /= np.sqrt(np.sum(lam * np.abs(c) ** 2))
+    c = _fourier_datum(datum, y, lam, seed)
+    c /= hs_norm(np.abs(c) ** 2, lam, 1.0)
     vals0 = np.fft.ifft(c, norm="forward")
     times = np.asarray(times, dtype=float)
     h = np.empty_like(times)
@@ -719,9 +729,9 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     for i, t in enumerate(times):
         ct = np.fft.fft(vals0 * np.exp(-1j * k * u * t), norm="forward")
         mag2 = np.abs(ct) ** 2
-        h[i] = np.sqrt(mag2.sum())
-        h1[i] = np.sqrt((lam * mag2).sum())
-        hm1[i] = np.sqrt((mag2 / lam).sum())
+        h[i] = hs_norm(mag2, lam, 0.0)
+        h1[i] = hs_norm(mag2, lam, 1.0)
+        hm1[i] = hs_norm(mag2, lam, -1.0)
     return {"t": times, "h": h, "h1": h1, "hm1": hm1}
 
 

@@ -16,12 +16,11 @@ import numpy as np
 
 __all__ = [
     "Spectrum",
-    "Field",
     "InnerProduct",
+    "hs_norm",
     "sobolev_norm",
     "project_low",
     "fractional_symbol",
-    "dual_norm_hminus",
 ]
 
 
@@ -61,58 +60,54 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class Field:
-    """Coefficient vector of a scalar in one model's working basis.
-
-    ``basis`` tags how the coefficients are indexed: ``"torus-fourier"``
-    (numpy fft mode order), ``"torus-fourier-sorted"`` (modes ascending),
-    ``"radial-grid"`` (cell-centered grid values), ``"hermite"`` (degree
-    order) or ``"eigen"`` (eigenbasis of the dissipation operator).
-    """
-
-    coefficients: np.ndarray
-    basis: str = "eigen"
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", c)
-
-    def __len__(self) -> int:
-        return self.coefficients.size
-
-
-def _coeffs(f) -> np.ndarray:
-    """Accept a Field or a bare ndarray."""
-    return np.asarray(getattr(f, "coefficients", f), dtype=complex)
-
-
-@dataclass(frozen=True)
 class InnerProduct:
     """Diagonal weighted inner product <f, g> = sum_j w_j f_j conj(g_j).
 
-    ``kind`` is one of ``"flat"``, ``"weighted-radial"`` (midpoint
-    quadrature weights r_j dr), ``"gibbs-weighted"`` (flat in normalized
-    Hermite coordinates of the Gaussian-weighted space) or
-    ``"kolmogorov-modified"`` (per-mode multiplier of the modified L2
-    product; positive only under the model's wavenumber constraint).
+    The weights are flat (shear, kinetic), midpoint quadrature weights
+    r_j dr (spiral) or the per-mode multiplier of the modified L2 product
+    (Kolmogorov; positive only under the model's wavenumber constraint).
     """
 
-    kind: str
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if np.any(w <= 0.0):
-            raise ValueError(f"{self.kind} inner product is not positive definite")
+            raise ValueError("inner product is not positive definite")
         object.__setattr__(self, "weights", w)
 
     def inner(self, f, g) -> complex:
-        cf, cg = _coeffs(f), _coeffs(g)
+        cf, cg = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
         return complex(np.sum(self.weights * cf * np.conj(cg)))
 
     def norm(self, f) -> float:
-        cf = _coeffs(f)
-        return float(np.sqrt(np.sum(self.weights * np.abs(cf) ** 2)))
+        return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
+
+
+def hs_norm(a2: np.ndarray, lam: np.ndarray, s: float) -> float:
+    """``(sum_j lam_j^s a2_j)^(1/2)`` from squared coefficient moduli.
+
+    ``a2`` holds |c_j|^2 of coefficients in an orthonormal eigenbasis of A
+    and ``lam`` the matching eigenvalues, in the same (any) order. Orders
+    0 and +-1, the ones sampled along every trajectory, take no power.
+    """
+    if s == 0.0:
+        w = a2
+    elif s == 1.0:
+        w = lam * a2
+    elif s == -1.0:
+        w = a2 / lam
+    else:
+        w = lam**s * a2
+    return float(np.sqrt(w.sum()))
+
+
+def _eigen_coeffs(f, spectrum: Spectrum) -> np.ndarray:
+    c = np.asarray(f, dtype=complex)
+    if c.size != spectrum.size:
+        raise ValueError(f"field has {c.size} coefficients but spectrum has "
+                         f"{spectrum.size} eigenvalues")
+    return c
 
 
 def sobolev_norm(f, spectrum: Spectrum, s: float) -> float:
@@ -120,25 +115,20 @@ def sobolev_norm(f, spectrum: Spectrum, s: float) -> float:
 
     Computes ``(sum_j lam_j^s |f_j|^2)^(1/2)``.  ``s = 0`` recovers the
     working-space norm, ``s = 1`` the dissipation form, negative ``s``
-    the mixing (dual) scale.
+    the mixing (dual) scale: ``s = -1`` equals the variational dual norm
+    ``sup_eta |<f, eta>_H| / ||eta||_{H^1}``, attained at
+    ``eta = A^{-1} f``.
 
     Parameters
     ----------
-    f : Field or ndarray
+    f : array_like
         Coefficients in the eigenbasis, same length as the spectrum.
     spectrum : Spectrum
     s : float
         Any real Sobolev order.
     """
-    c = _coeffs(f)
-    lam = spectrum.eigenvalues
-    if c.size != lam.size:
-        raise ValueError(
-            f"field has {c.size} coefficients but spectrum has {lam.size} eigenvalues"
-        )
-    if s == 0.0:
-        return float(np.linalg.norm(c))
-    return float(np.sqrt(np.sum(lam**s * np.abs(c) ** 2)))
+    return hs_norm(np.abs(_eigen_coeffs(f, spectrum)) ** 2,
+                   spectrum.eigenvalues, s)
 
 
 def project_low(f, spectrum: Spectrum, R: float):
@@ -153,15 +143,8 @@ def project_low(f, spectrum: Spectrum, R: float):
 
     which the test suite checks on random fields.
     """
-    c = _coeffs(f).copy()
-    lam = spectrum.eigenvalues
-    if c.size != lam.size:
-        raise ValueError(
-            f"field has {c.size} coefficients but spectrum has {lam.size} eigenvalues"
-        )
-    c[lam > R] = 0.0
-    if isinstance(f, Field):
-        return Field(c, f.basis)
+    c = _eigen_coeffs(f, spectrum).copy()
+    c[spectrum.eigenvalues > R] = 0.0
     return c
 
 
@@ -180,17 +163,3 @@ def fractional_symbol(gamma: float, k, m):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def dual_norm_hminus(f, spectrum: Spectrum) -> float:
-    """Mixing norm: the dual of the dissipation form.
-
-    Equals ``||A^{-1/2} f||_H``, which in the discrete setting coincides
-    exactly with the variational definition
-    ``sup_eta |<f, eta>_H| / ||eta||_{H^1}`` (the supremum is attained at
-    ``eta = A^{-1} f``).  The small-dimension test suite checks that
-    equivalence against an independently computed supremum.
-    """
-    if spectrum.lam_min <= 0.0:
-        raise ValueError("singular dissipation operator: zero eigenvalue in spectrum")
-    return sobolev_norm(f, spectrum, -1.0)

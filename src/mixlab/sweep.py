@@ -21,9 +21,10 @@ import numpy as np
 
 from .diagnostics import fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, evolve, write_trace
-from .models import build_model, initial_datum
+from .models import build_model, initial_datum, model_params
 
-__all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep"]
+__all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
+           "row_key", "sweep_dt"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 
@@ -86,7 +87,8 @@ class SweepConfig:
         return out
 
 
-def _row_key(model: str, row: dict) -> str:
+def row_key(model: str, row: dict) -> str:
+    """Row (and trace file) name: model, alpha and gamma when set, k, nu."""
     parts = [model]
     if row["alpha"] is not None:
         parts.append(f"a{row['alpha']:g}")
@@ -139,52 +141,27 @@ class SweepResult:
         return os.path.join(self.out_dir, "sweep.csv")
 
 
-def _model_params(cfg: SweepConfig, row: dict) -> dict:
-    """Constructor arguments for this row's model."""
-    model = cfg.model
-    params: dict = {"k": row["k"]}
-    if model in ("shear", "heat"):
-        params["profile"] = "zero" if model == "heat" else cfg.profile
-        if row["gamma"] is not None:
-            params["gamma"] = row["gamma"]
-        if cfg.n0 is not None:
-            params["n0"] = cfg.n0
-        if cfg.resolution:
-            params["M"] = cfg.resolution
-    elif model == "kolmogorov":
-        params["L"] = cfg.L
-        if cfg.resolution:
-            params["M"] = cfg.resolution
-    elif model == "spiral":
-        if row["alpha"] is not None:
-            params["alpha"] = row["alpha"]
-        if cfg.resolution:
-            params["N"] = cfg.resolution
-    elif model == "kinetic":
-        if cfg.resolution:
-            params["N"] = cfg.resolution
-    else:
-        raise ValueError(f"unknown model family {cfg.model!r}")
-    return params
+def sweep_dt(problem, t_end: float) -> float:
+    """Sweep time step: a tenth of the advection time 1/bound_B, at most
+    0.1; pure diffusion is exact at any step, so profile-free rows split
+    t_end evenly."""
+    if problem.bound_B > 0.0:
+        return 0.1 / max(1.0, problem.bound_B)
+    return t_end / 1e4
 
 
 def _run_row(cfg: SweepConfig, row: dict, index: int):
     """Execute one row; pure function of (cfg, row, index)."""
-    problem = build_model("shear" if cfg.model == "heat" else cfg.model,
-                          **_model_params(cfg, row))
+    problem = build_model(cfg.model,
+                          **model_params(cfg.model, {**vars(cfg), **row}))
     datum = initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
     nu = row["nu"]
     q_pred = problem.q
     t_end = cfg.t_end_factor * nu ** (-(q_pred if q_pred else 1.0))
-    if cfg.dt is not None:
-        dt = cfg.dt
-    elif problem.bound_B > 0.0:
-        dt = 0.1 / max(1.0, problem.bound_B)
-    else:
-        dt = t_end / 1e4
+    dt = cfg.dt if cfg.dt is not None else sweep_dt(problem, t_end)
 
     result = RowResult(
-        key=_row_key(cfg.model, row), model=cfg.model, alpha=row["alpha"],
+        key=row_key(cfg.model, row), model=cfg.model, alpha=row["alpha"],
         gamma=row["gamma"], n0=problem.params.get("n0"), k=row["k"], nu=nu,
         tau=None, rate=None, q_pred=q_pred, status="ok",
     )
@@ -256,7 +233,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
 
     plan = cfg.rows()
-    keys = [_row_key(cfg.model, row) for row in plan]
+    keys = [row_key(cfg.model, row) for row in plan]
     results: dict[str, RowResult] = {}
     pending = []
     for idx, (key, row) in enumerate(zip(keys, plan)):
@@ -309,7 +286,7 @@ def load_sweep(out_dir: str) -> SweepResult:
             key_row = {"alpha": float(rec["alpha"]) if rec["alpha"] else None,
                        "gamma": float(rec["gamma"]) if rec["gamma"] else None,
                        "k": int(rec["k"]), "nu": float(rec["nu"])}
-            key = _row_key(rec["model"], key_row)
+            key = row_key(rec["model"], key_row)
             row_path = os.path.join(out_dir, "rows", key + ".json")
             if os.path.exists(row_path):
                 with open(row_path) as fh2:

@@ -1,13 +1,15 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import importlib.util
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 import mixlab as mx
-from mixlab import cli
+from mixlab import cli, sweep
 
 
 def _load_json(path):
@@ -170,3 +172,81 @@ def test_verify_bound_requires_sweep_config(tmp_path, capsys):
     rc = cli.main(["verify-bound", str(d)])
     assert rc == 1
     assert "sweep_config" in capsys.readouterr().err
+
+
+def _sine_profile_csv(path):
+    y = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    rows = "\n".join(f"{a:.12g},{np.sin(a):.12g}" for a in y)
+    path.write_text("y,u\n" + rows + "\n")
+    return str(path)
+
+
+def test_csv_profile_on_simulate_and_mix_rate(tmp_path):
+    prof = _sine_profile_csv(tmp_path / "prof.csv")
+    args = ["--nu", "1e-3", "--t-end", "1", "--resolution", "32"]
+    rc = cli.main(["simulate", "--model", "shear", "--profile", prof, *args,
+                   "--out", str(tmp_path / "csv")])
+    assert rc == 0
+    rc = cli.main(["simulate", "--model", "shear", *args,
+                   "--out", str(tmp_path / "sin")])
+    assert rc == 0
+    name = "trace_shear_g2_k1_nu1.0000e-03.csv"
+    tabulated = mx.read_trace(str(tmp_path / "csv" / name))
+    builtin = mx.read_trace(str(tmp_path / "sin" / name))
+    assert tabulated.params["profile"] == prof
+    assert np.allclose(tabulated.h, builtin.h, rtol=1e-6)
+
+    rc = cli.main(["mix-rate", "--model", "shear", "--profile", prof,
+                   "--n0", "1", "--resolution", "512", "--t-max", "300",
+                   "--points", "32", "--out", str(tmp_path)])
+    assert rc == 0
+    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    assert fit["p_predicted"] == 0.5
+    assert 0.4 < fit["p_measured"] < 0.6
+
+
+def test_mix_rate_without_predicted_exponent(tmp_path, capsys):
+    rc = cli.main(["mix-rate", "--model", "shear", "--profile", "zero",
+                   "--resolution", "64", "--t-max", "100", "--points", "16",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert "p = none" in capsys.readouterr().out
+    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    assert fit["p_predicted"] is None
+    assert abs(fit["p_measured"]) < 1e-12  # no mixing: constant dual norm
+    assert (tmp_path / "mixing_shear_k1.csv").exists()
+    assert (tmp_path / "mixing_shear_k1.svg").exists()
+
+
+def test_ed_sweep_refuses_kinetic_dimension(tmp_path, capsys):
+    out = tmp_path / "kin"
+    rc = cli.main(["ed-sweep", "--model", "kinetic", "--d", "2",
+                   "--nus", "0.1,0.01", "--out", str(out)])
+    assert rc == 1
+    assert "--d 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_tracing_contract(tmp_path, monkeypatch):
+    """The names the benchmark's tracer wraps still exist and are called."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # let monkeypatch restore every name the tracer is about to replace
+    for mod in (cli, sweep):
+        for name, value in list(vars(mod).items()):
+            if callable(value):
+                monkeypatch.setattr(mod, name, value)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+
+    out = str(tmp_path / "heat")
+    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "16",
+                     "--nu-min", "1e-3", "--nu-max", "1e-1", "--nu-count", "4",
+                     "--out", out]) == 0
+    assert cli.main(["report", out]) == 0
+    names = {s["name"] for s in tracer.spans}
+    evolves = [s for s in tracer.spans if s["name"] == "evolution.evolve"]
+    assert evolves and all(s["steps"] > 0 for s in evolves)
+    assert "evolution.propagator_setup" in names

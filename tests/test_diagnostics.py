@@ -1,5 +1,8 @@
 """Fits, time-scales, decay-bound checks, and the explicit constants."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,15 @@ def test_bound_check_tail_certificate():
     assert rep.passed and rep.tail_certified and rep.checked == 0
     with pytest.raises(ValueError, match="horizon too short"):
         mx.theorem_bound_check(tr, nu, q, c0)  # no lam1, no samples
+
+
+def test_bound_report_serializes_with_numpy_constants():
+    # c0 computed from numpy scalars must still give a JSON-ready report
+    t = np.linspace(0.0, 100.0, 50)
+    tr = _trace(t, np.exp(-0.05 * t))
+    rep = mx.theorem_bound_check(tr, 1e-4, 0.8, np.float64(1e-4), lam1=3.39)
+    assert rep.tail_certified
+    json.dumps(dataclasses.asdict(rep))
 
 
 def test_bound_check_requires_positive_nu():

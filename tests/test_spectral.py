@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from mixlab import (
-    Field,
     InnerProduct,
     Spectrum,
-    dual_norm_hminus,
     fractional_symbol,
     project_low,
     sobolev_norm,
@@ -41,12 +39,12 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(f, sp, -1.0) == pytest.approx(np.sqrt(1.5), rel=1e-15)
     g = np.array([0.0, 0.0, 2.0], dtype=complex)
     assert sobolev_norm(g, sp, 2.0) == pytest.approx(8.0, rel=1e-15)
-    assert dual_norm_hminus(g, sp) == pytest.approx(1.0, rel=1e-15)
+    assert sobolev_norm(g, sp, -1.0) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_sobolev_norm_accepts_fields_and_checks_size():
+def test_sobolev_norm_checks_size():
     sp = Spectrum(np.array([1.0, 4.0]))
-    f = Field(np.array([3.0, 0.0]))
+    f = np.array([3.0, 0.0])
     assert sobolev_norm(f, sp, -1.0) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         sobolev_norm(np.ones(3, dtype=complex), sp, 0.0)
@@ -70,9 +68,6 @@ def test_project_low_basics():
     assert np.array_equal(project_low(pf, sp, 2.0), pf)
     assert np.array_equal(project_low(f, sp, 0.5), np.zeros(4, dtype=complex))
     assert np.array_equal(project_low(f, sp, 8.0), f)
-    # Field in, Field out, basis preserved
-    pf2 = project_low(Field(f, basis="torus-fourier"), sp, 2.0)
-    assert isinstance(pf2, Field) and pf2.basis == "torus-fourier"
 
 
 def test_projection_splitting_inequalities():
@@ -108,14 +103,14 @@ def test_fractional_symbol_values():
 
 def test_inner_product_weighted():
     w = np.array([0.5, 1.5])
-    ip = InnerProduct("weighted-radial", w)
+    ip = InnerProduct(w)
     f = np.array([1.0 + 1j, 2.0])
     g = np.array([1.0, 1.0j])
     val = ip.inner(f, g)
     assert val == pytest.approx(0.5 * (1 + 1j) + 1.5 * 2.0 * (-1j))
     assert ip.norm(f) == pytest.approx(np.sqrt(0.5 * 2 + 1.5 * 4))
     with pytest.raises(ValueError):
-        InnerProduct("flat", np.array([1.0, 0.0]))
+        InnerProduct(np.array([1.0, 0.0]))
 
 
 def test_dual_norm_variational_characterization():
@@ -126,7 +121,7 @@ def test_dual_norm_variational_characterization():
     lam = sp.eigenvalues
     for _ in range(20):
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        dual = dual_norm_hminus(f, sp)
+        dual = sobolev_norm(f, sp, -1.0)
         for _ in range(300):
             eta = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             pairing = abs(np.sum(f * np.conj(eta)))
