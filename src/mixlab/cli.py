@@ -18,7 +18,7 @@ import numpy as np
 
 from ._svg import line_plot_svg
 from .diagnostics import ed_exponent, fit_mixing_amplitude, fit_power_law, \
-    theorem_bound_check
+    theorem_bound_check, timescale_pairs
 from .evolution import EvolutionError, evolve, read_trace, write_trace
 from .models import build_model, initial_datum, model_params, \
     predicted_rates, shear_mixing_series, spiral_mixing_series
@@ -152,10 +152,8 @@ def _q_fits(rows) -> dict:
     basis: basis -> (nus, taus, RateFit or the ValueError that stopped it).
     """
     fits = {}
-    for basis, attr in (("crossing", "tau"), ("rate", "tau_rate")):
-        pairs = [(r.nu, getattr(r, attr)) for r in rows if getattr(r, attr)]
-        nus = np.array([p[0] for p in pairs])
-        taus = np.array([p[1] for p in pairs])
+    for basis in ("crossing", "rate"):
+        nus, taus = timescale_pairs(rows, basis)
         try:
             fit = ed_exponent((nus, taus))
         except ValueError as exc:
@@ -168,6 +166,10 @@ def _cmd_ed_sweep(args) -> int:
     if model_params(args.model, vars(args)).get("d", 1) != 1:
         raise ValueError(f"--d {args.d}: a sweep configuration has no space "
                          "dimension and runs the kinetic model in d = 1")
+    if args.model == "heat" and args.gamma != 2.0:
+        raise ValueError(f"--gamma {args.gamma:g}: heat sweeps run gamma = 2; "
+                         f"sweep --model shear --profile zero --gamma "
+                         f"{args.gamma:g} for fractional diffusion")
     if args.nus:
         nus = _parse_floats(args.nus)
     else:

@@ -35,6 +35,7 @@ __all__ = [
     "fit_decay_rate",
     "tau_threshold",
     "ed_exponent",
+    "timescale_pairs",
     "theorem_bound_check",
     "theorem_bound_check_exp",
     "exp_mixing_nu_threshold",
@@ -182,6 +183,20 @@ def tau_threshold(trace: DecayTrace, theta: float = THETA_DEFAULT) -> float:
     return float(t0 + (target - l0) * (t1 - t0) / (l1 - l0))
 
 
+_TIMESCALE_ATTR = {"crossing": "tau", "rate": "tau_rate"}
+
+
+def timescale_pairs(rows, timescale: str = "crossing"):
+    """``(nus, taus)`` arrays of the completed sweep rows that carry the
+    ``"crossing"`` (``tau``) or ``"rate"`` (``tau_rate``) time-scale,
+    sorted by viscosity; empty when no row does."""
+    attr = _TIMESCALE_ATTR[timescale]
+    pairs = sorted((r.nu, getattr(r, attr)) for r in rows
+                   if r.status == "ok" and getattr(r, attr))
+    nus, taus = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return nus, taus
+
+
 def ed_exponent(sweep, timescale: str = "crossing") -> RateFit:
     """Enhanced-dissipation exponent from a viscosity sweep.
 
@@ -193,22 +208,18 @@ def ed_exponent(sweep, timescale: str = "crossing") -> RateFit:
 
     Accepts a SweepResult or a bare ``(nus, taus)`` pair.
     """
-    if timescale not in ("crossing", "rate"):
+    if timescale not in _TIMESCALE_ATTR:
         raise ValueError(f"unknown timescale {timescale!r}")
     if isinstance(sweep, tuple):
         nus, taus = (np.asarray(x, dtype=float) for x in sweep)
     else:
-        rows = [r for r in sweep.rows if r.status == "ok"]
-        keys = {(r.model, r.alpha, r.gamma, r.k) for r in rows}
+        keys = {(r.model, r.alpha, r.gamma, r.k)
+                for r in sweep.rows if r.status == "ok"}
         if len(keys) > 1:
             raise ValueError(
                 "sweep mixes several model/parameter groups; fit them separately"
             )
-        attr = "tau" if timescale == "crossing" else "tau_rate"
-        pairs = [(r.nu, getattr(r, attr)) for r in rows if getattr(r, attr)]
-        if not pairs:
-            raise ValueError("no completed rows with the requested time-scale")
-        nus, taus = map(np.asarray, zip(*sorted(pairs)))
+        nus, taus = timescale_pairs(sweep.rows, timescale)
     if nus.size < 4:
         raise ValueError(f"need >= 4 viscosities, got {nus.size}")
     if nus.max() / nus.min() < 99.999:

@@ -1,23 +1,17 @@
 """Time integration with certified discrete energy behavior.
 
 The viscous flow  df/dt + B f + nu A f = 0  is integrated by Strang
-splitting: a half-step of exact diffusion, a full advection step, a second
-half-step of diffusion. The model picks one of two realizations, each on
-internal coordinates where A is diagonal and the inner product is flat:
+splitting with exact substeps: a half-step of exact diffusion, the exact
+advection flow, a second half-step of diffusion. Every family runs through
+the same step on the internal coordinates of its representation
+``problem.op`` (see :mod:`mixlab.models`), where A is diagonal with
+eigenvalues ``lam`` and the inner product is flat:
 
-* the FFT phase step (shear, heat): internal coordinates are the Fourier
-  coefficients; advection is the exact unimodular phase
-  exp(-i k u(y) dt), applied on the grid between an inverse and a forward
-  FFT. With a zero profile the step is one diffusion multiply;
-* the eigenbasis step (spiral, Kolmogorov, kinetic): internal coordinates
-  are orthonormal eigencoordinates of A, and a step is
-  half * (U @ (half * g)) with U = exp(-B dt) formed once per (model, dt).
-  For the spiral, U is the radial phase moved into A's eigenbasis; for
-  Kolmogorov and kinetic it is the matrix exponential of the skew
-  generator, from an eigendecomposition polished by two Newton-Schulz
-  polar iterations so the unitarity defect sits at machine noise.
+    g -> half * advect(half * g),   half = exp(-nu lam dt / 2),
 
-Every sampled norm is then an eigenvalue-weighted sum over the internal
+with ``advect = op.flow(dt)`` formed once per run. A model with no
+advection (B = 0, the heat equation) takes one diffusion multiply per step.
+Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. Consequences used elsewhere: the inviscid flow is an exact
 isometry of the working norm, the viscous flow is a strict contraction,
 and every step satisfies  h(t+dt) <= h(t) * exp(-nu * lam1 * dt)  exactly
@@ -32,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelProblem
+from .models import EvolutionError, ModelProblem
 from .spectral import hs_norm
 
 __all__ = [
@@ -47,13 +41,8 @@ __all__ = [
 ]
 
 MAX_SAMPLES = 10_000
-UNITARITY_TOL = 1e-10
 TOP_BAND_FRACTION = 0.10  # spectral occupancy monitor: top 10% of eigenvalues
 TOP_BAND_FLAG = 0.01
-
-
-class EvolutionError(RuntimeError):
-    """Simulation failure: non-finite state or broken substep."""
 
 
 @dataclass
@@ -91,88 +80,8 @@ def default_dt(problem: ModelProblem, t_end: float) -> float:
     return t_end / 1e4 if t_end > 0.0 else 1.0
 
 
-def _polar_unitary(U: np.ndarray) -> np.ndarray:
-    """Two Newton-Schulz iterations toward the unitary polar factor."""
-    for _ in range(2):
-        U = 1.5 * U - 0.5 * (U @ (U.conj().T @ U))
-    return U
-
-
-class _Propagator:
-    """One Strang step on internal coordinates ``g``: orthonormal
-    eigencoordinates of A, in which diffusion is diagonal with eigenvalues
-    ``lam`` and every norm is a lam-weighted sum."""
-
-    def __init__(self, problem: ModelProblem, nu: float, dt: float):
-        self.sqw = np.sqrt(problem.inner.weights)
-        self.V = problem.eig_vecs  # None: A is diagonal on the state
-        self.lam = (problem.a_diag if self.V is None
-                    else problem.spectrum.eigenvalues)
-        self.half = np.exp(-nu * self.lam * dt / 2.0)
-        spec = problem.spectrum.eigenvalues
-        cut = spec[int(np.ceil((1.0 - TOP_BAND_FRACTION) * spec.size)) - 1]
-        self.top = (self.lam >= cut).astype(float)
-
-    def to_internal(self, state: np.ndarray) -> np.ndarray:
-        g = self.sqw * state
-        return g if self.V is None else self.V.T @ g
-
-    def from_internal(self, g: np.ndarray) -> np.ndarray:
-        if self.V is not None:
-            g = self.V @ g
-        return g / self.sqw
-
-    def norms(self, g: np.ndarray, orders: tuple):
-        """H^s norms of ``g`` for each order, and the top-band share of h^2
-        (order 0 comes first)."""
-        a2 = np.abs(g) ** 2
-        out = [hs_norm(a2, self.lam, s) for s in orders]
-        return out, float(self.top @ a2) / out[0] ** 2 if out[0] > 0 else 0.0
-
-
-class _FourierPhaseStep(_Propagator):
-    """Shear and heat: the internal coordinates are Fourier coefficients."""
-
-    def __init__(self, problem: ModelProblem, nu: float, dt: float):
-        super().__init__(problem, nu, dt)
-        self.phase = np.exp(-1j * problem.phase_rate * dt)
-        self.full = self.half * self.half if problem.bound_B == 0.0 else None
-
-    def step(self, g: np.ndarray) -> np.ndarray:
-        if self.full is not None:  # pure heat: the two halves compose
-            return self.full * g
-        vals = np.fft.ifft(self.half * g, norm="forward")
-        return self.half * np.fft.fft(self.phase * vals, norm="forward")
-
-
-class _EigenStep(_Propagator):
-    """Spiral, Kolmogorov, kinetic: a dense unitary U = exp(-B dt)."""
-
-    def __init__(self, problem: ModelProblem, nu: float, dt: float):
-        super().__init__(problem, nu, dt)
-        if self.V is not None:  # spiral: B is a phase on the radial grid
-            phase = np.exp(-1j * problem.phase_rate * dt)
-            self.U = self.V.T @ (phase[:, None] * self.V)
-            return
-        # exact exponential of the skew generator
-        theta, E = np.linalg.eigh(1j * problem.b_sym)  # Hermitian
-        U = _polar_unitary((E * np.exp(1j * theta * dt)) @ E.conj().T)
-        defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
-        if defect > UNITARITY_TOL:
-            raise EvolutionError(
-                f"advection substep unitarity defect {defect:.2e} exceeds "
-                f"{UNITARITY_TOL:g}; reduce dt"
-            )
-        self.U = U
-
-    def step(self, g: np.ndarray) -> np.ndarray:
-        return self.half * (self.U @ (self.half * g))
-
-
 def step_viscous(problem: ModelProblem, f, nu: float, dt: float) -> np.ndarray:
     """One Strang step of the viscous flow, in the model's working basis."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     return evolve(problem, f, nu, dt, dt=dt).final_state
 
 
@@ -188,12 +97,12 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         Model, initial state (working basis), viscosity (0 = inviscid),
         final time.
     dt
-        Step size; default resolves the advection phase
-        (min(0.01, 0.1/bound_B); pure diffusion splits t_end into 1e4).
+        Step size, finite and positive; default resolves the advection
+        phase (min(0.01, 0.1/bound_B); pure diffusion splits t_end into 1e4).
     sample_every
-        Record norms every this many steps (default 1). Whenever the
-        stored history would exceed ``max_samples`` it is thinned: every
-        other sample dropped and the stride doubled.
+        Record norms every this many steps (default 1, at least 1).
+        Whenever the stored history would exceed ``max_samples`` it is
+        thinned: every other sample dropped and the stride doubled.
     stop_ratio
         If set, stop once h <= stop_ratio * h(0) (the sample that crossed
         is recorded). Used by sweeps to capture the asymptotic decay
@@ -202,10 +111,17 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         Extra norms to sample; currently ``"h2"``.
 
     Returns a :class:`DecayTrace`; raises :class:`EvolutionError` on
-    non-finite state.
+    non-finite state, and ValueError on a bad step control.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
+    if dt is None:
+        dt = default_dt(problem, t_end)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt:g}")
+    stride = 1 if sample_every is None else int(sample_every)
+    if stride < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     c0 = np.asarray(f_in, dtype=complex)
     if c0.size != problem.size:
         raise ValueError(
@@ -213,29 +129,36 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         )
     want_h2 = "h2" in extras
     orders = (0.0, 1.0, -1.0, 2.0) if want_h2 else (0.0, 1.0, -1.0)
-    if dt is None:
-        dt = default_dt(problem, t_end)
 
     meta = {"n_steps": 0, "occupancy_max": 0.0, "warnings": [],
             "stop_reason": "t_end"}
 
     n_steps = int(np.ceil(t_end / dt - 1e-12))  # 0 for t_end = 0
-    stride = int(sample_every) if sample_every else 1
-    fourier = problem.basis == "torus-fourier"
-    st = (_FourierPhaseStep if fourier else _EigenStep)(problem, nu, dt)
-    g = st.to_internal(c0)
+    op = problem.op
+    lam = op.lam
+    half = np.exp(-nu * lam * dt / 2.0)
+    # no advection (heat): the flow is the identity and the halves compose
+    full = half * half if problem.bound_B == 0.0 else None
+    advect = op.flow(dt) if full is None else None
+    spec = problem.spectrum.eigenvalues
+    cut = spec[int(np.ceil((1.0 - TOP_BAND_FRACTION) * spec.size)) - 1]
+    top = (lam >= cut).astype(float)
+    g = op.to_internal(c0)
 
     samples = []  # rows of t and the norms of each order
 
     def record(t, g):
-        vals, top = st.norms(g, orders)
+        a2 = np.abs(g) ** 2
+        vals = [hs_norm(a2, lam, s) for s in orders]
         if not np.isfinite(vals[0]):
             raise EvolutionError(
                 f"non-finite H norm at t={t:g} "
                 f"(model {problem.name}, nu={nu:g}, dt={dt:g})"
             )
         samples.append([t] + vals)
-        meta["occupancy_max"] = max(meta["occupancy_max"], top)
+        if vals[0] > 0:
+            meta["occupancy_max"] = max(meta["occupancy_max"],
+                                        float(top @ a2) / vals[0] ** 2)
         return vals[0]
 
     h0 = record(0.0, g)
@@ -243,7 +166,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
 
     i = 0
     while i < n_steps:
-        g = st.step(g)
+        g = full * g if advect is None else half * advect(half * g)
         i += 1
         if i % stride == 0 or i == n_steps:
             h = record(i * dt, g)
@@ -267,7 +190,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         times=cols[0], h=cols[1], h1=cols[2], hm1=cols[3], nu=nu,
         model=problem.name, params=dict(problem.params), dt=dt,
         extras={"h2": cols[4]} if want_h2 else {}, meta=meta,
-        final_state=st.from_internal(g) if i else c0.copy(),
+        final_state=op.from_internal(g) if i else c0.copy(),
     )
 
 

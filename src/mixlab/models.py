@@ -1,17 +1,22 @@
 """Concrete model problems: shear, Kolmogorov, spiral and kinetic flows.
 
-Each builder assembles a :class:`ModelProblem` — the dissipation operator A,
-the advection operator B, the working inner product, and the model's
-predicted exponents — in a representation chosen so that the structural
-identities hold *exactly* in floating point:
+Each builder assembles a :class:`ModelProblem` — its representation of the
+pair (A, B), the working inner product, and the model's predicted
+exponents — in a form where the structural identities hold *exactly* in
+floating point:
 
 * B is skew-adjoint in the working product by construction (unimodular
-  phases, or matrices that are antisymmetric after symmetrization), so the
+  phases, or matrices that are antisymmetric in flat coordinates), so the
   inviscid flow is an isometry;
 * A is self-adjoint and strictly positive (diagonal multipliers on the
-  torus and in the Hermite basis; a symmetrized tridiagonal with a no-flux
-  boundary on the disk), so the Sobolev scale and the dual mixing norm are
+  torus and in the Hermite basis; a tridiagonal with a no-flux boundary on
+  the disk), so the Sobolev scale and the dual mixing norm are
   well-defined.
+
+The representation ``problem.op`` — a Fourier phase (shear, heat), a radial
+phase in A's eigenbasis (spiral) or a dense skew matrix (Kolmogorov,
+kinetic) — maps states to orthonormal coordinates where A is diagonal
+(``op.lam``), applies B there and forms the exact flow g -> e^{-Bt} g.
 
 State conventions
 -----------------
@@ -38,10 +43,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .spectral import InnerProduct, Spectrum, fractional_symbol, hs_norm, \
-    sobolev_norm
+from .spectral import InnerProduct, Spectrum, fractional_symbol, hs_norm
 
 __all__ = [
+    "EvolutionError",
+    "FourierPhase",
+    "RadialPhase",
+    "SkewMatrix",
     "ShearModel",
     "KolmogorovModel",
     "SpiralModel",
@@ -170,79 +178,163 @@ class KineticModel:
     d: int = 1
 
 
+# ---------------------------------------------------------------------------
+# representations: internal coordinates and the exact advection flow
+
+UNITARITY_TOL = 1e-10
+
+
+class EvolutionError(RuntimeError):
+    """Simulation failure: non-finite state or broken substep."""
+
+
+def _grid_times(mult: np.ndarray):
+    """Map of Fourier coefficients: multiply their grid values by ``mult``."""
+    return lambda c: np.fft.fft(mult * np.fft.ifft(c, norm="forward"),
+                                norm="forward")
+
+
+class FourierPhase:
+    """B = i * rate(y) on the grid of a Fourier series (shear, heat); the
+    internal coordinates are the state's own Fourier coefficients."""
+
+    kind = "phase"
+
+    def __init__(self, lam: np.ndarray, rate: np.ndarray):
+        self.lam = lam
+        self.rate = rate
+
+    def to_internal(self, state) -> np.ndarray:
+        return np.asarray(state, dtype=complex)
+
+    def from_internal(self, g: np.ndarray) -> np.ndarray:
+        return g
+
+    def apply_B(self, g: np.ndarray) -> np.ndarray:
+        return _grid_times(1j * self.rate)(g)
+
+    def flow(self, t: float):
+        return _grid_times(np.exp(-1j * self.rate * t))
+
+    def inviscid(self, state, t: float) -> np.ndarray:
+        return self.flow(t)(self.to_internal(state))
+
+
+class RadialPhase:
+    """B = i * rate(r) on the radial grid of the disk (spiral); the internal
+    coordinates are A's eigencoordinates ``V.T @ (sqw * f)``, ascending."""
+
+    kind = "phase"
+
+    def __init__(self, lam: np.ndarray, V: np.ndarray, sqw: np.ndarray,
+                 rate: np.ndarray):
+        self.lam = lam
+        self.V = V
+        self.sqw = sqw
+        self.rate = rate
+
+    def to_internal(self, state) -> np.ndarray:
+        return self.V.T @ (self.sqw * state)
+
+    def from_internal(self, g: np.ndarray) -> np.ndarray:
+        return (self.V @ g) / self.sqw
+
+    def apply_B(self, g: np.ndarray) -> np.ndarray:
+        return self.V.T @ (1j * self.rate * (self.V @ g))
+
+    def flow(self, t: float):
+        """The radial phase moved into A's eigenbasis: a dense unitary."""
+        phase = np.exp(-1j * self.rate * t)
+        U = self.V.T @ (phase[:, None] * self.V)
+        return lambda g: U @ g
+
+    def inviscid(self, state, t: float) -> np.ndarray:
+        return np.exp(-1j * self.rate * t) * np.asarray(state, dtype=complex)
+
+
+class SkewMatrix:
+    """B a dense skew-Hermitian matrix (Kolmogorov, kinetic) in the flat
+    internal coordinates ``sqw * f``, where A is diagonal."""
+
+    kind = "matrix"
+
+    def __init__(self, lam: np.ndarray, sqw: np.ndarray, B: np.ndarray):
+        self.lam = lam
+        self.sqw = sqw
+        self.B = B
+
+    def to_internal(self, state) -> np.ndarray:
+        return self.sqw * state
+
+    def from_internal(self, g: np.ndarray) -> np.ndarray:
+        return g / self.sqw
+
+    def apply_B(self, g: np.ndarray) -> np.ndarray:
+        return self.B @ g
+
+    def flow(self, t: float):
+        """exp(-B t) from an eigendecomposition of iB, polished by two
+        Newton-Schulz polar iterations to a unitarity defect at machine
+        noise; :class:`EvolutionError` if it stays above the tolerance."""
+        theta, E = np.linalg.eigh(1j * self.B)
+        U = (E * np.exp(1j * theta * t)) @ E.conj().T
+        for _ in range(2):
+            U = 1.5 * U - 0.5 * (U @ (U.conj().T @ U))
+        defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
+        if defect > UNITARITY_TOL:
+            raise EvolutionError(
+                f"advection substep unitarity defect {defect:.2e} exceeds "
+                f"{UNITARITY_TOL:g}; reduce dt"
+            )
+        return lambda g: U @ g
+
+
 @dataclass(frozen=True)
 class ModelProblem:
-    """A built model: operators, inner product, constants, predictions.
+    """A built model: representation, inner product, constants, predictions.
 
-    ``kind`` says how B is given: ``"phase"`` (multiplication by
-    -i * phase_rate in the physical representation, so the inviscid flow
-    has a closed form) or ``"matrix"`` (a dense skew generator in
-    symmetrized coordinates).
+    ``kind`` is the representation's ``"phase"`` (the inviscid flow has a
+    closed form on the grid) or ``"matrix"``; ``spectrum`` holds A's
+    eigenvalues in ascending order.
     """
 
     name: str
     params: dict
-    kind: str
+    op: FourierPhase | RadialPhase | SkewMatrix
     inner: InnerProduct
-    spectrum: Spectrum
     c_B: float
     bound_B: float  # advection strength bound used by the time-step policy
     mixed_bound: float | None  # improved |Re<Bf, Af>| <= C ||f||_H ||f||_H1
     p: float | None  # predicted mixing exponent
     q: float | None  # predicted enhanced-dissipation exponent
     alt_q: float | None = None  # alternative prediction where one exists
-    # --- operator data (representation-dependent) ---
-    a_diag: np.ndarray | None = None  # diagonal of A in the state basis
-    phase_rate: np.ndarray | None = None  # B = -i*phase_rate (phase kind)
-    b_sym: np.ndarray | None = None  # skew generator, symmetrized (matrix kind)
-    eig_vecs: np.ndarray | None = None  # spiral: orthonormal eigenvectors
     basis: str = "eigen"
     grid: np.ndarray | None = None  # y- or r-grid where meaningful
     meta: dict = field(default_factory=dict)
+    spectrum: Spectrum = field(init=False)
 
-    # -- coordinates ------------------------------------------------------
+    def __post_init__(self):
+        object.__setattr__(self, "spectrum", Spectrum(np.sort(self.op.lam)))
 
-    def symmetrized(self, state) -> np.ndarray:
-        """Map a state to coordinates in which the inner product is flat."""
-        return np.sqrt(self.inner.weights) * np.asarray(state, dtype=complex)
-
-    def eigen_coords(self, state) -> np.ndarray:
-        """Coefficients in the (ascending) eigenbasis of A."""
-        g = self.symmetrized(state)
-        if self.eig_vecs is not None:
-            return self.eig_vecs.T @ g
-        return g[self.meta["eig_perm"]]
+    @property
+    def kind(self) -> str:
+        return self.op.kind
 
     def sobolev(self, state, s: float) -> float:
         """H^s norm of a state (s = 0: working norm, s = -1: mixing norm)."""
-        return sobolev_norm(self.eigen_coords(state), self.spectrum, s)
-
-    def _on_grid(self, mult: np.ndarray, state) -> np.ndarray:
-        """Multiply a phase-kind state pointwise in physical space."""
-        c = np.asarray(state, dtype=complex)
-        if self.basis == "torus-fourier":
-            vals = np.fft.ifft(c, norm="forward")
-            return np.fft.fft(mult * vals, norm="forward")
-        return mult * c
+        return hs_norm(np.abs(self.op.to_internal(state)) ** 2, self.op.lam, s)
 
     def apply_B(self, state) -> np.ndarray:
         """Advection operator acting on a state vector."""
-        if self.kind == "phase":
-            return self._on_grid(1j * self.phase_rate, state)
-        g = self.symmetrized(state)
-        return (self.b_sym @ g) / np.sqrt(self.inner.weights)
+        op = self.op
+        return op.from_internal(op.apply_B(op.to_internal(state)))
 
     def apply_A(self, state) -> np.ndarray:
-        c = np.asarray(state, dtype=complex)
-        if self.a_diag is not None:
-            return self.a_diag * c
-        V = self.eig_vecs
-        ag = V @ (self.spectrum.eigenvalues * (V.T @ self.symmetrized(c)))
-        return ag / np.sqrt(self.inner.weights)
+        return self.op.from_internal(self.op.lam * self.op.to_internal(state))
 
     @property
     def size(self) -> int:
-        return self.inner.weights.size
+        return self.op.lam.size
 
     @property
     def lam1(self) -> float:
@@ -293,7 +385,6 @@ def build_shear(m: ShearModel) -> ModelProblem:
         p = m.gamma / (2.0 * (n0 + 1))
         q = 2.0 / (2.0 + p)
 
-    perm = np.argsort(lam, kind="stable")
     params = {
         "profile": m.profile if isinstance(m.profile, str) else "custom",
         "gamma": m.gamma,
@@ -304,19 +395,16 @@ def build_shear(m: ShearModel) -> ModelProblem:
     return ModelProblem(
         name="shear",
         params=params,
-        kind="phase",
+        op=FourierPhase(lam, m.k * u),
         inner=InnerProduct(np.ones(n)),
-        spectrum=Spectrum(lam[perm]),
         c_B=max_du,
         bound_B=abs(m.k) * max_u,
         mixed_bound=None,
         p=p,
         q=q,
-        a_diag=lam,
-        phase_rate=m.k * u,
         basis="torus-fourier",
         grid=y,
-        meta={"eig_perm": perm, "modes": modes, "u": u, "max_du": max_du},
+        meta={"modes": modes},
     )
 
 
@@ -350,32 +438,28 @@ def build_kolmogorov(m: KolmogorovModel) -> ModelProblem:
     s = 1.0 - 1.0 / mu
     kL = m.k * m.L
 
-    # symmetrized advection generator: antisymmetric real tridiagonal with
-    # sub-diagonal (kL/2) sqrt(s_m s_{m-1}) on row m
+    # advection generator in flat coordinates: antisymmetric real
+    # tridiagonal with sub-diagonal (kL/2) sqrt(s_m s_{m-1}) on row m
     off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
-    b_sym = np.zeros((n, n))
+    B = np.zeros((n, n))
     idx = np.arange(n - 1)
-    b_sym[idx + 1, idx] = off
-    b_sym[idx, idx + 1] = -off
+    B[idx + 1, idx] = off
+    B[idx, idx + 1] = -off
 
-    perm = np.argsort(mu, kind="stable")
     params = {"L": m.L, "k": m.k, "M": m.M}
     return ModelProblem(
         name="kolmogorov",
         params=params,
-        kind="matrix",
+        op=SkewMatrix(mu, np.sqrt(s), B),
         inner=InnerProduct(s),
-        spectrum=Spectrum(mu[perm]),
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,
         p=1.0,
         q=2.0 / 3.0,
         alt_q=3.0 / 5.0,
-        a_diag=mu,
-        b_sym=b_sym,
         basis="torus-fourier-sorted",
-        meta={"eig_perm": perm, "modes": modes},
+        meta={"modes": modes},
     )
 
 
@@ -421,19 +505,15 @@ def build_spiral(m: SpiralModel) -> ModelProblem:
     return ModelProblem(
         name="spiral",
         params=params,
-        kind="phase",
+        op=RadialPhase(lam, vecs, np.sqrt(w), m.k * r**m.alpha),
         inner=InnerProduct(w),
-        spectrum=Spectrum(lam),
         c_B=mixed / np.sqrt(lam[0]),
         bound_B=float(abs(m.k) * np.max(r**m.alpha)),
         mixed_bound=mixed,
         p=p_alpha,
         q=q_alpha,
-        phase_rate=m.k * r**m.alpha,
-        eig_vecs=vecs,
         basis="radial-grid",
         grid=r,
-        meta={},
     )
 
 
@@ -490,18 +570,14 @@ def build_kinetic(m: KineticModel) -> ModelProblem:
     return ModelProblem(
         name="kinetic",
         params=params,
-        kind="matrix",
+        op=SkewMatrix(degrees, np.ones(D), 1j * K),
         inner=InnerProduct(np.ones(D)),
-        spectrum=Spectrum(np.sort(degrees)),
         c_B=knorm,  # lam1 = 1, so the mixed bound doubles as the commutator bound
         bound_B=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
         mixed_bound=knorm,
         p=None,
         q=None,
-        a_diag=degrees,
-        b_sym=1j * K,
         basis="hermite",
-        meta={"eig_perm": np.argsort(degrees, kind="stable"), "indices": idx},
     )
 
 
@@ -564,7 +640,7 @@ def exact_inviscid(problem: ModelProblem, f_in, t: float):
     """Closed-form inviscid solution where the advection is a pure phase.
 
     For the shear and spiral models the inviscid flow is multiplication by
-    ``exp(-i * phase_rate * t)`` in the physical representation, which
+    ``exp(-i * rate * t)`` on the physical grid, which
     preserves the working norm to machine precision. Models whose advection
     mixes modes (Kolmogorov, kinetic) have no closed form.
     """
@@ -572,7 +648,7 @@ def exact_inviscid(problem: ModelProblem, f_in, t: float):
         raise ValueError(
             f"model {problem.name!r} has no closed-form inviscid solution"
         )
-    return problem._on_grid(np.exp(-1j * problem.phase_rate * t), f_in)
+    return problem.op.inviscid(f_in, t)
 
 
 def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
@@ -608,18 +684,14 @@ def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # initial data
 
-def _normalize_h1(problem: ModelProblem, state: np.ndarray) -> np.ndarray:
-    h1 = problem.sobolev(state, 1.0)
-    if h1 == 0.0 or not np.isfinite(h1):
-        raise ValueError("degenerate initial datum (zero or non-finite H^1 norm)")
-    return state / h1
+_SINGLE_MODE = ("single-mode-m1", "single-mode m=1")
 
 
 def _fourier_datum(name: str, y: np.ndarray, lam: np.ndarray,
                    seed) -> np.ndarray:
     """Named torus datum as unnormalized Fourier coefficients in numpy fft
     order, on the grid ``y`` with A's eigenvalues ``lam``."""
-    if name in ("single-mode-m1", "single-mode m=1"):
+    if name in _SINGLE_MODE:
         c = np.zeros(y.size, dtype=complex)
         c[1] = 1.0  # fft layout: index 1 is mode m=1
         return c
@@ -631,6 +703,19 @@ def _fourier_datum(name: str, y: np.ndarray, lam: np.ndarray,
         c = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         return c / (1.0 + lam)
     raise ValueError(f"datum {name!r} is not defined on the torus")
+
+
+def _disk_datum(name: str, r: np.ndarray, lowest_mode) -> np.ndarray:
+    """Named disk datum as unnormalized values on the radial grid ``r``;
+    ``lowest_mode()`` returns A's lowest eigenmode there."""
+    if name == "uniform":
+        return np.ones(r.size, dtype=complex)
+    if name in _SINGLE_MODE:
+        return lowest_mode().astype(complex)
+    if name == "gaussian-bump":
+        return np.exp(-((r - 0.5) ** 2) / 0.045).astype(complex)
+    raise ValueError(f"datum {name!r} is not defined on the disk grid; "
+                     "choose uniform, single-mode-m1 or gaussian-bump")
 
 
 def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
@@ -645,47 +730,32 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
     ``"gaussian-bump"`` — a smooth bump (torus and disk).
     ``"random-h1"`` — seeded random coefficients with a smooth envelope.
     """
+    op, n = problem.op, problem.size
     if problem.basis == "torus-fourier":
-        return _normalize_h1(problem, _fourier_datum(
-            name, problem.grid, problem.a_diag, seed))
-    n = problem.size
-    if name in ("single-mode-m1", "single-mode m=1"):
-        state = np.zeros(n, dtype=complex)
-        if problem.basis == "torus-fourier-sorted":
-            m1 = int(np.where(problem.meta["modes"] == 1.0)[0][0])
-            state[m1] = 1.0
-        elif problem.basis == "radial-grid":
-            g = problem.eig_vecs[:, 0]
-            state = (g / np.sqrt(problem.inner.weights)).astype(complex)
-        else:  # hermite: lowest degree
-            state[0] = 1.0
-    elif name == "uniform":
-        if problem.basis != "radial-grid":
-            raise ValueError("uniform datum is defined on the disk only")
-        state = np.ones(n, dtype=complex)
-    elif name == "gaussian-bump":
-        if problem.basis == "torus-fourier-sorted":
-            modes = problem.meta["modes"]
-            state = np.exp(-0.125 * modes**2 - 1j * np.pi * modes)
-        elif problem.basis == "radial-grid":
-            r = problem.grid
-            state = np.exp(-((r - 0.5) ** 2) / 0.045).astype(complex)
-        else:
-            raise ValueError(
-                f"gaussian-bump datum is not defined for basis {problem.basis!r}"
-            )
+        state = _fourier_datum(name, problem.grid, op.lam, seed)
     elif name == "random-h1":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if problem.eig_vecs is not None:
-            c /= 1.0 + problem.spectrum.eigenvalues
-            g = problem.eig_vecs @ c
-            state = g / np.sqrt(problem.inner.weights)
-        else:
-            state = c / (1.0 + problem.a_diag)
+        state = op.from_internal(c / (1.0 + op.lam))
+    elif problem.basis == "radial-grid":
+        state = _disk_datum(name, problem.grid,
+                            lambda: op.from_internal(np.eye(1, n)[0]))
+    elif name in _SINGLE_MODE:
+        state = np.zeros(n, dtype=complex)
+        if problem.basis == "torus-fourier-sorted":
+            state[np.flatnonzero(problem.meta["modes"] == 1.0)[0]] = 1.0
+        else:  # hermite: lowest degree
+            state[0] = 1.0
+    elif name == "gaussian-bump" and problem.basis == "torus-fourier-sorted":
+        modes = problem.meta["modes"]
+        state = np.exp(-0.125 * modes**2 - 1j * np.pi * modes)
     else:
-        raise ValueError(f"unknown initial datum {name!r}")
-    return _normalize_h1(problem, state)
+        raise ValueError(f"datum {name!r} is not defined for basis "
+                         f"{problem.basis!r}")
+    h1 = problem.sobolev(state, 1.0)
+    if h1 == 0.0 or not np.isfinite(h1):
+        raise ValueError("degenerate initial datum (zero or non-finite H^1 norm)")
+    return state / h1
 
 
 def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
@@ -740,26 +810,17 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform",
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase, so f(t) is evaluated in closed
-    form; the dual norm comes from a banded solve with the symmetrized
-    radial operator rather than its eigendecomposition, which keeps N in
+    form; the dual norm comes from a banded solve with the radial operator
+    in flat coordinates rather than its eigendecomposition, which keeps N in
     the thousands cheap (O(N) per time).
 
     Parameters / returns as in `shear_mixing_series`; `datum` may be
     "uniform", "single-mode-m1", or "gaussian-bump".
     """
     r, dr, diag, off = _disk_operator(N, k)
-    w = r * dr
-    sqw = np.sqrt(w)
-    if datum == "uniform":
-        f0 = np.ones(N, dtype=complex)
-    elif datum in ("single-mode-m1", "single-mode m=1"):
-        _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        f0 = vec[:, 0].astype(complex) / sqw
-    elif datum == "gaussian-bump":
-        f0 = np.exp(-((r - 0.5) ** 2) / 0.045).astype(complex)
-    else:
-        raise ValueError(f"unsupported datum {datum!r} for the exact disk series")
-    g0 = sqw * f0
+    sqw = np.sqrt(r * dr)
+    g0 = sqw * _disk_datum(datum, r, lambda: eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, 0))[1][:, 0] / sqw)
 
     def a_apply(g):
         out = diag * g

@@ -63,6 +63,8 @@ class SweepConfig:
         for nu in self.nus:
             if not 0.0 < nu < 1.0:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)

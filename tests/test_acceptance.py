@@ -226,7 +226,7 @@ def test_criterion_7_operator_invariants(capsys):
     for _ in range(50):
         f = rng.standard_normal(shear.size) + 1j * rng.standard_normal(shear.size)
         model = shear.sobolev(f, -1.0)
-        eta_star = f / shear.a_diag
+        eta_star = f / shear.op.lam
         attained = abs(shear.inner.inner(f, eta_star)) / \
             shear.sobolev(eta_star, 1.0)
         dual_ok &= abs(attained - model) / model < 1e-10

@@ -227,6 +227,33 @@ def test_ed_sweep_refuses_kinetic_dimension(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ed_sweep_refuses_heat_gamma(tmp_path, capsys):
+    out = tmp_path / "heat"
+    rc = cli.main(["ed-sweep", "--model", "heat", "--gamma", "1",
+                   "--nus", "0.1,0.01", "--out", str(out)])
+    assert rc == 1
+    assert "--model shear --profile zero --gamma 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SIM = ["simulate", "--model", "heat", "--nu", "0.1", "--t-end", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SIM, "--dt", "-1"],
+    [*_SIM, "--dt", "0"],
+    [*_SIM, "--dt", "nan"],
+    [*_SIM, "--sample-every", "0"],
+    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--dt", "0"],
+])
+def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_benchmark_tracing_contract(tmp_path, monkeypatch):
     """The names the benchmark's tracer wraps still exist and are called."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

@@ -169,27 +169,50 @@ def test_step_viscous_single_step():
         mx.step_viscous(prob, f0, 1e-2, 0.0)
 
 
-def test_viscous_spiral_step_matches_dense_oracle():
-    """The eigenbasis step against the dense Strang operator composed on
-    the radial grid: E @ diag(exp(-i rate dt)) @ E, E = exp(-nu A dt/2)."""
-    from scipy.linalg import eigh_tridiagonal
-
+def _flat_operators(name):
+    """A, B and the flat-coordinate scale sqrt(w) of a small model, built
+    here from their definitions: the disk operator and the radial phase
+    (spiral), the mode multiplier and the vorticity-corrected coupling
+    (Kolmogorov), the degree ladder (kinetic)."""
     from mixlab.models import _disk_operator
 
-    N, dt = 32, 0.05
-    prob = mx.build_model("spiral", alpha=1.0, k=1, N=N)
-    r, dr, diag, off = _disk_operator(N, 1)
-    lam, V = eigh_tridiagonal(diag, off)
-    sqw = np.sqrt(r * dr)
+    if name == "spiral":
+        r, dr, diag, off = _disk_operator(32, 1)
+        A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return A, np.diag(1j * r), np.sqrt(r * dr)
+    if name == "kolmogorov":  # L = 2, k = 1, M = 8
+        mu = 4.0 + np.arange(-8.0, 8.0) ** 2
+        s = 1.0 - 1.0 / mu
+        off = np.sqrt(s[1:] * s[:-1])  # kL/2 = 1
+        return np.diag(mu), np.diag(-off, 1) + np.diag(off, -1), np.sqrt(s)
+    deg = np.arange(1.0, 13.0)  # kinetic, k = 1, N = 12, d = 1
+    K = np.diag(np.sqrt(deg[1:]), 1) + np.diag(np.sqrt(deg[1:]), -1)
+    return np.diag(deg), 1j * K, np.ones(deg.size)
+
+
+def test_viscous_spiral_step_matches_dense_oracle():
+    """The eigenbasis step of the spiral, Kolmogorov and kinetic models
+    against the dense Strang operator E @ expm(-B dt) @ E with
+    E = expm(-nu A dt / 2), in flat coordinates."""
+    from scipy.linalg import expm
+
+    dt = 0.05
     rng = np.random.default_rng(8)
-    for nu in (1e-2, 0.0):
-        E = (V * np.exp(-nu * lam * dt / 2.0)) @ V.T
-        dense = E @ (np.exp(-1j * prob.phase_rate * dt)[:, None] * E)
-        for _ in range(5):
-            f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            ref = dense @ (sqw * f) / sqw
-            out = mx.step_viscous(prob, f, nu, dt)
-            assert prob.sobolev(out - ref, 0.0) < 1e-12 * prob.sobolev(f, 0.0)
+    for name, kw in (("spiral", dict(alpha=1.0, k=1, N=32)),
+                     ("kolmogorov", dict(L=2.0, k=1, M=8)),
+                     ("kinetic", dict(k=1, N=12))):
+        prob = mx.build_model(name, **kw)
+        A, B, sqw = _flat_operators(name)
+        for nu in (1e-2, 0.0):
+            E = expm(-nu * A * dt / 2.0)
+            dense = E @ expm(-B * dt) @ E
+            for _ in range(5):
+                f = rng.standard_normal(prob.size) \
+                    + 1j * rng.standard_normal(prob.size)
+                ref = dense @ (sqw * f) / sqw
+                out = mx.step_viscous(prob, f, nu, dt)
+                assert prob.sobolev(out - ref, 0.0) \
+                    < 1e-12 * prob.sobolev(f, 0.0), (name, nu)
 
 
 def test_trace_io_roundtrip(tmp_path):
