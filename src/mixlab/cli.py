@@ -22,7 +22,7 @@ from .diagnostics import ed_exponent, fit_mixing_amplitude, fit_power_law, \
 from .evolution import EvolutionError, evolve, read_trace, write_trace
 from .models import build_model, initial_datum, model_params, \
     predicted_rates, shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, load_sweep, row_key, run_sweep, sweep_dt
+from .sweep import SweepConfig, load_sweep, row_key, run_sweep
 
 MODELS = ("shear", "kolmogorov", "spiral", "kinetic", "heat")
 
@@ -222,8 +222,7 @@ def _amplitude_series(cfg, problem, t_max):
             times, alpha=par["alpha"], k=par["k"], N=max(2048, par["N"]),
             datum=cfg.datum, seed=cfg.seed)
     datum = initial_datum(problem, cfg.datum, seed=cfg.seed)
-    trace = evolve(problem, datum, 0.0, t_max, dt=sweep_dt(problem, t_max),
-                   sample_every=5)
+    trace = evolve(problem, datum, 0.0, t_max)
     return {"t": trace.times, "hm1": trace.hm1}
 
 

@@ -24,7 +24,7 @@ from .evolution import EvolutionError, evolve, write_trace
 from .models import build_model, initial_datum, model_params
 
 __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
-           "row_key", "sweep_dt"]
+           "row_key"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 
@@ -65,6 +65,14 @@ class SweepConfig:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        if not 0.0 < self.stop_ratio < self.theta:
+            raise ValueError(f"stop_ratio must lie in (0, theta = "
+                             f"{self.theta:g}), got {self.stop_ratio}")
+        if not 0.0 < self.t_end_factor < np.inf:
+            raise ValueError(f"t_end_factor must be finite and positive, "
+                             f"got {self.t_end_factor}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -143,15 +151,6 @@ class SweepResult:
         return os.path.join(self.out_dir, "sweep.csv")
 
 
-def sweep_dt(problem, t_end: float) -> float:
-    """Sweep time step: a tenth of the advection time 1/bound_B, at most
-    0.1; pure diffusion is exact at any step, so profile-free rows split
-    t_end evenly."""
-    if problem.bound_B > 0.0:
-        return 0.1 / max(1.0, problem.bound_B)
-    return t_end / 1e4
-
-
 def _run_row(cfg: SweepConfig, row: dict, index: int):
     """Execute one row; pure function of (cfg, row, index)."""
     problem = build_model(cfg.model,
@@ -160,7 +159,6 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
     nu = row["nu"]
     q_pred = problem.q
     t_end = cfg.t_end_factor * nu ** (-(q_pred if q_pred else 1.0))
-    dt = cfg.dt if cfg.dt is not None else sweep_dt(problem, t_end)
 
     result = RowResult(
         key=row_key(cfg.model, row), model=cfg.model, alpha=row["alpha"],
@@ -168,7 +166,10 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
         tau=None, rate=None, q_pred=q_pred, status="ok",
     )
     try:
-        trace = evolve(problem, datum, nu, t_end, dt=dt, sample_every=5,
+        # an explicit dt samples every 5 steps; without one, every interval
+        # of the controlled step, on the same grid as dt = ds / 5
+        trace = evolve(problem, datum, nu, t_end, dt=cfg.dt,
+                       sample_every=None if cfg.dt is None else 5,
                        stop_ratio=cfg.stop_ratio)
     except EvolutionError as exc:
         result.status = f"error: {exc}"
@@ -187,9 +188,10 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
         pass
     result.meta = {
         "t_end": float(trace.times[-1]),
-        "dt": dt,
+        "dt": trace.dt,
         "h_end_over_h0": float(trace.h[-1] / trace.h[0]),
-        "n_steps": trace.meta.get("n_steps"),
+        **{key: trace.meta[key] for key in (
+            "n_steps", "sample_interval", "max_steps_per_sample", "err_est")},
         "stop_reason": trace.meta.get("stop_reason"),
         "warnings": trace.meta.get("warnings", []),
         "datum": cfg.datum,

@@ -254,6 +254,25 @@ def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--theta", "1.5"),
+    ("--theta", "0"),
+    ("--stop-ratio", "1.5"),
+    ("--stop-ratio", "-1"),
+    ("--t-end-factor", "0"),
+])
+def test_bad_sweep_controls_exit_code_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.01",
+                   flag, value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    # the message names the control by its SweepConfig field
+    assert f"{flag[2:].replace('-', '_')} must" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_benchmark_tracing_contract(tmp_path, monkeypatch):
     """The names the benchmark's tracer wraps still exist and are called."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

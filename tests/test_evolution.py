@@ -5,7 +5,7 @@ import pytest
 
 import mixlab as mx
 from mixlab import EvolutionError
-from mixlab.evolution import default_dt
+from mixlab.evolution import CHECK_EVERY, default_dt
 
 
 def test_pure_heat_decay_is_exact():
@@ -152,11 +152,92 @@ def test_viscous_flow_approaches_inviscid_limit():
 
 def test_default_dt_policy():
     heat = mx.build_model("heat", k=1, M=8)
-    assert default_dt(heat, 50.0) == pytest.approx(50.0 / 1e4)
+    assert default_dt(heat, 50.0) == pytest.approx(50.0 / 2000.0)
     shear = mx.build_model("shear", profile="sin", k=1, M=8)
-    assert default_dt(shear, 50.0) == pytest.approx(0.01)  # 0.1/1 capped
+    assert default_dt(shear, 50.0) == pytest.approx(0.5)  # 0.5/max(1, 1)
+    assert default_dt(shear, 0.2) == pytest.approx(0.2)  # capped at t_end
     fast = mx.build_model("shear", profile="sin", k=20, M=64)
-    assert default_dt(fast, 50.0) == pytest.approx(0.1 / 20.0)
+    assert default_dt(fast, 50.0) == pytest.approx(0.5 / 20.0)
+    # t_end = 0 takes no step, but the interval stays positive
+    assert default_dt(heat, 0.0) > 0.0 and default_dt(fast, 0.0) > 0.0
+
+
+def test_controlled_run_keeps_the_sample_grid():
+    """Without dt, samples fall every ds = default_dt: the grid of
+    dt = ds/5 sampled every 5 steps, also once thinning doubles the
+    stride; the values agree to the splitting error."""
+    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
+    f0 = mx.initial_datum(prob, "random-h1", seed=2)
+    ds = default_dt(prob, 40.0)
+    for cap in (mx.evolution.MAX_SAMPLES, 15):
+        ctl = mx.evolve(prob, f0, 1e-3, 40.0, max_samples=cap)
+        ref = mx.evolve(prob, f0, 1e-3, 40.0, dt=ds / 5, sample_every=5,
+                        max_samples=cap)
+        assert ctl.times.shape == ref.times.shape
+        np.testing.assert_allclose(ctl.times, ref.times, rtol=1e-13)
+        np.testing.assert_allclose(ctl.h, ref.h, rtol=1e-5)
+        assert ctl.meta["sample_stride"] == ref.meta["sample_stride"] // 5
+    assert ctl.meta["sample_stride"] > 1  # the cap of 15 samples thinned
+    assert ctl.meta["sample_interval"] == ds
+    assert ctl.meta["err_est"] > 0.0
+
+
+def test_controlled_rows_match_fixed_step_rows(tmp_path):
+    """Sweep rows without dt against the same rows at dt = ds/5: tau and
+    1/rate agree to 2e-5 relative."""
+    for model, kw, nus in (
+            ("shear", dict(gammas=(2.0,), resolution=32), (1e-4, 1e-3)),
+            ("spiral", dict(alphas=(1.0,), resolution=32), (1e-4, 1e-3)),
+            ("kolmogorov", dict(resolution=16), (1e-3,))):
+        ctl = mx.run_sweep(mx.SweepConfig(
+            model=model, nus=nus, out_dir=str(tmp_path / f"c{model}"), **kw))
+        ds = ctl.rows[0].meta["sample_interval"]
+        ref = mx.run_sweep(mx.SweepConfig(
+            model=model, nus=nus, dt=ds / 5,
+            out_dir=str(tmp_path / f"f{model}"), **kw))
+        for a, b in zip(ctl.rows, ref.rows):
+            assert a.status == b.status == "ok"
+            assert a.tau == pytest.approx(b.tau, rel=2e-5), a.key
+            assert a.tau_rate == pytest.approx(b.tau_rate, rel=2e-5), a.key
+            assert a.meta["n_steps"] < b.meta["n_steps"] * 2
+
+
+def test_exact_steps_take_one_step_per_sample():
+    """nu = 0 and B = 0 need no error control: one step per interval and
+    no step-doubling checks."""
+    shear = mx.build_model("shear", profile="sin", k=1, M=16)
+    heat = mx.build_model("heat", k=1, M=16)
+    for prob, nu in ((shear, 0.0), (heat, 1e-2)):
+        f0 = mx.initial_datum(prob, "single-mode-m1")
+        tr = mx.evolve(prob, f0, nu, 20.0)
+        n_int = int(np.ceil(20.0 / default_dt(prob, 20.0) - 1e-12))
+        assert tr.meta["n_steps"] == n_int == len(tr) - 1
+        assert tr.meta["max_steps_per_sample"] == 1
+        assert tr.meta["err_est"] == 0.0
+    # a viscous shear run is checked every CHECK_EVERY intervals
+    tr = mx.evolve(shear, mx.initial_datum(shear, "single-mode-m1"), 1e-2,
+                   20.0)
+    assert tr.meta["n_steps"] >= len(tr) - 1 + 2 * (40 // CHECK_EVERY + 1)
+
+
+def test_explicit_dt_runs_as_before():
+    """An explicit dt takes ceil(t_end/dt) steps and samples every
+    sample_every of them; the values were recorded before the step
+    control existed."""
+    for name, kw, h_end in (
+            ("shear", dict(profile="sin", gamma=2.0, k=1, M=16),
+             0.49631343992446747),
+            ("spiral", dict(alpha=1.0, k=1, N=16), 0.37661728865015),
+            ("kolmogorov", dict(L=2.0, k=1, M=8), 0.35988467621711007)):
+        prob = mx.build_model(name, **kw)
+        f0 = mx.initial_datum(prob, "random-h1", seed=5)
+        tr = mx.evolve(prob, f0, 1e-3, 2.03, dt=0.01, sample_every=7,
+                       max_samples=10)
+        assert tr.meta["n_steps"] == 203 and len(tr) == 9
+        assert tr.meta["sample_stride"] == 28
+        assert tr.times[-1] == pytest.approx(2.03, rel=1e-14)
+        assert tr.h[-1] == pytest.approx(h_end, rel=1e-12), name
+        assert tr.dt == 0.01 and tr.meta["err_est"] is None
 
 
 def test_step_viscous_single_step():
@@ -213,6 +294,22 @@ def test_viscous_spiral_step_matches_dense_oracle():
                 out = mx.step_viscous(prob, f, nu, dt)
                 assert prob.sobolev(out - ref, 0.0) \
                     < 1e-12 * prob.sobolev(f, 0.0), (name, nu)
+
+
+def test_skew_matrix_flow_reuses_one_eigenbasis(monkeypatch):
+    """Kolmogorov and kinetic flows of any step come from one eigh(1j*B)."""
+    from scipy.linalg import expm
+
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    prob = mx.build_model("kinetic", k=1, N=12)
+    g = np.random.default_rng(3).standard_normal(prob.size) + 0j
+    for t in (0.1, 0.05, 0.3):
+        out = prob.op.flow(t)(g)
+        assert np.abs(out - expm(-prob.op.B * t) @ g).max() < 1e-13
+    assert calls == [(prob.size, prob.size)]
 
 
 def test_trace_io_roundtrip(tmp_path):
