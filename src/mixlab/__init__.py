@@ -36,11 +36,7 @@ from .evolution import (
     write_trace,
 )
 from .models import (
-    KineticModel,
-    KolmogorovModel,
     ModelProblem,
-    ShearModel,
-    SpiralModel,
     build_model,
     exact_inviscid,
     initial_datum,
@@ -62,8 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "DecayTrace", "EvolutionError", "ExpRateFit",
-    "InnerProduct", "KineticModel", "KolmogorovModel", "ModelProblem",
-    "RateFit", "RowResult", "ShearModel", "SpiralModel", "Spectrum",
+    "InnerProduct", "ModelProblem", "RateFit", "RowResult", "Spectrum",
     "SweepConfig", "SweepResult", "build_model", "constant_c0_exp",
     "constant_c0_poly", "constant_c0_spiral", "constant_cs",
     "ed_exponent", "energy_residual", "evolve",

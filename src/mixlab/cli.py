@@ -20,11 +20,9 @@ from ._svg import line_plot_svg
 from .diagnostics import ed_exponent, fit_mixing_amplitude, fit_power_law, \
     theorem_bound_check, timescale_pairs
 from .evolution import EvolutionError, evolve, read_trace, write_trace
-from .models import build_model, initial_datum, model_params, \
+from .models import FAMILIES, build_model, initial_datum, model_params, \
     predicted_rates, shear_mixing_series, spiral_mixing_series
 from .sweep import SweepConfig, load_sweep, row_key, run_sweep
-
-MODELS = ("shear", "kolmogorov", "spiral", "kinetic", "heat")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_model_flags(p, models=MODELS):
+def _add_model_flags(p, models=tuple(FAMILIES)):
     p.add_argument("--model", required=True, choices=models)
     p.add_argument("--profile", default="sin",
                    help="shear profile name or CSV path (default: sin)")

@@ -20,8 +20,7 @@ later times as well.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +64,6 @@ class RateFit:
     window: tuple
     n_points: int
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 @dataclass(frozen=True)
 class ExpRateFit:
@@ -78,9 +74,6 @@ class ExpRateFit:
     residual: float
     window: tuple
     n_points: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

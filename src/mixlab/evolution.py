@@ -87,7 +87,6 @@ class DecayTrace:
     model: str = ""
     params: dict = field(default_factory=dict)
     dt: float = 0.0
-    scheme: str = "strang"
     extras: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     final_state: np.ndarray | None = None
@@ -145,9 +144,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         exceed ``max_samples`` it is thinned: every other sample dropped
         and the stride doubled.
     stop_ratio
-        If set, stop once h <= stop_ratio * h(0) (the sample that crossed
-        is recorded). Used by sweeps to capture the asymptotic decay
-        without running to the full horizon.
+        If set, in (0, 1): stop once h <= stop_ratio * h(0) (the sample
+        that crossed is recorded). Used by sweeps to capture the
+        asymptotic decay without running to the full horizon.
     extras
         Extra norms to sample; currently ``"h2"``.
 
@@ -158,8 +157,10 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     ``dt``). Raises :class:`EvolutionError` on non-finite state, and
     ValueError on a bad step control.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end:g}")
+    if stop_ratio is not None and not 0.0 < stop_ratio < 1.0:
+        raise ValueError(f"stop_ratio must lie in (0, 1), got {stop_ratio:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt:g}")
     stride = 1 if sample_every is None else int(sample_every)
@@ -310,7 +311,6 @@ def write_trace(trace: DecayTrace, path) -> None:
         "params": trace.params,
         "nu": trace.nu,
         "dt": trace.dt,
-        "scheme": trace.scheme,
         "n_samples": len(trace),
         **{k: v for k, v in trace.meta.items()},
     }
@@ -324,7 +324,7 @@ def read_trace(path) -> DecayTrace:
     sidecar_path = os.path.splitext(path)[0] + ".json"
     meta = {}
     nu = 0.0
-    model, params, dt, scheme = "", {}, 0.0, "strang"
+    model, params, dt = "", {}, 0.0
     if os.path.exists(sidecar_path):
         with open(sidecar_path) as fh:
             meta = json.load(fh)
@@ -332,9 +332,8 @@ def read_trace(path) -> DecayTrace:
         model = meta.pop("model", "")
         params = meta.pop("params", {})
         dt = meta.pop("dt", 0.0)
-        scheme = meta.pop("scheme", "strang")
         meta.pop("n_samples", None)
     return DecayTrace(
         times=data[:, 0], h=data[:, 1], h1=data[:, 2], hm1=data[:, 3],
-        nu=nu, model=model, params=params, dt=dt, scheme=scheme, meta=meta,
+        nu=nu, model=model, params=params, dt=dt, meta=meta,
     )

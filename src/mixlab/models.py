@@ -22,6 +22,11 @@ phases form theirs directly; the skew matrix diagonalizes iB once per
 model and applies every flow in that eigenbasis, so a new step size
 costs nothing to set up.
 
+Each family is declared once, in :data:`FAMILIES`: its builder, which
+takes the model parameters as keywords with defaults, and the map from
+command-line and sweep flags to those keywords. :func:`build_model`,
+:func:`model_params` and the CLI's ``--model`` choices all read it.
+
 State conventions
 -----------------
 shear        Fourier coefficients of the retained x-mode, numpy fft order,
@@ -41,7 +46,7 @@ from __future__ import annotations
 import csv as _csv
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as _iproduct
 from typing import Callable
 
@@ -55,10 +60,6 @@ __all__ = [
     "FourierPhase",
     "RadialPhase",
     "SkewMatrix",
-    "ShearModel",
-    "KolmogorovModel",
-    "SpiralModel",
-    "KineticModel",
     "ModelProblem",
     "PROFILES",
     "load_profile_csv",
@@ -67,6 +68,7 @@ __all__ = [
     "build_kolmogorov",
     "build_spiral",
     "build_kinetic",
+    "FAMILIES",
     "build_model",
     "model_params",
     "exact_inviscid",
@@ -139,48 +141,6 @@ def resolve_profile(profile) -> tuple[Callable, Callable | None, int | None]:
         return load_profile_csv(profile)
     raise ValueError(f"unknown shear profile {profile!r}; registered: "
                      f"{sorted(PROFILES)}, or the path of a y,u CSV file")
-
-
-# ---------------------------------------------------------------------------
-# model descriptors
-
-@dataclass(frozen=True)
-class ShearModel:
-    """Shear flow u(y) acting on one x-wavenumber, fractional diffusion."""
-
-    profile: str = "sin"
-    gamma: float = 2.0
-    k: int = 1
-    n0: int | None = None  # None: take the registry value for the profile
-    M: int = 512
-
-
-@dataclass(frozen=True)
-class KolmogorovModel:
-    """Linearized sinusoidal shear with its nonlocal vorticity correction."""
-
-    L: float = 2.0
-    k: int = 1
-    M: int = 512
-
-
-@dataclass(frozen=True)
-class SpiralModel:
-    """Radially stationary swirl with angular phase speed r^alpha on the disk."""
-
-    alpha: float = 1.0
-    k: int = 1
-    N: int = 256
-
-
-@dataclass(frozen=True)
-class KineticModel:
-    """Free transport at spatial frequency k against an Ornstein-Uhlenbeck
-    velocity equilibrium, truncated at Hermite degree N."""
-
-    k: int | tuple = 1
-    N: int = 64
-    d: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +316,8 @@ class ModelProblem:
 # ---------------------------------------------------------------------------
 # builders
 
-def build_shear(m: ShearModel) -> ModelProblem:
+def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
+                n0: int | None = None, M: int = 512) -> ModelProblem:
     """Shear flow on the torus, one x-wavenumber, fractional diffusion.
 
     A is the diagonal multiplier (k^2 + m^2)^(gamma/2); B is multiplication
@@ -367,17 +328,17 @@ def build_shear(m: ShearModel) -> ModelProblem:
     model's own dual scale is p = gamma / (2 (n0 + 1)) and the
     enhanced-dissipation prediction is q = 2 / (2 + p).
     """
-    if m.k == 0:
+    if k == 0:
         raise ValueError("shear model requires a nonzero x-wavenumber k")
-    if not 0.0 < m.gamma <= 2.0:
-        raise ValueError(f"diffusion order gamma must lie in (0, 2], got {m.gamma}")
-    u_fn, du_fn, n0_default = resolve_profile(m.profile)
-    n0 = m.n0 if m.n0 is not None else n0_default
+    if not 0.0 < gamma <= 2.0:
+        raise ValueError(f"diffusion order gamma must lie in (0, 2], got {gamma}")
+    u_fn, du_fn, n0_default = resolve_profile(profile)
+    n0 = n0 if n0 is not None else n0_default
 
-    n = 2 * m.M
+    n = 2 * M
     y = 2.0 * np.pi * np.arange(n) / n
     modes = np.fft.fftfreq(n, d=1.0 / n)
-    lam = fractional_symbol(m.gamma, m.k, modes)
+    lam = fractional_symbol(gamma, k, modes)
     u = np.asarray(u_fn(y), dtype=float)
     if du_fn is not None:
         du = np.asarray(du_fn(y), dtype=float)
@@ -394,23 +355,23 @@ def build_shear(m: ShearModel) -> ModelProblem:
     elif n0 is None:
         p = q = None
     else:
-        p = m.gamma / (2.0 * (n0 + 1))
+        p = gamma / (2.0 * (n0 + 1))
         q = 2.0 / (2.0 + p)
 
     params = {
-        "profile": m.profile if isinstance(m.profile, str) else "custom",
-        "gamma": m.gamma,
-        "k": m.k,
+        "profile": profile if isinstance(profile, str) else "custom",
+        "gamma": gamma,
+        "k": k,
         "n0": n0,
-        "M": m.M,
+        "M": M,
     }
     return ModelProblem(
         name="shear",
         params=params,
-        op=FourierPhase(lam, m.k * u),
+        op=FourierPhase(lam, k * u),
         inner=InnerProduct(np.ones(n)),
         c_B=max_du,
-        bound_B=abs(m.k) * max_u,
+        bound_B=abs(k) * max_u,
         mixed_bound=None,
         p=p,
         q=q,
@@ -420,7 +381,8 @@ def build_shear(m: ShearModel) -> ModelProblem:
     )
 
 
-def build_kolmogorov(m: KolmogorovModel) -> ModelProblem:
+def build_kolmogorov(*, L: float = 2.0, k: int = 1,
+                     M: int = 512) -> ModelProblem:
     """Linearized sinusoidal shear on an L-aspect torus.
 
     The advecting operator carries the nonlocal vorticity correction: on
@@ -434,21 +396,21 @@ def build_kolmogorov(m: KolmogorovModel) -> ModelProblem:
     truncation (the dropped couplings are the boundary pair); after
     symmetrization it is a real antisymmetric tridiagonal matrix.
     """
-    if m.L < 1.0:
-        raise ValueError(f"aspect ratio L must be >= 1, got {m.L}")
-    if m.k == 0:
+    if L < 1.0:
+        raise ValueError(f"aspect ratio L must be >= 1, got {L}")
+    if k == 0:
         raise ValueError("kolmogorov model requires a nonzero x-wavenumber k")
-    if m.L == 1.0 and abs(m.k) < 2:
+    if L == 1.0 and abs(k) < 2:
         raise ValueError(
             "wavenumber constraint violated: on the square torus (L = 1) the "
             "working inner product degenerates for |k| = 1; use |k| >= 2"
         )
 
-    n = 2 * m.M
-    modes = np.arange(-m.M, m.M, dtype=float)  # sorted layout
-    mu = m.L**2 * m.k**2 + modes**2
+    n = 2 * M
+    modes = np.arange(-M, M, dtype=float)  # sorted layout
+    mu = L**2 * k**2 + modes**2
     s = 1.0 - 1.0 / mu
-    kL = m.k * m.L
+    kL = k * L
 
     # advection generator in flat coordinates: antisymmetric real
     # tridiagonal with sub-diagonal (kL/2) sqrt(s_m s_{m-1}) on row m
@@ -458,7 +420,7 @@ def build_kolmogorov(m: KolmogorovModel) -> ModelProblem:
     B[idx + 1, idx] = off
     B[idx, idx + 1] = -off
 
-    params = {"L": m.L, "k": m.k, "M": m.M}
+    params = {"L": L, "k": k, "M": M}
     return ModelProblem(
         name="kolmogorov",
         params=params,
@@ -493,7 +455,8 @@ def _disk_operator(N: int, k: int):
     return r, dr, diag, off
 
 
-def build_spiral(m: SpiralModel) -> ModelProblem:
+def build_spiral(*, alpha: float = 1.0, k: int = 1,
+                 N: int = 256) -> ModelProblem:
     """Swirling flow on the unit disk, angular wavenumber k.
 
     B is multiplication by i k r^alpha — an exact diagonal phase on the
@@ -503,24 +466,24 @@ def build_spiral(m: SpiralModel) -> ModelProblem:
     |Re<Bf, Af>| <= 2 alpha |k| ||f||_H ||f||_{H^1} is recorded for the
     sharpened constant in the decay-rate formulas.
     """
-    if m.alpha < 1.0:
-        raise ValueError(f"swirl exponent alpha must be >= 1, got {m.alpha}")
-    if m.k == 0:
+    if alpha < 1.0:
+        raise ValueError(f"swirl exponent alpha must be >= 1, got {alpha}")
+    if k == 0:
         raise ValueError("spiral model requires a nonzero angular wavenumber k")
-    r, dr, diag, off = _disk_operator(m.N, m.k)
+    r, dr, diag, off = _disk_operator(N, k)
     lam, vecs = eigh_tridiagonal(diag, off)
     w = r * dr
-    p_alpha = 2.0 / max(m.alpha, 2.0)
+    p_alpha = 2.0 / max(alpha, 2.0)
     q_alpha = (4.0 - p_alpha) / (4.0 + p_alpha)
-    mixed = 2.0 * m.alpha * abs(m.k)
-    params = {"alpha": m.alpha, "k": m.k, "N": m.N}
+    mixed = 2.0 * alpha * abs(k)
+    params = {"alpha": alpha, "k": k, "N": N}
     return ModelProblem(
         name="spiral",
         params=params,
-        op=RadialPhase(lam, vecs, np.sqrt(w), m.k * r**m.alpha),
+        op=RadialPhase(lam, vecs, np.sqrt(w), k * r**alpha),
         inner=InnerProduct(w),
         c_B=mixed / np.sqrt(lam[0]),
-        bound_B=float(abs(m.k) * np.max(r**m.alpha)),
+        bound_B=float(abs(k) * np.max(r**alpha)),
         mixed_bound=mixed,
         p=p_alpha,
         q=q_alpha,
@@ -536,7 +499,8 @@ def _hermite_indices(N: int, d: int):
     return idx
 
 
-def build_kinetic(m: KineticModel) -> ModelProblem:
+def build_kinetic(*, k: int | tuple = 1, N: int = 64,
+                  d: int = 1) -> ModelProblem:
     """Kinetic free transport against a Gaussian velocity equilibrium.
 
     In normalized Hermite coordinates of the Gaussian-weighted velocity
@@ -549,25 +513,25 @@ def build_kinetic(m: KineticModel) -> ModelProblem:
     skewness. On this truncation |Re<Bf, Af>| <= |k| ||f||_H ||f||_{H^1}
     holds exactly, by one Cauchy-Schwarz on the surviving ladder sum.
     """
-    if m.N < 2:
+    if N < 2:
         raise ValueError("kinetic truncation degree N must be >= 2")
-    kvec = np.atleast_1d(np.asarray(m.k, dtype=float))
-    if kvec.size != m.d:
+    kvec = np.atleast_1d(np.asarray(k, dtype=float))
+    if kvec.size != d:
         if kvec.size == 1:
-            kvec = np.concatenate([kvec, np.zeros(m.d - 1)])
+            kvec = np.concatenate([kvec, np.zeros(d - 1)])
         else:
-            raise ValueError(f"frequency vector has {kvec.size} entries for d={m.d}")
+            raise ValueError(f"frequency vector has {kvec.size} entries for d={d}")
     if not np.any(kvec):
         raise ValueError("kinetic model requires a nonzero spatial frequency")
 
-    idx = _hermite_indices(m.N, m.d)
+    idx = _hermite_indices(N, d)
     pos = {n: i for i, n in enumerate(idx)}
     D = len(idx)
     degrees = np.array([sum(n) for n in idx], dtype=float)
 
     K = np.zeros((D, D))  # v.k in the normalized ladder basis (symmetric)
     for i, n in enumerate(idx):
-        for j in range(m.d):
+        for j in range(d):
             if kvec[j] == 0.0:
                 continue
             up = list(n)
@@ -578,7 +542,7 @@ def build_kinetic(m: KineticModel) -> ModelProblem:
                 K[i, other] += kvec[j] * np.sqrt(n[j] + 1.0)
 
     knorm = float(np.linalg.norm(kvec))
-    params = {"k": m.k if np.isscalar(m.k) else tuple(kvec), "N": m.N, "d": m.d}
+    params = {"k": k if np.isscalar(k) else tuple(kvec), "N": N, "d": d}
     return ModelProblem(
         name="kinetic",
         params=params,
@@ -593,36 +557,30 @@ def build_kinetic(m: KineticModel) -> ModelProblem:
     )
 
 
-_BUILDERS = {
-    "shear": (ShearModel, build_shear),
-    "kolmogorov": (KolmogorovModel, build_kolmogorov),
-    "spiral": (SpiralModel, build_spiral),
-    "kinetic": (KineticModel, build_kinetic),
+#: family -> (builder, model flag -> builder keyword); ``k`` goes to every
+#: family. ``"heat"`` is the zero-profile shear.
+FAMILIES: dict[str, tuple[Callable[..., ModelProblem], dict[str, str]]] = {
+    "shear": (build_shear, {"profile": "profile", "gamma": "gamma",
+                            "n0": "n0", "resolution": "M"}),
+    "kolmogorov": (build_kolmogorov, {"L": "L", "resolution": "M"}),
+    "spiral": (build_spiral, {"alpha": "alpha", "resolution": "N"}),
+    "kinetic": (build_kinetic, {"d": "d", "resolution": "N"}),
+    "heat": (partial(build_shear, profile="zero"),
+             {"gamma": "gamma", "resolution": "M"}),
 }
+
+
+def _family(name: str):
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}; choose from "
+                         f"{sorted(FAMILIES)}") from None
 
 
 def build_model(name: str, **params) -> ModelProblem:
-    """Build a model by family name. ``"heat"`` is the zero-profile shear."""
-    if name == "heat":
-        params.setdefault("profile", "zero")
-        name = "shear"
-    try:
-        cls, builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown model {name!r}; choose from "
-                         f"{sorted(_BUILDERS) + ['heat']}") from None
-    return builder(cls(**params))
-
-
-#: model flag -> builder keyword, per family; ``k`` goes to every family
-_FAMILY_FLAGS = {
-    "shear": {"profile": "profile", "gamma": "gamma", "n0": "n0",
-              "resolution": "M"},
-    "heat": {"gamma": "gamma", "resolution": "M"},
-    "kolmogorov": {"L": "L", "resolution": "M"},
-    "spiral": {"alpha": "alpha", "resolution": "N"},
-    "kinetic": {"d": "d", "resolution": "N"},
-}
+    """Build a model by family name from its builder's keywords."""
+    return _family(name)[0](**params)
 
 
 def model_params(family: str, values) -> dict:
@@ -634,10 +592,7 @@ def model_params(family: str, values) -> dict:
     does not take are ignored, and a missing or None flag keeps the
     builder's default.
     """
-    try:
-        flags = _FAMILY_FLAGS[family]
-    except KeyError:
-        raise ValueError(f"unknown model family {family!r}") from None
+    flags = _family(family)[1]
     kw = {"k": values["k"]}
     for flag, key in flags.items():
         if values.get(flag) is not None:
@@ -699,24 +654,6 @@ def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
 _SINGLE_MODE = ("single-mode-m1", "single-mode m=1")
 
 
-def _fourier_datum(name: str, y: np.ndarray, lam: np.ndarray,
-                   seed) -> np.ndarray:
-    """Named torus datum as unnormalized Fourier coefficients in numpy fft
-    order, on the grid ``y`` with A's eigenvalues ``lam``."""
-    if name in _SINGLE_MODE:
-        c = np.zeros(y.size, dtype=complex)
-        c[1] = 1.0  # fft layout: index 1 is mode m=1
-        return c
-    if name == "gaussian-bump":
-        vals = np.exp(-((y - np.pi) ** 2) / 0.5)
-        return np.fft.fft(vals.astype(complex), norm="forward")
-    if name == "random-h1":
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
-        return c / (1.0 + lam)
-    raise ValueError(f"datum {name!r} is not defined on the torus")
-
-
 def _disk_datum(name: str, r: np.ndarray, lowest_mode) -> np.ndarray:
     """Named disk datum as unnormalized values on the radial grid ``r``;
     ``lowest_mode()`` returns A's lowest eigenmode there."""
@@ -743,9 +680,7 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
     ``"random-h1"`` — seeded random coefficients with a smooth envelope.
     """
     op, n = problem.op, problem.size
-    if problem.basis == "torus-fourier":
-        state = _fourier_datum(name, problem.grid, op.lam, seed)
-    elif name == "random-h1":
+    if name == "random-h1":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         state = op.from_internal(c / (1.0 + op.lam))
@@ -754,10 +689,13 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
                             lambda: op.from_internal(np.eye(1, n)[0]))
     elif name in _SINGLE_MODE:
         state = np.zeros(n, dtype=complex)
-        if problem.basis == "torus-fourier-sorted":
+        if "modes" in problem.meta:  # torus: the Fourier mode m = 1
             state[np.flatnonzero(problem.meta["modes"] == 1.0)[0]] = 1.0
         else:  # hermite: lowest degree
             state[0] = 1.0
+    elif name == "gaussian-bump" and problem.basis == "torus-fourier":
+        vals = np.exp(-((problem.grid - np.pi) ** 2) / 0.5)
+        state = np.fft.fft(vals.astype(complex), norm="forward")
     elif name == "gaussian-bump" and problem.basis == "torus-fourier-sorted":
         modes = problem.meta["modes"]
         state = np.exp(-0.125 * modes**2 - 1j * np.pi * modes)
@@ -774,46 +712,40 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
                         datum="single-mode-m1", seed=None):
     """Exact inviscid norm history for a shear flow, evaluated pointwise.
 
-    Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) on a
-    2M-point grid and returns the norms at the requested times without
-    time stepping, so `times` may be log-spaced over several decades.
-    Memory stays O(M): no operator matrices are formed.
+    Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) on the
+    2M-point grid of :func:`build_shear` and returns the norms at the
+    requested times without time stepping, so `times` may be log-spaced
+    over several decades. The datum's grid values are formed once, so each
+    time costs one FFT; memory stays O(M).
 
     Parameters
     ----------
     times : array_like
         Evaluation times (any order, need not include 0).
     profile, gamma, k, M :
-        As in `ShearModel`. M must comfortably exceed k * max|u| * max(times)
+        As in `build_shear`. M must comfortably exceed k * max|u| * max(times)
         so the phase-generated Fourier spread stays inside the truncation.
-    datum : str
-        "single-mode-m1", "gaussian-bump", or "random-h1".
-    seed :
-        Seed for the random datum.
+    datum, seed :
+        As in `initial_datum`: "single-mode-m1", "gaussian-bump", or the
+        seeded "random-h1".
 
     Returns
     -------
     dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm).
     """
-    u_fun = resolve_profile(profile)[0]
-    n = 2 * M
-    y = 2.0 * np.pi * np.arange(n) / n
-    u = u_fun(y)
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    lam = fractional_symbol(gamma, k, modes)
-    c = _fourier_datum(datum, y, lam, seed)
-    c /= hs_norm(np.abs(c) ** 2, lam, 1.0)
-    vals0 = np.fft.ifft(c, norm="forward")
+    problem = build_shear(profile=profile, gamma=gamma, k=k, M=M)
+    op = problem.op
+    vals0 = np.fft.ifft(initial_datum(problem, datum, seed), norm="forward")
     times = np.asarray(times, dtype=float)
     h = np.empty_like(times)
     h1 = np.empty_like(times)
     hm1 = np.empty_like(times)
     for i, t in enumerate(times):
-        ct = np.fft.fft(vals0 * np.exp(-1j * k * u * t), norm="forward")
+        ct = np.fft.fft(vals0 * np.exp(-1j * op.rate * t), norm="forward")
         mag2 = np.abs(ct) ** 2
-        h[i] = hs_norm(mag2, lam, 0.0)
-        h1[i] = hs_norm(mag2, lam, 1.0)
-        hm1[i] = hs_norm(mag2, lam, -1.0)
+        h[i] = hs_norm(mag2, op.lam, 0.0)
+        h1[i] = hs_norm(mag2, op.lam, 1.0)
+        hm1[i] = hs_norm(mag2, op.lam, -1.0)
     return {"t": times, "h": h, "h1": h1, "hm1": hm1}
 
 

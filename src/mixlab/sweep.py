@@ -6,7 +6,8 @@ theta * h(0)) and the asymptotic e-folding time 1/rate from the fitted
 tail decay rate. Rows persist as individual JSON files the moment they
 finish — the source of truth — and ``sweep.csv`` is regenerated from them
 in enumeration order at the end, so an interrupted sweep resumes to a
-bit-identical result set.
+bit-identical result set. A row records the settings that shaped it, and
+a resumed sweep refuses rows computed with other settings.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
            "row_key"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
+#: version of the row values: 2 = error-controlled steps; rows without a
+#: number predate it
+ROW_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,14 @@ class SweepConfig:
                 data[key] = tuple(data[key])
         return SweepConfig(**data)
 
+    def row_config(self) -> dict:
+        """What every row of this sweep records and a resumed sweep must
+        match: the row format and each field but the output directory
+        and the axis lists."""
+        axes = ("out_dir", "nus", "ks", "alphas", "gammas")
+        return {"row_format": ROW_FORMAT,
+                **{k: v for k, v in asdict(self).items() if k not in axes}}
+
     def rows(self) -> list[dict]:
         """Deterministic row enumeration."""
         out = []
@@ -111,7 +123,8 @@ def row_key(model: str, row: dict) -> str:
 
 @dataclass
 class RowResult:
-    """One completed (or failed) sweep row."""
+    """One completed (or failed) sweep row; ``config`` is the
+    :meth:`SweepConfig.row_config` of the sweep that computed it."""
 
     key: str
     model: str
@@ -127,6 +140,7 @@ class RowResult:
     trace_path: str = ""
     fit: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     @property
     def tau_rate(self) -> float | None:
@@ -164,6 +178,7 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
         key=row_key(cfg.model, row), model=cfg.model, alpha=row["alpha"],
         gamma=row["gamma"], n0=problem.params.get("n0"), k=row["k"], nu=nu,
         tau=None, rate=None, q_pred=q_pred, status="ok",
+        config=cfg.row_config(),
     )
     try:
         # an explicit dt samples every 5 steps; without one, every interval
@@ -194,7 +209,6 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
             "n_steps", "sample_interval", "max_steps_per_sample", "err_est")},
         "stop_reason": trace.meta.get("stop_reason"),
         "warnings": trace.meta.get("warnings", []),
-        "datum": cfg.datum,
     }
     return result, trace
 
@@ -224,29 +238,39 @@ def _write_csv(result: SweepResult) -> None:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run (or resume) a sweep.
 
-    Rows already present under ``out_dir/rows/`` are not recomputed.
-    Failures are recorded in the row status, never raised. Workers > 1
-    executes pending rows in a process pool; all file writes happen in
-    the parent.
+    Rows already present under ``out_dir/rows/`` are not recomputed, but
+    each must record this sweep's :meth:`SweepConfig.row_config`:
+    otherwise a ValueError naming the first field that differs is raised
+    before anything is written. Failures are recorded in the row status,
+    never raised. Workers > 1 executes pending rows in a process pool;
+    all file writes happen in the parent.
     """
     out = cfg.out_dir
     rows_dir = os.path.join(out, "rows")
-    traces_dir = os.path.join(out, "traces")
-    os.makedirs(rows_dir, exist_ok=True)
-    os.makedirs(traces_dir, exist_ok=True)
-    _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
-
     plan = cfg.rows()
     keys = [row_key(cfg.model, row) for row in plan]
+    expected = cfg.row_config()
     results: dict[str, RowResult] = {}
     pending = []
     for idx, (key, row) in enumerate(zip(keys, plan)):
         row_path = os.path.join(rows_dir, key + ".json")
-        if os.path.exists(row_path):
-            with open(row_path) as fh:
-                results[key] = RowResult.from_dict(json.load(fh))
-        else:
+        if not os.path.exists(row_path):
             pending.append((idx, key, row))
+            continue
+        with open(row_path) as fh:
+            rr = RowResult.from_dict(json.load(fh))
+        for name, value in expected.items():
+            if name not in rr.config or rr.config[name] != value:
+                found = f"{name} = {rr.config[name]!r}" \
+                    if name in rr.config else f"no {name} record"
+                raise ValueError(
+                    f"{row_path} has {found}, this sweep {name} = {value!r}; "
+                    "resume with the same settings or use another out_dir")
+        results[key] = rr
+
+    os.makedirs(rows_dir, exist_ok=True)
+    os.makedirs(os.path.join(out, "traces"), exist_ok=True)
+    _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
 
     def persist(key: str, rr: RowResult, trace) -> None:
         if trace is not None and len(trace) > 0:

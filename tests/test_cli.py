@@ -237,6 +237,8 @@ def test_ed_sweep_refuses_heat_gamma(tmp_path, capsys):
 
 
 _SIM = ["simulate", "--model", "heat", "--nu", "0.1", "--t-end", "1"]
+_SIM_SHEAR = ["simulate", "--model", "shear", "--resolution", "16",
+              "--nu", "1e-3", "--t-end", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,6 +247,9 @@ _SIM = ["simulate", "--model", "heat", "--nu", "0.1", "--t-end", "1"]
     [*_SIM, "--dt", "nan"],
     [*_SIM, "--sample-every", "0"],
     ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--dt", "0"],
+    [*_SIM_SHEAR, "--t-end", "inf"],
+    [*_SIM_SHEAR, "--t-end", "nan"],
+    [*_SIM, "--stop-ratio", "1.5"],
 ])
 def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     rc = cli.main([*argv, "--out", str(tmp_path / "s")])

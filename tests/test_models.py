@@ -77,8 +77,25 @@ def test_kinetic_constraints():
 
 
 def test_unknown_model_name():
+    from mixlab.models import model_params
     with pytest.raises(ValueError):
         mx.build_model("plane-couette")
+    with pytest.raises(ValueError, match="unknown model"):
+        model_params("plane-couette", {"k": 1})
+
+
+def test_families_build_from_k_alone():
+    from mixlab.models import FAMILIES, model_params
+    for family, (builder, flags) in FAMILIES.items():
+        prob = mx.build_model(family, k=2)  # every other keyword defaulted
+        assert prob.params == builder(k=2).params and prob.params["k"] == 2
+        # the resolution flag reaches the family's own size keyword
+        kw = model_params(family, {"k": 2, "resolution": 8})
+        assert kw == {"k": 2, flags["resolution"]: 8}
+        assert mx.build_model(family, **kw).size < prob.size
+    assert mx.build_model("heat", k=1, M=8).params["profile"] == "zero"
+    with pytest.raises(TypeError):
+        mx.build_model("spiral", k=1, M=8)  # the spiral resolution is N
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +305,21 @@ def test_single_mode_datum_sits_on_lowest_nontrivial_mode():
 
 def test_shear_mixing_series_matches_model_norms():
     times = np.array([0.0, 1.0, 5.0, 20.0])
-    ser = mx.shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=64)
-    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=64)
-    f0 = mx.initial_datum(prob, "single-mode-m1")
-    for i, t in enumerate(times):
-        out = mx.exact_inviscid(prob, f0, t)
-        assert ser["hm1"][i] == pytest.approx(prob.sobolev(out, -1.0), rel=1e-11)
-        assert ser["h1"][i] == pytest.approx(prob.sobolev(out, 1.0), rel=1e-11)
-    assert ser["h1"][0] == pytest.approx(1.0, rel=1e-12)
+    for datum, gamma, seed in [("single-mode-m1", 2.0, None),
+                               ("gaussian-bump", 2.0, None),
+                               ("random-h1", 2.0, 7),
+                               ("single-mode-m1", 1.0, None)]:
+        ser = mx.shear_mixing_series(times, profile="sin", gamma=gamma, k=1,
+                                     M=64, datum=datum, seed=seed)
+        prob = mx.build_model("shear", profile="sin", gamma=gamma, k=1, M=64)
+        f0 = mx.initial_datum(prob, datum, seed=seed)
+        for i, t in enumerate(times):
+            out = mx.exact_inviscid(prob, f0, t)
+            assert ser["hm1"][i] == pytest.approx(prob.sobolev(out, -1.0),
+                                                  rel=1e-11)
+            assert ser["h1"][i] == pytest.approx(prob.sobolev(out, 1.0),
+                                                 rel=1e-11)
+        assert ser["h1"][0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spiral_mixing_series_matches_model_norms():

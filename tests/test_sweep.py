@@ -94,6 +94,26 @@ def test_partial_then_extended_plan_reuses_rows(tmp_path):
     assert os.stat(os.path.join(str(tmp_path), "rows", key0 + ".json")).st_mtime_ns == stamp
 
 
+def test_resume_refuses_rows_of_other_settings(tmp_path):
+    mx.run_sweep(_heat_cfg(tmp_path, nus=(0.1,)))
+    row_path = tmp_path / "rows" / "heat_k1_nu1.0000e-01.json"
+    cfg_text = _read(tmp_path / "sweep_config.json")
+    # another resolution: refused before anything is written
+    with pytest.raises(ValueError, match="resolution = 64, this sweep "
+                                         "resolution = 32"):
+        mx.run_sweep(_heat_cfg(tmp_path, nus=(0.1, 0.05), resolution=32))
+    assert _read(tmp_path / "sweep_config.json") == cfg_text
+    assert sorted(os.listdir(tmp_path / "rows")) == [row_path.name]
+    # a row written before rows recorded their settings
+    row = json.loads(_read(row_path))
+    del row["config"]
+    row_path.write_text(json.dumps(row))
+    with pytest.raises(ValueError, match="no row_format record"):
+        mx.run_sweep(_heat_cfg(tmp_path, nus=(0.1,)))
+    # such a row still loads
+    assert mx.load_sweep(str(tmp_path)).rows[0].config == {}
+
+
 def test_sweep_deterministic_across_directories(tmp_path):
     cfg_a = _heat_cfg(tmp_path / "a", nus=(0.1, 0.05), datum="random-h1", seed=3)
     cfg_b = _heat_cfg(tmp_path / "b", nus=(0.1, 0.05), datum="random-h1", seed=3)
