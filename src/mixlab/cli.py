@@ -91,7 +91,7 @@ def _cmd_mix_rate(args) -> int:
         res = args.resolution or 8192
         datum = args.datum or "uniform"
         series = spiral_mixing_series(times, alpha=args.alpha, k=args.k,
-                                      N=res, datum=datum, seed=args.seed)
+                                      N=res, datum=datum)
         probe_res = 16
     # a small build of the same model carries the predicted exponent
     probe = build_model(args.model, **model_params(
@@ -189,6 +189,8 @@ def _cmd_ed_sweep(args) -> int:
         tau = f"{r.tau:.6g}" if r.tau is not None else "-"
         rate = f"{r.rate:.3e}" if r.rate else "-"
         print(f"{r.key}: tau={tau} rate={rate} [{r.status}]")
+        for warning in r.meta.get("warnings", []):
+            print(f"  warning: {warning}")
         bad += r.status != "ok"
     for rows in _group_rows(result.rows).values():
         label = _group_label(rows)
@@ -208,17 +210,19 @@ def _cmd_ed_sweep(args) -> int:
 
 
 def _amplitude_series(cfg, problem, t_max):
-    """Inviscid dual-norm history used to fit the mixing amplitude."""
+    """Inviscid dual-norm history used to fit the mixing amplitude: the
+    closed-form series where one exists for the datum (the disk series
+    has no seeded datum), else an inviscid run of the model itself."""
     times = np.concatenate([[0.0], np.geomspace(0.1, t_max, 48)])
     par = problem.params
     if problem.name == "shear":
         return shear_mixing_series(
             times, profile=par["profile"], gamma=par["gamma"], k=par["k"],
             M=max(2048, par["M"]), datum=cfg.datum, seed=cfg.seed)
-    if problem.name == "spiral":
+    if problem.name == "spiral" and cfg.datum != "random-h1":
         return spiral_mixing_series(
             times, alpha=par["alpha"], k=par["k"], N=max(2048, par["N"]),
-            datum=cfg.datum, seed=cfg.seed)
+            datum=cfg.datum)
     datum = initial_datum(problem, cfg.datum, seed=cfg.seed)
     trace = evolve(problem, datum, 0.0, t_max)
     return {"t": trace.times, "hm1": trace.hm1}
@@ -299,6 +303,8 @@ def _cmd_report(args) -> int:
             "model": model, "alpha": alpha, "gamma": gamma, "k": k,
             "n_rows": len(rows), "q_predicted": rows[0].q_pred,
             "nus": [r.nu for r in rows], "taus": [r.tau for r in rows],
+            "warnings": {r.key: r.meta["warnings"] for r in rows
+                         if r.meta.get("warnings")},
         }
         q_meas = None
         fits = _q_fits(rows)

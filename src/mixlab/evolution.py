@@ -182,8 +182,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     n_int = int(np.ceil(t_end / ds - 1e-12))  # 0 for t_end = 0
     op = problem.op
     lam = op.lam
-    spec = problem.spectrum.eigenvalues
-    cut = spec[int(np.ceil((1.0 - TOP_BAND_FRACTION) * spec.size)) - 1]
+    cut = np.sort(lam)[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam.size)) - 1]
     top = (lam >= cut).astype(float)
     g = op.to_internal(c0)
     steppers = {}  # m -> one Strang step of ds/m

@@ -1,7 +1,7 @@
 """Concrete model problems: shear, Kolmogorov, spiral and kinetic flows.
 
 Each builder assembles a :class:`ModelProblem` — its representation of the
-pair (A, B), the working inner product, and the model's predicted
+pair (A, B) and of the working inner product, and the model's predicted
 exponents — in a form where the structural identities hold *exactly* in
 floating point:
 
@@ -15,9 +15,14 @@ floating point:
 
 The representation ``problem.op`` — a Fourier phase (shear, heat), a radial
 phase in A's eigenbasis (spiral) or a dense skew matrix (Kolmogorov,
-kinetic) — maps states to orthonormal coordinates where A is diagonal
-(``op.lam``), applies B there and returns the exact flow g -> e^{-Bt} g
-for any t. The integrator asks for one flow per step size it uses. The
+kinetic) — is the model's one spectral frame. It stores the weights of
+the working product once (``op.w``), maps states to orthonormal
+coordinates where A is diagonal (``op.lam``), applies B there and returns
+the exact flow g -> e^{-Bt} g for any t. :class:`ModelProblem` reads
+every norm and projection off it: the product ``inner``, the H^s norms
+``sobolev``, the cut-off ``project_low`` (P_R) and ``lam1``.
+
+The integrator asks for one flow per step size it uses. The
 phases form theirs directly; the skew matrix diagonalizes iB once per
 model and applies every flow in that eigenbasis, so a new step size
 costs nothing to set up.
@@ -31,14 +36,14 @@ State conventions
 -----------------
 shear        Fourier coefficients of the retained x-mode, numpy fft order,
              ``norm="forward"`` convention (coefficient c_m multiplies
-             e^{imy}); flat inner product.
+             e^{imy}); flat inner product, ``w = 1``.
 kolmogorov   Fourier coefficients in *sorted* mode order m = -M..M-1;
-             weighted product with per-mode multiplier s_m = 1 - 1/(L^2k^2+m^2).
+             weighted product, ``w`` = s_m = 1 - 1/(L^2k^2+m^2) per mode.
 spiral       values on the cell-centered radial grid r_j = (j-1/2)/N;
-             midpoint-quadrature product with weights r_j dr.
+             midpoint-quadrature product, ``w`` = r_j dr.
 kinetic      coefficients on normalized Hermite modes of total degree
              1..N (degree 0 carries no dynamics and is excluded to keep A
-             strictly positive); flat product in these coordinates.
+             strictly positive); flat product, ``w = 1``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .spectral import InnerProduct, Spectrum, fractional_symbol, hs_norm
+from .spectral import fractional_symbol, hs_norm
 
 __all__ = [
     "EvolutionError",
@@ -161,9 +166,11 @@ def _grid_times(mult: np.ndarray):
 
 class FourierPhase:
     """B = i * rate(y) on the grid of a Fourier series (shear, heat); the
-    internal coordinates are the state's own Fourier coefficients."""
+    internal coordinates are the state's own Fourier coefficients, and the
+    working product is flat (``w = 1``)."""
 
     kind = "phase"
+    w = 1.0
 
     def __init__(self, lam: np.ndarray, rate: np.ndarray):
         self.lam = lam
@@ -186,16 +193,19 @@ class FourierPhase:
 
 
 class RadialPhase:
-    """B = i * rate(r) on the radial grid of the disk (spiral); the internal
-    coordinates are A's eigencoordinates ``V.T @ (sqw * f)``, ascending."""
+    """B = i * rate(r) on the radial grid of the disk (spiral), whose
+    working product has the quadrature weights ``w``; the internal
+    coordinates are A's eigencoordinates ``V.T @ (sqrt(w) * f)``,
+    ascending."""
 
     kind = "phase"
 
-    def __init__(self, lam: np.ndarray, V: np.ndarray, sqw: np.ndarray,
+    def __init__(self, lam: np.ndarray, V: np.ndarray, w: np.ndarray,
                  rate: np.ndarray):
         self.lam = lam
         self.V = V
-        self.sqw = sqw
+        self.w = w
+        self.sqw = np.sqrt(w)
         self.rate = rate
 
     def to_internal(self, state) -> np.ndarray:
@@ -219,13 +229,15 @@ class RadialPhase:
 
 class SkewMatrix:
     """B a dense skew-Hermitian matrix (Kolmogorov, kinetic) in the flat
-    internal coordinates ``sqw * f``, where A is diagonal."""
+    internal coordinates ``sqrt(w) * f`` of the working product with
+    per-coefficient weights ``w``, where A is diagonal."""
 
     kind = "matrix"
 
-    def __init__(self, lam: np.ndarray, sqw: np.ndarray, B: np.ndarray):
+    def __init__(self, lam: np.ndarray, w: np.ndarray, B: np.ndarray):
         self.lam = lam
-        self.sqw = sqw
+        self.w = w
+        self.sqw = np.sqrt(w)
         self.B = B
 
     def to_internal(self, state) -> np.ndarray:
@@ -263,17 +275,17 @@ class SkewMatrix:
 
 @dataclass(frozen=True)
 class ModelProblem:
-    """A built model: representation, inner product, constants, predictions.
+    """A built model: representation, constants, predictions.
 
     ``kind`` is the representation's ``"phase"`` (the inviscid flow has a
-    closed form on the grid) or ``"matrix"``; ``spectrum`` holds A's
-    eigenvalues in ascending order.
+    closed form on the grid) or ``"matrix"``. States are vectors in the
+    model's own coordinates; the working product, the H^s scale and the
+    low-frequency projection P_R act on them through ``op``.
     """
 
     name: str
     params: dict
     op: FourierPhase | RadialPhase | SkewMatrix
-    inner: InnerProduct
     c_B: float
     bound_B: float  # advection strength bound used by the time-step policy
     mixed_bound: float | None  # improved |Re<Bf, Af>| <= C ||f||_H ||f||_H1
@@ -283,26 +295,18 @@ class ModelProblem:
     basis: str = "eigen"
     grid: np.ndarray | None = None  # y- or r-grid where meaningful
     meta: dict = field(default_factory=dict)
-    spectrum: Spectrum = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spectrum", Spectrum(np.sort(self.op.lam)))
+        # a zero eigenvalue would make the dual norm infinite and signals a
+        # broken boundary or pole treatment upstream
+        if np.any(self.op.lam <= 0.0):
+            raise ValueError("dissipation eigenvalues must be strictly positive")
+        if np.any(np.asarray(self.op.w) <= 0.0):
+            raise ValueError("inner product is not positive definite")
 
     @property
     def kind(self) -> str:
         return self.op.kind
-
-    def sobolev(self, state, s: float) -> float:
-        """H^s norm of a state (s = 0: working norm, s = -1: mixing norm)."""
-        return hs_norm(np.abs(self.op.to_internal(state)) ** 2, self.op.lam, s)
-
-    def apply_B(self, state) -> np.ndarray:
-        """Advection operator acting on a state vector."""
-        op = self.op
-        return op.from_internal(op.apply_B(op.to_internal(state)))
-
-    def apply_A(self, state) -> np.ndarray:
-        return self.op.from_internal(self.op.lam * self.op.to_internal(state))
 
     @property
     def size(self) -> int:
@@ -310,7 +314,37 @@ class ModelProblem:
 
     @property
     def lam1(self) -> float:
-        return self.spectrum.lam_min
+        return float(self.op.lam.min())
+
+    def _internal(self, state) -> np.ndarray:
+        if np.shape(state) != (self.size,):
+            raise ValueError(f"state has shape {np.shape(state)}, model has "
+                             f"{self.size} coefficients")
+        return self.op.to_internal(state)
+
+    def inner(self, f, g) -> complex:
+        """Working product <f, g> = sum_j w_j f_j conj(g_j)."""
+        cf, cg = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        return complex(np.sum(self.op.w * cf * np.conj(cg)))
+
+    def sobolev(self, state, s: float) -> float:
+        """H^s norm of a state (s = 0: working norm, s = -1: mixing norm)."""
+        return hs_norm(np.abs(self._internal(state)) ** 2, self.op.lam, s)
+
+    def project_low(self, state, R: float) -> np.ndarray:
+        """P_R: keep the eigencomponents with eigenvalue <= R. Idempotent;
+        R below ``lam1`` gives zero. For s >= 0 it splits frequencies as
+        ``||P_R f||^2 <= R^s ||f||_{H^-s}^2`` and
+        ``R^s ||(I - P_R) f||^2 <= ||f||_{H^s}^2``."""
+        op = self.op
+        return op.from_internal(np.where(op.lam <= R, self._internal(state), 0))
+
+    def apply_B(self, state) -> np.ndarray:
+        """Advection operator acting on a state vector."""
+        return self.op.from_internal(self.op.apply_B(self._internal(state)))
+
+    def apply_A(self, state) -> np.ndarray:
+        return self.op.from_internal(self.op.lam * self._internal(state))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +403,6 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         name="shear",
         params=params,
         op=FourierPhase(lam, k * u),
-        inner=InnerProduct(np.ones(n)),
         c_B=max_du,
         bound_B=abs(k) * max_u,
         mixed_bound=None,
@@ -424,8 +457,7 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
     return ModelProblem(
         name="kolmogorov",
         params=params,
-        op=SkewMatrix(mu, np.sqrt(s), B),
-        inner=InnerProduct(s),
+        op=SkewMatrix(mu, s, B),
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,
@@ -472,7 +504,6 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
         raise ValueError("spiral model requires a nonzero angular wavenumber k")
     r, dr, diag, off = _disk_operator(N, k)
     lam, vecs = eigh_tridiagonal(diag, off)
-    w = r * dr
     p_alpha = 2.0 / max(alpha, 2.0)
     q_alpha = (4.0 - p_alpha) / (4.0 + p_alpha)
     mixed = 2.0 * alpha * abs(k)
@@ -480,8 +511,7 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
     return ModelProblem(
         name="spiral",
         params=params,
-        op=RadialPhase(lam, vecs, np.sqrt(w), k * r**alpha),
-        inner=InnerProduct(w),
+        op=RadialPhase(lam, vecs, r * dr, k * r**alpha),
         c_B=mixed / np.sqrt(lam[0]),
         bound_B=float(abs(k) * np.max(r**alpha)),
         mixed_bound=mixed,
@@ -547,7 +577,6 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
         name="kinetic",
         params=params,
         op=SkewMatrix(degrees, np.ones(D), 1j * K),
-        inner=InnerProduct(np.ones(D)),
         c_B=knorm,  # lam1 = 1, so the mixed bound doubles as the commutator bound
         bound_B=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
         mixed_bound=knorm,
@@ -749,8 +778,7 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     return {"t": times, "h": h, "h1": h1, "hm1": hm1}
 
 
-def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform",
-                         seed=None):
+def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase, so f(t) is evaluated in closed
@@ -759,7 +787,7 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform",
     the thousands cheap (O(N) per time).
 
     Parameters / returns as in `shear_mixing_series`; `datum` may be
-    "uniform", "single-mode-m1", or "gaussian-bump".
+    "uniform", "single-mode-m1", or "gaussian-bump" (no seeded datum).
     """
     r, dr, diag, off = _disk_operator(N, k)
     sqw = np.sqrt(r * dr)

@@ -167,6 +167,39 @@ def test_verify_bound_on_shear_sweep(tmp_path):
     assert group["c0"] > 0.0
 
 
+def test_verify_bound_on_random_spiral_datum(tmp_path):
+    # the seeded random datum has no banded disk series: its amplitude
+    # comes from an inviscid run of the sweep's own model
+    out = str(tmp_path / "sweep")
+    rc = cli.main(["ed-sweep", "--model", "spiral", "--datum", "random-h1",
+                   "--resolution", "16", "--nus", "1e-2,3e-2", "--out", out])
+    assert rc == 0
+    assert cli.main(["verify-bound", out]) == 0
+    report = _load_json(os.path.join(out, "bounds.json"))
+    assert report["groups"]["spiral_a1_k1"]["datum"] == "random-h1"
+    assert len(report["rows"]) == 2
+    assert all(row["passed"] for row in report["rows"])
+
+
+def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):
+    out = str(tmp_path / "sweep")
+    rc = cli.main(["ed-sweep", "--model", "shear", "--gamma", "1",
+                   "--resolution", "16", "--nus", "1e-3,3e-3", "--out", out])
+    assert rc == 0
+    rows = {r.key: r.meta["warnings"] for r in mx.load_sweep(out).rows}
+    assert all(rows.values())  # under-resolved: every row warns
+    lines = capsys.readouterr().out.splitlines()
+    for key, warnings in rows.items():
+        at = next(i for i, line in enumerate(lines) if line.startswith(key))
+        assert lines[at + 1:at + 1 + len(warnings)] == \
+            [f"  warning: {w}" for w in warnings]
+    assert cli.main(["report", out]) == 0
+    report = _load_json(os.path.join(out, "report.json"))
+    assert report["groups"]["shear_g1_k1"]["warnings"] == rows
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        assert fh.readline().strip().split(",") == sweep.CSV_COLUMNS
+
+
 def test_verify_bound_requires_sweep_config(tmp_path, capsys):
     d = _synthetic_sweep_dir(tmp_path)
     rc = cli.main(["verify-bound", str(d)])
@@ -297,7 +330,16 @@ def test_benchmark_tracing_contract(tmp_path, monkeypatch):
                      "--nu-min", "1e-3", "--nu-max", "1e-1", "--nu-count", "4",
                      "--out", out]) == 0
     assert cli.main(["report", out]) == 0
+    # every branch of the tracer's flop count: diffusion only (heat), FFT
+    # phase (shear), radial phase (spiral) and skew matrix (Kolmogorov)
+    for model in ("shear", "spiral", "kolmogorov"):
+        out = str(tmp_path / model)
+        assert cli.main(["ed-sweep", "--model", model, "--resolution", "16",
+                         "--nus", "1e-2,2e-2,5e-2,1e-1", "--out", out]) == 0
+        assert cli.main(["verify-bound", out]) == 0
     names = {s["name"] for s in tracer.spans}
     evolves = [s for s in tracer.spans if s["name"] == "evolution.evolve"]
     assert evolves and all(s["steps"] > 0 for s in evolves)
-    assert "evolution.propagator_setup" in names
+    assert all(s["flop"] > 0 for s in evolves)
+    assert {"evolution.propagator_setup", "models.series",
+            "diagnostics.bound"} <= names

@@ -15,7 +15,7 @@ def _random_state(prob, rng, smooth=True):
 
 
 def _re_inner(prob, x, y):
-    return float(np.real(prob.inner.inner(x, y)))
+    return float(np.real(prob.inner(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_families_build_from_k_alone():
 def test_kolmogorov_weights_and_constants():
     prob = mx.build_model("kolmogorov", L=2.0, k=1, M=16)
     modes = prob.meta["modes"]
-    s = prob.inner.weights
+    s = prob.op.w
     m0 = int(np.where(modes == 0.0)[0][0])
     assert s[m0] == pytest.approx(0.75, abs=1e-15)  # 1 - 1/(L^2 k^2)
     assert prob.c_B == pytest.approx(1.0, abs=1e-14)
@@ -126,12 +126,12 @@ def test_spiral_operator_is_selfadjoint_positive():
     for _ in range(50):
         f = _random_state(prob, rng, smooth=False)
         g = _random_state(prob, rng, smooth=False)
-        lhs = prob.inner.inner(prob.apply_A(f), g)
-        rhs = prob.inner.inner(f, prob.apply_A(g))
-        scale = prob.inner.norm(prob.apply_A(f)) * prob.inner.norm(g)
+        lhs = prob.inner(prob.apply_A(f), g)
+        rhs = prob.inner(f, prob.apply_A(g))
+        scale = prob.sobolev(prob.apply_A(f), 0.0) * prob.sobolev(g, 0.0)
         assert abs(lhs - rhs) <= 1e-12 * scale
     assert prob.lam1 > 0.0
-    assert np.all(np.diff(prob.spectrum.eigenvalues) >= 0.0)
+    assert np.all(np.diff(prob.op.lam) >= 0.0)
 
 
 def test_spiral_lowest_eigenvalue_converges_to_bessel():
@@ -180,6 +180,34 @@ def test_predicted_rates_with_amplitude():
 # ---------------------------------------------------------------------------
 # operator inequalities on random fields
 
+def test_working_product_matches_stated_weights():
+    """<f, g> = sum_j w_j f_j conj(g_j), with w written down from each
+    model's definition rather than read off the model."""
+    N, M, L = 24, 12, 2.0
+    r = (np.arange(1, N + 1) - 0.5) / N
+    m = np.arange(-M, M, dtype=float)
+    weights = {
+        "shear": np.ones(2 * M),
+        "heat": np.ones(2 * M),
+        "kolmogorov": 1.0 - 1.0 / (L**2 + m**2),  # k = 1, sorted modes
+        "spiral": r / N,  # r_j dr
+        "kinetic": np.ones(N),
+    }
+    assert weights.keys() == mx.models.FAMILIES.keys()
+    rng = np.random.default_rng(29)
+    for family, w in weights.items():
+        res = N if family in ("spiral", "kinetic") else M
+        prob = mx.build_model(family, **mx.models.model_params(
+            family, {"k": 1, "L": L, "resolution": res}))
+        assert prob.size == w.size
+        for _ in range(20):
+            f = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+            g = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+            oracle = np.sum(w * f * np.conj(g))
+            scale = np.sum(w * np.abs(f) * np.abs(g))
+            assert abs(prob.inner(f, g) - oracle) <= 1e-14 * scale
+
+
 def test_advection_is_skew_adjoint_every_model():
     rng = np.random.default_rng(17)
     probs = [
@@ -192,7 +220,7 @@ def test_advection_is_skew_adjoint_every_model():
         for _ in range(200):
             c = _random_state(prob, rng, smooth=False)
             bc = prob.apply_B(c)
-            scale = prob.inner.norm(bc) * prob.inner.norm(c)
+            scale = prob.sobolev(bc, 0.0) * prob.sobolev(c, 0.0)
             assert abs(_re_inner(prob, bc, c)) <= 1e-12 * scale
 
 

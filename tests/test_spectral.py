@@ -1,92 +1,97 @@
-"""Tests for the shared spectral frame: norms, projections, multipliers."""
+"""Tests for the spectral frame: H^s norms, the working product, P_R,
+and the fractional multiplier."""
 
 import numpy as np
 import pytest
 
-from mixlab import (
-    InnerProduct,
-    Spectrum,
-    fractional_symbol,
-    project_low,
-    sobolev_norm,
-)
+import mixlab as mx
+from mixlab import fractional_symbol
+from mixlab.models import FourierPhase, SkewMatrix
+from mixlab.spectral import hs_norm
+
+
+def _problem(op):
+    return mx.ModelProblem(name="test", params={}, op=op, c_B=0.0,
+                           bound_B=0.0, mixed_bound=None, p=None, q=None)
 
 
 def test_spectrum_validation():
-    Spectrum(np.array([1.0, 2.0, 2.0, 5.0]))  # ties allowed
-    with pytest.raises(ValueError):
-        Spectrum(np.array([]))
-    with pytest.raises(ValueError):
-        Spectrum(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        Spectrum(np.array([-1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Spectrum(np.array([2.0, 1.0]))
+    """ModelProblem rejects a zero or negative eigenvalue; ties and any
+    order are allowed."""
+    _problem(FourierPhase(np.array([2.0, 1.0, 2.0, 5.0]), np.zeros(4)))
+    for lam in ([0.0, 1.0], [-1.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            _problem(FourierPhase(np.array(lam), np.zeros(2)))
 
 
 def test_spectrum_extremes():
-    sp = Spectrum(np.array([0.5, 3.0, 9.0]))
-    assert sp.size == 3
-    assert sp.lam_min == 0.5
-    assert sp.lam_max == 9.0
+    # the heat model's Fourier order is unsorted: lam = 1 + m^2 for
+    # m = 0, 1, -2, -1
+    heat = mx.build_model("heat", M=2)
+    assert np.array_equal(heat.op.lam, [1.0, 2.0, 5.0, 2.0])
+    assert heat.size == 4
+    assert heat.lam1 == 1.0
 
 
 def test_sobolev_norm_examples():
-    sp = Spectrum(np.array([1.0, 2.0, 4.0]))
+    lam = np.array([1.0, 2.0, 4.0])
     f = np.array([1.0, 1.0, 0.0], dtype=complex)
-    assert sobolev_norm(f, sp, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert sobolev_norm(f, sp, 1.0) == pytest.approx(np.sqrt(3.0), rel=1e-15)
-    assert sobolev_norm(f, sp, -1.0) == pytest.approx(np.sqrt(1.5), rel=1e-15)
-    g = np.array([0.0, 0.0, 2.0], dtype=complex)
-    assert sobolev_norm(g, sp, 2.0) == pytest.approx(8.0, rel=1e-15)
-    assert sobolev_norm(g, sp, -1.0) == pytest.approx(1.0, rel=1e-15)
+    a2 = np.abs(f) ** 2
+    assert hs_norm(a2, lam, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert hs_norm(a2, lam, 1.0) == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert hs_norm(a2, lam, -1.0) == pytest.approx(np.sqrt(1.5), rel=1e-15)
+    g2 = np.abs(np.array([0.0, 0.0, 2.0], dtype=complex)) ** 2
+    assert hs_norm(g2, lam, 2.0) == pytest.approx(8.0, rel=1e-15)
+    assert hs_norm(g2, lam, -1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sobolev_norm_checks_size():
-    sp = Spectrum(np.array([1.0, 4.0]))
+    heat = mx.build_model("heat", M=1)  # lam = 1, 2 on modes m = 0, -1
     f = np.array([3.0, 0.0])
-    assert sobolev_norm(f, sp, -1.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        sobolev_norm(np.ones(3, dtype=complex), sp, 0.0)
+    assert heat.sobolev(f, -1.0) == pytest.approx(3.0)
+    for s in (0.0, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            heat.sobolev(np.ones(3, dtype=complex), s)
 
 
 def test_sobolev_norm_interpolates_monotonically():
     # lam >= 1 everywhere, so ||f||_{H^s} grows with s
     rng = np.random.default_rng(1)
-    sp = Spectrum(np.sort(1.0 + 10.0 * rng.random(32)))
+    lam = np.sort(1.0 + 10.0 * rng.random(32))
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    norms = [sobolev_norm(f, sp, s) for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    norms = [hs_norm(np.abs(f) ** 2, lam, s)
+             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b * (1 + 1e-14) for a, b in zip(norms, norms[1:]))
 
 
 def test_project_low_basics():
-    sp = Spectrum(np.array([1.0, 2.0, 4.0, 8.0]))
+    heat = mx.build_model("heat", M=2)  # lam = 1, 2, 5, 2
     f = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-    pf = project_low(f, sp, 2.0)
-    assert np.array_equal(pf, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+    pf = heat.project_low(f, 2.0)
+    assert np.array_equal(pf, np.array([1.0, 1.0, 0.0, 1.0], dtype=complex))
     # idempotent and monotone in R
-    assert np.array_equal(project_low(pf, sp, 2.0), pf)
-    assert np.array_equal(project_low(f, sp, 0.5), np.zeros(4, dtype=complex))
-    assert np.array_equal(project_low(f, sp, 8.0), f)
+    assert np.array_equal(heat.project_low(pf, 2.0), pf)
+    assert np.array_equal(heat.project_low(f, 0.5), np.zeros(4, dtype=complex))
+    assert np.array_equal(heat.project_low(f, 5.0), f)
 
 
 def test_projection_splitting_inequalities():
     """Low-pass trades regularity for a power of the cutoff, high-pass the
-    reverse; checked on random fields at several cutoffs and orders."""
+    reverse; checked on random states at several cutoffs and orders."""
     rng = np.random.default_rng(7)
-    sp = Spectrum(np.sort(0.5 + 50.0 * rng.random(64)))
-    lam = sp.eigenvalues
-    cuts = [sp.lam_min, float(np.median(lam)), sp.lam_max]
+    heat = mx.build_model("heat", M=32)
+    lam = heat.op.lam
+    cuts = [heat.lam1, float(np.median(lam)), float(lam.max())]
     for _ in range(200):
         f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         for s in (0.5, 1.0, 2.0):
             for R in cuts:
-                pf = project_low(f, sp, R)
+                pf = heat.project_low(f, R)
                 hi = f - pf
-                low = sobolev_norm(pf, sp, 0.0) ** 2
-                assert low <= R**s * sobolev_norm(f, sp, -s) ** 2 * (1 + 1e-12)
-                assert R**s * sobolev_norm(hi, sp, 0.0) ** 2 <= \
-                    sobolev_norm(f, sp, s) ** 2 * (1 + 1e-12)
+                low = heat.sobolev(pf, 0.0) ** 2
+                assert low <= R**s * heat.sobolev(f, -s) ** 2 * (1 + 1e-12)
+                assert R**s * heat.sobolev(hi, 0.0) ** 2 <= \
+                    heat.sobolev(f, s) ** 2 * (1 + 1e-12)
 
 
 def test_fractional_symbol_values():
@@ -102,30 +107,33 @@ def test_fractional_symbol_values():
 
 
 def test_inner_product_weighted():
-    w = np.array([0.5, 1.5])
-    ip = InnerProduct(w)
+    """The working product carries the op's weights; ModelProblem rejects
+    a zero weight."""
+    lam = np.array([1.0, 2.0])
+    prob = _problem(SkewMatrix(lam, np.array([0.5, 1.5]), np.zeros((2, 2))))
     f = np.array([1.0 + 1j, 2.0])
     g = np.array([1.0, 1.0j])
-    val = ip.inner(f, g)
+    val = prob.inner(f, g)
     assert val == pytest.approx(0.5 * (1 + 1j) + 1.5 * 2.0 * (-1j))
-    assert ip.norm(f) == pytest.approx(np.sqrt(0.5 * 2 + 1.5 * 4))
+    assert prob.sobolev(f, 0.0) == pytest.approx(np.sqrt(0.5 * 2 + 1.5 * 4))
     with pytest.raises(ValueError):
-        InnerProduct(np.array([1.0, 0.0]))
+        _problem(SkewMatrix(lam, np.array([1.0, 0.0]), np.zeros((2, 2))))
 
 
 def test_dual_norm_variational_characterization():
     """The closed-form dual norm dominates every test pairing and is
     attained by the explicit maximizer."""
     rng = np.random.default_rng(11)
-    sp = Spectrum(np.sort(0.2 + 30.0 * rng.random(16)))
-    lam = sp.eigenvalues
+    lam = np.sort(0.2 + 30.0 * rng.random(16))
     for _ in range(20):
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        dual = sobolev_norm(f, sp, -1.0)
+        dual = hs_norm(np.abs(f) ** 2, lam, -1.0)
         for _ in range(300):
             eta = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             pairing = abs(np.sum(f * np.conj(eta)))
-            assert pairing <= dual * sobolev_norm(eta, sp, 1.0) * (1 + 1e-12)
+            assert pairing <= dual * hs_norm(np.abs(eta) ** 2, lam, 1.0) \
+                * (1 + 1e-12)
         eta_star = f / lam
-        attained = abs(np.sum(f * np.conj(eta_star))) / sobolev_norm(eta_star, sp, 1.0)
+        attained = abs(np.sum(f * np.conj(eta_star))) / \
+            hs_norm(np.abs(eta_star) ** 2, lam, 1.0)
         assert attained == pytest.approx(dual, rel=1e-12)
