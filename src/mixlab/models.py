@@ -297,8 +297,9 @@ class ModelProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a zero eigenvalue would make the dual norm infinite and signals a
-        # broken boundary or pole treatment upstream
+        if np.ndim(self.op.lam) != 1 or np.size(self.op.lam) == 0:
+            raise ValueError("dissipation eigenvalues must be a nonempty 1-d array")
+        # a zero eigenvalue makes the dual norm infinite: a broken boundary
         if np.any(self.op.lam <= 0.0):
             raise ValueError("dissipation eigenvalues must be strictly positive")
         if np.any(np.asarray(self.op.w) <= 0.0):
@@ -325,6 +326,8 @@ class ModelProblem:
     def inner(self, f, g) -> complex:
         """Working product <f, g> = sum_j w_j f_j conj(g_j)."""
         cf, cg = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        if not cf.shape == cg.shape == (self.size,):
+            raise ValueError(f"states {cf.shape}, {cg.shape}; model size {self.size}")
         return complex(np.sum(self.op.w * cf * np.conj(cg)))
 
     def sobolev(self, state, s: float) -> float:

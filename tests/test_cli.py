@@ -167,20 +167,6 @@ def test_verify_bound_on_shear_sweep(tmp_path):
     assert group["c0"] > 0.0
 
 
-def test_verify_bound_on_random_spiral_datum(tmp_path):
-    # the seeded random datum has no banded disk series: its amplitude
-    # comes from an inviscid run of the sweep's own model
-    out = str(tmp_path / "sweep")
-    rc = cli.main(["ed-sweep", "--model", "spiral", "--datum", "random-h1",
-                   "--resolution", "16", "--nus", "1e-2,3e-2", "--out", out])
-    assert rc == 0
-    assert cli.main(["verify-bound", out]) == 0
-    report = _load_json(os.path.join(out, "bounds.json"))
-    assert report["groups"]["spiral_a1_k1"]["datum"] == "random-h1"
-    assert len(report["rows"]) == 2
-    assert all(row["passed"] for row in report["rows"])
-
-
 def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = cli.main(["ed-sweep", "--model", "shear", "--gamma", "1",
@@ -331,12 +317,19 @@ def test_benchmark_tracing_contract(tmp_path, monkeypatch):
                      "--out", out]) == 0
     assert cli.main(["report", out]) == 0
     # every branch of the tracer's flop count: diffusion only (heat), FFT
-    # phase (shear), radial phase (spiral) and skew matrix (Kolmogorov)
-    for model in ("shear", "spiral", "kolmogorov"):
+    # phase (shear), radial phase (spiral, viscous and, for the amplitude
+    # of the seeded random datum, inviscid) and skew matrix (Kolmogorov)
+    for model, datum in (("shear", "single-mode-m1"), ("spiral", "random-h1"),
+                         ("kolmogorov", "single-mode-m1")):
         out = str(tmp_path / model)
-        assert cli.main(["ed-sweep", "--model", model, "--resolution", "16",
-                         "--nus", "1e-2,2e-2,5e-2,1e-1", "--out", out]) == 0
+        assert cli.main(["ed-sweep", "--model", model, "--datum", datum,
+                         "--resolution", "16", "--nus", "1e-2,2e-2,5e-2,1e-1",
+                         "--out", out]) == 0
         assert cli.main(["verify-bound", out]) == 0
+        bounds = _load_json(os.path.join(out, "bounds.json"))
+        assert [g["datum"] for g in bounds["groups"].values()] == [datum]
+        assert len(bounds["rows"]) == 4
+        assert all(row["passed"] for row in bounds["rows"])
     names = {s["name"] for s in tracer.spans}
     evolves = [s for s in tracer.spans if s["name"] == "evolution.evolve"]
     assert evolves and all(s["steps"] > 0 for s in evolves)

@@ -16,9 +16,13 @@ def _problem(op):
 
 
 def test_spectrum_validation():
-    """ModelProblem rejects a zero or negative eigenvalue; ties and any
-    order are allowed."""
+    """ModelProblem rejects an empty or non-1-d eigenvalue list and a zero
+    or negative eigenvalue; ties and any order are allowed."""
     _problem(FourierPhase(np.array([2.0, 1.0, 2.0, 5.0]), np.zeros(4)))
+    with pytest.raises(ValueError):
+        _problem(FourierPhase(np.array([]), np.zeros(0)))
+    with pytest.raises(ValueError):
+        _problem(FourierPhase(np.ones((2, 2)), np.zeros((2, 2))))
     for lam in ([0.0, 1.0], [-1.0, 1.0], [1.0, 0.0]):
         with pytest.raises(ValueError):
             _problem(FourierPhase(np.array(lam), np.zeros(2)))
@@ -118,6 +122,17 @@ def test_inner_product_weighted():
     assert prob.sobolev(f, 0.0) == pytest.approx(np.sqrt(0.5 * 2 + 1.5 * 4))
     with pytest.raises(ValueError):
         _problem(SkewMatrix(lam, np.array([1.0, 0.0]), np.zeros((2, 2))))
+
+
+def test_inner_checks_size():
+    # the flat Fourier product has the scalar weight w = 1, so only the
+    # shape check stops states of the wrong length
+    heat = mx.build_model("heat", M=2)
+    f = np.ones(4, dtype=complex)
+    assert heat.inner(f, f) == pytest.approx(4.0)
+    for a, b in ((np.ones(3), f), (f, np.ones(5)), (np.ones(3), np.ones(3))):
+        with pytest.raises(ValueError):
+            heat.inner(a, b)
 
 
 def test_dual_norm_variational_characterization():
