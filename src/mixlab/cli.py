@@ -81,14 +81,14 @@ def _cmd_mix_rate(args) -> int:
     times = np.concatenate([[0.0], np.geomspace(min(0.1, args.t_min),
                                                 args.t_max, args.points)])
     if args.model == "shear":
-        res = args.resolution or 2048
+        res = 2048 if args.resolution is None else args.resolution
         datum = args.datum or "single-mode-m1"
         series = shear_mixing_series(times, profile=args.profile,
                                      gamma=args.gamma, k=args.k, M=res,
                                      datum=datum, seed=args.seed)
         probe_res = 8
     else:
-        res = args.resolution or 8192
+        res = 8192 if args.resolution is None else args.resolution
         datum = args.datum or "uniform"
         series = spiral_mixing_series(times, alpha=args.alpha, k=args.k,
                                       N=res, datum=datum)
@@ -370,8 +370,6 @@ def _build_parser() -> _Parser:
                                  "for model advection-diffusion flows.")
     common = _Parser(add_help=False)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--workers", type=int, default=1,
-                        help="process pool size for sweeps")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for random initial data")
     common.add_argument("--resolution", type=int, default=None,
@@ -417,6 +415,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=float(math.exp(-1.0)))
     p.add_argument("--stop-ratio", type=float, default=1e-3)
     p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="process pool size for the sweep rows")
     p.set_defaults(func=_cmd_ed_sweep)
 
     p = sub.add_parser("verify-bound", parents=[common],

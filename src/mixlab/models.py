@@ -56,7 +56,8 @@ from itertools import product as _iproduct
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .spectral import fractional_symbol, hs_norm
 
@@ -365,6 +366,8 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
     model's own dual scale is p = gamma / (2 (n0 + 1)) and the
     enhanced-dissipation prediction is q = 2 / (2 + p).
     """
+    if M < 1:
+        raise ValueError(f"shear resolution M must be >= 1, got {M}")
     if k == 0:
         raise ValueError("shear model requires a nonzero x-wavenumber k")
     if not 0.0 < gamma <= 2.0:
@@ -432,6 +435,8 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
     truncation (the dropped couplings are the boundary pair); after
     symmetrization it is a real antisymmetric tridiagonal matrix.
     """
+    if M < 1:
+        raise ValueError(f"kolmogorov resolution M must be >= 1, got {M}")
     if L < 1.0:
         raise ValueError(f"aspect ratio L must be >= 1, got {L}")
     if k == 0:
@@ -478,8 +483,12 @@ def _disk_operator(N: int, k: int):
     Conservative flux form with a zero flux through both the pole face
     (automatic: the r = 0 face has zero measure) and the outer boundary,
     which makes the matrix exactly self-adjoint in the midpoint quadrature
-    and strictly positive for k != 0.
+    and strictly positive for k != 0, the only k it accepts.
     """
+    if N < 1:
+        raise ValueError(f"disk resolution N must be >= 1, got {N}")
+    if k == 0:
+        raise ValueError("spiral model requires a nonzero angular wavenumber k")
     dr = 1.0 / N
     r = (np.arange(1, N + 1) - 0.5) * dr
     re = np.arange(1, N) * dr  # interior cell edges r_{j+1/2}
@@ -503,8 +512,6 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
     """
     if alpha < 1.0:
         raise ValueError(f"swirl exponent alpha must be >= 1, got {alpha}")
-    if k == 0:
-        raise ValueError("spiral model requires a nonzero angular wavenumber k")
     r, dr, diag, off = _disk_operator(N, k)
     lam, vecs = eigh_tridiagonal(diag, off)
     p_alpha = 2.0 / max(alpha, 2.0)
@@ -740,6 +747,21 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
     return state / h1
 
 
+def _phase_series(vals0, rate, times, norms):
+    """``norms(g) = (h, h1, hm1)`` of g(t) = vals0 exp(-i rate t) at ``times``.
+    The phase goes as cos and sin into one reused buffer (the bits of the
+    complex ``exp``, without its temporaries) and times the datum in place."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((3, times.size))
+    g = np.empty(rate.shape, dtype=complex)
+    for i, t in enumerate(times):
+        np.cos(np.multiply(rate, -t, out=g.imag), out=g.real)
+        np.sin(g.imag, out=g.imag)
+        g *= vals0
+        out[:, i] = norms(g)
+    return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2]}
+
+
 def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
                         datum="single-mode-m1", seed=None):
     """Exact inviscid norm history for a shear flow, evaluated pointwise.
@@ -747,8 +769,9 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) on the
     2M-point grid of :func:`build_shear` and returns the norms at the
     requested times without time stepping, so `times` may be log-spaced
-    over several decades. The datum's grid values are formed once, so each
-    time costs one FFT; memory stays O(M).
+    over several decades. The datum's grid values, with the FFT's 1/2M
+    folded in, are formed once, so each time costs one phase and one
+    unnormalized FFT in reused buffers; memory stays O(M).
 
     Parameters
     ----------
@@ -767,27 +790,24 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     """
     problem = build_shear(profile=profile, gamma=gamma, k=k, M=M)
     op = problem.op
-    vals0 = np.fft.ifft(initial_datum(problem, datum, seed), norm="forward")
-    times = np.asarray(times, dtype=float)
-    h = np.empty_like(times)
-    h1 = np.empty_like(times)
-    hm1 = np.empty_like(times)
-    for i, t in enumerate(times):
-        ct = np.fft.fft(vals0 * np.exp(-1j * op.rate * t), norm="forward")
-        mag2 = np.abs(ct) ** 2
-        h[i] = hs_norm(mag2, op.lam, 0.0)
-        h1[i] = hs_norm(mag2, op.lam, 1.0)
-        hm1[i] = hs_norm(mag2, op.lam, -1.0)
-    return {"t": times, "h": h, "h1": h1, "hm1": hm1}
+    ct = np.empty(problem.size, dtype=complex)
+    a2 = np.empty(problem.size)
+
+    def norms(g):
+        np.square(np.abs(np.fft.fft(g, out=ct), out=a2), out=a2)
+        return [hs_norm(a2, op.lam, s) for s in (0.0, 1.0, -1.0)]
+
+    return _phase_series(np.fft.ifft(initial_datum(problem, datum, seed)),
+                         op.rate, times, norms)
 
 
 def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase, so f(t) is evaluated in closed
-    form; the dual norm comes from a banded solve with the radial operator
-    in flat coordinates rather than its eigendecomposition, which keeps N in
-    the thousands cheap (O(N) per time).
+    form; the dual norm comes from the radial operator in flat coordinates,
+    factored once as A = L D L^T rather than diagonalized, so each time
+    costs O(N): a phase, a tridiagonal product and a two-column solve.
 
     Parameters / returns as in `shear_mixing_series`; `datum` may be
     "uniform", "single-mode-m1", or "gaussian-bump" (no seeded datum).
@@ -804,18 +824,13 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
         return out
 
     g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
-    ab = np.zeros((2, N))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    rate = k * r**alpha
-    times = np.asarray(times, dtype=float)
-    h = np.empty_like(times)
-    h1 = np.empty_like(times)
-    hm1 = np.empty_like(times)
-    for i, t in enumerate(times):
-        gt = g0 * np.exp(-1j * rate * t)
-        h[i] = np.linalg.norm(gt)
-        h1[i] = np.sqrt(np.real(np.vdot(gt, a_apply(gt))))
-        x = solveh_banded(ab, gt)
-        hm1[i] = np.sqrt(np.real(np.vdot(gt, x)))
-    return {"t": times, "h": h, "h1": h1, "hm1": hm1}
+    d, e, info = dpttrf(diag, off)
+    if info != 0:
+        raise ValueError(f"disk operator is not positive definite (info={info})")
+
+    def norms(g):
+        G = g.view(float).reshape(N, 2)  # real and imaginary columns
+        return (np.linalg.norm(g), np.sqrt(np.real(np.vdot(g, a_apply(g)))),
+                np.sqrt(np.vdot(G, dpttrs(d, e, G)[0])))
+
+    return _phase_series(g0, k * r**alpha, times, norms)

@@ -67,6 +67,8 @@ class SweepConfig:
         for nu in self.nus:
             if not 0.0 < nu < 1.0:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
+        if self.resolution is not None and self.resolution < 1:
+            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.theta < 1.0:

@@ -28,6 +28,10 @@ def test_usage_errors_exit_code_1():
         cli.main(["simulate", "--model", "heat", "--nu", "abc",
                   "--t-end", "1"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # only ed-sweep runs a pool
+        cli.main(["simulate", "--model", "heat", "--nu", "0.1",
+                  "--t-end", "1", "--workers", "2"])
+    assert exc.value.code == 1
 
 
 def test_simulate_heat_writes_trace(tmp_path):
@@ -278,12 +282,28 @@ def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "shear", "--nu", "1e-3", "--t-end", "1"],
+    ["simulate", "--model", "spiral", "--nu", "1e-3", "--t-end", "1"],
+    ["simulate", "--model", "kolmogorov", "--nu", "1e-3", "--t-end", "1"],
+    ["mix-rate", "--model", "shear"],
+])
+def test_nonpositive_resolution_exit_code_1(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--resolution", "0", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be >= 1, got 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--theta", "1.5"),
     ("--theta", "0"),
     ("--stop-ratio", "1.5"),
     ("--stop-ratio", "-1"),
     ("--t-end-factor", "0"),
+    ("--resolution", "0"),
 ])
 def test_bad_sweep_controls_exit_code_1(tmp_path, capsys, flag, value):
     out = tmp_path / "s"

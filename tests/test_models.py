@@ -98,6 +98,19 @@ def test_families_build_from_k_alone():
         mx.build_model("spiral", k=1, M=8)  # the spiral resolution is N
 
 
+def test_builders_refuse_nonpositive_resolution():
+    from mixlab.models import FAMILIES, model_params
+    for family in FAMILIES:
+        for res in (0, -1):
+            with pytest.raises(ValueError, match=">= "):
+                mx.build_model(family, **model_params(
+                    family, {"k": 1, "resolution": res}))
+    with pytest.raises(ValueError, match="resolution M"):
+        mx.shear_mixing_series([1.0], M=0)
+    with pytest.raises(ValueError, match="resolution N"):
+        mx.spiral_mixing_series([1.0], N=0)
+
+
 # ---------------------------------------------------------------------------
 # model-specific structure
 
@@ -333,13 +346,16 @@ def test_single_mode_datum_sits_on_lowest_nontrivial_mode():
 
 def test_shear_mixing_series_matches_model_norms():
     times = np.array([0.0, 1.0, 5.0, 20.0])
-    for datum, gamma, seed in [("single-mode-m1", 2.0, None),
-                               ("gaussian-bump", 2.0, None),
-                               ("random-h1", 2.0, 7),
-                               ("single-mode-m1", 1.0, None)]:
-        ser = mx.shear_mixing_series(times, profile="sin", gamma=gamma, k=1,
-                                     M=64, datum=datum, seed=seed)
-        prob = mx.build_model("shear", profile="sin", gamma=gamma, k=1, M=64)
+    for datum, gamma, seed, profile, k in [
+            ("single-mode-m1", 2.0, None, "sin", 1),
+            ("gaussian-bump", 2.0, None, "sin", 1),
+            ("random-h1", 2.0, 7, "sin", 1),
+            ("single-mode-m1", 1.0, None, "sin", 1),
+            ("gaussian-bump", 2.0, None, "sin2", 3)]:
+        ser = mx.shear_mixing_series(times, profile=profile, gamma=gamma,
+                                     k=k, M=64, datum=datum, seed=seed)
+        prob = mx.build_model("shear", profile=profile, gamma=gamma, k=k,
+                              M=64)
         f0 = mx.initial_datum(prob, datum, seed=seed)
         for i, t in enumerate(times):
             out = mx.exact_inviscid(prob, f0, t)
@@ -352,12 +368,18 @@ def test_shear_mixing_series_matches_model_norms():
 
 def test_spiral_mixing_series_matches_model_norms():
     times = np.array([0.0, 2.0, 10.0])
-    ser = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=64,
-                                  datum="single-mode-m1")
-    prob = mx.build_model("spiral", alpha=1.0, k=1, N=64)
-    f0 = mx.initial_datum(prob, "single-mode-m1")
-    for i, t in enumerate(times):
-        out = mx.exact_inviscid(prob, f0, t)
-        assert ser["hm1"][i] == pytest.approx(prob.sobolev(out, -1.0), rel=1e-10)
+    for alpha in (1.0, 4.0):
+        prob = mx.build_model("spiral", alpha=alpha, k=1, N=64)
+        for datum in ("uniform", "single-mode-m1", "gaussian-bump"):
+            ser = mx.spiral_mixing_series(times, alpha=alpha, k=1, N=64,
+                                          datum=datum)
+            f0 = mx.initial_datum(prob, datum)
+            for i, t in enumerate(times):
+                out = mx.exact_inviscid(prob, f0, t)
+                for key, s in (("h", 0.0), ("h1", 1.0), ("hm1", -1.0)):
+                    assert ser[key][i] == pytest.approx(
+                        prob.sobolev(out, s), rel=1e-10)
     with pytest.raises(ValueError):
         mx.spiral_mixing_series(times, datum="no-such-datum")
+    with pytest.raises(ValueError, match="nonzero angular wavenumber"):
+        mx.spiral_mixing_series(times, k=0, N=512)
