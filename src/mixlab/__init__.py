@@ -25,6 +25,7 @@ from .diagnostics import (
     tau_threshold,
     theorem_bound_check,
     theorem_bound_check_exp,
+    timescale_pairs,
 )
 from .evolution import (
     DecayTrace,
@@ -61,5 +62,5 @@ __all__ = [
     "predicted_rates", "q_from_p", "q_s_exponent", "read_trace",
     "run_sweep", "shear_mixing_series", "spiral_mixing_series",
     "step_viscous", "tau_threshold", "theorem_bound_check",
-    "theorem_bound_check_exp", "write_trace",
+    "theorem_bound_check_exp", "timescale_pairs", "write_trace",
 ]

@@ -9,7 +9,6 @@ does not hold).
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -17,8 +16,8 @@ from dataclasses import asdict
 import numpy as np
 
 from ._svg import line_plot_svg
-from .diagnostics import ed_exponent, fit_mixing_amplitude, fit_power_law, \
-    theorem_bound_check, timescale_pairs
+from .diagnostics import THETA_DEFAULT, ed_exponent, fit_mixing_amplitude, \
+    fit_power_law, theorem_bound_check, timescale_pairs
 from .evolution import EvolutionError, evolve, read_trace, write_trace
 from .models import FAMILIES, build_model, initial_datum, model_params, \
     predicted_rates, shear_mixing_series, spiral_mixing_series
@@ -219,7 +218,7 @@ def _amplitude_series(cfg, problem, t_max):
         return shear_mixing_series(
             times, profile=par["profile"], gamma=par["gamma"], k=par["k"],
             M=max(2048, par["M"]), datum=cfg.datum, seed=cfg.seed)
-    if problem.name == "spiral" and cfg.datum != "random-h1":
+    if problem.name == "spiral" and cfg.datum in problem.data:
         return spiral_mixing_series(
             times, alpha=par["alpha"], k=par["k"], N=max(2048, par["N"]),
             datum=cfg.datum)
@@ -368,8 +367,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mixlab",
                      description="Mixing and enhanced-dissipation laboratory "
                                  "for model advection-diffusion flows.")
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=None, help="output directory")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    common = _Parser(add_help=False, parents=[out])
     common.add_argument("--seed", type=int, default=0,
                         help="seed for random initial data")
     common.add_argument("--resolution", type=int, default=None,
@@ -412,14 +412,14 @@ def _build_parser() -> _Parser:
                    help="comma-separated wavenumbers (overrides --k)")
     p.add_argument("--datum", default="single-mode-m1")
     p.add_argument("--t-end-factor", type=float, default=20.0)
-    p.add_argument("--theta", type=float, default=float(math.exp(-1.0)))
+    p.add_argument("--theta", type=float, default=THETA_DEFAULT)
     p.add_argument("--stop-ratio", type=float, default=1e-3)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the sweep rows")
     p.set_defaults(func=_cmd_ed_sweep)
 
-    p = sub.add_parser("verify-bound", parents=[common],
+    p = sub.add_parser("verify-bound",
                        help="check the explicit decay bound on every "
                             "completed sweep row")
     p.add_argument("sweep_dir")
@@ -429,7 +429,7 @@ def _build_parser() -> _Parser:
                         "mixing amplitude")
     p.set_defaults(func=_cmd_verify_bound)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[out],
                        help="fit exponents from a sweep directory and render "
                             "SVG plots")
     p.add_argument("sweep_dir")

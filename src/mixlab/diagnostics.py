@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 THETA_DEFAULT = float(np.exp(-1.0))
+#: e-folds above its final value over which a trace's tail rate is fitted
+TAIL_EFOLDS = 3.0
 
 
 @dataclass(frozen=True)
@@ -124,24 +126,19 @@ def fit_power_law(times, values, window=None) -> RateFit:
                    int(t.size))
 
 
-def fit_decay_rate(times, values, efolds: float = 3.0,
-                   window=None) -> ExpRateFit:
+def fit_decay_rate(times, values) -> ExpRateFit:
     """Fit the asymptotic exponential decay rate of a positive signal.
 
     Least squares on (t, log value) over the tail where the signal sits
-    within ``efolds`` e-folds of its final value (or over an explicit
-    ``window = (t_min, t_max)``). Returns the decay rate (positive for a
-    decaying signal).
+    within ``TAIL_EFOLDS`` e-folds of its final value. Returns the decay
+    rate (positive for a decaying signal).
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if np.any(v <= 0.0):
         raise ValueError("rate fit requires strictly positive values")
     lv = np.log(v)
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-    else:
-        mask = lv <= lv[-1] + efolds
+    mask = lv <= lv[-1] + TAIL_EFOLDS
     if mask.sum() < 4:
         raise ValueError(
             f"rate fit needs >= 4 samples in its window, got {int(mask.sum())}"
@@ -183,6 +180,9 @@ def timescale_pairs(rows, timescale: str = "crossing"):
     """``(nus, taus)`` arrays of the completed sweep rows that carry the
     ``"crossing"`` (``tau``) or ``"rate"`` (``tau_rate``) time-scale,
     sorted by viscosity; empty when no row does."""
+    if timescale not in _TIMESCALE_ATTR:
+        raise ValueError(f"unknown timescale {timescale!r}; choose from "
+                         f"{sorted(_TIMESCALE_ATTR)}")
     attr = _TIMESCALE_ATTR[timescale]
     pairs = sorted((r.nu, getattr(r, attr)) for r in rows
                    if r.status == "ok" and getattr(r, attr))
@@ -190,29 +190,15 @@ def timescale_pairs(rows, timescale: str = "crossing"):
     return nus, taus
 
 
-def ed_exponent(sweep, timescale: str = "crossing") -> RateFit:
+def ed_exponent(pairs) -> RateFit:
     """Enhanced-dissipation exponent from a viscosity sweep.
 
-    Fits log tau against log nu over the completed rows and reports
-    q_meas = -slope. Requires at least 4 viscosities spanning two or more
-    decades. ``timescale`` selects which measured time-scale is fitted:
-    ``"crossing"`` (the threshold time in the ``tau`` column) or ``"rate"``
-    (the e-folding time of the fitted asymptotic decay rate).
-
-    Accepts a SweepResult or a bare ``(nus, taus)`` pair.
+    Fits log tau against log nu over the ``(nus, taus)`` pair — one row
+    group's, as :func:`timescale_pairs` takes it from the rows — and
+    reports q_meas = -slope. Requires at least 4 viscosities spanning two
+    or more decades.
     """
-    if timescale not in _TIMESCALE_ATTR:
-        raise ValueError(f"unknown timescale {timescale!r}")
-    if isinstance(sweep, tuple):
-        nus, taus = (np.asarray(x, dtype=float) for x in sweep)
-    else:
-        keys = {(r.model, r.alpha, r.gamma, r.k)
-                for r in sweep.rows if r.status == "ok"}
-        if len(keys) > 1:
-            raise ValueError(
-                "sweep mixes several model/parameter groups; fit them separately"
-            )
-        nus, taus = timescale_pairs(sweep.rows, timescale)
+    nus, taus = (np.asarray(x, dtype=float) for x in pairs)
     if nus.size < 4:
         raise ValueError(f"need >= 4 viscosities, got {nus.size}")
     if nus.max() / nus.min() < 99.999:

@@ -30,7 +30,10 @@ costs nothing to set up.
 Each family is declared once, in :data:`FAMILIES`: its builder, which
 takes the model parameters as keywords with defaults, and the map from
 command-line and sweep flags to those keywords. :func:`build_model`,
-:func:`model_params` and the CLI's ``--model`` choices all read it.
+:func:`model_params` and the CLI's ``--model`` choices all read it. The
+builder also declares the family's named initial data, written in its own
+coordinates (``problem.data``); :func:`initial_datum` looks them up and
+adds the seeded ``"random-h1"`` every family shares.
 
 State conventions
 -----------------
@@ -136,11 +139,9 @@ def load_profile_csv(path) -> tuple[Callable, Callable, None]:
     return u, uprime, None
 
 
-def resolve_profile(profile) -> tuple[Callable, Callable | None, int | None]:
-    """``(u, u' or None, n0 or None)`` of a shear profile given as a
-    registry name, a callable ``u`` or the path of a ``y,u`` CSV table."""
-    if callable(profile):
-        return profile, None, None
+def resolve_profile(profile: str) -> tuple[Callable, Callable, int | None]:
+    """``(u, u', n0 or None)`` of a shear profile given as a registry name
+    or the path of a ``y,u`` CSV table."""
     if profile in PROFILES:
         return PROFILES[profile]
     if os.path.isfile(profile):
@@ -294,8 +295,9 @@ class ModelProblem:
     q: float | None  # predicted enhanced-dissipation exponent
     alt_q: float | None = None  # alternative prediction where one exists
     basis: str = "eigen"
-    grid: np.ndarray | None = None  # y- or r-grid where meaningful
-    meta: dict = field(default_factory=dict)
+    #: named initial data: name -> zero-argument callable returning the
+    #: unnormalized state, formed on demand
+    data: dict[str, Callable[[], np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
         if np.ndim(self.op.lam) != 1 or np.size(self.op.lam) == 0:
@@ -380,11 +382,7 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
     modes = np.fft.fftfreq(n, d=1.0 / n)
     lam = fractional_symbol(gamma, k, modes)
     u = np.asarray(u_fn(y), dtype=float)
-    if du_fn is not None:
-        du = np.asarray(du_fn(y), dtype=float)
-    else:
-        # spectral derivative of the sampled profile
-        du = np.real(np.fft.ifft(1j * modes * np.fft.fft(u)))
+    du = np.asarray(du_fn(y), dtype=float)
     max_du = float(np.max(np.abs(du)))
     max_u = float(np.max(np.abs(u)))
 
@@ -398,13 +396,7 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         p = gamma / (2.0 * (n0 + 1))
         q = 2.0 / (2.0 + p)
 
-    params = {
-        "profile": profile if isinstance(profile, str) else "custom",
-        "gamma": gamma,
-        "k": k,
-        "n0": n0,
-        "M": M,
-    }
+    params = {"profile": profile, "gamma": gamma, "k": k, "n0": n0, "M": M}
     return ModelProblem(
         name="shear",
         params=params,
@@ -415,8 +407,9 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         p=p,
         q=q,
         basis="torus-fourier",
-        grid=y,
-        meta={"modes": modes},
+        data={"single-mode-m1": lambda: (modes == 1.0).astype(complex),
+              "gaussian-bump": lambda: np.fft.fft(np.exp(
+                  -((y - np.pi) ** 2) / 0.5).astype(complex), norm="forward")},
     )
 
 
@@ -473,7 +466,9 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
         q=2.0 / 3.0,
         alt_q=3.0 / 5.0,
         basis="torus-fourier-sorted",
-        meta={"modes": modes},
+        data={"single-mode-m1": lambda: (modes == 1.0).astype(complex),
+              "gaussian-bump": lambda: np.exp(-0.125 * modes**2
+                                              - 1j * np.pi * modes)},
     )
 
 
@@ -497,6 +492,16 @@ def _disk_operator(N: int, k: int):
     diag = (flux[:-1] + flux[1:]) / (r * dr * dr) + k * k / (r * r)
     off = -re / (dr * dr * np.sqrt(r[:-1] * r[1:]))
     return r, dr, diag, off
+
+
+def _disk_data(r: np.ndarray, lowest_mode) -> dict:
+    """Named disk data as unnormalized values on the radial grid ``r``;
+    ``lowest_mode()`` returns A's lowest eigenmode there. ``"uniform"``
+    represents the radial data class that saturates the mixing rate."""
+    return {"uniform": lambda: np.ones(r.size, dtype=complex),
+            "single-mode-m1": lambda: lowest_mode().astype(complex),
+            "gaussian-bump": lambda: np.exp(-((r - 0.5) ** 2)
+                                            / 0.045).astype(complex)}
 
 
 def build_spiral(*, alpha: float = 1.0, k: int = 1,
@@ -528,7 +533,7 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
         p=p_alpha,
         q=q_alpha,
         basis="radial-grid",
-        grid=r,
+        data=_disk_data(r, lambda: vecs[:, 0] / np.sqrt(r * dr)),
     )
 
 
@@ -555,6 +560,8 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
     """
     if N < 2:
         raise ValueError("kinetic truncation degree N must be >= 2")
+    if d < 1:
+        raise ValueError(f"kinetic velocity dimension d must be >= 1, got {d}")
     kvec = np.atleast_1d(np.asarray(k, dtype=float))
     if kvec.size != d:
         if kvec.size == 1:
@@ -593,6 +600,7 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
         p=None,
         q=None,
         basis="hermite",
+        data={"single-mode-m1": lambda: np.eye(1, D, dtype=complex)[0]},
     )
 
 
@@ -690,57 +698,27 @@ def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # initial data
 
-_SINGLE_MODE = ("single-mode-m1", "single-mode m=1")
-
-
-def _disk_datum(name: str, r: np.ndarray, lowest_mode) -> np.ndarray:
-    """Named disk datum as unnormalized values on the radial grid ``r``;
-    ``lowest_mode()`` returns A's lowest eigenmode there."""
-    if name == "uniform":
-        return np.ones(r.size, dtype=complex)
-    if name in _SINGLE_MODE:
-        return lowest_mode().astype(complex)
-    if name == "gaussian-bump":
-        return np.exp(-((r - 0.5) ** 2) / 0.045).astype(complex)
-    raise ValueError(f"datum {name!r} is not defined on the disk grid; "
-                     "choose uniform, single-mode-m1 or gaussian-bump")
-
-
 def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
                   seed: int | None = None) -> np.ndarray:
     """Named initial data, normalized to unit H^1 norm.
 
-    ``"single-mode-m1"`` — lowest nontrivial mode: the m = 1 Fourier mode
-    on the torus, the lowest radial eigenmode on the disk, the degree-1
-    Hermite mode for the kinetic model.
-    ``"uniform"`` — constant on the disk grid (a representative of the
-    data class that saturates the mixing rate; disk only).
-    ``"gaussian-bump"`` — a smooth bump (torus and disk).
-    ``"random-h1"`` — seeded random coefficients with a smooth envelope.
+    ``"random-h1"`` — seeded random coefficients with a smooth envelope —
+    exists for every model; any other name is one of the model's own
+    ``problem.data``: ``"single-mode-m1"`` (the lowest nontrivial mode,
+    every family), ``"gaussian-bump"`` (torus and disk) and ``"uniform"``
+    (disk).
     """
     op, n = problem.op, problem.size
     if name == "random-h1":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         state = op.from_internal(c / (1.0 + op.lam))
-    elif problem.basis == "radial-grid":
-        state = _disk_datum(name, problem.grid,
-                            lambda: op.from_internal(np.eye(1, n)[0]))
-    elif name in _SINGLE_MODE:
-        state = np.zeros(n, dtype=complex)
-        if "modes" in problem.meta:  # torus: the Fourier mode m = 1
-            state[np.flatnonzero(problem.meta["modes"] == 1.0)[0]] = 1.0
-        else:  # hermite: lowest degree
-            state[0] = 1.0
-    elif name == "gaussian-bump" and problem.basis == "torus-fourier":
-        vals = np.exp(-((problem.grid - np.pi) ** 2) / 0.5)
-        state = np.fft.fft(vals.astype(complex), norm="forward")
-    elif name == "gaussian-bump" and problem.basis == "torus-fourier-sorted":
-        modes = problem.meta["modes"]
-        state = np.exp(-0.125 * modes**2 - 1j * np.pi * modes)
+    elif name in problem.data:
+        state = problem.data[name]()
     else:
-        raise ValueError(f"datum {name!r} is not defined for basis "
-                         f"{problem.basis!r}")
+        raise ValueError(f"datum {name!r} is not defined for the "
+                         f"{problem.name} model; its data: random-h1, "
+                         f"{', '.join(sorted(problem.data))}")
     h1 = problem.sobolev(state, 1.0)
     if h1 == 0.0 or not np.isfinite(h1):
         raise ValueError("degenerate initial datum (zero or non-finite H^1 norm)")
@@ -814,8 +792,12 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     """
     r, dr, diag, off = _disk_operator(N, k)
     sqw = np.sqrt(r * dr)
-    g0 = sqw * _disk_datum(datum, r, lambda: eigh_tridiagonal(
+    data = _disk_data(r, lambda: eigh_tridiagonal(
         diag, off, select="i", select_range=(0, 0))[1][:, 0] / sqw)
+    if datum not in data:
+        raise ValueError(f"datum {datum!r} is not defined for the spiral "
+                         f"series; its data: {', '.join(sorted(data))}")
+    g0 = sqw * data[datum]()
 
     def a_apply(g):
         out = diag * g

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diagnostics import fit_decay_rate, tau_threshold
+from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, evolve, write_trace
 from .models import build_model, initial_datum, model_params
 
@@ -37,11 +37,11 @@ ROW_FORMAT = 2
 class SweepConfig:
     """One sweep: a model family crossed with parameter and viscosity lists.
 
-    ``datum`` names the initial data: ``"single-mode-m1"`` (default; the
-    lowest radial eigenmode on the disk), ``"gaussian-bump"``,
-    ``"random-h1"`` (seeded) or ``"uniform"`` (disk). ``t_end_factor``
-    multiplies the predicted time-scale nu^-q (nu^-1 when the model makes
-    no prediction) to set the horizon; ``stop_ratio`` ends a run early
+    ``datum`` names the initial data: the seeded ``"random-h1"`` or a
+    name in the model's ``problem.data`` (default ``"single-mode-m1"``,
+    the lowest nontrivial mode). ``t_end_factor`` multiplies the
+    predicted time-scale nu^-q (nu^-1 when the model makes no
+    prediction) to set the horizon; ``stop_ratio`` ends a run early
     once h has fallen to that fraction of h(0), deep enough for the tail
     rate fit. ``resolution`` overrides the model's default truncation.
     """
@@ -57,7 +57,7 @@ class SweepConfig:
     datum: str = "single-mode-m1"
     resolution: int | None = None
     t_end_factor: float = 20.0
-    theta: float = float(np.exp(-1.0))
+    theta: float = THETA_DEFAULT
     stop_ratio: float = 1e-3
     dt: float | None = None
     seed: int = 0

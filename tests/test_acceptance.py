@@ -129,7 +129,8 @@ def test_criterion_4_enhanced_dissipation(capsys, heat_sweep, shear2_sweep,
               "shear g=1": shear1_sweep, "spiral a=1": spiral_sweep}
     rows_ok = all(r.status == "ok"
                   for s in sweeps.values() for r in s.rows)
-    q = {name: {basis: mx.ed_exponent(s, timescale=basis).exponent
+    q = {name: {basis: mx.ed_exponent(
+                    mx.timescale_pairs(s.rows, basis)).exponent
                 for basis in ("crossing", "rate")}
          for name, s in sweeps.items()}
     q_pred = {name: s.rows[0].q_pred for name, s in sweeps.items()}

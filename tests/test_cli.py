@@ -32,6 +32,15 @@ def test_usage_errors_exit_code_1():
         cli.main(["simulate", "--model", "heat", "--nu", "0.1",
                   "--t-end", "1", "--workers", "2"])
     assert exc.value.code == 1
+    # verify-bound takes no common flag, report only --out
+    for argv in (["verify-bound", "d", "--seed", "5"],
+                 ["verify-bound", "d", "--resolution", "7"],
+                 ["verify-bound", "d", "--out", "x"],
+                 ["report", "d", "--seed", "5"],
+                 ["report", "d", "--resolution", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
 
 
 def test_simulate_heat_writes_trace(tmp_path):
@@ -295,6 +304,28 @@ def test_nonpositive_resolution_exit_code_1(tmp_path, capsys, argv):
     assert "error:" in err and "must be >= 1, got 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--model", "shear", "--resolution", "1", "--nu", "1e-2",
+      "--t-end", "1"], "degenerate initial datum"),
+    (["simulate", "--model", "kolmogorov", "--resolution", "1", "--nu",
+      "1e-2", "--t-end", "1"], "degenerate initial datum"),
+    (["mix-rate", "--model", "shear", "--resolution", "1"],
+     "degenerate initial datum"),
+    (["ed-sweep", "--model", "shear", "--resolution", "1", "--nus",
+      "1e-2,1e-3"], "degenerate initial datum"),
+    (["simulate", "--model", "kinetic", "--d", "0", "--nu", "0.1",
+      "--t-end", "1"], "kinetic velocity dimension d must be >= 1, got 0"),
+    (["simulate", "--model", "kinetic", "--d", "-1", "--nu", "0.1",
+      "--t-end", "1"], "kinetic velocity dimension d must be >= 1, got -1"),
+])
+def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
+                                                   message):
+    rc = cli.main([*argv, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -116,8 +116,8 @@ def test_ed_exponent_preconditions():
     nus = np.linspace(1e-4, 5e-4, 6)
     with pytest.raises(ValueError, match="decades"):
         mx.ed_exponent((nus, nus**-0.5))
-    with pytest.raises(ValueError):
-        mx.ed_exponent((np.geomspace(1e-6, 1e-3, 6), np.ones(6)), timescale="bogus")
+    with pytest.raises(ValueError, match="unknown timescale"):
+        mx.timescale_pairs([], "bogus")
 
 
 # ---------------------------------------------------------------------------

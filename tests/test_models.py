@@ -74,6 +74,9 @@ def test_kinetic_constraints():
         mx.build_model("kinetic", N=1)
     with pytest.raises(ValueError):
         mx.build_model("kinetic", k=0)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+            mx.build_model("kinetic", d=d)
 
 
 def test_unknown_model_name():
@@ -116,7 +119,7 @@ def test_builders_refuse_nonpositive_resolution():
 
 def test_kolmogorov_weights_and_constants():
     prob = mx.build_model("kolmogorov", L=2.0, k=1, M=16)
-    modes = prob.meta["modes"]
+    modes = np.arange(-16, 16)
     s = prob.op.w
     m0 = int(np.where(modes == 0.0)[0][0])
     assert s[m0] == pytest.approx(0.75, abs=1e-15)  # 1 - 1/(L^2 k^2)
@@ -290,7 +293,7 @@ def test_exact_inviscid_spiral_phase():
     prob = mx.build_model("spiral", alpha=2.0, k=1, N=32)
     f0 = np.ones(prob.size, dtype=complex)
     out = mx.exact_inviscid(prob, f0, np.pi)
-    r = prob.grid
+    r = (np.arange(1, 33) - 0.5) / 32
     assert np.allclose(out, np.exp(-1j * np.pi * r**2), atol=1e-14)
 
 
@@ -325,13 +328,44 @@ def test_initial_data_errors_and_determinism():
     shear = mx.build_model("shear", profile="sin", k=1, M=16)
     with pytest.raises(ValueError):
         mx.initial_datum(shear, "uniform")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no-such-datum.*shear model; its "
+                       "data: random-h1, gaussian-bump, single-mode-m1"):
         mx.initial_datum(shear, "no-such-datum")
+    kinetic = mx.build_model("kinetic", k=1, N=4)
+    with pytest.raises(ValueError, match="kinetic model; its data: "
+                       "random-h1, single-mode-m1$"):
+        mx.initial_datum(kinetic, "gaussian-bump")
     a = mx.initial_datum(shear, "random-h1", seed=2)
     b = mx.initial_datum(shear, "random-h1", seed=2)
     c = mx.initial_datum(shear, "random-h1", seed=3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_named_data_per_family():
+    from mixlab.models import FAMILIES
+    expected = {
+        "shear": {"single-mode-m1", "gaussian-bump"},
+        "heat": {"single-mode-m1", "gaussian-bump"},
+        "kolmogorov": {"single-mode-m1", "gaussian-bump"},
+        "spiral": {"uniform", "single-mode-m1", "gaussian-bump"},
+        "kinetic": {"single-mode-m1"},
+    }
+    assert set(expected) == set(FAMILIES)
+    for family, names in expected.items():
+        prob = mx.build_model(family, k=1)
+        assert set(prob.data) == names
+        for name in names:  # each callable forms a fresh model state
+            state = prob.data[name]()
+            assert state.shape == (prob.size,) and state.dtype == complex
+
+
+def test_single_mode_datum_needs_a_mode_m1():
+    # at M = 1 the torus modes are m = -1, 0: the datum is the zero vector
+    for family in ("shear", "kolmogorov"):
+        prob = mx.build_model(family, k=1, M=1)
+        with pytest.raises(ValueError, match="degenerate initial datum"):
+            mx.initial_datum(prob, "single-mode-m1")
 
 
 def test_single_mode_datum_sits_on_lowest_nontrivial_mode():
