@@ -59,7 +59,7 @@ def _out_dir(args, default=".") -> str:
 def _cmd_simulate(args) -> int:
     problem = build_model(args.model, **model_params(args.model, vars(args)))
     f0 = initial_datum(problem, args.datum, seed=args.seed)
-    trace = evolve(problem, f0, args.nu, args.t_end, dt=args.dt,
+    trace = evolve(problem, f0, args.nu, args.t_end,
                    sample_every=args.sample_every, stop_ratio=args.stop_ratio)
     out = _out_dir(args)
     key = row_key(args.model, {
@@ -179,8 +179,8 @@ def _cmd_ed_sweep(args) -> int:
         gammas=(args.gamma,) if args.model == "shear" else (),
         profile=args.profile, n0=args.n0, L=args.L, datum=args.datum,
         resolution=args.resolution, t_end_factor=args.t_end_factor,
-        theta=args.theta, stop_ratio=args.stop_ratio, dt=args.dt,
-        seed=args.seed, out_dir=args.out or "sweep-out",
+        theta=args.theta, stop_ratio=args.stop_ratio, seed=args.seed,
+        out_dir=args.out or "sweep-out",
     )
     result = run_sweep(cfg, workers=args.workers)
     bad = 0
@@ -382,7 +382,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu", type=float, required=True,
                    help="viscosity (0 runs the inviscid flow)")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--datum", default="single-mode-m1")
     p.add_argument("--stop-ratio", type=float, default=None,
                    help="stop early once h falls below this fraction of h(0)")
@@ -414,7 +413,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-end-factor", type=float, default=20.0)
     p.add_argument("--theta", type=float, default=THETA_DEFAULT)
     p.add_argument("--stop-ratio", type=float, default=1e-3)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the sweep rows")
     p.set_defaults(func=_cmd_ed_sweep)

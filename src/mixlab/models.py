@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import csv as _csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import product as _iproduct
 from typing import Callable
@@ -372,8 +372,6 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         raise ValueError(f"shear resolution M must be >= 1, got {M}")
     if k == 0:
         raise ValueError("shear model requires a nonzero x-wavenumber k")
-    if not 0.0 < gamma <= 2.0:
-        raise ValueError(f"diffusion order gamma must lie in (0, 2], got {gamma}")
     u_fn, du_fn, n0_default = resolve_profile(profile)
     n0 = n0 if n0 is not None else n0_default
 
@@ -626,8 +624,9 @@ def _family(name: str):
 
 
 def build_model(name: str, **params) -> ModelProblem:
-    """Build a model by family name from its builder's keywords."""
-    return _family(name)[0](**params)
+    """Build a model by family name from its builder's keywords; the
+    model carries the family name (``"heat"`` is a shear build)."""
+    return replace(_family(name)[0](**params), name=name)
 
 
 def model_params(family: str, values) -> dict:
@@ -721,7 +720,8 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
                          f"{', '.join(sorted(problem.data))}")
     h1 = problem.sobolev(state, 1.0)
     if h1 == 0.0 or not np.isfinite(h1):
-        raise ValueError("degenerate initial datum (zero or non-finite H^1 norm)")
+        raise ValueError(f"degenerate initial datum {name!r} for the "
+                         f"{problem.name} model (zero or non-finite H^1 norm)")
     return state / h1
 
 

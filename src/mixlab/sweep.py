@@ -28,9 +28,9 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
            "row_key"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
-#: version of the row values: 2 = error-controlled steps; rows without a
-#: number predate it
-ROW_FORMAT = 2
+#: version of the row values: 2 = error-controlled steps, 3 = the step is
+#: no setting (no ``dt``); rows without a number predate both
+ROW_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class SweepConfig:
     t_end_factor: float = 20.0
     theta: float = THETA_DEFAULT
     stop_ratio: float = 1e-3
-    dt: float | None = None
     seed: int = 0
     out_dir: str = "sweep-out"
 
@@ -69,8 +68,6 @@ class SweepConfig:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
         if self.resolution is not None and self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if self.dt is not None and not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0.0 < self.stop_ratio < self.theta:
@@ -86,6 +83,7 @@ class SweepConfig:
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
         data = json.loads(text)
+        data.pop("dt", None)  # a setting of sweeps before row format 3
         for key in ("nus", "ks", "alphas", "gammas"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
@@ -167,11 +165,15 @@ class SweepResult:
         return os.path.join(self.out_dir, "sweep.csv")
 
 
-def _run_row(cfg: SweepConfig, row: dict, index: int):
-    """Execute one row; pure function of (cfg, row, index)."""
+def _problem_and_datum(cfg: SweepConfig, row: dict, index: int):
     problem = build_model(cfg.model,
                           **model_params(cfg.model, {**vars(cfg), **row}))
-    datum = initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
+    return problem, initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
+
+
+def _run_row(cfg: SweepConfig, row: dict, index: int):
+    """Execute one row; pure function of (cfg, row, index)."""
+    problem, datum = _problem_and_datum(cfg, row, index)
     nu = row["nu"]
     q_pred = problem.q
     t_end = cfg.t_end_factor * nu ** (-(q_pred if q_pred else 1.0))
@@ -183,11 +185,7 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
         config=cfg.row_config(),
     )
     try:
-        # an explicit dt samples every 5 steps; without one, every interval
-        # of the controlled step, on the same grid as dt = ds / 5
-        trace = evolve(problem, datum, nu, t_end, dt=cfg.dt,
-                       sample_every=None if cfg.dt is None else 5,
-                       stop_ratio=cfg.stop_ratio)
+        trace = evolve(problem, datum, nu, t_end, stop_ratio=cfg.stop_ratio)
     except EvolutionError as exc:
         result.status = f"error: {exc}"
         return result, None
@@ -243,9 +241,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     Rows already present under ``out_dir/rows/`` are not recomputed, but
     each must record this sweep's :meth:`SweepConfig.row_config`:
     otherwise a ValueError naming the first field that differs is raised
-    before anything is written. Failures are recorded in the row status,
-    never raised. Workers > 1 executes pending rows in a process pool;
-    all file writes happen in the parent.
+    before anything is written, as is the ValueError of a model or datum
+    a pending row cannot build. Failures of a run are recorded in the row
+    status, never raised. Workers > 1 executes pending rows in a process
+    pool; all file writes happen in the parent.
     """
     out = cfg.out_dir
     rows_dir = os.path.join(out, "rows")
@@ -269,6 +268,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                     f"{row_path} has {found}, this sweep {name} = {value!r}; "
                     "resume with the same settings or use another out_dir")
         results[key] = rr
+    # a model or datum the rows cannot build leaves no directory behind
+    groups = {(r["alpha"], r["gamma"], r["k"]): (i, r) for i, _, r in pending}
+    for idx, row in groups.values():
+        _problem_and_datum(cfg, row, idx)
 
     os.makedirs(rows_dir, exist_ok=True)
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)

@@ -32,6 +32,16 @@ def test_usage_errors_exit_code_1():
         cli.main(["simulate", "--model", "heat", "--nu", "0.1",
                   "--t-end", "1", "--workers", "2"])
     assert exc.value.code == 1
+    # the step is never a flag: every run takes the controlled step
+    for argv in ([*_SIM, "--dt", "-1"], [*_SIM, "--dt", "0"],
+                 [*_SIM, "--dt", "nan"], [*_SIM, "--dt", "0.1"],
+                 ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01",
+                  "--dt", "0"],
+                 ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01",
+                  "--dt", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
     # verify-bound takes no common flag, report only --out
     for argv in (["verify-bound", "d", "--seed", "5"],
                  ["verify-bound", "d", "--resolution", "7"],
@@ -45,7 +55,7 @@ def test_usage_errors_exit_code_1():
 
 def test_simulate_heat_writes_trace(tmp_path):
     rc = cli.main(["simulate", "--model", "heat", "--nu", "0.05",
-                   "--t-end", "5", "--dt", "1e-3", "--resolution", "32",
+                   "--t-end", "5", "--resolution", "32",
                    "--out", str(tmp_path)])
     assert rc == 0
     path = tmp_path / "trace_heat_k1_nu5.0000e-02.csv"
@@ -55,6 +65,7 @@ def test_simulate_heat_writes_trace(tmp_path):
     expected = trace.h[0] * np.exp(-0.1 * trace.times[-1])
     assert abs(trace.h[-1] - expected) / expected < 1e-9
     assert trace.nu == 0.05
+    assert trace.model == "heat" and trace.meta["err_est"] == 0.0
 
 
 def test_simulate_inviscid_spiral_preserves_h(tmp_path):
@@ -114,6 +125,48 @@ def test_ed_sweep_and_report_heat(tmp_path):
     assert entry["verdict"] == "consistent with prediction"
     for svg in entry["svg"]:
         assert os.path.exists(svg)
+
+
+def test_ed_sweep_k_list_and_report(tmp_path):
+    out = str(tmp_path / "sweep")
+    rc = cli.main(["ed-sweep", "--model", "spiral", "--k-list", "1,2",
+                   "--nus", "1e-2,2e-2,5e-2,1e-1", "--resolution", "16",
+                   "--out", out])
+    assert rc == 0
+    rows = mx.load_sweep(out).rows
+    assert [r.k for r in rows] == [1] * 4 + [2] * 4
+    # every row is a controlled run and records its splitting estimate
+    assert all(isinstance(r.meta["err_est"], float) for r in rows)
+    assert cli.main(["report", out]) == 0
+    report = _load_json(os.path.join(out, "report.json"))
+    assert list(report["groups"]) == ["spiral_a1_k1", "spiral_a1_k2"]
+
+
+@pytest.mark.parametrize("dt", [None, 0.02])
+def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
+                                                           dt):
+    """A sweep written when the step was a setting (row format 2, a
+    ``dt`` in its config and rows) loads, reports and verifies; resuming
+    it is refused."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    cfg_path = out / "sweep_config.json"
+    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "dt": dt}))
+    for path in (out / "rows").iterdir():
+        row = _load_json(path)
+        row["config"].update(row_format=2, dt=dt)
+        path.write_text(json.dumps(row))
+    assert mx.load_sweep(str(out)).config == cfg
+    assert cli.main(["report", str(out)]) == 0
+    assert cli.main(["verify-bound", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "row_format = 2, this sweep row_format = 3" in err
+    assert "Traceback" not in err
 
 
 def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
@@ -274,11 +327,7 @@ _SIM_SHEAR = ["simulate", "--model", "shear", "--resolution", "16",
 
 
 @pytest.mark.parametrize("argv", [
-    [*_SIM, "--dt", "-1"],
-    [*_SIM, "--dt", "0"],
-    [*_SIM, "--dt", "nan"],
     [*_SIM, "--sample-every", "0"],
-    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--dt", "0"],
     [*_SIM_SHEAR, "--t-end", "inf"],
     [*_SIM_SHEAR, "--t-end", "nan"],
     [*_SIM, "--stop-ratio", "1.5"],
@@ -319,6 +368,8 @@ def test_nonpositive_resolution_exit_code_1(tmp_path, capsys, argv):
       "--t-end", "1"], "kinetic velocity dimension d must be >= 1, got 0"),
     (["simulate", "--model", "kinetic", "--d", "-1", "--nu", "0.1",
       "--t-end", "1"], "kinetic velocity dimension d must be >= 1, got -1"),
+    (["ed-sweep", "--model", "heat", "--datum", "uniform", "--nus",
+      "1e-2,1e-3"], "datum 'uniform' is not defined for the heat model"),
 ])
 def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
                                                    message):
@@ -326,6 +377,7 @@ def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()  # no half-made sweep directory
 
 
 @pytest.mark.parametrize("flag, value", [

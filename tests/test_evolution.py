@@ -6,6 +6,7 @@ import pytest
 import mixlab as mx
 from mixlab import EvolutionError
 from mixlab.evolution import CHECK_EVERY, default_dt
+from mixlab.models import model_params
 
 
 def test_pure_heat_decay_is_exact():
@@ -183,23 +184,30 @@ def test_controlled_run_keeps_the_sample_grid():
 
 
 def test_controlled_rows_match_fixed_step_rows(tmp_path):
-    """Sweep rows without dt against the same rows at dt = ds/5: tau and
-    1/rate agree to 2e-5 relative."""
+    """Sweep rows against the same runs at the fixed step dt = ds/5,
+    sampled on the same grid: tau and 1/rate agree to 2e-5 relative."""
     for model, kw, nus in (
             ("shear", dict(gammas=(2.0,), resolution=32), (1e-4, 1e-3)),
             ("spiral", dict(alphas=(1.0,), resolution=32), (1e-4, 1e-3)),
             ("kolmogorov", dict(resolution=16), (1e-3,))):
-        ctl = mx.run_sweep(mx.SweepConfig(
-            model=model, nus=nus, out_dir=str(tmp_path / f"c{model}"), **kw))
-        ds = ctl.rows[0].meta["sample_interval"]
-        ref = mx.run_sweep(mx.SweepConfig(
-            model=model, nus=nus, dt=ds / 5,
-            out_dir=str(tmp_path / f"f{model}"), **kw))
-        for a, b in zip(ctl.rows, ref.rows):
-            assert a.status == b.status == "ok"
-            assert a.tau == pytest.approx(b.tau, rel=2e-5), a.key
-            assert a.tau_rate == pytest.approx(b.tau_rate, rel=2e-5), a.key
-            assert a.meta["n_steps"] < b.meta["n_steps"] * 2
+        cfg = mx.SweepConfig(model=model, nus=nus,
+                             out_dir=str(tmp_path / model), **kw)
+        ctl = mx.run_sweep(cfg)
+        for row in ctl.rows:
+            assert row.status == "ok"
+            prob = mx.build_model(model, **model_params(
+                model, {**vars(cfg), "alpha": row.alpha,
+                        "gamma": row.gamma, "k": row.k}))
+            f0 = mx.initial_datum(prob, cfg.datum)
+            t_end = cfg.t_end_factor * row.nu ** -(prob.q or 1.0)
+            ds = row.meta["sample_interval"]
+            ref = mx.evolve(prob, f0, row.nu, t_end, dt=ds / 5,
+                            sample_every=5, stop_ratio=cfg.stop_ratio)
+            tau_rate = 1.0 / mx.fit_decay_rate(ref.times, ref.h).rate
+            assert row.tau == pytest.approx(mx.tau_threshold(ref, cfg.theta),
+                                            rel=2e-5), row.key
+            assert row.tau_rate == pytest.approx(tau_rate, rel=2e-5), row.key
+            assert row.meta["n_steps"] < ref.meta["n_steps"] * 2
 
 
 def test_exact_steps_take_one_step_per_sample():
@@ -238,6 +246,18 @@ def test_explicit_dt_runs_as_before():
         assert tr.times[-1] == pytest.approx(2.03, rel=1e-14)
         assert tr.h[-1] == pytest.approx(h_end, rel=1e-12), name
         assert tr.dt == 0.01 and tr.meta["err_est"] is None
+
+
+def test_bad_step_or_state_raises():
+    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    for dt in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            mx.evolve(prob, f0, 1e-2, 1.0, dt=dt)
+    # a state of the wrong size, or of the right size in the wrong shape
+    for state in (f0[:-1], f0.reshape(-1, 1)):
+        with pytest.raises(ValueError, match="model has 32 coefficients"):
+            mx.evolve(prob, state, 1e-2, 1.0)
 
 
 def test_step_viscous_single_step():

@@ -9,7 +9,7 @@ import mixlab as mx
 
 def _random_state(prob, rng, smooth=True):
     c = rng.standard_normal(prob.size) + 1j * rng.standard_normal(prob.size)
-    if smooth and prob.basis != "radial-grid":  # A diagonal on the state
+    if smooth and prob.name != "spiral":  # A diagonal on the state
         c = c / (1.0 + prob.op.lam)
     return c
 
@@ -335,6 +335,14 @@ def test_initial_data_errors_and_determinism():
     with pytest.raises(ValueError, match="kinetic model; its data: "
                        "random-h1, single-mode-m1$"):
         mx.initial_datum(kinetic, "gaussian-bump")
+    # the heat model is a shear build under its own name
+    with pytest.raises(ValueError, match="'uniform' is not defined for the "
+                       "heat model"):
+        mx.initial_datum(mx.build_model("heat", k=1, M=16), "uniform")
+    with pytest.raises(ValueError, match=r"^degenerate initial datum "
+                       r"'single-mode-m1' for the shear model \(zero or "
+                       r"non-finite H\^1 norm\)$"):
+        mx.initial_datum(mx.build_model("shear", k=1, M=1), "single-mode-m1")
     a = mx.initial_datum(shear, "random-h1", seed=2)
     b = mx.initial_datum(shear, "random-h1", seed=2)
     c = mx.initial_datum(shear, "random-h1", seed=3)

@@ -114,6 +114,14 @@ def test_resume_refuses_rows_of_other_settings(tmp_path):
     assert mx.load_sweep(str(tmp_path)).rows[0].config == {}
 
 
+def test_unbuildable_datum_writes_nothing(tmp_path):
+    out = tmp_path / "s"
+    with pytest.raises(ValueError, match="datum 'uniform' is not defined "
+                                         "for the heat model"):
+        mx.run_sweep(_heat_cfg(out, nus=(0.1, 0.05), datum="uniform"))
+    assert not out.exists()
+
+
 def test_sweep_deterministic_across_directories(tmp_path):
     cfg_a = _heat_cfg(tmp_path / "a", nus=(0.1, 0.05), datum="random-h1", seed=3)
     cfg_b = _heat_cfg(tmp_path / "b", nus=(0.1, 0.05), datum="random-h1", seed=3)
