@@ -327,7 +327,12 @@ _SIM_SHEAR = ["simulate", "--model", "shear", "--resolution", "16",
 
 
 @pytest.mark.parametrize("argv", [
+    [*_SIM, "--t-end", "-1"],
+    [*_SIM, "--sample-every", "-1"],
+    [*_SIM, "--stop-ratio", "0"],
     [*_SIM, "--sample-every", "0"],
+    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01",
+     "--t-end-factor", "0"],
     [*_SIM_SHEAR, "--t-end", "inf"],
     [*_SIM_SHEAR, "--t-end", "nan"],
     [*_SIM, "--stop-ratio", "1.5"],
