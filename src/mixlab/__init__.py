@@ -7,6 +7,8 @@ enhanced-dissipation time-scales, and check the explicit decay bounds the
 rate formulas predict.
 """
 
+__version__ = "0.1.0"  # set before the submodules, which record it
+
 from .diagnostics import (
     BoundReport,
     ExpRateFit,
@@ -48,8 +50,6 @@ from .models import (
 )
 from .spectral import fractional_symbol
 from .sweep import RowResult, SweepConfig, SweepResult, load_sweep, run_sweep
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "DecayTrace", "EvolutionError", "ExpRateFit",

@@ -45,7 +45,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .models import EvolutionError, ModelProblem
 from .spectral import hs_norm
 
@@ -155,8 +157,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     stop reason and the occupancy monitor, ``n_steps`` (check steps
     included), ``sample_interval``, ``max_steps_per_sample`` and
     ``err_est``, the summed step-doubling estimate (None with an explicit
-    ``dt``). Raises :class:`EvolutionError` on non-finite state, and
-    ValueError on a bad step control.
+    ``dt``), and the ``versions`` of mixlab, numpy and scipy. Raises
+    :class:`EvolutionError` on non-finite state, and ValueError on a bad
+    step control.
     """
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end:g}")
@@ -175,7 +178,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     meta = {"sample_interval": ds * stride,
             "max_steps_per_sample": stride,
             "err_est": None if dt is not None else 0.0,
-            "occupancy_max": 0.0, "warnings": [], "stop_reason": "t_end"}
+            "occupancy_max": 0.0, "warnings": [], "stop_reason": "t_end",
+            "versions": {"mixlab": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__}}
 
     n_int = int(np.ceil(t_end / ds - 1e-12))  # 0 for t_end = 0
     op = problem.op

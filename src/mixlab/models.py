@@ -22,10 +22,10 @@ the exact flow g -> e^{-Bt} g for any t. :class:`ModelProblem` reads
 every norm and projection off it: the product ``inner``, the H^s norms
 ``sobolev``, the cut-off ``project_low`` (P_R) and ``lam1``.
 
-The integrator asks for one flow per step size it uses. The
-phases form theirs directly; the skew matrix diagonalizes iB once per
-model and applies every flow in that eigenbasis, so a new step size
-costs nothing to set up.
+The integrator asks for one flow per step size it uses. The phases form
+theirs directly; the skew matrix diagonalizes the real symmetric H of
+iB = d H conj(d) once per model and applies every flow in that real
+eigenbasis (two real n x n products a step), so a new step costs nothing.
 
 Each family is declared once, in :data:`FAMILIES`: its builder, which
 takes the model parameters as keywords with defaults, and the map from
@@ -229,18 +229,27 @@ class RadialPhase:
         return np.exp(-1j * self.rate * t) * np.asarray(state, dtype=complex)
 
 
+def _real_times(R: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R @ z for a real matrix R and a contiguous complex vector z, as one
+    real product on z's (real, imaginary) columns; ``R @ z`` would copy R
+    to complex on every call."""
+    return (R @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
+
+
 class SkewMatrix:
-    """B a dense skew-Hermitian matrix (Kolmogorov, kinetic) in the flat
-    internal coordinates ``sqrt(w) * f`` of the working product with
-    per-coefficient weights ``w``, where A is diagonal."""
+    """B a dense skew-Hermitian matrix (Kolmogorov, kinetic), given as
+    iB = d H conj(d) with H real symmetric and ``d`` a unimodular diagonal
+    (or 1), in the flat internal coordinates ``sqrt(w) * f`` of the working
+    product with per-coefficient weights ``w``, where A is diagonal."""
 
     kind = "matrix"
 
-    def __init__(self, lam: np.ndarray, w: np.ndarray, B: np.ndarray):
+    def __init__(self, lam: np.ndarray, w: np.ndarray, H: np.ndarray, d=1):
         self.lam = lam
         self.w = w
         self.sqw = np.sqrt(w)
-        self.B = B
+        self.H = H
+        self.d = np.asarray(d, dtype=complex)  # so every product is complex
 
     def to_internal(self, state) -> np.ndarray:
         return self.sqw * state
@@ -249,30 +258,31 @@ class SkewMatrix:
         return g / self.sqw
 
     def apply_B(self, g: np.ndarray) -> np.ndarray:
-        return self.B @ g
+        return -1j * self.d * _real_times(self.H, np.conj(self.d) * g)
 
     @cached_property
     def _eigenbasis(self):
-        """(theta, E, E^H) with iB = E diag(theta) E^H, computed once;
-        :class:`EvolutionError` if E's unitarity defect exceeds the
-        tolerance."""
-        theta, E = np.linalg.eigh(1j * self.B)
-        EH = E.conj().T
-        defect = np.abs(EH @ E - np.eye(E.shape[0])).max()
+        """(theta, Q, Q^T) with H = Q diag(theta) Q^T, Q real and both
+        factors row-major, computed once; :class:`EvolutionError` if Q's
+        orthogonality defect exceeds the tolerance."""
+        theta, Q = np.linalg.eigh(self.H)
+        QT = np.ascontiguousarray(Q.T)
+        defect = np.abs(QT @ Q - np.eye(Q.shape[0])).max()
         if defect > UNITARITY_TOL:
             raise EvolutionError(
                 f"advection eigenbasis unitarity defect {defect:.2e} "
                 f"exceeds {UNITARITY_TOL:g}"
             )
-        return theta, E, EH
+        return theta, Q, QT
 
     def flow(self, t: float):
-        """exp(-B t) = E e^{i theta t} E^H, applied in the eigenbasis of
-        iB: two matrix-vector products a step, and nothing to form when
-        the step size changes."""
-        theta, E, EH = self._eigenbasis
+        """exp(-B t) = d Q e^{i theta t} Q^T conj(d): two real n x n by
+        n x 2 products a step (8 n^2 flops, 2 n^2 doubles read), and
+        nothing to form when the step size changes."""
+        theta, Q, QT = self._eigenbasis
         phase = np.exp(1j * theta * t)
-        return lambda g: E @ (phase * (EH @ g))
+        d, dbar = self.d, np.conj(self.d)
+        return lambda g: d * _real_times(Q, phase * _real_times(QT, dbar * g))
 
 
 @dataclass(frozen=True)
@@ -424,7 +434,7 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
 
     B is exactly skew in the weighted product, including at the mode-space
     truncation (the dropped couplings are the boundary pair); after
-    symmetrization it is a real antisymmetric tridiagonal matrix.
+    symmetrization iB = d H conj(d), d_m = i^m, H real symmetric tridiagonal.
     """
     if M < 1:
         raise ValueError(f"kolmogorov resolution M must be >= 1, got {M}")
@@ -438,25 +448,20 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
             "working inner product degenerates for |k| = 1; use |k| >= 2"
         )
 
-    n = 2 * M
     modes = np.arange(-M, M, dtype=float)  # sorted layout
     mu = L**2 * k**2 + modes**2
     s = 1.0 - 1.0 / mu
     kL = k * L
 
-    # advection generator in flat coordinates: antisymmetric real
-    # tridiagonal with sub-diagonal (kL/2) sqrt(s_m s_{m-1}) on row m
+    # flat B[m+1, m] = -B[m, m+1] = off[m]; H = conj(d) iB d has +off on both
     off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
-    B = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    B[idx + 1, idx] = off
-    B[idx, idx + 1] = -off
+    H = np.diag(off, 1) + np.diag(off, -1)
 
     params = {"L": L, "k": k, "M": M}
     return ModelProblem(
         name="kolmogorov",
         params=params,
-        op=SkewMatrix(mu, s, B),
+        op=SkewMatrix(mu, s, H, np.resize([1, 1j, -1, -1j], 2 * M)),
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,
@@ -576,22 +581,17 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
 
     K = np.zeros((D, D))  # v.k in the normalized ladder basis (symmetric)
     for i, n in enumerate(idx):
-        for j in range(d):
-            if kvec[j] == 0.0:
-                continue
-            up = list(n)
-            up[j] += 1
-            other = pos.get(tuple(up))
+        for j in np.flatnonzero(kvec):
+            other = pos.get(n[:j] + (n[j] + 1,) + n[j + 1:])
             if other is not None:
-                K[other, i] += kvec[j] * np.sqrt(n[j] + 1.0)
-                K[i, other] += kvec[j] * np.sqrt(n[j] + 1.0)
+                K[other, i] = K[i, other] = kvec[j] * np.sqrt(n[j] + 1.0)
 
     knorm = float(np.linalg.norm(kvec))
     params = {"k": k if np.isscalar(k) else tuple(kvec), "N": N, "d": d}
     return ModelProblem(
         name="kinetic",
         params=params,
-        op=SkewMatrix(degrees, np.ones(D), 1j * K),
+        op=SkewMatrix(degrees, np.ones(D), -K),  # B = iK: iB = -K
         c_B=knorm,  # lam1 = 1, so the mixed bound doubles as the commutator bound
         bound_B=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
         mixed_bound=knorm,

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,13 +81,16 @@ class SweepConfig:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "SweepConfig":
+    def from_json(text: str, source: str = "sweep config") -> "SweepConfig":
+        """The config written by :meth:`to_json`; ValueError naming
+        ``source`` if it holds a field this version does not know or
+        lacks a required one."""
         data = json.loads(text)
         data.pop("dt", None)  # a setting of sweeps before row format 3
         for key in ("nus", "ks", "alphas", "gammas"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
-        return SweepConfig(**data)
+        return SweepConfig(**_checked_fields(SweepConfig, data, source))
 
     def row_config(self) -> dict:
         """What every row of this sweep records and a resumed sweep must
@@ -150,8 +153,22 @@ class RowResult:
         return asdict(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "RowResult":
-        return RowResult(**d)
+    def from_dict(d: dict, source: str = "row") -> "RowResult":
+        return RowResult(**_checked_fields(RowResult, d, source))
+
+
+def _checked_fields(cls, data: dict, source: str) -> dict:
+    """``data``, or a ValueError naming the keys ``cls`` has no field for
+    or the required fields it lacks: a record of another layout is
+    refused, never read in part."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    for names, what in ((unknown, "has unknown"), (missing, "lacks")):
+        if names:
+            raise ValueError(f"{source} {what} {cls.__name__} field(s) "
+                             f"{', '.join(names)}")
+    return data
 
 
 @dataclass
@@ -209,6 +226,7 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
             "n_steps", "sample_interval", "max_steps_per_sample", "err_est")},
         "stop_reason": trace.meta.get("stop_reason"),
         "warnings": trace.meta.get("warnings", []),
+        "versions": trace.meta["versions"],
     }
     return result, trace
 
@@ -259,7 +277,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
             pending.append((idx, key, row))
             continue
         with open(row_path) as fh:
-            rr = RowResult.from_dict(json.load(fh))
+            rr = RowResult.from_dict(json.load(fh), row_path)
         for name, value in expected.items():
             if name not in rr.config or rr.config[name] != value:
                 found = f"{name} = {rr.config[name]!r}" \
@@ -323,7 +341,7 @@ def load_sweep(out_dir: str) -> SweepResult:
             row_path = os.path.join(out_dir, "rows", key + ".json")
             if os.path.exists(row_path):
                 with open(row_path) as fh2:
-                    rows.append(RowResult.from_dict(json.load(fh2)))
+                    rows.append(RowResult.from_dict(json.load(fh2), row_path))
                 continue
             rows.append(RowResult(
                 key=key, model=rec["model"], alpha=key_row["alpha"],
@@ -339,5 +357,5 @@ def load_sweep(out_dir: str) -> SweepResult:
     cfg_path = os.path.join(out_dir, "sweep_config.json")
     if os.path.exists(cfg_path):
         with open(cfg_path) as fh:
-            cfg = SweepConfig.from_json(fh.read())
+            cfg = SweepConfig.from_json(fh.read(), cfg_path)
     return SweepResult(rows, out_dir, cfg)

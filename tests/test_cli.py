@@ -169,6 +169,34 @@ def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _snapshot(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("where, command", [
+    ("config", "report"), ("config", "verify-bound"),
+    ("row", "report"), ("row", "ed-sweep")])
+def test_unknown_sweep_field_exit_code_1(tmp_path, capsys, where, command):
+    """A field that SweepConfig or RowResult lacks, in sweep_config.json
+    or in one row JSON, is an error naming it and the file, and the
+    command writes nothing."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    path = out / "sweep_config.json" if where == "config" \
+        else sorted((out / "rows").iterdir())[0]
+    path.write_text(json.dumps({**_load_json(path), "extra_field": 1}))
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert cli.main(argv if command == "ed-sweep"
+                    else [command, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert "extra_field" in err and str(path) in err
+    assert _snapshot(out) == before
+
+
 def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
     rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
                    "--t-end-factor", "0.05", "--resolution", "32",

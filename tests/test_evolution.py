@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixlab as mx
 from mixlab import EvolutionError
@@ -270,24 +272,26 @@ def test_step_viscous_single_step():
         mx.step_viscous(prob, f0, 1e-2, 0.0)
 
 
-def _flat_operators(name):
-    """A, B and the flat-coordinate scale sqrt(w) of a small model, built
-    here from their definitions: the disk operator and the radial phase
-    (spiral), the mode multiplier and the vorticity-corrected coupling
-    (Kolmogorov), the degree ladder (kinetic)."""
+def _flat_operators(name, **kw):
+    """A, B and the flat-coordinate scale sqrt(w) of a small model with the
+    builder keywords ``kw``, built here from their definitions: the disk
+    operator and the radial phase (spiral: alpha, k, N), the mode
+    multiplier and the vorticity-corrected coupling (Kolmogorov: L, k, M),
+    the degree ladder (kinetic: k, N, in d = 1)."""
     from mixlab.models import _disk_operator
 
     if name == "spiral":
-        r, dr, diag, off = _disk_operator(32, 1)
+        r, dr, diag, off = _disk_operator(kw["N"], kw["k"])
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return A, np.diag(1j * r), np.sqrt(r * dr)
-    if name == "kolmogorov":  # L = 2, k = 1, M = 8
-        mu = 4.0 + np.arange(-8.0, 8.0) ** 2
+        return A, np.diag(1j * kw["k"] * r ** kw["alpha"]), np.sqrt(r * dr)
+    if name == "kolmogorov":
+        M, kL = kw["M"], kw["k"] * kw["L"]
+        mu = kL**2 + np.arange(-M, M, dtype=float) ** 2
         s = 1.0 - 1.0 / mu
-        off = np.sqrt(s[1:] * s[:-1])  # kL/2 = 1
+        off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
         return np.diag(mu), np.diag(-off, 1) + np.diag(off, -1), np.sqrt(s)
-    deg = np.arange(1.0, 13.0)  # kinetic, k = 1, N = 12, d = 1
-    K = np.diag(np.sqrt(deg[1:]), 1) + np.diag(np.sqrt(deg[1:]), -1)
+    deg = np.arange(1.0, kw["N"] + 1.0)
+    K = kw["k"] * (np.diag(np.sqrt(deg[1:]), 1) + np.diag(np.sqrt(deg[1:]), -1))
     return np.diag(deg), 1j * K, np.ones(deg.size)
 
 
@@ -303,7 +307,7 @@ def test_viscous_spiral_step_matches_dense_oracle():
                      ("kolmogorov", dict(L=2.0, k=1, M=8)),
                      ("kinetic", dict(k=1, N=12))):
         prob = mx.build_model(name, **kw)
-        A, B, sqw = _flat_operators(name)
+        A, B, sqw = _flat_operators(name, **kw)
         for nu in (1e-2, 0.0):
             E = expm(-nu * A * dt / 2.0)
             dense = E @ expm(-B * dt) @ E
@@ -317,7 +321,8 @@ def test_viscous_spiral_step_matches_dense_oracle():
 
 
 def test_skew_matrix_flow_reuses_one_eigenbasis(monkeypatch):
-    """Kolmogorov and kinetic flows of any step come from one eigh(1j*B)."""
+    """Kolmogorov and kinetic flows of any step come from one eigh of the
+    real symmetric H."""
     from scipy.linalg import expm
 
     calls = []
@@ -325,11 +330,60 @@ def test_skew_matrix_flow_reuses_one_eigenbasis(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append(a.shape) or eigh(a))
     prob = mx.build_model("kinetic", k=1, N=12)
+    _, B, _ = _flat_operators("kinetic", k=1, N=12)
     g = np.random.default_rng(3).standard_normal(prob.size) + 0j
     for t in (0.1, 0.05, 0.3):
         out = prob.op.flow(t)(g)
-        assert np.abs(out - expm(-prob.op.B * t) @ g).max() < 1e-13
+        assert np.abs(out - expm(-B * t) @ g).max() < 1e-13
     assert calls == [(prob.size, prob.size)]
+
+
+def test_skew_matrix_eigenbasis_is_real_and_checked(monkeypatch):
+    """The Kolmogorov and kinetic eigenbases are real; a basis that is
+    not orthogonal to the tolerance raises EvolutionError."""
+    for name, kw in (("kolmogorov", dict(L=2.0, k=1, M=8)),
+                     ("kinetic", dict(k=1, N=12))):
+        theta, Q, QT = mx.build_model(name, **kw).op._eigenbasis
+        assert theta.dtype == Q.dtype == QT.dtype == np.float64, name
+
+    eigh = np.linalg.eigh
+
+    def skewed(a):
+        theta, Q = eigh(a)
+        Q[0, 0] += 1e-8
+        return theta, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    prob = mx.build_model("kolmogorov", L=2.0, k=1, M=8)
+    with pytest.raises(EvolutionError, match="unitarity defect"):
+        prob.op.flow(0.1)
+    with pytest.raises(EvolutionError, match="unitarity defect"):
+        mx.step_viscous(prob, mx.initial_datum(prob), 1e-2, 0.1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["kolmogorov", "kinetic"]),
+       L=st.floats(1.5, 4.0), k=st.sampled_from([1, 2, 3]),
+       size=st.integers(2, 10), t=st.floats(0.0, 5.0),
+       s=st.floats(0.0, 5.0))
+def test_skew_matrix_flow_is_the_exponential(family, L, k, size, t, s):
+    """For Kolmogorov (L, k, M) and kinetic (k, N) models, op.flow(t) is
+    expm(-B t) of the operator built from its definition, preserves the
+    flat norm and composes: flow(s) flow(t) = flow(s + t)."""
+    from scipy.linalg import expm
+
+    kw = dict(L=L, k=k, M=size) if family == "kolmogorov" \
+        else dict(k=k, N=size)
+    op = mx.build_model(family, **kw).op
+    _, B, _ = _flat_operators(family, **kw)
+    rng = np.random.default_rng(size)
+    g = rng.standard_normal(op.lam.size) + 1j * rng.standard_normal(op.lam.size)
+    out = op.flow(t)(g)
+    norm = np.linalg.norm(g)
+    assert np.linalg.norm(out - expm(-B * t) @ g) <= 1e-12 * norm
+    assert abs(np.linalg.norm(out) - norm) <= 1e-12 * norm
+    assert np.linalg.norm(op.flow(s)(out) - op.flow(s + t)(g)) \
+        <= 1e-12 * norm
 
 
 def test_trace_io_roundtrip(tmp_path):

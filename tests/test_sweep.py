@@ -114,6 +114,40 @@ def test_resume_refuses_rows_of_other_settings(tmp_path):
     assert mx.load_sweep(str(tmp_path)).rows[0].config == {}
 
 
+def test_rows_and_traces_record_versions(tmp_path):
+    """A fresh row and its trace sidecar record the mixlab, numpy and
+    scipy versions, outside the row settings a resume compares."""
+    import scipy
+
+    versions = {"mixlab": mx.__version__, "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    result = mx.run_sweep(_heat_cfg(tmp_path))
+    row = json.loads(_read(tmp_path / "rows" / (result.rows[0].key + ".json")))
+    sidecar = json.loads(_read(
+        tmp_path / (os.path.splitext(row["trace_path"])[0] + ".json")))
+    assert row["meta"]["versions"] == sidecar["versions"] == versions
+    assert "versions" not in row["config"]
+
+
+def test_record_of_another_layout_is_refused():
+    """A row or config with a field the dataclass lacks, or without a
+    required field, is a ValueError naming the field and the source."""
+    base = {"key": "k", "model": "heat", "alpha": None, "gamma": None,
+            "n0": None, "k": 1, "nu": 0.1, "tau": None, "rate": None,
+            "q_pred": None, "status": "ok"}
+    assert mx.RowResult.from_dict(dict(base)).status == "ok"
+    with pytest.raises(ValueError, match="x.json has unknown RowResult "
+                                         "field.s. extra"):
+        mx.RowResult.from_dict({**base, "extra": 1}, "x.json")
+    short = {k: v for k, v in base.items() if k not in ("status", "nu")}
+    with pytest.raises(ValueError, match="x.json lacks RowResult field.s. "
+                                         "nu, status"):
+        mx.RowResult.from_dict(short, "x.json")
+    with pytest.raises(ValueError, match="c.json lacks SweepConfig field.s. "
+                                         "model"):
+        mx.SweepConfig.from_json("{}", "c.json")
+
+
 def test_unbuildable_datum_writes_nothing(tmp_path):
     out = tmp_path / "s"
     with pytest.raises(ValueError, match="datum 'uniform' is not defined "
