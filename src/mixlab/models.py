@@ -14,18 +14,16 @@ floating point:
   well-defined.
 
 The representation ``problem.op`` — a Fourier phase (shear, heat), a radial
-phase in A's eigenbasis (spiral) or a dense skew matrix (Kolmogorov,
+phase in A's eigenbasis (spiral) or a banded skew matrix (Kolmogorov,
 kinetic) — is the model's one spectral frame. It stores the weights of
 the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
-the exact flow g -> e^{-Bt} g for any t. :class:`ModelProblem` reads
-every norm and projection off it: the product ``inner``, the H^s norms
-``sobolev``, the cut-off ``project_low`` (P_R) and ``lam1``.
-
-The integrator asks for one flow per step size it uses. The phases form
-theirs directly; the skew matrix diagonalizes the real symmetric H of
-iB = d H conj(d) once per model and applies every flow in that real
-eigenbasis (two real n x n products a step), so a new step costs nothing.
+the flow g -> e^{-Bt} g for any t, exact to round-off: a phase, or a
+Chebyshev-Bessel series on the nonzeros of the banded H of iB = d H conj(d)
+(about 13 O(n) products a step; nothing is formed per step size or per
+model). :class:`ModelProblem` reads every norm and projection off it: the
+product ``inner``, the H^s norms ``sobolev``, the cut-off ``project_low``
+(P_R) and ``lam1``.
 
 Each family is declared once, in :data:`FAMILIES`: its builder, which
 takes the model parameters as keywords with defaults, and the map from
@@ -54,7 +52,7 @@ from __future__ import annotations
 import csv as _csv
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from itertools import product as _iproduct
 from typing import Callable
 
@@ -153,9 +151,6 @@ def resolve_profile(profile: str) -> tuple[Callable, Callable, int | None]:
 # ---------------------------------------------------------------------------
 # representations: internal coordinates and the exact advection flow
 
-UNITARITY_TOL = 1e-10
-
-
 class EvolutionError(RuntimeError):
     """Simulation failure: non-finite state or broken substep."""
 
@@ -229,27 +224,58 @@ class RadialPhase:
         return np.exp(-1j * self.rate * t) * np.asarray(state, dtype=complex)
 
 
-def _real_times(R: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """R @ z for a real matrix R and a contiguous complex vector z, as one
-    real product on z's (real, imaginary) columns; ``R @ z`` would copy R
-    to complex on every call."""
-    return (R @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
+SERIES_CUT = 1e-16  # |J_k| past k > |x| below which the flow's series is cut
+
+
+def _bessel_series(x: float) -> np.ndarray:
+    """J_0(x), ..., J_{K-1}(x), J_K the first past k > |x| below
+    ``SERIES_CUT``: Miller's backward recurrence, normalized by
+    J_0 + 2 sum_k J_2k = 1."""
+    if abs(x) < 2.0 * SERIES_CUT:  # |J_1(x)| = |x|/2 is below the cut
+        return np.ones(1)
+    top = int(abs(x) + 30.0 + 12.0 * abs(x) ** (1.0 / 3.0))
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e200:  # rescale; the tail may underflow to 0
+            j[k - 1:] *= 1e-200
+    j /= j[0] + 2.0 * j[2::2].sum()
+    past = (np.arange(j.size) > abs(x)) & (np.abs(j) < SERIES_CUT)
+    return j[:np.argmax(past)]
+
+
+def _ladder_add(ladders, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += H g for H held as ``ladders`` (see SkewMatrix); returns out."""
+    for lo, hi, h in ladders:
+        out[lo] += h * g[hi]
+        out[hi] += h * g[lo]
+    return out
 
 
 class SkewMatrix:
-    """B a dense skew-Hermitian matrix (Kolmogorov, kinetic), given as
+    """B a sparse skew-Hermitian matrix (Kolmogorov, kinetic), given as
     iB = d H conj(d) with H real symmetric and ``d`` a unimodular diagonal
     (or 1), in the flat internal coordinates ``sqrt(w) * f`` of the working
-    product with per-coefficient weights ``w``, where A is diagonal."""
+    product with per-coefficient weights ``w``, where A is diagonal.
+
+    H is held as ``ladders`` (lo, hi, h): H = sum (P + P^T) with
+    P[lo, hi] = h, each P with unique rows and unique columns, ``lo`` and
+    ``hi`` slices or index arrays; no n x n array is formed. ``radius`` is
+    H's Gershgorin radius (its largest absolute row sum), which bounds its
+    spectrum."""
 
     kind = "matrix"
 
-    def __init__(self, lam: np.ndarray, w: np.ndarray, H: np.ndarray, d=1):
+    def __init__(self, lam: np.ndarray, w: np.ndarray, ladders, d=1):
         self.lam = lam
         self.w = w
         self.sqw = np.sqrt(w)
-        self.H = H
-        self.d = np.asarray(d, dtype=complex)  # so every product is complex
+        self.ladders = ladders
+        self.d = np.asarray(d, dtype=complex)
+        self.radius = float(_ladder_add([(lo, hi, np.abs(h)) for lo, hi, h
+                                         in ladders], np.ones(lam.size),
+                                        np.zeros(lam.size)).max())
 
     def to_internal(self, state) -> np.ndarray:
         return self.sqw * state
@@ -258,31 +284,32 @@ class SkewMatrix:
         return g / self.sqw
 
     def apply_B(self, g: np.ndarray) -> np.ndarray:
-        return -1j * self.d * _real_times(self.H, np.conj(self.d) * g)
-
-    @cached_property
-    def _eigenbasis(self):
-        """(theta, Q, Q^T) with H = Q diag(theta) Q^T, Q real and both
-        factors row-major, computed once; :class:`EvolutionError` if Q's
-        orthogonality defect exceeds the tolerance."""
-        theta, Q = np.linalg.eigh(self.H)
-        QT = np.ascontiguousarray(Q.T)
-        defect = np.abs(QT @ Q - np.eye(Q.shape[0])).max()
-        if defect > UNITARITY_TOL:
-            raise EvolutionError(
-                f"advection eigenbasis unitarity defect {defect:.2e} "
-                f"exceeds {UNITARITY_TOL:g}"
-            )
-        return theta, Q, QT
+        u = np.conj(self.d) * g
+        return -1j * self.d * _ladder_add(self.ladders, u, np.zeros_like(u))
 
     def flow(self, t: float):
-        """exp(-B t) = d Q e^{i theta t} Q^T conj(d): two real n x n by
-        n x 2 products a step (8 n^2 flops, 2 n^2 doubles read), and
-        nothing to form when the step size changes."""
-        theta, Q, QT = self._eigenbasis
-        phase = np.exp(1j * theta * t)
+        """exp(-B t) = d exp(iHt) conj(d), exp(iHt) the Chebyshev series
+        sum_k (2 - delta_k0) i^k J_k(st) T_k(H/s), s = ``radius``, cut past
+        |J_k(st)| < ``SERIES_CUT`` and summed by Clenshaw's recurrence: one
+        ladder product, O(nnz), per term, about |st| + 12 |st|^(1/3) + 2
+        terms (13 at the step policy's st <= 0.5)."""
+        J = _bessel_series(self.radius * t)
+        c = J * np.resize([2, 2j, -2, -2j], J.size)  # exact powers of i
+        # complex ladders: a real one would be cast on every product
+        x = [(lo, hi, h / self.radius + 0j) for lo, hi, h in self.ladders]
+        two_x = [(lo, hi, 2.0 * h) for lo, hi, h in x]
         d, dbar = self.d, np.conj(self.d)
-        return lambda g: d * _real_times(Q, phase * _real_times(QT, dbar * g))
+
+        def advect(g):
+            u = dbar * g
+            # b_k = c_k u + 2X b_k+1 - b_k+2 for k = K-1..1, X = H/s; the
+            # sum is J_0 u + X b_1 - b_2
+            b1 = b2 = np.zeros_like(u)
+            for ck in c[:0:-1]:
+                b1, b2 = _ladder_add(two_x, b1, ck * u) - b2, b1
+            return d * (_ladder_add(x, b1, J[0] * u) - b2)
+
+        return advect
 
 
 @dataclass(frozen=True)
@@ -434,7 +461,8 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
 
     B is exactly skew in the weighted product, including at the mode-space
     truncation (the dropped couplings are the boundary pair); after
-    symmetrization iB = d H conj(d), d_m = i^m, H real symmetric tridiagonal.
+    symmetrization iB = d H conj(d), d_m = i^m, and H is one ladder: the
+    off-diagonals of a tridiagonal, so a step costs O(M).
     """
     if M < 1:
         raise ValueError(f"kolmogorov resolution M must be >= 1, got {M}")
@@ -455,13 +483,13 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
 
     # flat B[m+1, m] = -B[m, m+1] = off[m]; H = conj(d) iB d has +off on both
     off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
-    H = np.diag(off, 1) + np.diag(off, -1)
 
     params = {"L": L, "k": k, "M": M}
     return ModelProblem(
         name="kolmogorov",
         params=params,
-        op=SkewMatrix(mu, s, H, np.resize([1, 1j, -1, -1j], 2 * M)),
+        op=SkewMatrix(mu, s, [(slice(0, -1), slice(1, None), off)],
+                      np.resize([1, 1j, -1, -1j], 2 * M)),
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,
@@ -560,6 +588,9 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
     into it (and past the top degree N) is truncated, which preserves exact
     skewness. On this truncation |Re<Bf, Af>| <= |k| ||f||_H ||f||_{H^1}
     holds exactly, by one Cauchy-Schwarz on the surviving ladder sum.
+    iB = -v.k is held as one ladder n -> n + e_j per nonzero k_j (the
+    off-diagonals of a tridiagonal in d = 1), so a step costs O(d) per
+    mode; ``bound_B`` is its Gershgorin radius.
     """
     if N < 2:
         raise ValueError("kinetic truncation degree N must be >= 2")
@@ -577,23 +608,25 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
     idx = _hermite_indices(N, d)
     pos = {n: i for i, n in enumerate(idx)}
     D = len(idx)
-    degrees = np.array([sum(n) for n in idx], dtype=float)
-
-    K = np.zeros((D, D))  # v.k in the normalized ladder basis (symmetric)
-    for i, n in enumerate(idx):
-        for j in np.flatnonzero(kvec):
-            other = pos.get(n[:j] + (n[j] + 1,) + n[j + 1:])
-            if other is not None:
-                K[other, i] = K[i, other] = kvec[j] * np.sqrt(n[j] + 1.0)
+    modes = np.array(idx)
+    degrees = modes.sum(axis=1).astype(float)
+    low = int(np.sum(degrees < N))  # modes below the top degree come first
+    ladders = []  # H = -v.k
+    for j in np.flatnonzero(kvec):
+        up = slice(1, N) if d == 1 else np.array(
+            [pos[n[:j] + (n[j] + 1,) + n[j + 1:]] for n in idx[:low]])
+        ladders.append((slice(0, low), up,
+                        -kvec[j] * np.sqrt(modes[:low, j] + 1.0)))
+    op = SkewMatrix(degrees, np.ones(D), ladders)  # B = i v.k: iB = H
 
     knorm = float(np.linalg.norm(kvec))
     params = {"k": k if np.isscalar(k) else tuple(kvec), "N": N, "d": d}
     return ModelProblem(
         name="kinetic",
         params=params,
-        op=SkewMatrix(degrees, np.ones(D), -K),  # B = iK: iB = -K
+        op=op,
         c_B=knorm,  # lam1 = 1, so the mixed bound doubles as the commutator bound
-        bound_B=float(np.max(np.abs(np.linalg.eigvalsh(K)))),
+        bound_B=op.radius,
         mixed_bound=knorm,
         p=None,
         q=None,
@@ -800,10 +833,7 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     g0 = sqw * data[datum]()
 
     def a_apply(g):
-        out = diag * g
-        out[:-1] += off * g[1:]
-        out[1:] += off * g[:-1]
-        return out
+        return _ladder_add([(slice(0, -1), slice(1, None), off)], g, diag * g)
 
     g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
     d, e, info = dpttrf(diag, off)

@@ -277,7 +277,7 @@ def _flat_operators(name, **kw):
     builder keywords ``kw``, built here from their definitions: the disk
     operator and the radial phase (spiral: alpha, k, N), the mode
     multiplier and the vorticity-corrected coupling (Kolmogorov: L, k, M),
-    the degree ladder (kinetic: k, N, in d = 1)."""
+    the degree ladder (kinetic: k, N, d)."""
     from mixlab.models import _disk_operator
 
     if name == "spiral":
@@ -290,13 +290,32 @@ def _flat_operators(name, **kw):
         s = 1.0 - 1.0 / mu
         off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
         return np.diag(mu), np.diag(-off, 1) + np.diag(off, -1), np.sqrt(s)
-    deg = np.arange(1.0, kw["N"] + 1.0)
-    K = kw["k"] * (np.diag(np.sqrt(deg[1:]), 1) + np.diag(np.sqrt(deg[1:]), -1))
+    deg, K = _kinetic_ladder(kw["k"], kw["N"], kw.get("d", 1))
     return np.diag(deg), 1j * K, np.ones(deg.size)
 
 
+def _kinetic_ladder(k, N, d):
+    """Degrees and the dense symmetric v.k of the kinetic model on the
+    normalized Hermite modes of degree 1..N, in the builder's mode order:
+    v_j h_n = sqrt(n_j + 1) h_{n+e_j} + sqrt(n_j) h_{n-e_j}, truncated at
+    degrees 0 and N + 1; a scalar k is (k, 0, ..., 0)."""
+    from mixlab.models import _hermite_indices
+
+    kvec = np.zeros(d)
+    kvec[:np.size(k)] = k
+    idx = _hermite_indices(N, d)
+    pos = {n: i for i, n in enumerate(idx)}
+    K = np.zeros((len(idx), len(idx)))
+    for i, n in enumerate(idx):
+        for j in range(d):
+            up = pos.get(n[:j] + (n[j] + 1,) + n[j + 1:])
+            if up is not None:
+                K[i, up] = K[up, i] = kvec[j] * np.sqrt(n[j] + 1.0)
+    return np.array([sum(n) for n in idx], dtype=float), K
+
+
 def test_viscous_spiral_step_matches_dense_oracle():
-    """The eigenbasis step of the spiral, Kolmogorov and kinetic models
+    """The step of the spiral, Kolmogorov and kinetic models
     against the dense Strang operator E @ expm(-B dt) @ E with
     E = expm(-nu A dt / 2), in flat coordinates."""
     from scipy.linalg import expm
@@ -305,7 +324,8 @@ def test_viscous_spiral_step_matches_dense_oracle():
     rng = np.random.default_rng(8)
     for name, kw in (("spiral", dict(alpha=1.0, k=1, N=32)),
                      ("kolmogorov", dict(L=2.0, k=1, M=8)),
-                     ("kinetic", dict(k=1, N=12))):
+                     ("kinetic", dict(k=1, N=12)),
+                     ("kinetic", dict(k=(1, -2), N=6, d=2))):
         prob = mx.build_model(name, **kw)
         A, B, sqw = _flat_operators(name, **kw)
         for nu in (1e-2, 0.0):
@@ -320,60 +340,92 @@ def test_viscous_spiral_step_matches_dense_oracle():
                     < 1e-12 * prob.sobolev(f, 0.0), (name, nu)
 
 
-def test_skew_matrix_flow_reuses_one_eigenbasis(monkeypatch):
-    """Kolmogorov and kinetic flows of any step come from one eigh of the
-    real symmetric H."""
+def test_skew_matrix_flow_matches_expm_at_each_step():
+    """Kinetic flows of three step sizes and one negative step, all from
+    one model, against expm(-B t)."""
     from scipy.linalg import expm
 
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape) or eigh(a))
     prob = mx.build_model("kinetic", k=1, N=12)
     _, B, _ = _flat_operators("kinetic", k=1, N=12)
     g = np.random.default_rng(3).standard_normal(prob.size) + 0j
-    for t in (0.1, 0.05, 0.3):
+    for t in (0.1, 0.05, 0.3, -0.2):
         out = prob.op.flow(t)(g)
         assert np.abs(out - expm(-B * t) @ g).max() < 1e-13
-    assert calls == [(prob.size, prob.size)]
 
 
-def test_skew_matrix_eigenbasis_is_real_and_checked(monkeypatch):
-    """The Kolmogorov and kinetic eigenbases are real; a basis that is
-    not orthogonal to the tolerance raises EvolutionError."""
+def test_bessel_series_matches_jv_and_is_cut():
+    """The flow's coefficients J_0(x)..J_{K-1}(x) match scipy's Bessel
+    functions over x in [0, 150] (and -x); the first dropped one, J_K, is
+    below 1e-16, and x = 0 gives the identity flow."""
+    from scipy.special import jv
+
+    from mixlab.models import SERIES_CUT, _bessel_series
+
+    assert SERIES_CUT == 1e-16
+    for x in np.concatenate([np.linspace(0.0, 150.0, 601),
+                             np.geomspace(1e-12, 150.0, 200),
+                             -np.geomspace(1e-3, 150.0, 20)]):
+        J = _bessel_series(x)
+        assert np.abs(J - jv(np.arange(J.size), x)).max() < 1e-14, x
+        assert J.size > abs(x) and abs(jv(J.size, x)) < 1e-16, x
+    assert np.array_equal(_bessel_series(0.0), [1.0])
+    rng = np.random.default_rng(5)
     for name, kw in (("kolmogorov", dict(L=2.0, k=1, M=8)),
                      ("kinetic", dict(k=1, N=12))):
-        theta, Q, QT = mx.build_model(name, **kw).op._eigenbasis
-        assert theta.dtype == Q.dtype == QT.dtype == np.float64, name
+        prob = mx.build_model(name, **kw)
+        g = rng.standard_normal(prob.size) + 1j * rng.standard_normal(prob.size)
+        assert np.array_equal(prob.op.flow(0.0)(g), g), name
 
-    eigh = np.linalg.eigh
 
-    def skewed(a):
-        theta, Q = eigh(a)
-        Q[0, 0] += 1e-8
-        return theta, Q
+def test_matrix_families_run_no_eigensolver(monkeypatch):
+    """Building and stepping the Kolmogorov and kinetic models (d = 1, 2)
+    runs no dense eigensolver: flow, apply_B and step_viscous work with
+    numpy's eigh, eigvalsh and eig raising."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
 
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
-    prob = mx.build_model("kolmogorov", L=2.0, k=1, M=8)
-    with pytest.raises(EvolutionError, match="unitarity defect"):
-        prob.op.flow(0.1)
-    with pytest.raises(EvolutionError, match="unitarity defect"):
-        mx.step_viscous(prob, mx.initial_datum(prob), 1e-2, 0.1)
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name, kw in (("kolmogorov", dict(L=2.0, k=1, M=64)),
+                     ("kinetic", dict(k=1, N=40)),
+                     ("kinetic", dict(k=(1, 2), N=8, d=2))):
+        prob = mx.build_model(name, **kw)
+        f = mx.initial_datum(prob, "random-h1", seed=2)
+        g = prob.op.to_internal(f)
+        assert np.isfinite(prob.op.flow(0.1)(g)).all()
+        assert np.isfinite(prob.apply_B(f)).all()
+        assert np.isfinite(mx.step_viscous(prob, f, 1e-2, 0.1)).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kinetic_bound_is_the_gershgorin_radius(d):
+    """Kinetic bound_B is the op's Gershgorin radius, the largest absolute
+    row sum of v.k, which bounds its spectrum."""
+    k = (1.0, -0.5, 2.0)[:d]
+    prob = mx.build_model("kinetic", k=k, N=8, d=d)
+    _, K = _kinetic_ladder(k, 8, d)
+    assert prob.bound_B == prob.op.radius
+    assert prob.bound_B == pytest.approx(np.abs(K).sum(axis=1).max(),
+                                         rel=1e-14)
+    assert prob.bound_B >= np.abs(np.linalg.eigvalsh(K)).max()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(family=st.sampled_from(["kolmogorov", "kinetic"]),
+@given(family=st.sampled_from(["kolmogorov", "kinetic", "kinetic-d2"]),
        L=st.floats(1.5, 4.0), k=st.sampled_from([1, 2, 3]),
        size=st.integers(2, 10), t=st.floats(0.0, 5.0),
        s=st.floats(0.0, 5.0))
 def test_skew_matrix_flow_is_the_exponential(family, L, k, size, t, s):
-    """For Kolmogorov (L, k, M) and kinetic (k, N) models, op.flow(t) is
-    expm(-B t) of the operator built from its definition, preserves the
-    flat norm and composes: flow(s) flow(t) = flow(s + t)."""
+    """For Kolmogorov (L, k, M) and kinetic (k, N; d = 1, and d = 2 with
+    k = (k, -L)) models, op.flow(t) is expm(-B t) of the operator built
+    from its definition, preserves the flat norm and composes:
+    flow(s) flow(t) = flow(s + t)."""
     from scipy.linalg import expm
 
-    kw = dict(L=L, k=k, M=size) if family == "kolmogorov" \
-        else dict(k=k, N=size)
+    kw = {"kolmogorov": dict(L=L, k=k, M=size),
+          "kinetic": dict(k=k, N=size),
+          "kinetic-d2": dict(k=(k, -L), N=size, d=2)}[family]
+    family = family.removesuffix("-d2")
     op = mx.build_model(family, **kw).op
     _, B, _ = _flat_operators(family, **kw)
     rng = np.random.default_rng(size)

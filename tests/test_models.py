@@ -1,5 +1,9 @@
 """Model builders: constraints, operator identities, closed-form solutions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import jnp_zeros, jv
@@ -20,6 +24,20 @@ def _re_inner(prob, x, y):
 
 # ---------------------------------------------------------------------------
 # profiles and constraints
+
+def test_import_loads_no_scipy_special_or_sparse():
+    """``import mixlab`` in a fresh interpreter leaves scipy.special and
+    scipy.sparse unloaded: either would add start-up time and resident
+    memory to every command."""
+    src = os.path.dirname(os.path.dirname(mx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mixlab; print(' '.join(m for m in "
+            "('scipy.special', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
 
 def test_profile_registry():
     from mixlab.models import PROFILES

@@ -114,14 +114,14 @@ def test_inner_product_weighted():
     """The working product carries the op's weights; ModelProblem rejects
     a zero weight."""
     lam = np.array([1.0, 2.0])
-    prob = _problem(SkewMatrix(lam, np.array([0.5, 1.5]), np.zeros((2, 2))))
+    prob = _problem(SkewMatrix(lam, np.array([0.5, 1.5]), []))
     f = np.array([1.0 + 1j, 2.0])
     g = np.array([1.0, 1.0j])
     val = prob.inner(f, g)
     assert val == pytest.approx(0.5 * (1 + 1j) + 1.5 * 2.0 * (-1j))
     assert prob.sobolev(f, 0.0) == pytest.approx(np.sqrt(0.5 * 2 + 1.5 * 4))
     with pytest.raises(ValueError):
-        _problem(SkewMatrix(lam, np.array([1.0, 0.0]), np.zeros((2, 2))))
+        _problem(SkewMatrix(lam, np.array([1.0, 0.0]), []))
 
 
 def test_inner_checks_size():
