@@ -18,7 +18,8 @@ import numpy as np
 from ._svg import line_plot_svg
 from .diagnostics import THETA_DEFAULT, ed_exponent, fit_mixing_amplitude, \
     fit_power_law, theorem_bound_check, timescale_pairs
-from .evolution import EvolutionError, evolve, read_trace, write_trace
+from .evolution import TOP_BAND_FLAG, EvolutionError, evolve, read_trace, \
+    write_trace
 from .models import FAMILIES, build_model, initial_datum, model_params, \
     predicted_rates, shear_mixing_series, spiral_mixing_series
 from .sweep import SweepConfig, load_sweep, row_key, run_sweep
@@ -76,15 +77,44 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_mix_rate(args) -> int:
+def _mix_rate_times(args) -> np.ndarray:
+    """The sample times of ``mix-rate``, refused unless its power-law fit
+    gets at least 4 of them in a window of positive, finite times."""
+    if args.points < 4:
+        raise ValueError(f"--points must be >= 4, got {args.points}")
+    for flag, t in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not 0.0 < t < np.inf:
+            raise ValueError(f"{flag} must be finite and > 0, got {t:g}")
+    if args.t_min >= args.t_max:
+        raise ValueError(f"--t-min {args.t_min:g} must be below --t-max "
+                         f"{args.t_max:g}")
     times = np.concatenate([[0.0], np.geomspace(min(0.1, args.t_min),
                                                 args.t_max, args.points)])
+    inside = int(np.sum((times >= args.t_min) & (times <= args.t_max)))
+    if inside < 4:
+        raise ValueError(f"--points {args.points} puts {inside} sample "
+                         f"time(s) in [--t-min, --t-max]; the power-law fit "
+                         f"needs >= 4")
+    return times
+
+
+def _cmd_mix_rate(args) -> int:
+    times = _mix_rate_times(args)
+    warnings = []
     if args.model == "shear":
         res = 2048 if args.resolution is None else args.resolution
         datum = args.datum or "single-mode-m1"
         series = shear_mixing_series(times, profile=args.profile,
                                      gamma=args.gamma, k=args.k, M=res,
                                      datum=datum, seed=args.seed)
+        felt = (series["grid"] == 2 * res) & (series["outer"] > TOP_BAND_FLAG)
+        if felt.any():
+            warnings.append(
+                f"{felt.sum()} of {times.size} times ran on the full "
+                f"{2 * res}-point grid with up to "
+                f"{series['outer'][felt].max():.1%} of the energy in its "
+                f"outer half |m| > {res / 2:g}: the truncation is felt; "
+                f"raise --resolution")
         probe_res = 8
     else:
         res = 8192 if args.resolution is None else args.resolution
@@ -102,6 +132,8 @@ def _cmd_mix_rate(args) -> int:
     print(f"dual-norm decay: hm1 ~ t^{fit.exponent:+.4f} over "
           f"t in [{args.t_min:g}, {args.t_max:g}]  (predicted mixing "
           f"exponent p = {'none' if p_pred is None else format(p_pred, 'g')})")
+    for warning in warnings:
+        print(f"  warning: {warning}")
 
     out = _out_dir(args)
     stem = os.path.join(out, f"mixing_{args.model}_k{args.k}")
@@ -112,8 +144,11 @@ def _cmd_mix_rate(args) -> int:
                               for c in ("t", "h", "h1", "hm1")) + "\n")
     with open(stem + "_fit.json", "w") as fh:
         json.dump({"model": args.model, "datum": datum, "resolution": res,
+                   "grid_points": [int(series["grid"].min()),
+                                   int(series["grid"].max())],
                    "p_measured": p_meas, "p_predicted": p_pred,
-                   "fit": asdict(fit)}, fh, indent=1, sort_keys=True)
+                   "fit": asdict(fit), "warnings": warnings}, fh, indent=1,
+                  sort_keys=True)
         fh.write("\n")
     mask = series["t"] > 0
     tt = series["t"][mask]

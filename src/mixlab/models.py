@@ -58,7 +58,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpttrf
 
 from .spectral import fractional_symbol, hs_norm
 
@@ -758,36 +759,79 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
     return state / h1
 
 
-def _phase_series(vals0, rate, times, norms):
-    """``norms(g) = (h, h1, hm1)`` of g(t) = vals0 exp(-i rate t) at ``times``.
-    The phase goes as cos and sin into one reused buffer (the bits of the
-    complex ``exp``, without its temporaries) and times the datum in place."""
+COARSEST_GRID = 64  # fewest points of the grid the shear series starts on
+
+
+def _series_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
-    out = np.empty((3, times.size))
-    g = np.empty(rate.shape, dtype=complex)
-    for i, t in enumerate(times):
-        np.cos(np.multiply(rate, -t, out=g.imag), out=g.real)
-        np.sin(g.imag, out=g.imag)
-        g *= vals0
-        out[:, i] = norms(g)
-    return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2]}
+    if not np.all(np.isfinite(times)):
+        raise ValueError("series times must be finite")
+    return times
+
+
+def _phase(g, rate, t, vals):
+    """g = vals exp(-i rate t) in place: cos and sin into g's own real and
+    imaginary halves (the bits of the complex ``exp``, without its
+    temporaries), then times the datum."""
+    np.cos(np.multiply(rate, -t, out=g.imag), out=g.real)
+    np.sin(g.imag, out=g.imag)
+    g *= vals
+    return g
+
+
+class _ShearGrid:
+    """The grid y[::s] of the shear series, ``s`` a power of two dividing
+    the 2M of the full grid: its rates, the datum's values with the FFT's
+    1/n folded in (times s, exact), the full grid's eigenvalue of each of
+    its modes, and the slice of its outer half |m| > n/4 in FFT order."""
+
+    def __init__(self, rate, vals, lam, s):
+        n = rate.size // s
+        m = np.arange(n)
+        m[(n + 1) // 2:] -= n  # integer modes, FFT order
+        self.points = n
+        self.rate, self.vals, self.lam = ((rate, vals, lam) if s == 1 else
+                                          (rate[::s].copy(), s * vals[::s],
+                                           lam[m]))
+        self.outer = slice(n // 4 + 1, n - n // 4)
+        self.g = np.empty(n, dtype=complex)
+        self.a2 = np.empty(n)
+
+    def spectrum(self, t):
+        """|c'_m|^2 at time t: the full grid's coefficients aliased onto
+        this grid, c'_m = sum_l c_(m + l n)."""
+        ct = np.fft.fft(_phase(self.g, self.rate, t, self.vals), out=self.g)
+        return np.square(np.abs(ct, out=self.a2), out=self.a2)
 
 
 def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
                         datum="single-mode-m1", seed=None):
     """Exact inviscid norm history for a shear flow, evaluated pointwise.
 
-    Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) on the
-    2M-point grid of :func:`build_shear` and returns the norms at the
-    requested times without time stepping, so `times` may be log-spaced
-    over several decades. The datum's grid values, with the FFT's 1/2M
-    folded in, are formed once, so each time costs one phase and one
-    unnormalized FFT in reused buffers; memory stays O(M).
+    Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) of
+    :func:`build_shear` and returns the norms at the requested times
+    without time stepping, so `times` may be log-spaced over several
+    decades.
+
+    The spectrum at time t spreads to about |m| <~ k max|u'| |t|, so each
+    time runs on the coarsest grid y[::s] that holds it: the times go in
+    order of |t|, from the coarsest grid with at least ``COARSEST_GRID``
+    points (s a power of two dividing 2M), and a grid is accepted when the
+    outer half |m| > n/4 of its one FFT holds at most
+    ``(16 eps (1 + |t| max|k u|))^2`` of the energy, the round-off floor
+    the phase k u t already carries on the full grid; otherwise s halves,
+    for good, and the time is redone. A time costs one phase and one
+    unnormalized FFT on that grid in reused buffers, against the 2M-point
+    grid at every time; h and h1 agree with the full grid to round-off
+    and hm1 to the FFT's round-off relative to its small low modes
+    (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
+    ``random-h1`` fills every mode, so both run on the full 2M-point grid
+    at every time. Memory stays O(M).
 
     Parameters
     ----------
     times : array_like
-        Evaluation times (any order, need not include 0).
+        Finite evaluation times (any order, need not include 0).
     profile, gamma, k, M :
         As in `build_shear`. M must comfortably exceed k * max|u| * max(times)
         so the phase-generated Fourier spread stays inside the truncation.
@@ -797,32 +841,59 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
 
     Returns
     -------
-    dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm).
+    dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm), in the
+    order of `times`; "grid", the points of the grid each time ran on; and
+    "outer", the fraction of the energy in that grid's outer half.
     """
+    times = _series_times(times)
     problem = build_shear(profile=profile, gamma=gamma, k=k, M=M)
-    op = problem.op
-    ct = np.empty(problem.size, dtype=complex)
-    a2 = np.empty(problem.size)
-
-    def norms(g):
-        np.square(np.abs(np.fft.fft(g, out=ct), out=a2), out=a2)
-        return [hs_norm(a2, op.lam, s) for s in (0.0, 1.0, -1.0)]
-
-    return _phase_series(np.fft.ifft(initial_datum(problem, datum, seed)),
-                         op.rate, times, norms)
+    n = problem.size
+    s = 1
+    if profile in PROFILES and datum != "random-h1":
+        while n % (2 * s) == 0 and n // (2 * s) >= COARSEST_GRID:
+            s *= 2
+    level = partial(_ShearGrid, problem.op.rate,
+                    np.fft.ifft(initial_datum(problem, datum, seed)),
+                    problem.op.lam)
+    grid = level(s)
+    out = np.empty((4, times.size))
+    points = np.empty(times.size, dtype=int)
+    eps = np.finfo(float).eps
+    for i in np.argsort(np.abs(times), kind="stable"):
+        floor = (16.0 * eps * (1.0 + abs(times[i]) * problem.bound_B)) ** 2
+        while True:
+            a2 = grid.spectrum(times[i])
+            outer = a2[grid.outer].sum() / a2.sum()
+            if s == 1 or outer <= floor:
+                break
+            s //= 2
+            grid = level(s)
+        out[:, i] = [hs_norm(a2, grid.lam, p) for p in (0.0, 1.0, -1.0)] \
+            + [outer]
+        points[i] = grid.points
+    return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
+            "grid": points, "outer": out[3]}
 
 
 def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase, so f(t) is evaluated in closed
-    form; the dual norm comes from the radial operator in flat coordinates,
-    factored once as A = L D L^T rather than diagonalized, so each time
-    costs O(N): a phase, a tridiagonal product and a two-column solve.
+    form; the norms come from the radial operator A in flat coordinates,
+    factored once as A = L D L^T (L unit lower bidiagonal) rather than
+    diagonalized. Each time costs O(N) in reused buffers: a phase, the
+    tridiagonal product A g for h1, and for hm1^2 = g^H A^-1 g =
+    sum |y_j|^2 / d_j one forward sweep y = L^-1 g on each real column.
+    h1 is sqrt(Re g^H (A g)) with A g formed elementwise: the expanded
+    quadratic form diag |g|^2 + 2 off Re(conj(g_j) g_j+1) would lose ~7
+    digits to cancellation at N = 65536. hm1 agrees with a full
+    tridiagonal solve to round-off (~1e-14).
 
-    Parameters / returns as in `shear_mixing_series`; `datum` may be
-    "uniform", "single-mode-m1", or "gaussian-bump" (no seeded datum).
+    Parameters / returns as in `shear_mixing_series`, with "grid" always N
+    and no "outer"; `datum` may be "uniform", "single-mode-m1", or
+    "gaussian-bump" (no seeded datum).
     """
+    times = _series_times(times)
     r, dr, diag, off = _disk_operator(N, k)
     sqw = np.sqrt(r * dr)
     data = _disk_data(r, lambda: eigh_tridiagonal(
@@ -830,19 +901,36 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     if datum not in data:
         raise ValueError(f"datum {datum!r} is not defined for the spiral "
                          f"series; its data: {', '.join(sorted(data))}")
+    ag = np.empty(N, dtype=complex)
+    tmp = np.empty(N - 1, dtype=complex)
+
+    def a_times(g):
+        """A g into ``ag``, elementwise as the ladder product forms it."""
+        np.multiply(diag, g, out=ag)
+        ag[:-1] += np.multiply(off, g[1:], out=tmp)
+        ag[1:] += np.multiply(off, g[:-1], out=tmp)
+        return ag
+
     g0 = sqw * data[datum]()
-
-    def a_apply(g):
-        return _ladder_add([(slice(0, -1), slice(1, None), off)], g, diag * g)
-
-    g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
+    g0 /= np.sqrt(np.real(np.vdot(g0, a_times(g0))))
     d, e, info = dpttrf(diag, off)
     if info != 0:
         raise ValueError(f"disk operator is not positive definite (info={info})")
-
-    def norms(g):
-        G = g.view(float).reshape(N, 2)  # real and imaginary columns
-        return (np.linalg.norm(g), np.sqrt(np.real(np.vdot(g, a_apply(g)))),
-                np.sqrt(np.vdot(G, dpttrs(d, e, G)[0])))
-
-    return _phase_series(g0, k * r**alpha, times, norms)
+    band = np.zeros((2, N), order="F")  # L's subdiagonal, LAPACK band layout
+    band[1, :-1] = e
+    inv_d = 1.0 / d
+    rate = k * r**alpha
+    g = np.empty(N, dtype=complex)
+    out = np.empty((3, times.size))
+    for i, t in enumerate(times):
+        _phase(g, rate, t, g0)
+        h, h1 = np.linalg.norm(g), np.sqrt(np.real(np.vdot(g, a_times(g))))
+        y = g.view(float)  # L^-1 on the real and imaginary parts, in place
+        for part in (0, 1):
+            y = dtbsv(1, band, y, lower=1, diag=1, incx=2, offx=part,
+                      overwrite_x=1)
+        y = y.view(complex)
+        out[:, i] = h, h1, np.sqrt(np.real(np.vdot(
+            y, np.multiply(y, inv_d, out=ag))))
+    return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
+            "grid": np.full(times.size, N)}

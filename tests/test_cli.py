@@ -85,7 +85,7 @@ def test_bad_model_parameters_exit_code_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_mix_rate_shear(tmp_path):
+def test_mix_rate_shear(tmp_path, capsys):
     rc = cli.main(["mix-rate", "--model", "shear", "--resolution", "512",
                    "--t-max", "300", "--points", "32",
                    "--out", str(tmp_path)])
@@ -95,6 +95,21 @@ def test_mix_rate_shear(tmp_path):
     assert fit["p_predicted"] == 0.5
     assert (tmp_path / "mixing_shear_k1.csv").exists()
     assert (tmp_path / "mixing_shear_k1.svg").exists()
+    # at t = 300 the spectrum reaches |m| ~ 300, past the outer-half edge
+    # |m| = 256 of the full 1024-point grid
+    assert fit["grid_points"] == [64, 1024]
+    assert len(fit["warnings"]) == 1
+    assert "truncation is felt" in fit["warnings"][0]
+    assert f"warning: {fit['warnings'][0]}" in capsys.readouterr().out
+    # at M = 2048 the same window never needs the full 4096-point grid
+    rc = cli.main(["mix-rate", "--model", "shear", "--resolution", "2048",
+                   "--t-max", "300", "--points", "32",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    assert fit["grid_points"] == [64, 2048]
+    assert fit["warnings"] == []
+    assert "warning" not in capsys.readouterr().out
 
 
 def test_mix_rate_spiral(tmp_path):
@@ -105,6 +120,8 @@ def test_mix_rate_spiral(tmp_path):
     fit = _load_json(tmp_path / "mixing_spiral_k1_fit.json")
     assert 0.8 < fit["p_measured"] < 1.2
     assert fit["p_predicted"] == 1.0
+    assert fit["grid_points"] == [256, 256]
+    assert fit["warnings"] == []
 
 
 def test_ed_sweep_and_report_heat(tmp_path):
@@ -371,6 +388,29 @@ def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--points", "3"], "--points must be >= 4, got 3"),
+    (["--t-min", "-1"], "--t-min must be finite and > 0, got -1"),
+    (["--t-min", "0"], "--t-min must be finite and > 0, got 0"),
+    (["--t-min", "nan"], "--t-min must be finite and > 0, got nan"),
+    (["--t-max", "inf"], "--t-max must be finite and > 0, got inf"),
+    (["--t-min", "10", "--t-max", "10"], "--t-min 10 must be below --t-max 10"),
+    (["--t-min", "20", "--t-max", "10"], "--t-min 20 must be below --t-max 10"),
+    (["--t-min", "10", "--t-max", "11"], "--points 48 puts 1 sample time"),
+], ids=["points-3", "t-min-negative", "t-min-zero", "t-min-nan",
+        "t-max-inf", "t-min-equals-t-max", "t-min-above-t-max",
+        "window-holds-1"])
+@pytest.mark.parametrize("model", ["shear", "spiral"])
+def test_bad_mix_rate_window_exit_code_1(tmp_path, capsys, model, flags,
+                                         message):
+    out = tmp_path / "m"
+    rc = cli.main(["mix-rate", "--model", model, *flags, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -443,3 +443,94 @@ def test_spiral_mixing_series_matches_model_norms():
         mx.spiral_mixing_series(times, datum="no-such-datum")
     with pytest.raises(ValueError, match="nonzero angular wavenumber"):
         mx.spiral_mixing_series(times, k=0, N=512)
+
+
+def _full_grid_norms(times, M, datum="single-mode-m1", seed=None, **kw):
+    """h, h1, hm1 of the closed-form shear flow on the whole 2M-point grid."""
+    prob = mx.build_model("shear", M=M, **kw)
+    vals = np.fft.ifft(mx.initial_datum(prob, datum, seed=seed),
+                       norm="forward")
+    out = []
+    for t in times:
+        a2 = np.abs(np.fft.fft(vals * np.exp(-1j * prob.op.rate * t),
+                               norm="forward")) ** 2
+        out.append([np.sqrt(np.sum(prob.op.lam**s * a2)) for s in (0, 1, -1)])
+    return np.array(out).T
+
+
+_UP_TO_200 = np.concatenate([[0.0], np.geomspace(0.1, 200.0, 30)])
+
+
+@pytest.mark.parametrize("kw, times, full_grid", [
+    ({"M": 1024}, _UP_TO_200, False),
+    ({"M": 1024, "profile": "sin2", "k": 3}, _UP_TO_200[:25], False),
+    ({"M": 512, "profile": "csv"}, _UP_TO_200[:20], True),
+    ({"M": 256, "datum": "random-h1", "seed": 5}, _UP_TO_200[:20], True),
+    ({"M": 3 * 2**9}, _UP_TO_200[:25], False),
+    ({"M": 1024}, [150.0, 0.0, 3.0, 150.0, 0.5, 3.0], False),
+], ids=["sin", "sin2-k3", "csv-profile", "random-h1", "M-3x2^9",
+        "unsorted-repeated"])
+def test_shear_series_matches_full_grid(tmp_path, kw, times, full_grid):
+    if kw.get("profile") == "csv":
+        y = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+        path = tmp_path / "prof.csv"
+        path.write_text("y,u\n" + "".join(f"{a:.12g},{np.sin(a):.12g}\n"
+                                          for a in y))
+        kw = {**kw, "profile": str(path)}
+    ser = mx.shear_mixing_series(times, **kw)
+    ref = _full_grid_norms(times, **kw)
+    for row, key in enumerate(("h", "h1", "hm1")):
+        np.testing.assert_allclose(ser[key], ref[row], rtol=1e-11, atol=0)
+    assert np.array_equal(ser["t"], np.asarray(times, dtype=float))
+    assert (np.all(ser["grid"] == 2 * kw["M"])) == full_grid
+    assert np.all((0.0 <= ser["outer"]) & (ser["outer"] <= 1.0))
+    for t in set(times):  # a repeated time gets the same bits
+        at = np.asarray(times) == t
+        assert len(set(ser["hm1"][at])) == 1
+
+
+def test_shear_series_grid_starts_coarse_and_never_shrinks():
+    times = np.geomspace(0.1, 500.0, 40)[::-1]  # any order; grid follows |t|
+    ser = mx.shear_mixing_series(times, M=4096)
+    grid = ser["grid"][np.argsort(times)]
+    assert grid[0] == mx.models.COARSEST_GRID
+    assert np.all(np.diff(grid) >= 0)
+    # the spectrum reaches |m| ~ t: t = 500 fits the inner half |m| <= 1024
+    # of 4096 points, not that of 2048, and never needs the full 2M = 8192
+    assert grid[-1] == 4096
+    # each accepted grid's outer half is at the phase's round-off floor
+    # (max|k u| = 1 here)
+    eps = np.finfo(float).eps
+    assert np.all(ser["outer"] <= (16.0 * eps * (1.0 + times)) ** 2)
+
+
+def test_spiral_series_forward_sweep_matches_full_solve():
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    from mixlab.models import _disk_operator, _ladder_add
+    N, times = 4096, np.array([0.0, 0.3, 7.0, 250.0])
+    ser = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=N)
+    r, dr, diag, off = _disk_operator(N, 1)
+
+    def a_apply(g):
+        return _ladder_add([(slice(0, -1), slice(1, None), off)], g, diag * g)
+
+    g0 = np.sqrt(r * dr) * np.ones(N, dtype=complex)
+    g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
+    d, e, _ = dpttrf(diag, off)
+    for i, t in enumerate(times):
+        g = (np.cos(r * -t) + 1j * np.sin(r * -t)) * g0
+        assert ser["h1"][i] == np.sqrt(np.real(np.vdot(g, a_apply(g))))
+        G = g.view(float).reshape(N, 2)
+        hm1 = np.sqrt(np.vdot(G, dpttrs(d, e, G)[0]))
+        assert ser["hm1"][i] == pytest.approx(hm1, rel=1e-12)
+    assert np.all(ser["grid"] == N)
+
+
+@pytest.mark.parametrize("series", [mx.shear_mixing_series,
+                                    mx.spiral_mixing_series],
+                         ids=["shear", "spiral"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_refuse_nonfinite_times(series, bad):
+    with pytest.raises(ValueError, match="times must be finite"):
+        series([0.0, 1.0, bad])
