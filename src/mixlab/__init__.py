@@ -44,7 +44,6 @@ from .models import (
     exact_inviscid,
     initial_datum,
     load_profile_csv,
-    predicted_rates,
     shear_mixing_series,
     spiral_mixing_series,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "evolve", "exact_inviscid", "exp_mixing_nu_threshold",
     "fit_decay_rate", "fit_mixing_amplitude", "fit_power_law",
     "fractional_symbol", "initial_datum", "load_profile_csv", "load_sweep",
-    "predicted_rates", "q_from_p", "q_s_exponent", "read_trace",
+    "q_from_p", "q_s_exponent", "read_trace",
     "run_sweep", "shear_mixing_series", "spiral_mixing_series",
     "step_viscous", "tau_threshold", "theorem_bound_check",
     "theorem_bound_check_exp", "timescale_pairs", "write_trace",

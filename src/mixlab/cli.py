@@ -16,12 +16,13 @@ from dataclasses import asdict
 import numpy as np
 
 from ._svg import line_plot_svg
-from .diagnostics import THETA_DEFAULT, ed_exponent, fit_mixing_amplitude, \
-    fit_power_law, theorem_bound_check, timescale_pairs
+from .diagnostics import THETA_DEFAULT, constant_c0_poly, constant_c0_spiral, \
+    ed_exponent, fit_mixing_amplitude, fit_power_law, theorem_bound_check, \
+    timescale_pairs
 from .evolution import TOP_BAND_FLAG, EvolutionError, evolve, read_trace, \
     write_trace
 from .models import FAMILIES, build_model, initial_datum, model_params, \
-    predicted_rates, shear_mixing_series, spiral_mixing_series
+    shear_mixing_series, spiral_mixing_series
 from .sweep import SweepConfig, load_sweep, row_key, run_sweep
 
 
@@ -265,9 +266,6 @@ def _amplitude_series(cfg, problem, t_max):
 def _cmd_verify_bound(args) -> int:
     result = load_sweep(args.sweep_dir)
     cfg = result.config
-    if cfg is None:
-        raise ValueError(f"{args.sweep_dir!r} has no sweep_config.json; "
-                         "bound verification needs the sweep provenance")
     report: dict = {"tol": args.tol, "groups": {}, "rows": []}
     n_fail = 0
     n_checked = 0
@@ -283,8 +281,9 @@ def _cmd_verify_bound(args) -> int:
         series = _amplitude_series(cfg, problem, args.amp_t_max)
         a = fit_mixing_amplitude(series["t"], series["hm1"], problem.p,
                                  k, 1.0)
-        rates = predicted_rates(problem, a=a)
-        c0 = rates["c0"]
+        spiral = model == "spiral"
+        c0 = constant_c0_spiral(problem.params["alpha"], a) if spiral \
+            else constant_c0_poly(problem.p, a, problem.c_B)
         report["groups"][label] = {"a": a, "p": problem.p, "q": problem.q,
                                    "c0": c0, "datum": cfg.datum}
         print(f"{label}: fitted amplitude a = {a:g}, c0 = {c0:.4g}, "
@@ -295,7 +294,7 @@ def _cmd_verify_bound(args) -> int:
                                  "the sweep before verifying bounds")
             trace = read_trace(os.path.join(args.sweep_dir, r.trace_path))
             rate = c0 * r.nu**problem.q * abs(k) ** (1.0 - problem.q) \
-                if model == "spiral" else None
+                if spiral else None
             check = theorem_bound_check(trace, r.nu, problem.q, c0,
                                         tol=args.tol, lam1=problem.lam1,
                                         rate=rate)
@@ -375,11 +374,9 @@ def _cmd_report(args) -> int:
                 fh.write(line_plot_svg(tau_series, "nu", "tau",
                                        title=f"{label}: time-scale vs nu"))
             svgs.append(path)
-        traced = [r for r in sorted(rows, key=lambda r: r.nu)
-                  if r.trace_path and
-                  os.path.exists(os.path.join(args.sweep_dir, r.trace_path))]
+        traced = [r for r in rows if r.trace_path]
         if traced:
-            r = traced[0]
+            r = min(traced, key=lambda r: r.nu)
             trace = read_trace(os.path.join(args.sweep_dir, r.trace_path))
             path = os.path.join(out, f"decay_{label}.svg")
             with open(path, "w") as fh:

@@ -320,20 +320,21 @@ def write_trace(trace: DecayTrace, path) -> None:
 
 
 def read_trace(path) -> DecayTrace:
+    """A trace written by :func:`write_trace`: the CSV and its sidecar,
+    which carries ``model``, ``params``, ``nu``, ``dt`` and the meta. A
+    missing sidecar is a FileNotFoundError, and one that lacks any of
+    those four a ValueError naming it."""
     path = os.fspath(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     sidecar_path = os.path.splitext(path)[0] + ".json"
-    meta = {}
-    nu = 0.0
-    model, params, dt = "", {}, 0.0
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
-        nu = meta.pop("nu", 0.0)
-        model = meta.pop("model", "")
-        params = meta.pop("params", {})
-        dt = meta.pop("dt", 0.0)
-        meta.pop("n_samples", None)
+    with open(sidecar_path) as fh:
+        meta = json.load(fh)
+    keys = ("model", "params", "nu", "dt")
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{sidecar_path} lacks {', '.join(missing)}")
+    model, params, nu, dt = (meta.pop(key) for key in keys)
+    meta.pop("n_samples", None)
     return DecayTrace(
         times=data[:, 0], h=data[:, 1], h1=data[:, 2], hm1=data[:, 3],
         nu=nu, model=model, params=params, dt=dt, meta=meta,

@@ -80,7 +80,6 @@ __all__ = [
     "build_model",
     "model_params",
     "exact_inviscid",
-    "predicted_rates",
     "initial_datum",
 ]
 
@@ -444,8 +443,12 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         q=q,
         basis="torus-fourier",
         data={"single-mode-m1": lambda: (modes == 1.0).astype(complex),
-              "gaussian-bump": lambda: np.fft.fft(np.exp(
-                  -((y - np.pi) ** 2) / 0.5).astype(complex), norm="forward")},
+              # the bump at pi and its images at pi -+ 2 pi, periodic to
+              # round-off (the next images are below 1e-76)
+              "gaussian-bump": lambda: np.fft.fft(sum(
+                  np.exp(-((y - c) ** 2) / 0.5)
+                  for c in (-np.pi, np.pi, 3 * np.pi)).astype(complex),
+                  norm="forward")},
     )
 
 
@@ -696,36 +699,6 @@ def exact_inviscid(problem: ModelProblem, f_in, t: float):
             f"model {problem.name!r} has no closed-form inviscid solution"
         )
     return problem.op.inviscid(f_in, t)
-
-
-def predicted_rates(problem: ModelProblem, a: float | None = None) -> dict:
-    """Predicted exponents and decay constants for a built model.
-
-    Returns a dict with keys ``p`` (mixing exponent on the model's dual
-    scale), ``q`` (enhanced-dissipation exponent; time-scale nu^-q),
-    ``alt_q`` (secondary prediction where noted), ``c_B``, ``log_power``
-    (the |ln nu| power of the time-scale under exponential mixing, 2/p)
-    and ``c0`` — the explicit decay constant, evaluated only when the
-    mixing amplitude ``a`` is supplied (the theory treats it as given; in
-    practice it is fitted from an inviscid run).
-    """
-    from .diagnostics import constant_c0_poly, constant_c0_spiral
-
-    p, q = problem.p, problem.q
-    out = {
-        "p": p,
-        "q": q,
-        "alt_q": problem.alt_q,
-        "c_B": problem.c_B,
-        "log_power": (2.0 / p) if p else None,
-        "c0": None,
-    }
-    if a is not None and p is not None:
-        if problem.name == "spiral":
-            out["c0"] = constant_c0_spiral(problem.params["alpha"], a)
-        else:
-            out["c0"] = constant_c0_poly(p, a, problem.c_B)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ theta * h(0)) and the asymptotic e-folding time 1/rate from the fitted
 tail decay rate. Rows persist as individual JSON files the moment they
 finish — the source of truth — and ``sweep.csv`` is regenerated from them
 in enumeration order at the end, so an interrupted sweep resumes to a
-bit-identical result set. A row records the settings that shaped it, and
+bit-identical result set. ``sweep.csv`` is an output only: a sweep is
+read back from its ``sweep_config.json`` and the row file of every row
+that config plans. A row records the settings that shaped it, and
 a resumed sweep refuses rows computed with other settings.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -174,12 +175,21 @@ def _checked_fields(cls, data: dict, source: str) -> dict:
 @dataclass
 class SweepResult:
     rows: list
-    out_dir: str = ""
-    config: SweepConfig | None = None
+    out_dir: str
+    config: SweepConfig
 
     @property
     def csv_path(self) -> str:
         return os.path.join(self.out_dir, "sweep.csv")
+
+
+def _row_path(out_dir: str, key: str) -> str:
+    return os.path.join(out_dir, "rows", key + ".json")
+
+
+def _read_row(path: str) -> RowResult:
+    with open(path) as fh:
+        return RowResult.from_dict(json.load(fh), path)
 
 
 def _problem_and_datum(cfg: SweepConfig, row: dict, index: int):
@@ -265,19 +275,17 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     pool; all file writes happen in the parent.
     """
     out = cfg.out_dir
-    rows_dir = os.path.join(out, "rows")
     plan = cfg.rows()
     keys = [row_key(cfg.model, row) for row in plan]
     expected = cfg.row_config()
     results: dict[str, RowResult] = {}
     pending = []
     for idx, (key, row) in enumerate(zip(keys, plan)):
-        row_path = os.path.join(rows_dir, key + ".json")
+        row_path = _row_path(out, key)
         if not os.path.exists(row_path):
             pending.append((idx, key, row))
             continue
-        with open(row_path) as fh:
-            rr = RowResult.from_dict(json.load(fh), row_path)
+        rr = _read_row(row_path)
         for name, value in expected.items():
             if name not in rr.config or rr.config[name] != value:
                 found = f"{name} = {rr.config[name]!r}" \
@@ -291,7 +299,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     for idx, row in groups.values():
         _problem_and_datum(cfg, row, idx)
 
-    os.makedirs(rows_dir, exist_ok=True)
+    os.makedirs(os.path.join(out, "rows"), exist_ok=True)
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)
     _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
 
@@ -300,7 +308,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
             rel = os.path.join("traces", key + ".csv")
             write_trace(trace, os.path.join(out, rel))
             rr.trace_path = rel
-        _atomic_write(os.path.join(rows_dir, key + ".json"),
+        _atomic_write(_row_path(out, key),
                       json.dumps(rr.to_dict(), indent=1, sort_keys=True))
         results[key] = rr
 
@@ -322,40 +330,25 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
 
 def load_sweep(out_dir: str) -> SweepResult:
-    """Load a sweep directory.
+    """Load a sweep directory: its ``sweep_config.json`` and the row file
+    of every row that config plans, in plan order.
 
-    Row JSON files are preferred (they carry the rate fits); a bare
-    ``sweep.csv`` — for example a synthetic one — also loads, with only
-    the tabulated columns populated.
+    A missing config or row file is a FileNotFoundError naming it, so the
+    rows read back are exactly the rows the sweep planned; an interrupted
+    sweep loads once ``ed-sweep`` has resumed it.
     """
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    if not os.path.exists(csv_path):
-        raise FileNotFoundError(f"no sweep.csv under {out_dir!r}")
-    rows = []
-    with open(csv_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key_row = {"alpha": float(rec["alpha"]) if rec["alpha"] else None,
-                       "gamma": float(rec["gamma"]) if rec["gamma"] else None,
-                       "k": int(rec["k"]), "nu": float(rec["nu"])}
-            key = row_key(rec["model"], key_row)
-            row_path = os.path.join(out_dir, "rows", key + ".json")
-            if os.path.exists(row_path):
-                with open(row_path) as fh2:
-                    rows.append(RowResult.from_dict(json.load(fh2), row_path))
-                continue
-            rows.append(RowResult(
-                key=key, model=rec["model"], alpha=key_row["alpha"],
-                gamma=key_row["gamma"],
-                n0=int(rec["n0"]) if rec["n0"] else None,
-                k=key_row["k"], nu=key_row["nu"],
-                tau=float(rec["tau"]) if rec["tau"] else None,
-                rate=None,
-                q_pred=float(rec["q_pred"]) if rec["q_pred"] else None,
-                status=rec["status"],
-            ))
-    cfg = None
     cfg_path = os.path.join(out_dir, "sweep_config.json")
-    if os.path.exists(cfg_path):
-        with open(cfg_path) as fh:
-            cfg = SweepConfig.from_json(fh.read(), cfg_path)
+    if not os.path.exists(cfg_path):
+        raise FileNotFoundError(f"no sweep_config.json under {out_dir!r}")
+    with open(cfg_path) as fh:
+        cfg = SweepConfig.from_json(fh.read(), cfg_path)
+    rows = []
+    for row in cfg.rows():
+        key = row_key(cfg.model, row)
+        path = _row_path(out_dir, key)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"row {key} has no file {path}; the sweep is unfinished: "
+                f"resume it with ed-sweep")
+        rows.append(_read_row(path))
     return SweepResult(rows, out_dir, cfg)

@@ -223,15 +223,22 @@ def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
 
 
 def _synthetic_sweep_dir(tmp_path, statuses=None):
+    """A shear sweep directory (config and row files, no traces) whose
+    crossing times follow tau = nu^-0.6 exactly."""
     nus = np.geomspace(1e-6, 1e-3, 6)
     statuses = statuses or ["ok"] * nus.size
-    lines = ["model,alpha,gamma,n0,k,nu,tau,q_pred,status"]
-    for nu, status in zip(nus, statuses):
-        tau = f"{nu ** -0.6:.17g}" if status == "ok" else ""
-        lines.append(f"shear,,2,1,1,{nu:.17g},{tau},0.8,{status}")
     d = tmp_path / "syn"
-    d.mkdir()
-    (d / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (d / "rows").mkdir(parents=True)
+    cfg = sweep.SweepConfig(model="shear", nus=tuple(nus.tolist()),
+                            gammas=(2.0,), out_dir=str(d))
+    (d / "sweep_config.json").write_text(cfg.to_json())
+    for row, status in zip(cfg.rows(), statuses):
+        key = sweep.row_key("shear", row)
+        rr = sweep.RowResult(
+            key=key, model="shear", n0=1, **row,
+            tau=row["nu"] ** -0.6 if status == "ok" else None, rate=None,
+            q_pred=0.8, status=status)
+        (d / "rows" / f"{key}.json").write_text(json.dumps(rr.to_dict()))
     return d
 
 
@@ -242,7 +249,7 @@ def test_report_recovers_synthetic_exponent(tmp_path):
     report = _load_json(d / "report.json")
     entry = report["groups"]["shear_g2_k1"]
     assert abs(entry["q_crossing"] - 0.6) < 1e-3
-    assert entry["q_rate"] is None  # bare CSV carries no rate fits
+    assert entry["q_rate"] is None  # the rows carry no rate fits
     assert "q_rate_note" in entry
     assert entry["verdict"] == "consistent with prediction"
     assert (d / "tau_vs_nu_shear_g2_k1.svg").exists()
@@ -299,9 +306,73 @@ def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):
 
 def test_verify_bound_requires_sweep_config(tmp_path, capsys):
     d = _synthetic_sweep_dir(tmp_path)
+    (d / "sweep_config.json").unlink()
     rc = cli.main(["verify-bound", str(d)])
     assert rc == 1
     assert "sweep_config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "verify-bound"])
+def test_missing_row_file_exit_code_1(tmp_path, capsys, command):
+    """A sweep with a planned row file gone is refused, naming the row,
+    not fitted from the rows that are left."""
+    out = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "16",
+                     "--nus", "1e-3,3e-3,1e-2,3e-2,1e-1",
+                     "--out", str(out)]) == 0
+    (out / "rows" / "heat_k1_nu1.0000e-02.json").unlink()
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert cli.main([command, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert "heat_k1_nu1.0000e-02" in err and "ed-sweep" in err
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("report", ".csv"), ("report", ".json"), ("verify-bound", ".json")])
+def test_trace_file_gone_exit_code_1(tmp_path, capsys, command, suffix):
+    """A trace that report plots or verify-bound checks must be there
+    with its sidecar; a missing one is an error, not a plot of another
+    row or a bound checked against a trace read as nu = 0."""
+    out = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "shear", "--nus", "0.03,0.01",
+                     "--resolution", "16", "--out", str(out)]) == 0
+    # report plots the smallest viscosity's trace
+    (out / "traces" / f"shear_g2_k1_nu1.0000e-02{suffix}").unlink()
+    capsys.readouterr()
+    assert cli.main([command, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert f"shear_g2_k1_nu1.0000e-02{suffix}" in err
+    assert not (out / "report.json").exists()
+    assert not (out / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("shear", ["--gamma", "2"]), ("spiral", ["--alpha", "1"]),
+    ("kinetic", [])], ids=["shear", "spiral", "kinetic"])
+def test_verify_bound_c0_is_the_family_formula(tmp_path, model, flags):
+    """bounds.json's c0 is the paper's constant for the fitted amplitude:
+    the spiral's own constant, else the algebraic-mixing one; a family
+    with no predicted exponents (kinetic) is skipped."""
+    out = str(tmp_path / model)
+    assert cli.main(["ed-sweep", "--model", model, *flags,
+                     "--nus", "0.1,0.05", "--resolution", "16",
+                     "--out", out]) == 0
+    assert cli.main(["verify-bound", out]) == 0
+    (group,) = _load_json(os.path.join(out, "bounds.json"))["groups"].values()
+    if model == "kinetic":
+        assert group == {
+            "skipped": "no algebraic mixing prediction for this family"}
+        return
+    if model == "spiral":
+        c0 = mx.constant_c0_spiral(1.0, group["a"])
+    else:
+        c0 = mx.constant_c0_poly(0.5, group["a"],
+                                 mx.build_model("shear", M=16).c_B)
+    assert group["c0"] == c0
 
 
 def _sine_profile_csv(path):

@@ -1,5 +1,7 @@
 """Integrator tests: exactness, convergence order, conservation, trace IO."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,7 +455,14 @@ def test_trace_io_roundtrip(tmp_path):
     assert back.nu == tr.nu
     assert back.dt == tr.dt
     assert back.meta["n_steps"] == tr.meta["n_steps"]
-    # csv alone is enough when the sidecar is gone
-    (tmp_path / "trace.json").unlink()
-    bare = mx.read_trace(path)
-    assert np.array_equal(bare.h, tr.h)
+    # the sidecar is part of the trace: one that lacks a field, or none,
+    # is refused rather than read as nu = 0
+    sidecar = tmp_path / "trace.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["nu"]
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="trace.json lacks nu"):
+        mx.read_trace(path)
+    sidecar.unlink()
+    with pytest.raises(FileNotFoundError, match="trace.json"):
+        mx.read_trace(path)

@@ -1,6 +1,8 @@
 """Model builders: constraints, operator identities, closed-form solutions."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -37,6 +39,20 @@ def test_import_loads_no_scipy_special_or_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_every_exported_name_resolves():
+    """Each name in ``mixlab.__all__`` and in every submodule's
+    ``__all__`` is defined there, so a deleted public name cannot stay
+    listed."""
+    modules = [mx] + [importlib.import_module(f"mixlab.{info.name}")
+                      for info in pkgutil.iter_modules(mx.__path__)]
+    exported = [(m.__name__, name) for m in modules
+                for name in getattr(m, "__all__", ())]
+    assert len(exported) > len(mx.__all__)
+    missing = [(mod, name) for mod, name in exported
+               if not hasattr(sys.modules[mod], name)]
+    assert missing == []
 
 
 def test_profile_registry():
@@ -196,19 +212,6 @@ def test_shear_predictions():
     # degenerate profile knowledge: no n0, no prediction
     flat = mx.build_model("shear", profile="sin", n0=3, gamma=2.0, k=1, M=16)
     assert flat.p == pytest.approx(0.25)
-
-
-def test_predicted_rates_with_amplitude():
-    g2 = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
-    rates = mx.predicted_rates(g2, a=1.0)
-    assert rates["q"] == pytest.approx(0.8)
-    assert rates["log_power"] == pytest.approx(4.0)
-    assert rates["c0"] == pytest.approx(mx.constant_c0_poly(0.5, 1.0, g2.c_B))
-    spiral = mx.build_model("spiral", alpha=1.0, k=1, N=32)
-    rates = mx.predicted_rates(spiral, a=2.0)
-    assert rates["c0"] == pytest.approx(mx.constant_c0_spiral(1.0, 2.0))
-    kin = mx.build_model("kinetic", k=1, N=8)
-    assert mx.predicted_rates(kin)["q"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +471,9 @@ _UP_TO_200 = np.concatenate([[0.0], np.geomspace(0.1, 200.0, 30)])
     ({"M": 256, "datum": "random-h1", "seed": 5}, _UP_TO_200[:20], True),
     ({"M": 3 * 2**9}, _UP_TO_200[:25], False),
     ({"M": 1024}, [150.0, 0.0, 3.0, 150.0, 0.5, 3.0], False),
+    ({"M": 1024, "datum": "gaussian-bump"}, _UP_TO_200, False),
 ], ids=["sin", "sin2-k3", "csv-profile", "random-h1", "M-3x2^9",
-        "unsorted-repeated"])
+        "unsorted-repeated", "gaussian-bump"])
 def test_shear_series_matches_full_grid(tmp_path, kw, times, full_grid):
     if kw.get("profile") == "csv":
         y = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)

@@ -2,11 +2,18 @@
 
 import json
 import os
+import pathlib
+import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixlab as mx
+from mixlab import sweep
 
 
 def _heat_cfg(out_dir, nus=(0.1,), **kw):
@@ -192,7 +199,7 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_load_sweep_missing_directory(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="sweep_config.json"):
         mx.load_sweep(str(tmp_path / "nope"))
 
 
@@ -205,20 +212,70 @@ def test_load_sweep_roundtrip(tmp_path):
     assert loaded.rows[0].rate == ran.rows[0].rate  # row JSON carries the fit
 
 
-def test_load_sweep_from_bare_csv(tmp_path):
-    nus = np.geomspace(1e-4, 1e-2, 5)
-    lines = ["model,alpha,gamma,n0,k,nu,tau,q_pred,status"]
-    for nu in nus:
-        lines.append(f"shear,,2,1,1,{nu:.17g},{nu ** -0.6:.17g},0.8,ok")
-    lines.append("shear,,2,1,1,0.5,,0.8,unresolved")
-    (tmp_path / "sweep.csv").write_text("\n".join(lines) + "\n")
+class _Interrupt(Exception):
+    """Stands for a kill between two rows of a serial sweep."""
 
-    loaded = mx.load_sweep(str(tmp_path))
-    assert loaded.config is None
-    assert len(loaded.rows) == 6
-    ok = [r for r in loaded.rows if r.status == "ok"]
-    assert all(r.rate is None for r in ok)
-    assert loaded.rows[-1].tau is None
-    fit = mx.ed_exponent((np.array([r.nu for r in ok]),
-                          np.array([r.tau for r in ok])))
-    assert abs(fit.exponent - 0.6) < 1e-12
+
+def _interrupted_at(stop):
+    """A ``sweep._run_row`` that raises on plan index ``stop``."""
+    run_row = sweep._run_row
+
+    def run(cfg, row, idx):
+        if idx == stop:
+            raise _Interrupt
+        return run_row(cfg, row, idx)
+    return run
+
+
+def test_interrupted_extension_does_not_load(tmp_path):
+    """Extending a finished sweep rewrites its config; interrupted after
+    one new row, the directory is refused, not read as the two old rows
+    of a stale sweep.csv under a four-viscosity config."""
+    mx.run_sweep(_heat_cfg(tmp_path, nus=(0.1, 0.05)))
+    extended = _heat_cfg(tmp_path, nus=(0.1, 0.05, 0.02, 0.01))
+    with mock.patch.object(sweep, "_run_row", _interrupted_at(3)):
+        with pytest.raises(_Interrupt):
+            mx.run_sweep(extended)
+    assert (tmp_path / "rows" / "heat_k1_nu2.0000e-02.json").exists()
+    with pytest.raises(FileNotFoundError,
+                       match="row heat_k1_nu1.0000e-02 .*ed-sweep"):
+        mx.load_sweep(str(tmp_path))
+    mx.run_sweep(extended)
+    assert [r.nu for r in mx.load_sweep(str(tmp_path)).rows] == \
+        [0.1, 0.05, 0.02, 0.01]
+
+
+def _result_files(out_dir):
+    """Every row, trace and sweep.csv byte, by name (sweep_config.json,
+    which records out_dir, aside)."""
+    root = pathlib.Path(out_dir)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "sweep_config.json"}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       nus=st.lists(st.sampled_from([0.1, 0.05, 0.02, 0.01]), min_size=1,
+                    max_size=3, unique=True),
+       ks=st.sampled_from([(1,), (1, 2)]))
+def test_resume_after_interrupt_at_any_row_is_bit_identical(data, nus, ks):
+    """A serial sweep killed at any row does not load, names the first
+    row it lacks, and resumes to the bytes of an uninterrupted run. (The
+    pool path, where a worker raises something other than
+    EvolutionError, is not covered: what it should persist is open.)"""
+    stop = data.draw(st.integers(0, len(nus) * len(ks) - 1), label="stop")
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, cut = (_heat_cfg(os.path.join(tmp, name), nus=tuple(nus),
+                                ks=ks, resolution=16)
+                      for name in ("whole", "cut"))
+        mx.run_sweep(whole)
+        with mock.patch.object(sweep, "_run_row", _interrupted_at(stop)):
+            with pytest.raises(_Interrupt):
+                mx.run_sweep(cut)
+        first_missing = sweep.row_key("heat", cut.rows()[stop])
+        with pytest.raises(FileNotFoundError,
+                           match=f"row {re.escape(first_missing)} "):
+            mx.load_sweep(cut.out_dir)
+        mx.run_sweep(cut)
+        assert _result_files(cut.out_dir) == _result_files(whole.out_dir)
