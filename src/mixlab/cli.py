@@ -20,10 +20,10 @@ from .diagnostics import THETA_DEFAULT, constant_c0_poly, constant_c0_spiral, \
     ed_exponent, fit_mixing_amplitude, fit_power_law, theorem_bound_check, \
     timescale_pairs
 from .evolution import TOP_BAND_FLAG, EvolutionError, evolve, read_trace, \
-    write_trace
+    write_norms, write_trace
 from .models import FAMILIES, build_model, initial_datum, model_params, \
     shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, load_sweep, row_key, run_sweep
+from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,11 +138,7 @@ def _cmd_mix_rate(args) -> int:
 
     out = _out_dir(args)
     stem = os.path.join(out, f"mixing_{args.model}_k{args.k}")
-    with open(stem + ".csv", "w") as fh:
-        fh.write("t,h,h1,hm1\n")
-        for i in range(times.size):
-            fh.write(",".join(f"{series[c][i]:.17g}"
-                              for c in ("t", "h", "h1", "hm1")) + "\n")
+    write_norms(stem + ".csv", *(series[c] for c in ("t", "h", "h1", "hm1")))
     with open(stem + "_fit.json", "w") as fh:
         json.dump({"model": args.model, "datum": datum, "resolution": res,
                    "grid_points": [int(series["grid"].min()),
@@ -244,25 +240,6 @@ def _cmd_ed_sweep(args) -> int:
     return 0
 
 
-def _amplitude_series(cfg, problem, t_max):
-    """Inviscid dual-norm history used to fit the mixing amplitude: the
-    closed-form series where one exists for the datum (the disk series
-    has no seeded datum), else an inviscid run of the model itself."""
-    times = np.concatenate([[0.0], np.geomspace(0.1, t_max, 48)])
-    par = problem.params
-    if problem.name == "shear":
-        return shear_mixing_series(
-            times, profile=par["profile"], gamma=par["gamma"], k=par["k"],
-            M=max(2048, par["M"]), datum=cfg.datum, seed=cfg.seed)
-    if problem.name == "spiral" and cfg.datum in problem.data:
-        return spiral_mixing_series(
-            times, alpha=par["alpha"], k=par["k"], N=max(2048, par["N"]),
-            datum=cfg.datum)
-    datum = initial_datum(problem, cfg.datum, seed=cfg.seed)
-    trace = evolve(problem, datum, 0.0, t_max)
-    return {"t": trace.times, "hm1": trace.hm1}
-
-
 def _cmd_verify_bound(args) -> int:
     result = load_sweep(args.sweep_dir)
     cfg = result.config
@@ -278,16 +255,28 @@ def _cmd_verify_bound(args) -> int:
                 "skipped": "no algebraic mixing prediction for this family"}
             print(f"{label}: skipped (no mixing prediction)")
             continue
-        series = _amplitude_series(cfg, problem, args.amp_t_max)
-        a = fit_mixing_amplitude(series["t"], series["hm1"], problem.p,
-                                 k, 1.0)
+        # a: the largest fit over the inviscid flows of the rows' data
+        data = {}
+        for r in rows:  # a seeded datum differs from row to row
+            f0 = row_datum(cfg, problem, result.rows.index(r))
+            data.setdefault(f0.tobytes(), f0)
+        a, warnings = 0.0, []
+        for f0 in data.values():
+            trace = evolve(problem, f0, 0.0, args.amp_t_max)
+            a = max(a, fit_mixing_amplitude(trace.times, trace.hm1,
+                                            problem.p, k, 1.0))
+            warnings += [w for w in trace.meta["warnings"]
+                         if w not in warnings]
         spiral = model == "spiral"
         c0 = constant_c0_spiral(problem.params["alpha"], a) if spiral \
             else constant_c0_poly(problem.p, a, problem.c_B)
         report["groups"][label] = {"a": a, "p": problem.p, "q": problem.q,
-                                   "c0": c0, "datum": cfg.datum}
+                                   "c0": c0, "datum": cfg.datum,
+                                   "warnings": warnings}
         print(f"{label}: fitted amplitude a = {a:g}, c0 = {c0:.4g}, "
               f"q = {problem.q:.4g}")
+        for warning in warnings:
+            print(f"  warning: {warning}")
         for r in rows:
             if not r.trace_path:
                 raise ValueError(f"row {r.key} has no stored trace; rerun "
@@ -328,8 +317,8 @@ def _cmd_report(args) -> int:
               file=sys.stderr)
         return 2
     out = args.out or args.sweep_dir
-    os.makedirs(out, exist_ok=True)
     report: dict = {"sweep_dir": args.sweep_dir, "groups": {}}
+    svg_text = {}  # path -> plot, written once every trace has been read
     for (model, alpha, gamma, k), rows in groups.items():
         label = _group_label(rows)
         entry: dict = {
@@ -369,24 +358,24 @@ def _cmd_report(args) -> int:
         tau_series = [(nus, taus, name) for (nus, taus, _), name in zip(
             fits.values(), ("crossing tau", "1 / decay rate")) if nus.size]
         if tau_series:
-            path = os.path.join(out, f"tau_vs_nu_{label}.svg")
-            with open(path, "w") as fh:
-                fh.write(line_plot_svg(tau_series, "nu", "tau",
-                                       title=f"{label}: time-scale vs nu"))
-            svgs.append(path)
+            svgs.append(os.path.join(out, f"tau_vs_nu_{label}.svg"))
+            svg_text[svgs[-1]] = line_plot_svg(
+                tau_series, "nu", "tau", title=f"{label}: time-scale vs nu")
         traced = [r for r in rows if r.trace_path]
         if traced:
             r = min(traced, key=lambda r: r.nu)
             trace = read_trace(os.path.join(args.sweep_dir, r.trace_path))
-            path = os.path.join(out, f"decay_{label}.svg")
-            with open(path, "w") as fh:
-                fh.write(line_plot_svg(
-                    [(trace.times, trace.h, "h"),
-                     (trace.times, trace.hm1, "dual norm")],
-                    "t", "norm", title=f"{r.key}: norm decay"))
-            svgs.append(path)
+            svgs.append(os.path.join(out, f"decay_{label}.svg"))
+            svg_text[svgs[-1]] = line_plot_svg(
+                [(trace.times, trace.h, "h"),
+                 (trace.times, trace.hm1, "dual norm")],
+                "t", "norm", title=f"{r.key}: norm decay")
         entry["svg"] = svgs
         report["groups"][label] = entry
+    os.makedirs(out, exist_ok=True)
+    for path, text in svg_text.items():
+        with open(path, "w") as fh:
+            fh.write(text)
     path = os.path.join(out, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

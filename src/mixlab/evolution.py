@@ -57,6 +57,7 @@ __all__ = [
     "evolve",
     "step_viscous",
     "energy_residual",
+    "write_norms",
     "write_trace",
     "read_trace",
     "default_dt",
@@ -299,14 +300,17 @@ def energy_residual(trace: DecayTrace) -> float:
 # ---------------------------------------------------------------------------
 # trace persistence: CSV with a JSON sidecar
 
+def write_norms(path, t, h, h1, hm1) -> None:
+    """Write the norm table: a header, then t, h, h1, hm1 per row."""
+    np.savetxt(path, np.column_stack([t, h, h1, hm1]), fmt="%.17g",
+               delimiter=",", header="t,h,h1,hm1", comments="")
+
+
 def write_trace(trace: DecayTrace, path) -> None:
-    """Write ``t,h,h1,hm1`` rows (17 significant digits) plus a metadata
+    """Write the trace's norms (:func:`write_norms`) plus a metadata
     sidecar at the same path with extension ``.json``."""
     path = os.fspath(path)
-    with open(path, "w") as fh:
-        fh.write("t,h,h1,hm1\n")
-        for row in zip(trace.times, trace.h, trace.h1, trace.hm1):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_norms(path, trace.times, trace.h, trace.h1, trace.hm1)
     sidecar = {
         "model": trace.model,
         "params": trace.params,

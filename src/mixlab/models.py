@@ -875,14 +875,11 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
         raise ValueError(f"datum {datum!r} is not defined for the spiral "
                          f"series; its data: {', '.join(sorted(data))}")
     ag = np.empty(N, dtype=complex)
-    tmp = np.empty(N - 1, dtype=complex)
+    ladder = [(slice(None, -1), slice(1, None), off)]
 
     def a_times(g):
-        """A g into ``ag``, elementwise as the ladder product forms it."""
-        np.multiply(diag, g, out=ag)
-        ag[:-1] += np.multiply(off, g[1:], out=tmp)
-        ag[1:] += np.multiply(off, g[:-1], out=tmp)
-        return ag
+        """A g into ``ag``: the diagonal, then the ladder product."""
+        return _ladder_add(ladder, g, np.multiply(diag, g, out=ag))
 
     g0 = sqw * data[datum]()
     g0 /= np.sqrt(np.real(np.vdot(g0, a_times(g0))))

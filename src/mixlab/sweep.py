@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .evolution import EvolutionError, evolve, write_trace
 from .models import build_model, initial_datum, model_params
 
 __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
-           "row_key"]
+           "row_key", "row_datum"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values: 2 = error-controlled steps, 3 = the step is
@@ -192,10 +194,15 @@ def _read_row(path: str) -> RowResult:
         return RowResult.from_dict(json.load(fh), path)
 
 
+def row_datum(cfg: SweepConfig, problem, index: int) -> np.ndarray:
+    """The initial datum of row ``index`` of ``cfg``'s plan, on its model."""
+    return initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
+
+
 def _problem_and_datum(cfg: SweepConfig, row: dict, index: int):
     problem = build_model(cfg.model,
                           **model_params(cfg.model, {**vars(cfg), **row}))
-    return problem, initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
+    return problem, row_datum(cfg, problem, index)
 
 
 def _run_row(cfg: SweepConfig, row: dict, index: int):
@@ -270,9 +277,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     each must record this sweep's :meth:`SweepConfig.row_config`:
     otherwise a ValueError naming the first field that differs is raised
     before anything is written, as is the ValueError of a model or datum
-    a pending row cannot build. Failures of a run are recorded in the row
-    status, never raised. Workers > 1 executes pending rows in a process
-    pool; all file writes happen in the parent.
+    a pending row cannot build. A run's EvolutionError is recorded in the
+    row status; any other error is raised once the rows before it in plan
+    order are persisted, and no ``sweep.csv`` is written. Workers > 1
+    runs pending rows in a process pool; all files are written here.
     """
     out = cfg.out_dir
     plan = cfg.rows()
@@ -280,10 +288,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     expected = cfg.row_config()
     results: dict[str, RowResult] = {}
     pending = []
-    for idx, (key, row) in enumerate(zip(keys, plan)):
+    for idx, key in enumerate(keys):
         row_path = _row_path(out, key)
         if not os.path.exists(row_path):
-            pending.append((idx, key, row))
+            pending.append(idx)
             continue
         rr = _read_row(row_path)
         for name, value in expected.items():
@@ -295,34 +303,25 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                     "resume with the same settings or use another out_dir")
         results[key] = rr
     # a model or datum the rows cannot build leaves no directory behind
-    groups = {(r["alpha"], r["gamma"], r["k"]): (i, r) for i, _, r in pending}
-    for idx, row in groups.values():
-        _problem_and_datum(cfg, row, idx)
+    groups = {(plan[i]["alpha"], plan[i]["gamma"], plan[i]["k"]): i
+              for i in pending}
+    for idx in groups.values():
+        _problem_and_datum(cfg, plan[idx], idx)
 
     os.makedirs(os.path.join(out, "rows"), exist_ok=True)
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)
     _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
 
-    def persist(key: str, rr: RowResult, trace) -> None:
-        if trace is not None and len(trace) > 0:
-            rel = os.path.join("traces", key + ".csv")
-            write_trace(trace, os.path.join(out, rel))
-            rr.trace_path = rel
-        _atomic_write(_row_path(out, key),
-                      json.dumps(rr.to_dict(), indent=1, sort_keys=True))
-        results[key] = rr
-
-    if workers <= 1:
-        for idx, key, row in pending:
-            rr, trace = _run_row(cfg, row, idx)
-            persist(key, rr, trace)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_row, cfg, row, idx): key
-                       for idx, key, row in pending}
-            for fut, key in futures.items():
-                rr, trace = fut.result()
-                persist(key, rr, trace)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():  # both maps yield in plan order
+        for rr, trace in (pool.map if pool else map)(
+                _run_row, repeat(cfg), [plan[i] for i in pending], pending):
+            if trace is not None and len(trace) > 0:
+                rr.trace_path = os.path.join("traces", rr.key + ".csv")
+                write_trace(trace, os.path.join(out, rr.trace_path))
+            _atomic_write(_row_path(out, rr.key),
+                          json.dumps(rr.to_dict(), indent=1, sort_keys=True))
+            results[rr.key] = rr
 
     ordered = SweepResult([results[k] for k in keys], out, cfg)
     _write_csv(ordered)

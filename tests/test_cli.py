@@ -285,6 +285,45 @@ def test_verify_bound_on_shear_sweep(tmp_path):
     assert group["c0"] > 0.0
 
 
+def test_verify_bound_amplitude_from_the_rows_own_data(tmp_path):
+    """The mixing amplitude is the largest fit over the inviscid flows
+    of the data the rows ran, on the rows' own model: a seeded datum is
+    drawn per row, with seed (seed, plan index)."""
+    out = str(tmp_path / "sweep")
+    assert cli.main(["ed-sweep", "--model", "shear", "--datum", "random-h1",
+                     "--resolution", "32", "--nus", "1e-2,3e-3,1e-3,3e-4",
+                     "--out", out]) == 0
+    assert cli.main(["verify-bound", out]) == 0
+    problem = mx.build_model("shear", M=32)
+    fits = []
+    for i in range(4):
+        f0 = mx.initial_datum(problem, "random-h1", seed=(0, i))
+        trace = mx.evolve(problem, f0, 0.0, 100.0)  # --amp-t-max default
+        fits.append(mx.fit_mixing_amplitude(trace.times, trace.hm1,
+                                            problem.p, 1, 1.0))
+    assert fits == [2.0, 2.0, 2.0, 4.0]
+    (group,) = _load_json(os.path.join(out, "bounds.json"))["groups"].values()
+    assert group["a"] == max(fits)
+
+
+def test_verify_bound_prints_and_records_amplitude_warnings(tmp_path,
+                                                            capsys):
+    """The amplitude run's warnings go under the group line and into the
+    group's bounds.json entry."""
+    out = str(tmp_path / "sweep")
+    assert cli.main(["ed-sweep", "--model", "shear", "--nus", "0.03,0.01",
+                     "--resolution", "16", "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify-bound", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    group = _load_json(os.path.join(out, "bounds.json"))["groups"][
+        "shear_g2_k1"]
+    (warning,) = group["warnings"]
+    assert warning.startswith("top-band occupancy reached 39.9%")
+    assert lines[0].startswith("shear_g2_k1: fitted amplitude a = 4,")
+    assert lines[1] == f"  warning: {warning}"
+
+
 def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = cli.main(["ed-sweep", "--model", "shear", "--gamma", "1",
@@ -348,6 +387,7 @@ def test_trace_file_gone_exit_code_1(tmp_path, capsys, command, suffix):
     assert f"shear_g2_k1_nu1.0000e-02{suffix}" in err
     assert not (out / "report.json").exists()
     assert not (out / "bounds.json").exists()
+    assert not list(out.glob("*.svg"))  # every trace is read first
 
 
 @pytest.mark.parametrize("model, flags", [
@@ -563,9 +603,14 @@ def test_benchmark_tracing_contract(tmp_path, monkeypatch):
                      "--nu-min", "1e-3", "--nu-max", "1e-1", "--nu-count", "4",
                      "--out", out]) == 0
     assert cli.main(["report", out]) == 0
+    # the closed-form series run in mix-rate only
+    for model in ("shear", "spiral"):
+        assert cli.main(["mix-rate", "--model", model, "--resolution", "64",
+                         "--points", "8", "--t-min", "1", "--t-max", "10",
+                         "--out", str(tmp_path / f"mix-{model}")]) == 0
     # every branch of the tracer's flop count: diffusion only (heat), FFT
-    # phase (shear), radial phase (spiral, viscous and, for the amplitude
-    # of the seeded random datum, inviscid) and skew matrix (Kolmogorov)
+    # phase (shear), radial phase (spiral, viscous and, for the amplitude,
+    # inviscid) and skew matrix (Kolmogorov)
     for model, datum in (("shear", "single-mode-m1"), ("spiral", "random-h1"),
                          ("kolmogorov", "single-mode-m1")):
         out = str(tmp_path / model)

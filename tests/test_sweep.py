@@ -261,9 +261,8 @@ def _result_files(out_dir):
        ks=st.sampled_from([(1,), (1, 2)]))
 def test_resume_after_interrupt_at_any_row_is_bit_identical(data, nus, ks):
     """A serial sweep killed at any row does not load, names the first
-    row it lacks, and resumes to the bytes of an uninterrupted run. (The
-    pool path, where a worker raises something other than
-    EvolutionError, is not covered: what it should persist is open.)"""
+    row it lacks, and resumes to the bytes of an uninterrupted run. (For
+    the pool path, see test_row_error_stops_the_sweep_in_plan_order.)"""
     stop = data.draw(st.integers(0, len(nus) * len(ks) - 1), label="stop")
     with tempfile.TemporaryDirectory() as tmp:
         whole, cut = (_heat_cfg(os.path.join(tmp, name), nus=tuple(nus),
@@ -279,3 +278,31 @@ def test_resume_after_interrupt_at_any_row_is_bit_identical(data, nus, ks):
             mx.load_sweep(cut.out_dir)
         mx.run_sweep(cut)
         assert _result_files(cut.out_dir) == _result_files(whole.out_dir)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_error_stops_the_sweep_in_plan_order(tmp_path, workers):
+    """A row that raises something other than EvolutionError, serial or
+    in the pool, stops the sweep with that error: the rows before it in
+    plan order are persisted, no later one and no sweep.csv, and a
+    resume gives the bytes of an uninterrupted run."""
+    nus = (0.1, 0.05, 0.02, 0.01)
+    whole, cut = (_heat_cfg(tmp_path / name, nus=nus, resolution=16)
+                  for name in ("whole", "cut"))
+    mx.run_sweep(whole, workers=workers)
+    evolve = sweep.evolve
+
+    def failing(problem, f0, nu, *args, **kw):
+        if nu == 0.02:
+            raise RuntimeError("row failed")
+        return evolve(problem, f0, nu, *args, **kw)
+
+    with mock.patch.object(sweep, "evolve", failing):
+        with pytest.raises(RuntimeError, match="row failed"):
+            mx.run_sweep(cut, workers=workers)
+    rows = pathlib.Path(cut.out_dir) / "rows"
+    assert sorted(p.name for p in rows.iterdir()) == sorted(
+        sweep.row_key("heat", row) + ".json" for row in cut.rows()[:2])
+    assert not os.path.exists(os.path.join(cut.out_dir, "sweep.csv"))
+    mx.run_sweep(cut, workers=workers)
+    assert _result_files(cut.out_dir) == _result_files(whole.out_dir)
