@@ -19,8 +19,8 @@ from ._svg import line_plot_svg
 from .diagnostics import THETA_DEFAULT, constant_c0_poly, constant_c0_spiral, \
     ed_exponent, fit_mixing_amplitude, fit_power_law, theorem_bound_check, \
     timescale_pairs
-from .evolution import TOP_BAND_FLAG, EvolutionError, evolve, read_trace, \
-    write_norms, write_trace
+from .evolution import EvolutionError, evolve, read_trace, write_norms, \
+    write_trace
 from .models import FAMILIES, build_model, initial_datum, model_params, \
     shear_mixing_series, spiral_mixing_series
 from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
@@ -101,35 +101,18 @@ def _mix_rate_times(args) -> np.ndarray:
 
 def _cmd_mix_rate(args) -> int:
     times = _mix_rate_times(args)
-    warnings = []
-    if args.model == "shear":
-        res = 2048 if args.resolution is None else args.resolution
-        datum = args.datum or "single-mode-m1"
-        series = shear_mixing_series(times, profile=args.profile,
-                                     gamma=args.gamma, k=args.k, M=res,
-                                     datum=datum, seed=args.seed)
-        felt = (series["grid"] == 2 * res) & (series["outer"] > TOP_BAND_FLAG)
-        if felt.any():
-            warnings.append(
-                f"{felt.sum()} of {times.size} times ran on the full "
-                f"{2 * res}-point grid with up to "
-                f"{series['outer'][felt].max():.1%} of the energy in its "
-                f"outer half |m| > {res / 2:g}: the truncation is felt; "
-                f"raise --resolution")
-        probe_res = 8
-    else:
-        res = 8192 if args.resolution is None else args.resolution
-        datum = args.datum or "uniform"
-        series = spiral_mixing_series(times, alpha=args.alpha, k=args.k,
-                                      N=res, datum=datum)
-        probe_res = 16
-    # a small build of the same model carries the predicted exponent
-    probe = build_model(args.model, **model_params(
-        args.model, {**vars(args), "resolution": probe_res}))
+    shear = args.model == "shear"
+    res = args.resolution
+    if res is None:
+        res = 2048 if shear else 8192
+    datum = args.datum or ("single-mode-m1" if shear else "uniform")
+    # the series are looked up here, not in a table: tracers replace them
+    series = (shear_mixing_series if shear else spiral_mixing_series)(
+        times, datum=datum, seed=args.seed, **model_params(
+            args.model, {**vars(args), "resolution": res}))
     fit = fit_power_law(series["t"], series["hm1"],
                         window=(args.t_min, args.t_max))
-    p_meas = -fit.exponent
-    p_pred = probe.p
+    p_meas, p_pred, warnings = -fit.exponent, series["p"], series["warnings"]
     print(f"dual-norm decay: hm1 ~ t^{fit.exponent:+.4f} over "
           f"t in [{args.t_min:g}, {args.t_max:g}]  (predicted mixing "
           f"exponent p = {'none' if p_pred is None else format(p_pred, 'g')})")

@@ -20,7 +20,7 @@ later times as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,18 +194,17 @@ def ed_exponent(pairs) -> RateFit:
     """Enhanced-dissipation exponent from a viscosity sweep.
 
     Fits log tau against log nu over the ``(nus, taus)`` pair — one row
-    group's, as :func:`timescale_pairs` takes it from the rows — and
-    reports q_meas = -slope. Requires at least 4 viscosities spanning two
-    or more decades.
+    group's, as :func:`timescale_pairs` takes it from the rows — by
+    :func:`fit_power_law`, and reports q_meas = -slope. Requires at least
+    4 viscosities spanning two or more decades.
     """
     nus, taus = (np.asarray(x, dtype=float) for x in pairs)
     if nus.size < 4:
         raise ValueError(f"need >= 4 viscosities, got {nus.size}")
     if nus.max() / nus.min() < 99.999:
         raise ValueError("viscosities must span at least two decades")
-    slope, intercept, resid = _lsq_line(np.log(nus), np.log(taus))
-    return RateFit(-slope, intercept, resid,
-                   (float(nus.min()), float(nus.max())), int(nus.size))
+    fit = fit_power_law(nus, taus)
+    return replace(fit, exponent=-fit.exponent)
 
 
 # ---------------------------------------------------------------------------

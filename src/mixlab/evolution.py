@@ -48,7 +48,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .models import EvolutionError, ModelProblem
+from .models import TOP_BAND_FLAG, EvolutionError, ModelProblem
 from .spectral import hs_norm
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 
 MAX_SAMPLES = 10_000
 TOP_BAND_FRACTION = 0.10  # spectral occupancy monitor: top 10% of eigenvalues
-TOP_BAND_FLAG = 0.01
 TOL = 1e-5  # step-doubling budget on the error in log h, per unit of log decay
 CHECK_EVERY = 16  # sample intervals from one step-doubling check to the next
 MAX_SUBSTEPS = 1024  # most steps per sample interval the controller takes
@@ -176,9 +175,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     want_h2 = "h2" in extras
     orders = (0.0, 1.0, -1.0, 2.0) if want_h2 else (0.0, 1.0, -1.0)
     ds = default_dt(problem, t_end) if dt is None else dt
-    meta = {"sample_interval": ds * stride,
-            "max_steps_per_sample": stride,
-            "err_est": None if dt is not None else 0.0,
+    meta = {"err_est": None if dt is not None else 0.0,
             "occupancy_max": 0.0, "warnings": [], "stop_reason": "t_end",
             "versions": {"mixlab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
@@ -255,9 +252,10 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
                 del samples[1::2]
                 stride *= 2
 
-    meta["n_steps"] = n_steps
-    meta["sample_stride"] = stride
-    meta["max_steps_per_sample"] *= m_max
+    # from the final stride: thinning doubles it during the run
+    meta.update(n_steps=n_steps, sample_stride=stride,
+                sample_interval=ds * stride,
+                max_steps_per_sample=stride * m_max)
     if m_max == MAX_SUBSTEPS:
         meta["warnings"].append(
             f"step control reached {MAX_SUBSTEPS} steps per sample interval; "

@@ -507,18 +507,25 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
     )
 
 
-def _disk_operator(N: int, k: int):
-    """Symmetrized radial operator -Lap_k on the cell-centered disk grid.
+def _disk(alpha: float, k: int, N: int) -> tuple:
+    """The spiral model's O(N) part on the cell-centered radial grid
+    r_j = (j-1/2)/N: ``(w, diag, off, rate, p, q, data)``, the weights
+    r_j dr, -Lap_k as a symmetric tridiagonal, the rate k r^alpha of
+    B = i rate, the predicted p and q, and the named data, unnormalized.
 
-    Conservative flux form with a zero flux through both the pole face
-    (automatic: the r = 0 face has zero measure) and the outer boundary,
-    which makes the matrix exactly self-adjoint in the midpoint quadrature
-    and strictly positive for k != 0, the only k it accepts.
+    -Lap_k is in conservative flux form with a zero flux through both the
+    pole face (automatic: the r = 0 face has zero measure) and the outer
+    boundary, which makes the matrix exactly self-adjoint in the midpoint
+    quadrature and strictly positive for k != 0, the only k it accepts.
+    ``"uniform"`` is the radial data class that saturates the mixing rate;
+    ``"single-mode-m1"``, A's lowest eigenmode, takes a one-pair solve.
     """
-    if N < 1:
-        raise ValueError(f"disk resolution N must be >= 1, got {N}")
+    if alpha < 1.0:
+        raise ValueError(f"swirl exponent alpha must be >= 1, got {alpha}")
     if k == 0:
         raise ValueError("spiral model requires a nonzero angular wavenumber k")
+    if N < 1:
+        raise ValueError(f"disk resolution N must be >= 1, got {N}")
     dr = 1.0 / N
     r = (np.arange(1, N + 1) - 0.5) * dr
     re = np.arange(1, N) * dr  # interior cell edges r_{j+1/2}
@@ -526,17 +533,14 @@ def _disk_operator(N: int, k: int):
     flux[1:-1] = re
     diag = (flux[:-1] + flux[1:]) / (r * dr * dr) + k * k / (r * r)
     off = -re / (dr * dr * np.sqrt(r[:-1] * r[1:]))
-    return r, dr, diag, off
-
-
-def _disk_data(r: np.ndarray, lowest_mode) -> dict:
-    """Named disk data as unnormalized values on the radial grid ``r``;
-    ``lowest_mode()`` returns A's lowest eigenmode there. ``"uniform"``
-    represents the radial data class that saturates the mixing rate."""
-    return {"uniform": lambda: np.ones(r.size, dtype=complex),
-            "single-mode-m1": lambda: lowest_mode().astype(complex),
+    w, p = r * dr, 2.0 / max(alpha, 2.0)
+    data = {"uniform": lambda: np.ones(N, dtype=complex),
+            "single-mode-m1": lambda: (eigh_tridiagonal(
+                diag, off, select="i", select_range=(0, 0))[1][:, 0]
+                / np.sqrt(w)).astype(complex),
             "gaussian-bump": lambda: np.exp(-((r - 0.5) ** 2)
                                             / 0.045).astype(complex)}
+    return w, diag, off, k * r**alpha, p, (4.0 - p) / (4.0 + p), data
 
 
 def build_spiral(*, alpha: float = 1.0, k: int = 1,
@@ -544,31 +548,29 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
     """Swirling flow on the unit disk, angular wavenumber k.
 
     B is multiplication by i k r^alpha — an exact diagonal phase on the
-    radial grid. A is the radial operator with a no-flux outer boundary,
-    diagonalized once per (N, k); its eigendecomposition also provides the
-    dual mixing norm. The improved advection-dissipation bound
+    radial grid. A is the radial operator with a no-flux outer boundary
+    (:func:`_disk`), diagonalized once per (N, k); its eigendecomposition
+    also provides the dual mixing norm and the ``"single-mode-m1"`` datum.
+    The improved advection-dissipation bound
     |Re<Bf, Af>| <= 2 alpha |k| ||f||_H ||f||_{H^1} is recorded for the
     sharpened constant in the decay-rate formulas.
     """
-    if alpha < 1.0:
-        raise ValueError(f"swirl exponent alpha must be >= 1, got {alpha}")
-    r, dr, diag, off = _disk_operator(N, k)
+    w, diag, off, rate, p, q, data = _disk(alpha, k, N)
     lam, vecs = eigh_tridiagonal(diag, off)
-    p_alpha = 2.0 / max(alpha, 2.0)
-    q_alpha = (4.0 - p_alpha) / (4.0 + p_alpha)
+    op = RadialPhase(lam, vecs, w, rate)
     mixed = 2.0 * alpha * abs(k)
-    params = {"alpha": alpha, "k": k, "N": N}
     return ModelProblem(
         name="spiral",
-        params=params,
-        op=RadialPhase(lam, vecs, r * dr, k * r**alpha),
+        params={"alpha": alpha, "k": k, "N": N},
+        op=op,
         c_B=mixed / np.sqrt(lam[0]),
-        bound_B=float(abs(k) * np.max(r**alpha)),
+        bound_B=float(np.abs(rate).max()),
         mixed_bound=mixed,
-        p=p_alpha,
-        q=q_alpha,
+        p=p,
+        q=q,
         basis="radial-grid",
-        data=_disk_data(r, lambda: vecs[:, 0] / np.sqrt(r * dr)),
+        data={**data, "single-mode-m1":
+              lambda: (vecs[:, 0] / op.sqw).astype(complex)},
     )
 
 
@@ -733,6 +735,7 @@ def initial_datum(problem: ModelProblem, name: str = "single-mode-m1",
 
 
 COARSEST_GRID = 64  # fewest points of the grid the shear series starts on
+TOP_BAND_FLAG = 0.01  # energy share of the top band past which a run warns
 
 
 def _series_times(times) -> np.ndarray:
@@ -777,8 +780,8 @@ class _ShearGrid:
         return np.square(np.abs(ct, out=self.a2), out=self.a2)
 
 
-def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
-                        datum="single-mode-m1", seed=None):
+def shear_mixing_series(times, *, profile="sin", gamma=2.0, k=1, n0=None,
+                        M=2048, datum="single-mode-m1", seed=None):
     """Exact inviscid norm history for a shear flow, evaluated pointwise.
 
     Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) of
@@ -799,15 +802,16 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     and hm1 to the FFT's round-off relative to its small low modes
     (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
     ``random-h1`` fills every mode, so both run on the full 2M-point grid
-    at every time. Memory stays O(M).
+    at every time. Memory stays O(M). A time on the full grid with more
+    than ``TOP_BAND_FLAG`` of the energy in its outer half is warned of.
 
     Parameters
     ----------
     times : array_like
         Finite evaluation times (any order, need not include 0).
-    profile, gamma, k, M :
-        As in `build_shear`. M must comfortably exceed k * max|u| * max(times)
-        so the phase-generated Fourier spread stays inside the truncation.
+    profile, gamma, k, n0, M :
+        As in `build_shear`; what it refuses is refused before any time
+        is evaluated.
     datum, seed :
         As in `initial_datum`: "single-mode-m1", "gaussian-bump", or the
         seeded "random-h1".
@@ -815,11 +819,12 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
     Returns
     -------
     dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm), in the
-    order of `times`; "grid", the points of the grid each time ran on; and
-    "outer", the fraction of the energy in that grid's outer half.
+    order of `times`; "grid", the points of the grid each time ran on;
+    "outer", the fraction of the energy in that grid's outer half; the
+    model's declared "p"; and a list of "warnings".
     """
     times = _series_times(times)
-    problem = build_shear(profile=profile, gamma=gamma, k=k, M=M)
+    problem = build_shear(profile=profile, gamma=gamma, k=k, n0=n0, M=M)
     n = problem.size
     s = 1
     if profile in PROFILES and datum != "random-h1":
@@ -844,11 +849,18 @@ def shear_mixing_series(times, profile="sin", gamma=2.0, k=1, M=2048,
         out[:, i] = [hs_norm(a2, grid.lam, p) for p in (0.0, 1.0, -1.0)] \
             + [outer]
         points[i] = grid.points
+    felt = (points == n) & (out[3] > TOP_BAND_FLAG)
+    warnings = [f"{felt.sum()} of {times.size} times ran on the full "
+                f"{n}-point grid with up to {out[3][felt].max():.1%} of the "
+                f"energy in its outer half |m| > {M / 2:g}: the truncation "
+                f"is felt; raise --resolution"] if felt.any() else []
     return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
-            "grid": points, "outer": out[3]}
+            "grid": points, "outer": out[3], "p": problem.p,
+            "warnings": warnings}
 
 
-def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
+def spiral_mixing_series(times, *, alpha=1.0, k=1, N=8192, datum="uniform",
+                         seed=None):
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase, so f(t) is evaluated in closed
@@ -860,17 +872,16 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     h1 is sqrt(Re g^H (A g)) with A g formed elementwise: the expanded
     quadratic form diag |g|^2 + 2 off Re(conj(g_j) g_j+1) would lose ~7
     digits to cancellation at N = 65536. hm1 agrees with a full
-    tridiagonal solve to round-off (~1e-14).
+    tridiagonal solve to round-off (~1e-14). A time whose phase advances
+    by more than 1 per radial cell, bound_B |t| / N > 1 with
+    bound_B = |k| max r^alpha, feels the truncation, and the series warns.
 
     Parameters / returns as in `shear_mixing_series`, with "grid" always N
     and no "outer"; `datum` may be "uniform", "single-mode-m1", or
-    "gaussian-bump" (no seeded datum).
+    "gaussian-bump" (no seeded datum, so `seed` is unused).
     """
     times = _series_times(times)
-    r, dr, diag, off = _disk_operator(N, k)
-    sqw = np.sqrt(r * dr)
-    data = _disk_data(r, lambda: eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, 0))[1][:, 0] / sqw)
+    w, diag, off, rate, p, _, data = _disk(alpha, k, N)
     if datum not in data:
         raise ValueError(f"datum {datum!r} is not defined for the spiral "
                          f"series; its data: {', '.join(sorted(data))}")
@@ -881,7 +892,7 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
         """A g into ``ag``: the diagonal, then the ladder product."""
         return _ladder_add(ladder, g, np.multiply(diag, g, out=ag))
 
-    g0 = sqw * data[datum]()
+    g0 = np.sqrt(w) * data[datum]()
     g0 /= np.sqrt(np.real(np.vdot(g0, a_times(g0))))
     d, e, info = dpttrf(diag, off)
     if info != 0:
@@ -889,7 +900,6 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
     band = np.zeros((2, N), order="F")  # L's subdiagonal, LAPACK band layout
     band[1, :-1] = e
     inv_d = 1.0 / d
-    rate = k * r**alpha
     g = np.empty(N, dtype=complex)
     out = np.empty((3, times.size))
     for i, t in enumerate(times):
@@ -902,5 +912,10 @@ def spiral_mixing_series(times, alpha=1.0, k=1, N=8192, datum="uniform"):
         y = y.view(complex)
         out[:, i] = h, h1, np.sqrt(np.real(np.vdot(
             y, np.multiply(y, inv_d, out=ag))))
+    cells = np.abs(rate).max() * np.abs(times) / N  # phase per radial cell
+    over = cells > 1.0
+    warnings = [f"{over.sum()} of {times.size} times advance the phase by "
+                f"up to {cells.max():.3g} per radial cell: the truncation "
+                f"is felt; raise --resolution"] if over.any() else []
     return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
-            "grid": np.full(times.size, N)}
+            "grid": np.full(times.size, N), "p": p, "warnings": warnings}

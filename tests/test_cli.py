@@ -124,6 +124,34 @@ def test_mix_rate_spiral(tmp_path):
     assert fit["warnings"] == []
 
 
+def test_mix_rate_spiral_warns_past_its_resolution(tmp_path, capsys):
+    """At N = 256 the phase of t = 1e4 advances by 39 per radial cell: the
+    fit reads p ~ 0.5 against the predicted 1, and the series warns."""
+    rc = cli.main(["mix-rate", "--model", "spiral", "--resolution", "256",
+                   "--t-max", "1e4", "--points", "100",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    fit = _load_json(tmp_path / "mixing_spiral_k1_fit.json")
+    assert fit["p_measured"] < 0.6 and fit["p_predicted"] == 1.0
+    assert len(fit["warnings"]) == 1
+    assert "truncation is felt" in fit["warnings"][0]
+    assert f"warning: {fit['warnings'][0]}" in capsys.readouterr().out
+
+
+def test_mix_rate_refuses_a_bad_model_before_any_time(tmp_path, capsys,
+                                                     monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("the series evaluated a time")
+
+    monkeypatch.setattr(mx.models, "_phase", evaluated)
+    out = tmp_path / "m"
+    assert cli.main(["mix-rate", "--model", "spiral", "--alpha", "0.5",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: swirl exponent alpha must be >= 1, got 0.5" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_ed_sweep_and_report_heat(tmp_path):
     out = str(tmp_path / "sweep")
     rc = cli.main(["ed-sweep", "--model", "heat", "--nu-min", "0.001",

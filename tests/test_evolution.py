@@ -183,8 +183,27 @@ def test_controlled_run_keeps_the_sample_grid():
         np.testing.assert_allclose(ctl.h, ref.h, rtol=1e-5)
         assert ctl.meta["sample_stride"] == ref.meta["sample_stride"] // 5
     assert ctl.meta["sample_stride"] > 1  # the cap of 15 samples thinned
-    assert ctl.meta["sample_interval"] == ds
+    assert ctl.meta["sample_interval"] == ds * ctl.meta["sample_stride"]
     assert ctl.meta["err_est"] > 0.0
+
+
+@pytest.mark.parametrize("nu, dt", [(0.0, None), (1e-3, None), (1e-3, 0.1)],
+                         ids=["exact", "controlled", "explicit-dt"])
+def test_thinned_trace_records_its_final_sample_interval(nu, dt):
+    """Thinning doubles the stride during the run: the recorded sample
+    interval is the spacing of the trace, and the steps per sample
+    interval count the final stride."""
+    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    tr = mx.evolve(prob, f0, nu, 40.0, dt=dt, max_samples=15)
+    stride = tr.meta["sample_stride"]
+    assert stride > 1  # the cap of 15 samples thinned
+    step = default_dt(prob, 40.0) if dt is None else dt
+    assert tr.meta["sample_interval"] == step * stride
+    np.testing.assert_allclose(np.diff(tr.times)[:-1],
+                               tr.meta["sample_interval"], rtol=1e-13)
+    assert tr.meta["max_steps_per_sample"] == stride * (
+        1 if nu == 0.0 or dt else round(step / tr.dt))
 
 
 def test_controlled_rows_match_fixed_step_rows(tmp_path):
@@ -280,12 +299,13 @@ def _flat_operators(name, **kw):
     operator and the radial phase (spiral: alpha, k, N), the mode
     multiplier and the vorticity-corrected coupling (Kolmogorov: L, k, M),
     the degree ladder (kinetic: k, N, d)."""
-    from mixlab.models import _disk_operator
+    from mixlab.models import _disk
 
     if name == "spiral":
-        r, dr, diag, off = _disk_operator(kw["N"], kw["k"])
+        w, diag, off, *_ = _disk(kw["alpha"], kw["k"], kw["N"])
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        return A, np.diag(1j * kw["k"] * r ** kw["alpha"]), np.sqrt(r * dr)
+        r = (np.arange(kw["N"]) + 0.5) / kw["N"]
+        return A, np.diag(1j * kw["k"] * r ** kw["alpha"]), np.sqrt(w)
     if name == "kolmogorov":
         M, kL = kw["M"], kw["k"] * kw["L"]
         mu = kL**2 + np.arange(-M, M, dtype=float) ** 2

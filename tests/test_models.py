@@ -511,15 +511,15 @@ def test_shear_series_grid_starts_coarse_and_never_shrinks():
 def test_spiral_series_forward_sweep_matches_full_solve():
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    from mixlab.models import _disk_operator, _ladder_add
+    from mixlab.models import _disk, _ladder_add
     N, times = 4096, np.array([0.0, 0.3, 7.0, 250.0])
     ser = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=N)
-    r, dr, diag, off = _disk_operator(N, 1)
+    w, diag, off, r, *_ = _disk(1.0, 1, N)  # the rate k r^alpha is r here
 
     def a_apply(g):
         return _ladder_add([(slice(0, -1), slice(1, None), off)], g, diag * g)
 
-    g0 = np.sqrt(r * dr) * np.ones(N, dtype=complex)
+    g0 = np.sqrt(w) * np.ones(N, dtype=complex)
     g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
     d, e, _ = dpttrf(diag, off)
     for i, t in enumerate(times):
@@ -529,6 +529,29 @@ def test_spiral_series_forward_sweep_matches_full_solve():
         hm1 = np.sqrt(np.vdot(G, dpttrs(d, e, G)[0]))
         assert ser["hm1"][i] == pytest.approx(hm1, rel=1e-12)
     assert np.all(ser["grid"] == N)
+
+
+@pytest.mark.parametrize("family, bad", [
+    ("spiral", {"alpha": 0.5}), ("spiral", {"k": 0}), ("spiral", {"N": 0}),
+    ("shear", {"gamma": 3.0}), ("shear", {"k": 0}), ("shear", {"M": 0})],
+    ids=["spiral-alpha", "spiral-k", "spiral-N", "shear-gamma", "shear-k",
+         "shear-M"])
+def test_series_refuse_what_their_builder_refuses(monkeypatch, family, bad):
+    """Each series takes its builder's keywords and refuses, with the
+    builder's message, what the builder refuses, before any time is
+    evaluated."""
+    with pytest.raises(ValueError) as built:
+        mx.build_model(family, **bad)
+
+    def evaluated(*args):
+        raise AssertionError("the series evaluated a time")
+
+    monkeypatch.setattr(mx.models, "_phase", evaluated)
+    series = {"shear": mx.shear_mixing_series,
+              "spiral": mx.spiral_mixing_series}[family]
+    with pytest.raises(ValueError) as refused:
+        series([0.0, 1.0, 10.0], **bad)
+    assert str(refused.value) == str(built.value)
 
 
 @pytest.mark.parametrize("series", [mx.shear_mixing_series,
