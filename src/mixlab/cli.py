@@ -21,9 +21,10 @@ from .diagnostics import THETA_DEFAULT, constant_c0_poly, constant_c0_spiral, \
     timescale_pairs
 from .evolution import EvolutionError, evolve, read_trace, write_norms, \
     write_trace
-from .models import FAMILIES, build_model, initial_datum, model_params, \
-    shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
+from .models import FAMILIES, TOP_BAND_FLAG, build_model, initial_datum, \
+    model_params, shear_mixing_series, spiral_mixing_series
+from .sweep import SweepConfig, axis_values, load_sweep, row_datum, row_key, \
+    run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,10 +65,8 @@ def _cmd_simulate(args) -> int:
     trace = evolve(problem, f0, args.nu, args.t_end,
                    sample_every=args.sample_every, stop_ratio=args.stop_ratio)
     out = _out_dir(args)
-    key = row_key(args.model, {
-        "alpha": args.alpha if args.model == "spiral" else None,
-        "gamma": args.gamma if args.model == "shear" else None,
-        "k": args.k, "nu": args.nu})
+    key = row_key(args.model, {**axis_values(args.model, vars(args)),
+                               "k": args.k, "nu": args.nu})
     path = os.path.join(out, f"trace_{key}.csv")
     write_trace(trace, path)
     print(f"model={args.model} nu={args.nu:g} dt={trace.dt:g} "
@@ -142,23 +141,6 @@ def _cmd_mix_rate(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _group_rows(rows):
-    """Group completed rows by (model, alpha, gamma, k), insertion-ordered."""
-    groups: dict = {}
-    for r in rows:
-        if r.status == "ok":
-            groups.setdefault((r.model, r.alpha, r.gamma, r.k), []).append(r)
-    return groups
-
-
-def _group_label(rows) -> str:
-    return rows[0].key.rsplit("_nu", 1)[0]
-
-
 def _q_fits(rows) -> dict:
     """Time-scales of one row group and their enhanced-dissipation fit, per
     basis: basis -> (nus, taus, RateFit or the ValueError that stopped it).
@@ -167,10 +149,9 @@ def _q_fits(rows) -> dict:
     for basis in ("crossing", "rate"):
         nus, taus = timescale_pairs(rows, basis)
         try:
-            fit = ed_exponent((nus, taus))
+            fits[basis] = nus, taus, ed_exponent((nus, taus))
         except ValueError as exc:
-            fit = exc
-        fits[basis] = nus, taus, fit
+            fits[basis] = nus, taus, exc
     return fits
 
 
@@ -182,16 +163,16 @@ def _cmd_ed_sweep(args) -> int:
         raise ValueError(f"--gamma {args.gamma:g}: heat sweeps run gamma = 2; "
                          f"sweep --model shear --profile zero --gamma "
                          f"{args.gamma:g} for fractional diffusion")
-    if args.nus:
-        nus = _parse_floats(args.nus)
-    else:
-        nus = tuple(np.geomspace(args.nu_min, args.nu_max, args.nu_count))
+    nus = tuple(float(x) for x in args.nus.split(",") if x.strip()) \
+        if args.nus else tuple(np.geomspace(args.nu_min, args.nu_max,
+                                            args.nu_count))
     ks = tuple(int(x) for x in args.k_list.split(",")) if args.k_list \
         else (args.k,)
+    axes = axis_values(args.model, vars(args))
     cfg = SweepConfig(
         model=args.model, nus=nus, ks=ks,
-        alphas=(args.alpha,) if args.model == "spiral" else (),
-        gammas=(args.gamma,) if args.model == "shear" else (),
+        **{f"{axis}s": (value,) for axis, value in axes.items()
+           if value is not None},
         profile=args.profile, n0=args.n0, L=args.L, datum=args.datum,
         resolution=args.resolution, t_end_factor=args.t_end_factor,
         theta=args.theta, stop_ratio=args.stop_ratio, seed=args.seed,
@@ -206,8 +187,8 @@ def _cmd_ed_sweep(args) -> int:
         for warning in r.meta.get("warnings", []):
             print(f"  warning: {warning}")
         bad += r.status != "ok"
-    for rows in _group_rows(result.rows).values():
-        label = _group_label(rows)
+    for label, _, pairs in result.groups():
+        rows = [r for _, r in pairs]
         for basis, (_, _, fit) in _q_fits(rows).items():
             if isinstance(fit, ValueError):
                 print(f"{label}: q ({basis}) not fitted: {fit}")
@@ -227,59 +208,64 @@ def _cmd_verify_bound(args) -> int:
     result = load_sweep(args.sweep_dir)
     cfg = result.config
     report: dict = {"tol": args.tol, "groups": {}, "rows": []}
-    n_fail = 0
-    n_checked = 0
-    for (model, alpha, gamma, k), rows in _group_rows(result.rows).items():
-        label = _group_label(rows)
-        problem = build_model(model, **model_params(
-            model, {**vars(cfg), "alpha": alpha, "gamma": gamma, "k": k}))
+    n_fail = n_checked = 0
+    for label, params, pairs in result.groups():
+        problem = build_model(cfg.model, **params)
         if problem.p is None or problem.q is None:
             report["groups"][label] = {
                 "skipped": "no algebraic mixing prediction for this family"}
             print(f"{label}: skipped (no mixing prediction)")
             continue
-        # a: the largest fit over the inviscid flows of the rows' data
-        data = {}
-        for r in rows:  # a seeded datum differs from row to row
-            f0 = row_datum(cfg, problem, result.rows.index(r))
-            data.setdefault(f0.tobytes(), f0)
-        a, warnings = 0.0, []
+        data = {f0.tobytes(): f0 for f0 in (  # a seeded datum differs by row
+            row_datum(cfg, problem, i) for i, _ in pairs)}
+        # a: the largest fit over the inviscid flows of the rows' data, each
+        # on its n samples before the first past the top-band flag
+        a, t_fit, warnings = 0.0, np.inf, []
         for f0 in data.values():
             trace = evolve(problem, f0, 0.0, args.amp_t_max)
-            a = max(a, fit_mixing_amplitude(trace.times, trace.hm1,
-                                            problem.p, k, 1.0))
+            n = np.append(trace.occupancy > TOP_BAND_FLAG, True).argmax()
+            if n == 0:
+                raise EvolutionError(
+                    f"{label}: the datum's top band holds "
+                    f"{trace.occupancy[0]:.1%} of its energy at t = 0, past "
+                    f"{TOP_BAND_FLAG:.0%}: raise the resolution")
+            a = max(a, fit_mixing_amplitude(trace.times[:n], trace.hm1[:n],
+                                            problem.p, params["k"], 1.0))
+            t_fit = min(t_fit, float(trace.times[n - 1]))
             warnings += [w for w in trace.meta["warnings"]
                          if w not in warnings]
-        spiral = model == "spiral"
+        spiral = cfg.model == "spiral"
         c0 = constant_c0_spiral(problem.params["alpha"], a) if spiral \
             else constant_c0_poly(problem.p, a, problem.c_B)
         report["groups"][label] = {"a": a, "p": problem.p, "q": problem.q,
                                    "c0": c0, "datum": cfg.datum,
-                                   "warnings": warnings}
-        print(f"{label}: fitted amplitude a = {a:g}, c0 = {c0:.4g}, "
+                                   "fit_t_max": t_fit, "warnings": warnings}
+        window = f" to t = {t_fit:g}" if t_fit < args.amp_t_max else ""
+        print(f"{label}: fitted amplitude a = {a:g}{window}, c0 = {c0:.4g}, "
               f"q = {problem.q:.4g}")
         for warning in warnings:
             print(f"  warning: {warning}")
-        for r in rows:
+        for _, r in pairs:
             if not r.trace_path:
                 raise ValueError(f"row {r.key} has no stored trace; rerun "
                                  "the sweep before verifying bounds")
             trace = read_trace(os.path.join(args.sweep_dir, r.trace_path))
-            rate = c0 * r.nu**problem.q * abs(k) ** (1.0 - problem.q) \
+            rate = c0 * r.nu**problem.q * abs(r.k) ** (1.0 - problem.q) \
                 if spiral else None
             check = theorem_bound_check(trace, r.nu, problem.q, c0,
                                         tol=args.tol, lam1=problem.lam1,
                                         rate=rate)
             n_checked += 1
             n_fail += not check.passed
-            verdict = "pass" if check.passed else "FAIL"
+            verdict = "FAIL" if not check.passed else \
+                "pass" if check.checked else "tail-only"
             tail = " (+tail)" if check.tail_certified else ""
             print(f"  {r.key}: {verdict}, worst margin "
                   f"{check.worst_margin:+.4f} over {check.checked} "
                   f"samples{tail}")
             report["rows"].append({
                 "key": r.key, "nu": r.nu, "passed": check.passed,
-                "worst_margin": check.worst_margin,
+                "verdict": verdict, "worst_margin": check.worst_margin,
                 "checked_samples": check.checked,
                 "tail_certified": check.tail_certified, "note": check.note,
             })
@@ -294,7 +280,7 @@ def _cmd_verify_bound(args) -> int:
 
 def _cmd_report(args) -> int:
     result = load_sweep(args.sweep_dir)
-    groups = _group_rows(result.rows)
+    groups = result.groups()
     if not groups:
         print("no completed rows in the sweep; nothing to report",
               file=sys.stderr)
@@ -302,10 +288,11 @@ def _cmd_report(args) -> int:
     out = args.out or args.sweep_dir
     report: dict = {"sweep_dir": args.sweep_dir, "groups": {}}
     svg_text = {}  # path -> plot, written once every trace has been read
-    for (model, alpha, gamma, k), rows in groups.items():
-        label = _group_label(rows)
+    for label, _, pairs in groups:
+        rows = [r for _, r in pairs]
         entry: dict = {
-            "model": model, "alpha": alpha, "gamma": gamma, "k": k,
+            "model": rows[0].model, "alpha": rows[0].alpha,
+            "gamma": rows[0].gamma, "k": rows[0].k,
             "n_rows": len(rows), "q_predicted": rows[0].q_pred,
             "nus": [r.nu for r in rows], "taus": [r.tau for r in rows],
             "warnings": {r.key: r.meta["warnings"] for r in rows
@@ -325,14 +312,10 @@ def _cmd_report(args) -> int:
             print(f"{label}: q = {fit.exponent:.3f} +/- {fit.residual:.3f} "
                   f"[{basis}]")
         q_pred = rows[0].q_pred
-        if q_meas is None:
-            entry["verdict"] = "insufficient data"
-        elif q_pred is None:
-            entry["verdict"] = "no prediction"
-        elif q_meas <= q_pred + 0.05:
-            entry["verdict"] = "consistent with prediction"
-        else:
-            entry["verdict"] = "exceeds predicted exponent"
+        entry["verdict"] = "insufficient data" if q_meas is None else \
+            "no prediction" if q_pred is None else \
+            "consistent with prediction" if q_meas <= q_pred + 0.05 else \
+            "exceeds predicted exponent"
         print(f"{label}: q_pred = "
               f"{'-' if q_pred is None else format(q_pred, '.3f')} -> "
               f"{entry['verdict']}")

@@ -111,11 +111,8 @@ def fit_power_law(times, values, window=None) -> RateFit:
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-    else:
-        mask = np.ones_like(t, dtype=bool)
-    mask &= t > 0.0
+    lo, hi = (-np.inf, np.inf) if window is None else window
+    mask = (t > 0.0) & (t >= lo) & (t <= hi)
     if not np.all(v[mask] > 0.0):
         raise ValueError("power-law fit requires strictly positive values")
     t, v = t[mask], v[mask]

@@ -89,9 +89,9 @@ class DecayTrace:
     ``extras`` may carry additional sampled norms (keyed by name, e.g.
     ``"h2"``); ``meta`` records integrator metadata and runtime flags.
     ``dt`` is the step of an explicit-step run, or the smallest regular
-    step ``ds/m`` of a controlled one. The final state is retrievable from
-    ``final_state`` (in the model's working basis); it is not serialized
-    with the trace.
+    step ``ds/m`` of a controlled one. The final state (``final_state``,
+    in the model's working basis) and each sample's top-band energy share
+    (``occupancy``) are not serialized with the trace.
     """
 
     times: np.ndarray
@@ -105,6 +105,7 @@ class DecayTrace:
     extras: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     final_state: np.ndarray | None = None
+    occupancy: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.times.size
@@ -223,9 +224,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         n_steps += m
         return g
 
-    # a column per sample: t, then the squared norm of each order; thinning
-    # keeps at most max_samples + 1 of them
-    samples = np.empty((1 + len(orders), min(n_int, max(max_samples, 1)) + 2))
+    # a column per sample: t, the squared norm of each order, and the top
+    # band's share of the energy; thinning keeps at most max_samples + 1
+    samples = np.empty((2 + len(orders), min(n_int, max(max_samples, 1)) + 2))
     n_rec = 0
 
     def record(t, g):
@@ -237,11 +238,12 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
                 f"(model {problem.name}, nu={nu:g}, dt={ds / m:g})"
             )
         samples[0, n_rec] = t
-        samples[1:, n_rec] = sums[:-1]
-        n_rec += 1
+        samples[1:, n_rec] = sums
         if sums[0] > 0:
+            samples[-1, n_rec] /= sums[0]
             meta["occupancy_max"] = max(meta["occupancy_max"],
-                                        float(sums[-1] / sums[0]))
+                                        float(samples[-1, n_rec]))
+        n_rec += 1
         return np.sqrt(sums[0])
 
     m = m_max = 1
@@ -298,13 +300,14 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "spectral truncation may be felt; raise the resolution"
         )
 
-    norms = np.sqrt(samples[1:, :n_rec])
+    norms = np.sqrt(samples[1:-1, :n_rec])
     return DecayTrace(
         times=samples[0, :n_rec].copy(), h=norms[0], h1=norms[1],
         hm1=norms[2], nu=nu, model=problem.name,
         params=dict(problem.params), dt=ds / m_max,
         extras={"h2": norms[3]} if want_h2 else {}, meta=meta,
         final_state=op.from_internal(g) if j else c0.copy(),
+        occupancy=samples[-1, :n_rec].copy(),
     )
 
 

@@ -88,20 +88,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shear profiles
 
-def _sin2(y):
-    return np.sin(y) + np.sin(2.0 * y)
-
-
-def _dsin2(y):
-    return np.cos(y) + 2.0 * np.cos(2.0 * y)
-
-
 #: name -> (u, u', maximal vanishing order n0 of u' at its critical points).
 #: n0 is declared, not detected: the vanishing order of a closure is not
 #: robustly computable from grid samples.
 PROFILES: dict[str, tuple[Callable, Callable, int | None]] = {
     "sin": (np.sin, np.cos, 1),
-    "sin2": (_sin2, _dsin2, 1),
+    "sin2": (lambda y: np.sin(y) + np.sin(2.0 * y),
+             lambda y: np.cos(y) + 2.0 * np.cos(2.0 * y), 1),
     "zero": (lambda y: np.zeros_like(y), lambda y: np.zeros_like(y), None),
 }
 
@@ -346,6 +339,11 @@ class ModelProblem:
     #: named initial data: name -> zero-argument callable returning the
     #: unnormalized state, formed on demand
     data: dict[str, Callable[[], np.ndarray]] = field(default_factory=dict)
+
+    def __reduce__(self):
+        # a model pickles as its recipe, rebuilt where it is loaded: its
+        # data are closures, and a build is deterministic
+        return partial(build_model, self.name, **self.params), ()
 
     def __post_init__(self):
         if np.ndim(self.op.lam) != 1 or np.size(self.op.lam) == 0:

@@ -8,8 +8,9 @@ finish — the source of truth — and ``sweep.csv`` is regenerated from them
 in enumeration order at the end, so an interrupted sweep resumes to a
 bit-identical result set. ``sweep.csv`` is an output only: a sweep is
 read back from its ``sweep_config.json`` and the row file of every row
-that config plans. A row records the settings that shaped it, and
-a resumed sweep refuses rows computed with other settings.
+that config plans. A row records the settings that shaped it, and a
+resumed sweep refuses rows computed with other settings. The rows that
+share ``(alpha, gamma, k)`` run one model, built once (:func:`row_groups`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .evolution import EvolutionError, evolve, write_trace
 from .models import build_model, initial_datum, model_params
 
 __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
-           "row_key", "row_datum"]
+           "row_key", "row_datum", "row_groups", "axis_values"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values: 2 = error-controlled steps, 3 = the step is
@@ -104,27 +105,30 @@ class SweepConfig:
                 **{k: v for k, v in asdict(self).items() if k not in axes}}
 
     def rows(self) -> list[dict]:
-        """Deterministic row enumeration."""
-        out = []
-        for alpha in (self.alphas or (None,)):
-            for gamma in (self.gammas or (None,)):
-                for k in self.ks:
-                    for nu in self.nus:
-                        out.append({"alpha": alpha, "gamma": gamma,
-                                    "k": int(k), "nu": float(nu)})
-        return out
+        """Deterministic row enumeration, nu varying fastest."""
+        return [{"alpha": alpha, "gamma": gamma, "k": int(k), "nu": float(nu)}
+                for alpha, gamma, k, nu in product(
+                    self.alphas or (None,), self.gammas or (None,), self.ks,
+                    self.nus)]
+
+
+def axis_values(model: str, flags) -> dict:
+    """``alpha`` and ``gamma`` of a run of ``model`` at ``flags``: a spiral
+    sweep crosses alpha and a shear sweep gamma; other families neither."""
+    return {"alpha": flags["alpha"] if model == "spiral" else None,
+            "gamma": flags["gamma"] if model == "shear" else None}
+
+
+def _group_label(model: str, row: dict) -> str:
+    """Group name: model, alpha and gamma when set, k."""
+    axes = [f"{a}{row[name]:g}" for a, name in (("a", "alpha"), ("g", "gamma"))
+            if row[name] is not None]
+    return "_".join([model, *axes, f"k{row['k']}"])
 
 
 def row_key(model: str, row: dict) -> str:
-    """Row (and trace file) name: model, alpha and gamma when set, k, nu."""
-    parts = [model]
-    if row["alpha"] is not None:
-        parts.append(f"a{row['alpha']:g}")
-    if row["gamma"] is not None:
-        parts.append(f"g{row['gamma']:g}")
-    parts.append(f"k{row['k']}")
-    parts.append(f"nu{row['nu']:.4e}")
-    return "_".join(parts)
+    """Row (and trace file) name: its group's label, then nu."""
+    return f"{_group_label(model, row)}_nu{row['nu']:.4e}"
 
 
 @dataclass
@@ -174,6 +178,21 @@ def _checked_fields(cls, data: dict, source: str) -> dict:
     return data
 
 
+def row_groups(cfg: SweepConfig, rows) -> list:
+    """``(plan index, row)`` pairs of ``cfg``'s plan, a row being a plan
+    row or a :class:`RowResult`, grouped by the ``(alpha, gamma, k)`` of
+    the plan row: ``(label, the model's builder keywords, the pairs)``."""
+    plan, groups = cfg.rows(), {}
+    for index, row in rows:
+        key = tuple(plan[index][name] for name in ("alpha", "gamma", "k"))
+        if key not in groups:
+            axes = dict(zip(("alpha", "gamma", "k"), key))
+            groups[key] = (_group_label(cfg.model, axes),
+                           model_params(cfg.model, {**vars(cfg), **axes}), [])
+        groups[key][2].append((index, row))
+    return list(groups.values())
+
+
 @dataclass
 class SweepResult:
     rows: list
@@ -183,6 +202,11 @@ class SweepResult:
     @property
     def csv_path(self) -> str:
         return os.path.join(self.out_dir, "sweep.csv")
+
+    def groups(self) -> list:
+        """:func:`row_groups` of the rows whose status is ``ok``."""
+        return row_groups(self.config, [(i, r) for i, r in enumerate(self.rows)
+                                        if r.status == "ok"])
 
 
 def _row_path(out_dir: str, key: str) -> str:
@@ -199,15 +223,9 @@ def row_datum(cfg: SweepConfig, problem, index: int) -> np.ndarray:
     return initial_datum(problem, cfg.datum, seed=(cfg.seed, index))
 
 
-def _problem_and_datum(cfg: SweepConfig, row: dict, index: int):
-    problem = build_model(cfg.model,
-                          **model_params(cfg.model, {**vars(cfg), **row}))
-    return problem, row_datum(cfg, problem, index)
-
-
-def _run_row(cfg: SweepConfig, row: dict, index: int):
-    """Execute one row; pure function of (cfg, row, index)."""
-    problem, datum = _problem_and_datum(cfg, row, index)
+def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
+    """Execute one row on its group's model; pure function of the four."""
+    datum = row_datum(cfg, problem, index)
     nu = row["nu"]
     q_pred = problem.q
     t_end = cfg.t_end_factor * nu ** (-(q_pred if q_pred else 1.0))
@@ -240,10 +258,8 @@ def _run_row(cfg: SweepConfig, row: dict, index: int):
         "dt": trace.dt,
         "h_end_over_h0": float(trace.h[-1] / trace.h[0]),
         **{key: trace.meta[key] for key in (
-            "n_steps", "sample_interval", "max_steps_per_sample", "err_est")},
-        "stop_reason": trace.meta.get("stop_reason"),
-        "warnings": trace.meta.get("warnings", []),
-        "versions": trace.meta["versions"],
+            "n_steps", "sample_interval", "max_steps_per_sample", "err_est",
+            "stop_reason", "warnings", "versions")},
     }
     return result, trace
 
@@ -280,7 +296,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     a pending row cannot build. A run's EvolutionError is recorded in the
     row status; any other error is raised once the rows before it in plan
     order are persisted, and no ``sweep.csv`` is written. Workers > 1
-    runs pending rows in a process pool; all files are written here.
+    runs pending rows in a process pool, which rebuilds each row's model
+    from its pickled recipe; all files are written here.
     """
     out = cfg.out_dir
     plan = cfg.rows()
@@ -302,11 +319,13 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                     f"{row_path} has {found}, this sweep {name} = {value!r}; "
                     "resume with the same settings or use another out_dir")
         results[key] = rr
-    # a model or datum the rows cannot build leaves no directory behind
-    groups = {(plan[i]["alpha"], plan[i]["gamma"], plan[i]["k"]): i
-              for i in pending}
-    for idx in groups.values():
-        _problem_and_datum(cfg, plan[idx], idx)
+    # one model per group, and a model or datum the rows cannot build
+    # leaves no directory behind; a group's rows are consecutive in plan order
+    runs, groups = [], row_groups(cfg, [(i, plan[i]) for i in pending])
+    for _, params, pairs in groups:
+        problem = build_model(cfg.model, **params)
+        row_datum(cfg, problem, pairs[0][0])
+        runs += [(problem, row, i) for i, row in pairs]
 
     os.makedirs(os.path.join(out, "rows"), exist_ok=True)
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)
@@ -315,7 +334,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():  # both maps yield in plan order
         for rr, trace in (pool.map if pool else map)(
-                _run_row, repeat(cfg), [plan[i] for i in pending], pending):
+                _run_row, repeat(cfg, len(runs)), *zip(*runs)):
             if trace is not None and len(trace) > 0:
                 rr.trace_path = os.path.join("traces", rr.key + ".csv")
                 write_trace(trace, os.path.join(out, rr.trace_path))

@@ -316,22 +316,29 @@ def test_verify_bound_on_shear_sweep(tmp_path):
 def test_verify_bound_amplitude_from_the_rows_own_data(tmp_path):
     """The mixing amplitude is the largest fit over the inviscid flows
     of the data the rows ran, on the rows' own model: a seeded datum is
-    drawn per row, with seed (seed, plan index)."""
+    drawn per row, with seed (seed, plan index). Each run is fitted on
+    its samples before the first whose top-band share passes the flag,
+    and the group records the last time fitted."""
     out = str(tmp_path / "sweep")
     assert cli.main(["ed-sweep", "--model", "shear", "--datum", "random-h1",
                      "--resolution", "32", "--nus", "1e-2,3e-3,1e-3,3e-4",
                      "--out", out]) == 0
     assert cli.main(["verify-bound", out]) == 0
     problem = mx.build_model("shear", M=32)
-    fits = []
+    fits, ends = [], []
     for i in range(4):
         f0 = mx.initial_datum(problem, "random-h1", seed=(0, i))
         trace = mx.evolve(problem, f0, 0.0, 100.0)  # --amp-t-max default
-        fits.append(mx.fit_mixing_amplitude(trace.times, trace.hm1,
+        n = int(np.argmax(trace.occupancy > mx.models.TOP_BAND_FLAG))
+        assert 0 < n < len(trace)  # the truncation is felt before t = 100
+        fits.append(mx.fit_mixing_amplitude(trace.times[:n], trace.hm1[:n],
                                             problem.p, 1, 1.0))
-    assert fits == [2.0, 2.0, 2.0, 4.0]
+        ends.append(trace.times[n - 1])
+    assert fits == [0.5, 0.5, 1.0, 1.0]
     (group,) = _load_json(os.path.join(out, "bounds.json"))["groups"].values()
     assert group["a"] == max(fits)
+    assert group["fit_t_max"] == min(ends)
+    assert group["c0"] == 1 / 512
 
 
 def test_verify_bound_prints_and_records_amplitude_warnings(tmp_path,
@@ -348,8 +355,49 @@ def test_verify_bound_prints_and_records_amplitude_warnings(tmp_path,
         "shear_g2_k1"]
     (warning,) = group["warnings"]
     assert warning.startswith("top-band occupancy reached 39.9%")
-    assert lines[0].startswith("shear_g2_k1: fitted amplitude a = 4,")
+    # fitted before the truncation is felt, and the line says to when
+    assert group["fit_t_max"] == 11.0
+    assert lines[0].startswith("shear_g2_k1: fitted amplitude a = 1 to "
+                               "t = 11,")
     assert lines[1] == f"  warning: {warning}"
+
+
+def test_verify_bound_refuses_a_datum_unresolved_at_t0(tmp_path, capsys):
+    """A datum whose top band is past the flag at t = 0 leaves no sample
+    to fit the amplitude on: its group is refused with exit 2, naming
+    it, and no bounds.json is written."""
+    out = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "shear", "--datum",
+                     "gaussian-bump", "--resolution", "4",
+                     "--nus", "0.1,0.05", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify-bound", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: shear_g2_k1: the datum's top band holds " \
+        "2.0% of its energy at t = 0" in err
+    assert "raise the resolution" in err and "Traceback" not in err
+    assert not (out / "bounds.json").exists()
+
+
+def test_verify_bound_marks_tail_only_rows(tmp_path, capsys):
+    """A row whose trace ends before nu^-q passes on the tail certificate
+    alone: it prints, and bounds.json records, the verdict tail-only, not
+    pass; it still counts as passed."""
+    out = str(tmp_path / "sweep")
+    assert cli.main(["ed-sweep", "--model", "shear", "--nus", "0.1,1e-4",
+                     "--resolution", "16", "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify-bound", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = _load_json(os.path.join(out, "bounds.json"))["rows"]
+    assert [(r["verdict"], r["passed"], r["checked_samples"] > 0)
+            for r in rows] == [("pass", True, True),
+                               ("tail-only", True, False)]
+    assert any(line.startswith("  shear_g2_k1_nu1.0000e-01: pass, ")
+               for line in lines)
+    assert any(line.startswith("  shear_g2_k1_nu1.0000e-04: tail-only, ")
+               and line.endswith("over 0 samples (+tail)") for line in lines)
+    assert lines[-1].startswith("2/2 rows satisfy the decay bound")
 
 
 def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):

@@ -378,8 +378,9 @@ def test_shear_closed_forms_keep_their_input():
 @pytest.mark.parametrize("name, kw", _FAMILIES, ids=[c[0] for c in _FAMILIES])
 def test_each_sample_is_the_norms_of_its_state(name, kw):
     """A run's last sample holds the H^s norms of its final state, h2
-    included where asked for, and occupancy_max is the largest top-band
-    energy share of the sampled states, computed here state by state."""
+    included where asked for; each sample's occupancy is the top-band
+    energy share of its state, computed here state by state, and
+    occupancy_max the largest."""
     from mixlab.evolution import TOP_BAND_FRACTION, _strang_step
 
     prob = mx.build_model(name, **kw)
@@ -404,6 +405,7 @@ def test_each_sample_is_the_norms_of_its_state(name, kw):
         shares.append(a2[top].sum() / a2.sum())
         g = step(g)
     assert max(shares) > 0.0
+    assert tr.occupancy == pytest.approx(shares, rel=1e-13)
     assert tr.meta["occupancy_max"] == pytest.approx(max(shares), rel=1e-13)
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -422,6 +423,42 @@ def test_spiral_single_mode_has_one_source():
         for key, s in (("h", 0.0), ("h1", 1.0), ("hm1", -1.0)):
             assert ser[key][0] == pytest.approx(prob.sobolev(f0, s),
                                                 rel=1e-10), (N, key)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, through the lists, tuples and slices an
+    operator holds."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype \
+            and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) \
+            and all(map(_same_bits, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("shear", dict(M=32)), ("heat", dict(M=16)),
+    ("kolmogorov", dict(L=2.0, M=16)), ("spiral", dict(alpha=4.0, N=32)),
+    ("kinetic", dict(N=8)), ("kinetic", dict(N=6, d=2, k=(1, 2)))],
+    ids=["shear", "heat", "kolmogorov", "spiral", "kinetic-d1", "kinetic-d2"])
+def test_model_pickles_as_its_recipe(name, kw):
+    """A model pickles as its family name and params (its named data are
+    closures) and loads as a fresh build: the same operator arrays and
+    the same bits of every named datum."""
+    prob = mx.build_model(name, **kw)
+    blob = pickle.dumps(prob)
+    assert len(blob) < 512  # the recipe, not the arrays
+    loaded = pickle.loads(blob)
+    assert (loaded.name, loaded.params) == (prob.name, prob.params)
+    assert type(loaded.op) is type(prob.op)
+    assert vars(loaded.op).keys() == vars(prob.op).keys()
+    for key, value in vars(prob.op).items():
+        assert _same_bits(getattr(loaded.op, key), value), key
+    assert loaded.data.keys() == prob.data.keys()
+    for datum in ("random-h1", *prob.data):
+        assert _same_bits(mx.initial_datum(loaded, datum, seed=3),
+                          mx.initial_datum(prob, datum, seed=3)), datum
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,38 @@ def test_parallel_matches_serial(tmp_path):
     assert _read(serial.csv_path) == _read(parallel.csv_path)
 
 
+def test_sweep_builds_each_group_once(tmp_path):
+    """A sweep builds one model per row group and runs the group's rows
+    on it: two groups (k = 1, 2) of three viscosities, two builds."""
+    built = []
+
+    def counting(name, **params):
+        built.append(params["k"])
+        return mx.build_model(name, **params)
+
+    cfg = _heat_cfg(tmp_path, nus=(0.1, 0.05, 0.02), ks=(1, 2),
+                    resolution=16)
+    with mock.patch.object(sweep, "build_model", counting):
+        result = mx.run_sweep(cfg, workers=1)
+    assert built == [1, 2]
+    assert [r.status for r in result.rows] == ["ok"] * 6
+
+
+def test_pool_writes_the_bytes_of_the_serial_run(tmp_path):
+    """Pool workers get each row's model as its recipe and write the
+    bytes of the serial run: rows, traces and sweep.csv, on two groups
+    of a seeded spiral sweep."""
+    runs = {}
+    for workers in (1, 2):
+        cfg = mx.SweepConfig(model="spiral", nus=(0.1, 0.05), ks=(1, 2),
+                             alphas=(2.0,), datum="random-h1", seed=5,
+                             resolution=16, out_dir=str(tmp_path / str(workers)))
+        mx.run_sweep(cfg, workers=workers)
+        runs[workers] = _result_files(cfg.out_dir)
+    assert len(runs[1]) == 4 + 8 + 1  # row files, traces with sidecars, csv
+    assert runs[2] == runs[1]
+
+
 def test_load_sweep_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError, match="sweep_config.json"):
         mx.load_sweep(str(tmp_path / "nope"))
@@ -220,10 +252,10 @@ def _interrupted_at(stop):
     """A ``sweep._run_row`` that raises on plan index ``stop``."""
     run_row = sweep._run_row
 
-    def run(cfg, row, idx):
+    def run(cfg, problem, row, idx):
         if idx == stop:
             raise _Interrupt
-        return run_row(cfg, row, idx)
+        return run_row(cfg, problem, row, idx)
     return run
 
 
