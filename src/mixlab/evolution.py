@@ -9,14 +9,19 @@ eigenvalues ``lam`` and the inner product is flat:
 
     g -> half * advect(half * g),   half = exp(-nu lam dt / 2),
 
-with ``advect = op.flow(dt)``. A step allocates one array, ``half * g``,
-and works in it: on the Fourier grid (shear) the flow is an unscaled
-inverse FFT into it, a multiply by the grid phase with the forward FFT's
-1/n folded in, and an unscaled forward FFT into it; the second half-step
-scales it in place. The step's input is never written, so a caller's
-state, and the state that a step-doubling check steps twice, stay as
-they are. A model with no advection (B = 0, the heat equation) takes one
-diffusion multiply per step.
+with ``advect = op.flow(dt)``, formed once per step size. A step
+allocates one array, ``half * g``, and works in it: on the Fourier grid
+(shear) the flow is an unscaled inverse FFT into it, a multiply by the
+grid phase with the forward FFT's 1/n folded in, and an unscaled forward
+FFT into it; the second half-step scales it in place. For the matrix
+families (Kolmogorov, kinetic) the flow is one ``zgbmv`` with the band
+of exp(-B dt), formed from its Chebyshev-Bessel series by probing, into
+a second array; where no narrow band exists (kinetic d >= 2, or a step
+whose band is as wide as the matrix) it sums the series at each step
+(:meth:`mixlab.models.SkewMatrix.flow`). The step's input is never
+written, so a caller's state, and the state that a step-doubling check
+steps twice, stay as they are. A model with no advection (B = 0, the
+heat equation) takes one diffusion multiply per step.
 
 Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. A run stacks, once, the weights of its sampled orders (1,

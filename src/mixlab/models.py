@@ -19,9 +19,10 @@ kinetic) — is the model's one spectral frame. It stores the weights of
 the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
 the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
-Fourier grid it overwrites its argument), or a Chebyshev-Bessel series on
-the nonzeros of the banded H of iB = d H conj(d) (about 13 O(n) products
-a step; nothing is formed per step size or per model).
+Fourier grid it overwrites its argument), or the Chebyshev-Bessel series
+in the banded H of iB = d H conj(d), a polynomial formed once per step
+size as one narrow band and applied by one ``zgbmv`` a step, or summed at
+each step (about 13 O(n) products) where no narrow band exists.
 :class:`ModelProblem` reads every norm and projection off it: the product
 ``inner``, the H^s norms ``sobolev``, the cut-off ``project_low`` (P_R)
 and ``lam1``.
@@ -53,13 +54,13 @@ from __future__ import annotations
 import csv as _csv
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product as _iproduct
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.blas import dtbsv, zgbmv
 from scipy.linalg.lapack import dpttrf
 
 from .spectral import fractional_symbol, hs_norm
@@ -250,10 +251,11 @@ def _bessel_series(x: float) -> np.ndarray:
 
 
 def _ladder_add(ladders, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out += H g for H held as ``ladders`` (see SkewMatrix); returns out."""
+    """out += H g along the last axis, for H held as ``ladders`` (see
+    SkewMatrix), so a block of vectors is one product; returns out."""
     for lo, hi, h in ladders:
-        out[lo] += h * g[hi]
-        out[hi] += h * g[lo]
+        out[..., lo] += h * g[..., hi]
+        out[..., hi] += h * g[..., lo]
     return out
 
 
@@ -265,9 +267,11 @@ class SkewMatrix:
 
     H is held as ``ladders`` (lo, hi, h): H = sum (P + P^T) with
     P[lo, hi] = h, each P with unique rows and unique columns, ``lo`` and
-    ``hi`` slices or index arrays; no n x n array is formed. ``radius`` is
-    H's Gershgorin radius (its largest absolute row sum), which bounds its
-    spectrum."""
+    ``hi`` slices or index arrays; no n x n array is formed for H.
+    ``radius`` is H's Gershgorin radius (its largest absolute row sum),
+    which bounds its spectrum; ``width`` is its half-bandwidth, the
+    largest |i - j| of a ladder entry, and ``nnz`` its number of
+    nonzeros."""
 
     kind = "matrix"
 
@@ -280,6 +284,10 @@ class SkewMatrix:
         self.radius = float(_ladder_add([(lo, hi, np.abs(h)) for lo, hi, h
                                          in ladders], np.ones(lam.size),
                                         np.zeros(lam.size)).max())
+        at = np.arange(lam.size)
+        self.width = max((int(np.abs(at[hi] - at[lo]).max(initial=0))
+                          for lo, hi, _ in ladders), default=0)
+        self.nnz = 2 * sum(at[lo].size for lo, _, _ in ladders)
 
     def to_internal(self, state) -> np.ndarray:
         return self.sqw * state
@@ -291,29 +299,64 @@ class SkewMatrix:
         u = np.conj(self.d) * g
         return -1j * self.d * _ladder_add(self.ladders, u, np.zeros_like(u))
 
-    def flow(self, t: float):
-        """exp(-B t) = d exp(iHt) conj(d), exp(iHt) the Chebyshev series
-        sum_k (2 - delta_k0) i^k J_k(st) T_k(H/s), s = ``radius``, cut past
+    def _series(self, t: float):
+        """``(J, series)``: the Bessel coefficients J_k(st), s = ``radius``,
+        and the map u -> exp(iHt) u along u's last axis, the Chebyshev
+        series sum_k (2 - delta_k0) i^k J_k(st) T_k(H/s), cut past
         |J_k(st)| < ``SERIES_CUT`` and summed by Clenshaw's recurrence: one
-        ladder product, O(nnz), per term, about |st| + 12 |st|^(1/3) + 2
-        terms (13 at the step policy's st <= 0.5)."""
+        ladder product, O(nnz) a vector, per term, about
+        |st| + 12 |st|^(1/3) + 2 terms (13 at the step policy's
+        st <= 0.5)."""
         J = _bessel_series(self.radius * t)
         c = J * np.resize([2, 2j, -2, -2j], J.size)  # exact powers of i
         # complex ladders: a real one would be cast on every product
         x = [(lo, hi, h / self.radius + 0j) for lo, hi, h in self.ladders]
         two_x = [(lo, hi, 2.0 * h) for lo, hi, h in x]
-        d, dbar = self.d, np.conj(self.d)
 
-        def advect(g):
-            u = dbar * g
+        def series(u):
             # b_k = c_k u + 2X b_k+1 - b_k+2 for k = K-1..1, X = H/s; the
             # sum is J_0 u + X b_1 - b_2
             b1 = b2 = np.zeros_like(u)
             for ck in c[:0:-1]:
                 b1, b2 = _ladder_add(two_x, b1, ck * u) - b2, b1
-            return d * (_ladder_add(x, b1, J[0] * u) - b2)
+            return _ladder_add(x, b1, J[0] * u) - b2
 
-        return advect
+        return J, series
+
+    def _band(self, series, w: int) -> np.ndarray:
+        """exp(-Bt) = d exp(iHt) conj(d) in LAPACK band storage,
+        ab[w + i - j, j] = exp(-Bt)[i, j], from the ``series`` of
+        :meth:`_series`. A polynomial of degree K-1 in H is exactly banded,
+        of half-width w = (K-1) ``width``, so the series run once on the
+        2w+1 comb vectors v_r = sum of e_j over j = r mod 2w+1 gives every
+        entry (Curtis-Powell-Reid probing): row i of exp(iHt) v_r holds
+        the entry of the one column j of v_r with |i - j| <= w."""
+        n = self.lam.size
+        p, j = 2 * w + 1, np.arange(n)
+        probes = series((j % p == np.arange(p)[:, None]).astype(complex))
+        i = j + np.arange(-w, w + 1)[:, None]  # the row of each ab entry
+        inside = (i >= 0) & (i < n)
+        i = np.where(inside, i, j)
+        d = np.broadcast_to(self.d, (n,))
+        ab = np.where(inside, d[i] * probes[j % p, i] * np.conj(d), 0.0)
+        return np.asfortranarray(ab)
+
+    def flow(self, t: float):
+        """exp(-Bt) = d exp(iHt) conj(d), the series of :meth:`_series`.
+        Where its band, of half-width w = (K-1) ``width``, is narrower
+        than the matrix, 2w + 1 <= n (which ``zgbmv`` requires), and holds
+        no more entries than the K ladder products of one series step
+        read, (2w + 1) n <= K nnz, it is formed once (:meth:`_band`) and
+        each step is one ``zgbmv``. Otherwise (a t whose band is as wide
+        as the matrix, or the wide index-array ladders of kinetic d >= 2)
+        each step sums the series."""
+        J, series = self._series(t)
+        n, w = self.lam.size, (J.size - 1) * self.width
+        if 2 * w + 1 > n or (2 * w + 1) * n > J.size * self.nnz:
+            d, dbar = self.d, np.conj(self.d)
+            return lambda g: d * series(dbar * g)
+        ab = self._band(series, w)
+        return lambda g: zgbmv(n, n, w, w, 1.0, ab, g)
 
 
 @dataclass(frozen=True)
@@ -343,7 +386,7 @@ class ModelProblem:
     def __reduce__(self):
         # a model pickles as its recipe, rebuilt where it is loaded: its
         # data are closures, and a build is deterministic
-        return partial(build_model, self.name, **self.params), ()
+        return _rebuilt, (self.name, tuple(sorted(self.params.items())))
 
     def __post_init__(self):
         if np.ndim(self.op.lam) != 1 or np.size(self.op.lam) == 0:
@@ -674,6 +717,15 @@ def build_model(name: str, **params) -> ModelProblem:
     """Build a model by family name from its builder's keywords; the
     model carries the family name (``"heat"`` is a shear build)."""
     return replace(_family(name)[0](**params), name=name)
+
+
+@lru_cache(maxsize=1)
+def _rebuilt(name: str, params: tuple) -> ModelProblem:
+    """An unpickled model, built from its recipe. The latest recipe is
+    memoized, so a pool worker that is handed a group's rows one by one
+    builds the group's model once; its loads share the model, whose
+    arrays no code writes."""
+    return build_model(name, **dict(params))
 
 
 def model_params(family: str, values) -> dict:

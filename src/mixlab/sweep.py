@@ -37,6 +37,10 @@ CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "sta
 ROW_FORMAT = 3
 
 
+#: axis -> how a row name writes its value (k is a plan row's int)
+_NAMES = {"alpha": "a{:g}", "gamma": "g{:g}", "k": "k{}", "nu": "nu{:.4e}"}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: a model family crossed with parameter and viscosity lists.
@@ -80,6 +84,16 @@ class SweepConfig:
         if not 0.0 < self.t_end_factor < np.inf:
             raise ValueError(f"t_end_factor must be finite and positive, "
                              f"got {self.t_end_factor}")
+        # two values one row name writes alike would share one row file
+        for axis, name in _NAMES.items():
+            seen = {}
+            for value in getattr(self, axis + "s"):
+                text = name.format(int(value) if axis == "k" else value)
+                if text in seen:
+                    raise ValueError(
+                        f"{axis} values {seen[text]!r} and {value!r} are both "
+                        f"written {text!r} in row names; drop one")
+                seen[text] = value
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -121,14 +135,13 @@ def axis_values(model: str, flags) -> dict:
 
 def _group_label(model: str, row: dict) -> str:
     """Group name: model, alpha and gamma when set, k."""
-    axes = [f"{a}{row[name]:g}" for a, name in (("a", "alpha"), ("g", "gamma"))
-            if row[name] is not None]
-    return "_".join([model, *axes, f"k{row['k']}"])
+    return "_".join([model, *(_NAMES[axis].format(row[axis]) for axis in (
+        "alpha", "gamma", "k") if row[axis] is not None)])
 
 
 def row_key(model: str, row: dict) -> str:
     """Row (and trace file) name: its group's label, then nu."""
-    return f"{_group_label(model, row)}_nu{row['nu']:.4e}"
+    return f"{_group_label(model, row)}_{_NAMES['nu'].format(row['nu'])}"
 
 
 @dataclass

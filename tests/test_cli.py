@@ -242,6 +242,17 @@ def test_unknown_sweep_field_exit_code_1(tmp_path, capsys, where, command):
     assert _snapshot(out) == before
 
 
+def test_ed_sweep_refuses_nus_that_share_a_row_name(tmp_path, capsys):
+    """Two viscosities that a row name writes alike exit 1, naming both,
+    before the sweep directory is made."""
+    out = tmp_path / "sweep"
+    rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "1e-3,1.00001e-3",
+                   "--resolution", "16", "--out", str(out)])
+    assert rc == 1
+    assert "0.001 and 0.00100001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
     rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
                    "--t-end-factor", "0.05", "--resolution", "32",

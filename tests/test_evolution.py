@@ -492,6 +492,112 @@ def test_matrix_families_run_no_eigensolver(monkeypatch):
         assert np.isfinite(mx.step_viscous(prob, f, 1e-2, 0.1)).all()
 
 
+def _series_flow(op, t):
+    """exp(-Bt) as the series summed term by term at each step."""
+    _, series = op._series(t)
+    return lambda g: op.d * series(np.conj(op.d) * g)
+
+
+def _widest_band_times(op):
+    """Two close times: the band of the first fits the matrix,
+    2w + 1 <= n, and the band of the second does not (bisection on the
+    series length; st = n/2 takes more than n/2 terms)."""
+    n = op.lam.size
+    lo, hi = 0.0, n / (2.0 * op.radius)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if 2 * (op._series(mid)[0].size - 1) * op.width + 1 <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+_BANDED = [("kolmogorov", dict(L=2.0, k=1, M=64)),
+           ("kolmogorov", dict(L=2.0, k=1, M=256)),
+           ("kinetic", dict(k=1, N=12)), ("kinetic", dict(k=1, N=64))]
+
+
+@pytest.mark.parametrize("name, kw", _BANDED,
+                         ids=["kolmogorov-64", "kolmogorov-256", "kinetic-12",
+                              "kinetic-64"])
+def test_band_flow_equals_the_series(name, kw):
+    """At the step sizes ds/16 to ds of the step policy and at a t whose
+    band reaches the matrix width, the band product (where the band fits,
+    2w + 1 <= n) and the flow equal the series summed at each step to
+    1e-13; past that width the flow is the series."""
+    from scipy.linalg.blas import zgbmv
+
+    prob = mx.build_model(name, **kw)
+    op, n = prob.op, prob.size
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ds = default_dt(prob, 1e3)
+    wide, too_wide = _widest_band_times(op)
+    for t in (ds / 16, ds / 8, ds / 4, ds / 2, ds, wide):
+        J, series = op._series(t)
+        ref = _series_flow(op, t)(g)
+        tol = 1e-13 * np.linalg.norm(ref)
+        w = (J.size - 1) * op.width
+        if 2 * w + 1 <= n:
+            ab = op._band(series, w)
+            assert np.linalg.norm(zgbmv(n, n, w, w, 1.0, ab, g) - ref) \
+                <= tol, t
+        assert np.linalg.norm(op.flow(t)(g) - ref) <= tol, t
+    assert n - 2 * op.width < 2 * w + 1 <= n
+    assert np.array_equal(op.flow(too_wide)(g), _series_flow(op, too_wide)(g))
+
+
+def test_ladder_add_on_a_block_is_the_product_row_by_row():
+    """On a (k, n) block, slice and index-array ladders add H to each row
+    as they do to that row alone."""
+    from mixlab.models import _ladder_add
+
+    rng = np.random.default_rng(12)
+    for name, kw in (("kolmogorov", dict(L=2.0, k=1, M=8)),
+                     ("kinetic", dict(k=(1, -2), N=6, d=2))):
+        op = mx.build_model(name, **kw).op
+        block, out = (rng.standard_normal((5, op.lam.size))
+                      + 1j * rng.standard_normal((5, op.lam.size))
+                      for _ in range(2))
+        rows = [_ladder_add(op.ladders, b, o.copy()) for b, o in zip(block, out)]
+        assert np.array_equal(_ladder_add(op.ladders, block, out), rows), name
+
+
+def test_ladder_free_skew_matrix_steps_as_the_identity():
+    """A SkewMatrix with no ladders (B = 0) flows as the identity at every
+    t, and its Strang step is the diffusion alone."""
+    from mixlab.evolution import _strang_step
+    from mixlab.models import ModelProblem, SkewMatrix
+
+    lam = np.array([1.0, 2.0, 5.0])
+    op = SkewMatrix(lam, np.ones(3), [])
+    assert (op.radius, op.width, op.nnz) == (0.0, 0, 0)
+    g = np.array([1.0 - 2.0j, 0.5j, 3.0])
+    for t in (0.0, 0.5, -3.0):
+        assert np.array_equal(op.flow(t)(g), g), t
+    prob = ModelProblem("ladder-free", {}, op, 0.0, 1.0, None, None, None)
+    assert _strang_step(prob, 0.1, 0.5)(g) == pytest.approx(
+        np.exp(-0.05 * lam) * g, rel=1e-15)
+
+
+def test_wide_ladders_form_no_band():
+    """Kinetic d = 2 ladders are wide (up to N + 1 between coupled
+    modes), so its flow sums the series and forms no band: a band at
+    ds would hold 53 MB."""
+    import tracemalloc
+
+    prob = mx.build_model("kinetic", d=2, N=64)
+    ds = default_dt(prob, 1e3)
+    tracemalloc.start()
+    try:
+        prob.op.flow(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kinetic_bound_is_the_gershgorin_radius(d):
     """Kinetic bound_B is the op's Gershgorin radius, the largest absolute

@@ -444,8 +444,8 @@ def _same_bits(a, b) -> bool:
     ids=["shear", "heat", "kolmogorov", "spiral", "kinetic-d1", "kinetic-d2"])
 def test_model_pickles_as_its_recipe(name, kw):
     """A model pickles as its family name and params (its named data are
-    closures) and loads as a fresh build: the same operator arrays and
-    the same bits of every named datum."""
+    closures) and loads as a build from that recipe: the same operator
+    arrays and the same bits of every named datum."""
     prob = mx.build_model(name, **kw)
     blob = pickle.dumps(prob)
     assert len(blob) < 512  # the recipe, not the arrays
@@ -459,6 +459,30 @@ def test_model_pickles_as_its_recipe(name, kw):
     for datum in ("random-h1", *prob.data):
         assert _same_bits(mx.initial_datum(loaded, datum, seed=3),
                           mx.initial_datum(prob, datum, seed=3)), datum
+
+
+def test_unpickling_builds_each_recipe_once(monkeypatch):
+    """Two pickles of one model, loaded in one process, build it once
+    (a pool worker handed a group's rows one by one builds the group's
+    model once); a load of another recipe builds again."""
+    from mixlab import models
+
+    build, built = models.build_model, []
+
+    def counting(name, **params):
+        built.append(name)
+        return build(name, **params)
+
+    blobs = [pickle.dumps(mx.build_model("kolmogorov", M=16))
+             for _ in range(2)]
+    other = pickle.dumps(mx.build_model("heat", M=16))
+    models._rebuilt.cache_clear()
+    monkeypatch.setattr(models, "build_model", counting)
+    first, second = (pickle.loads(blob) for blob in blobs)
+    assert built == ["kolmogorov"] and second is first
+    pickle.loads(other)
+    pickle.loads(blobs[0])
+    assert built == ["kolmogorov", "heat", "kolmogorov"]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,20 @@ def test_config_validates_viscosities():
         mx.SweepConfig(model="heat", nus=(0.0,))
 
 
+@pytest.mark.parametrize("axes, pair", [
+    (dict(model="spiral", alphas=(1.0, 1.0000001)), "1.0 and 1.0000001"),
+    (dict(model="shear", gammas=(2.0, 2.0000001)), "2.0 and 2.0000001"),
+    (dict(model="heat", ks=(1, 2, 1)), "1 and 1"),
+    (dict(model="heat", nus=(0.1, 1e-3, 1.00001e-3)), "0.001 and 0.00100001"),
+], ids=["alpha", "gamma", "k", "nu"])
+def test_config_refuses_values_that_share_a_row_name(axes, pair):
+    """Two values of an axis that a row name writes alike would share one
+    row file; the config refuses them and names both."""
+    axes = {"nus": (0.1,), **axes}
+    with pytest.raises(ValueError, match=f"values {pair} are both written"):
+        mx.SweepConfig(**axes)
+
+
 def test_config_json_roundtrip():
     cfg = mx.SweepConfig(model="spiral", nus=(0.1, 0.01), ks=(1, 2),
                          alphas=(1.0, 4.0), resolution=128, seed=7,
