@@ -18,6 +18,7 @@ from .diagnostics import (
     constant_c0_spiral,
     constant_cs,
     ed_exponent,
+    exp_mixing_law,
     exp_mixing_nu_threshold,
     fit_decay_rate,
     fit_mixing_amplitude,
@@ -26,7 +27,6 @@ from .diagnostics import (
     q_s_exponent,
     tau_threshold,
     theorem_bound_check,
-    theorem_bound_check_exp,
     timescale_pairs,
 )
 from .evolution import (
@@ -55,11 +55,11 @@ __all__ = [
     "ModelProblem", "RateFit", "RowResult", "SweepConfig", "SweepResult",
     "build_model", "constant_c0_exp", "constant_c0_poly",
     "constant_c0_spiral", "constant_cs", "ed_exponent", "energy_residual",
-    "evolve", "exact_inviscid", "exp_mixing_nu_threshold",
+    "evolve", "exact_inviscid", "exp_mixing_law", "exp_mixing_nu_threshold",
     "fit_decay_rate", "fit_mixing_amplitude", "fit_power_law",
     "fractional_symbol", "initial_datum", "load_profile_csv", "load_sweep",
     "q_from_p", "q_s_exponent", "read_trace",
     "run_sweep", "shear_mixing_series", "spiral_mixing_series",
     "step_viscous", "tau_threshold", "theorem_bound_check",
-    "theorem_bound_check_exp", "timescale_pairs", "write_trace",
+    "timescale_pairs", "write_trace",
 ]

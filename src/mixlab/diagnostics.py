@@ -10,11 +10,12 @@ Two fitted quantities drive everything here:
   when a fast transient eats a fixed energy fraction first, which is why
   sweeps record both.
 
-The theorem-style decay bounds h(t) <= e^{-c0 nu^q t} h(0) for t > nu^-q
-are verified sample-by-sample, with a tail certificate past the end of the
-trace: the integrator contracts at least as fast as the slowest diffusive
-mode (h(t) <= h(s) e^{-nu lam1 (t-s)} exactly), so whenever
-nu lam1 >= c0 nu^q and the bound holds at the trace end, it holds for all
+The theorem-style decay bounds h(t) <= e^{-rate t} h(0) for t > t_min — a
+law ``(rate, t_min)``, c0 nu^q from nu^-q under polynomial mixing — are
+verified sample-by-sample by one checker, with a tail certificate past the
+end of the trace: the integrator contracts at least as fast as the slowest
+diffusive mode (h(t) <= h(s) e^{-nu lam1 (t-s)} exactly), so whenever
+nu lam1 >= rate and the bound holds at the trace end, it holds for all
 later times as well.
 """
 
@@ -36,7 +37,7 @@ __all__ = [
     "ed_exponent",
     "timescale_pairs",
     "theorem_bound_check",
-    "theorem_bound_check_exp",
+    "exp_mixing_law",
     "exp_mixing_nu_threshold",
     "constant_c0_poly",
     "constant_c0_exp",
@@ -92,7 +93,6 @@ class BoundReport:
     worst_margin: float
     checked: int
     tail_certified: bool = False
-    note: str = ""
 
 
 def _lsq_line(x: np.ndarray, y: np.ndarray):
@@ -207,13 +207,19 @@ def ed_exponent(pairs) -> RateFit:
 # ---------------------------------------------------------------------------
 # explicit decay-bound verification
 
-def _bound_margins(trace: DecayTrace, nu: float, rate: float, t_min: float,
-                  lam1: float | None):
-    """Margins (rhs - lhs)/rhs of h(t) <= e^{-rate t} h(0) on the samples
-    past ``t_min``, plus the tail certificate when ``nu * lam1 >= rate``.
-
-    Returns ``(margins, checked samples, tail certified)``.
+def theorem_bound_check(trace: DecayTrace, nu: float, rate: float,
+                        t_min: float, tol: float = 5e-2,
+                        lam1: float | None = None) -> BoundReport:
+    """Verify h(t) <= (1 + tol) e^{-rate t} h(0) for all t > ``t_min`` on
+    the samples past t_min and, when ``lam1`` is given and
+    nu * lam1 >= rate, past the trace end by the integrator's exact
+    diffusive contraction (the trace endpoint then dominates everything
+    later). Every law ``(rate, t_min)`` of the theorem is checked here:
+    c0 nu^q from nu^-q, or :func:`exp_mixing_law`. A trace with neither a
+    checked sample nor the certificate is refused: horizon too short.
     """
+    if nu <= 0.0:
+        raise ValueError("bound check requires positive viscosity")
     h0 = trace.h[0]
     mask = trace.times > t_min
     rhs = np.exp(-rate * trace.times[mask]) * h0
@@ -227,36 +233,14 @@ def _bound_margins(trace: DecayTrace, nu: float, rate: float, t_min: float,
         lhs_star = hT * np.exp(-nu * lam1 * (t_star - T))
         rhs_star = np.exp(-rate * t_star) * h0
         margins = np.append(margins, (rhs_star - lhs_star) / rhs_star)
-    return margins, int(np.count_nonzero(mask)), tail_certified
-
-
-def theorem_bound_check(trace: DecayTrace, nu: float, q: float, c0: float,
-                        tol: float = 5e-2, lam1: float | None = None,
-                        rate: float | None = None) -> BoundReport:
-    """Verify h(t) <= (1 + tol) e^{-rate * t} h(0) for all t > nu^-q.
-
-    ``rate`` defaults to c0 * nu^q. Samples past t_min = nu^-q are checked
-    directly. Times beyond the trace end are certified by the integrator's
-    exact diffusive contraction whenever ``lam1`` is supplied and
-    nu * lam1 >= rate: the trace endpoint then dominates everything later.
-    A trace that neither reaches t_min nor admits the tail certificate is
-    an error (horizon too short to say anything).
-    """
-    if nu <= 0.0:
-        raise ValueError("bound check requires positive viscosity")
-    if rate is None:
-        rate = c0 * nu**q
-    t_min = nu ** (-q)
-    margins, checked, tail_certified = _bound_margins(trace, nu, rate, t_min,
-                                                      lam1)
     if margins.size == 0:
         raise ValueError(
-            f"trace ends at t={trace.times[-1]:g} < nu^-q = {t_min:g} and no "
+            f"trace ends at t={trace.times[-1]:g} <= t_min = {t_min:g} and no "
             "tail certificate is available (pass lam1); horizon too short"
         )
-    note = "" if tail_certified else "times beyond the trace end not certified"
     worst = float(np.min(margins))
-    return BoundReport(worst >= -tol, worst, checked, tail_certified, note)
+    return BoundReport(worst >= -tol, worst, int(np.count_nonzero(mask)),
+                       tail_certified)
 
 
 def exp_mixing_nu_threshold(p: float, a1: float, a2: float) -> float:
@@ -265,33 +249,23 @@ def exp_mixing_nu_threshold(p: float, a1: float, a2: float) -> float:
                      np.exp(-(a1 ** (p / 2.0)))))
 
 
-def theorem_bound_check_exp(trace: DecayTrace, nu: float, p: float,
-                            a1: float, a2: float, c_B: float = 0.0,
-                            tol: float = 5e-2,
-                            lam1: float | None = None) -> BoundReport:
-    """Exponential-mixing variant: h(t) <= e^{-c0 |ln nu|^{-2/p} t} h(0)
-    for t > |ln nu|^{2/p}, valid only below the admissibility threshold
-    on nu.
+def exp_mixing_law(nu: float, p: float, a1: float, a2: float,
+                   c_B: float = 0.0) -> tuple[float, float]:
+    """The exponential-mixing law ``(rate, t_min)`` for
+    :func:`theorem_bound_check`: h(t) <= e^{-c0 |ln nu|^{-2/p} t} h(0) for
+    t > |ln nu|^{2/p}, refused for nu outside (0, threshold).
 
-    At desk-scale viscosities the window t > |ln nu|^{2/p} opens almost
-    immediately, but the guaranteed rate is weak; a vacuous check (no
-    samples and no certificate) is reported rather than guessed around.
+    At desk-scale viscosities the window opens almost immediately, but the
+    guaranteed rate is weak.
     """
     nu_max = exp_mixing_nu_threshold(p, a1, a2)
-    if nu >= nu_max:
+    if not 0.0 < nu < nu_max:
         raise ValueError(
-            f"nu = {nu:g} is above the admissibility threshold {nu_max:g} "
-            "for the exponential-mixing bound"
+            f"nu = {nu:g} is outside the admissibility range (0, {nu_max:g}) "
+            "of the exponential-mixing bound"
         )
-    c0 = constant_c0_exp(p, a1, a2, c_B)
-    scale = np.abs(np.log(nu)) ** (2.0 / p)
-    margins, checked, tail_certified = _bound_margins(trace, nu, c0 / scale,
-                                                      scale, lam1)
-    if margins.size == 0:
-        return BoundReport(True, np.inf, 0, False,
-                           "vacuous: no samples past the window and no certificate")
-    worst = float(np.min(margins))
-    return BoundReport(worst >= -tol, worst, checked, tail_certified)
+    scale = float(np.abs(np.log(nu)) ** (2.0 / p))
+    return constant_c0_exp(p, a1, a2, c_B) / scale, scale
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
 the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
 Fourier grid it overwrites its argument), or the Chebyshev-Bessel series
-in the banded H of iB = d H conj(d), a polynomial formed once per step
+in the banded Hermitian iB, a polynomial formed once per step
 size as one narrow band and applied by one ``zgbmv`` a step, or summed at
 each step (about 13 O(n) products) where no narrow band exists.
 :class:`ModelProblem` reads every norm and projection off it: the product
@@ -255,17 +255,17 @@ def _ladder_add(ladders, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     SkewMatrix), so a block of vectors is one product; returns out."""
     for lo, hi, h in ladders:
         out[..., lo] += h * g[..., hi]
-        out[..., hi] += h * g[..., lo]
+        out[..., hi] += h.conj() * g[..., lo]
     return out
 
 
 class SkewMatrix:
     """B a sparse skew-Hermitian matrix (Kolmogorov, kinetic), given as
-    iB = d H conj(d) with H real symmetric and ``d`` a unimodular diagonal
-    (or 1), in the flat internal coordinates ``sqrt(w) * f`` of the working
-    product with per-coefficient weights ``w``, where A is diagonal.
+    the Hermitian H = iB in the flat internal coordinates ``sqrt(w) * f``
+    of the working product with per-coefficient weights ``w``, where A is
+    diagonal.
 
-    H is held as ``ladders`` (lo, hi, h): H = sum (P + P^T) with
+    H is held as ``ladders`` (lo, hi, h): H = sum (P + P^H) with
     P[lo, hi] = h, each P with unique rows and unique columns, ``lo`` and
     ``hi`` slices or index arrays; no n x n array is formed for H.
     ``radius`` is H's Gershgorin radius (its largest absolute row sum),
@@ -275,12 +275,11 @@ class SkewMatrix:
 
     kind = "matrix"
 
-    def __init__(self, lam: np.ndarray, w: np.ndarray, ladders, d=1):
+    def __init__(self, lam: np.ndarray, w: np.ndarray, ladders):
         self.lam = lam
         self.w = w
         self.sqw = np.sqrt(w)
         self.ladders = ladders
-        self.d = np.asarray(d, dtype=complex)
         self.radius = float(_ladder_add([(lo, hi, np.abs(h)) for lo, hi, h
                                          in ladders], np.ones(lam.size),
                                         np.zeros(lam.size)).max())
@@ -296,8 +295,7 @@ class SkewMatrix:
         return g / self.sqw
 
     def apply_B(self, g: np.ndarray) -> np.ndarray:
-        u = np.conj(self.d) * g
-        return -1j * self.d * _ladder_add(self.ladders, u, np.zeros_like(u))
+        return -1j * _ladder_add(self.ladders, g, np.zeros_like(g, complex))
 
     def _series(self, t: float):
         """``(J, series)``: the Bessel coefficients J_k(st), s = ``radius``,
@@ -324,7 +322,7 @@ class SkewMatrix:
         return J, series
 
     def _band(self, series, w: int) -> np.ndarray:
-        """exp(-Bt) = d exp(iHt) conj(d) in LAPACK band storage,
+        """exp(-Bt) = exp(iHt) in LAPACK band storage,
         ab[w + i - j, j] = exp(-Bt)[i, j], from the ``series`` of
         :meth:`_series`. A polynomial of degree K-1 in H is exactly banded,
         of half-width w = (K-1) ``width``, so the series run once on the
@@ -336,13 +334,11 @@ class SkewMatrix:
         probes = series((j % p == np.arange(p)[:, None]).astype(complex))
         i = j + np.arange(-w, w + 1)[:, None]  # the row of each ab entry
         inside = (i >= 0) & (i < n)
-        i = np.where(inside, i, j)
-        d = np.broadcast_to(self.d, (n,))
-        ab = np.where(inside, d[i] * probes[j % p, i] * np.conj(d), 0.0)
+        ab = np.where(inside, probes[j % p, np.where(inside, i, j)], 0.0)
         return np.asfortranarray(ab)
 
     def flow(self, t: float):
-        """exp(-Bt) = d exp(iHt) conj(d), the series of :meth:`_series`.
+        """exp(-Bt) = exp(iHt), the series of :meth:`_series`.
         Where its band, of half-width w = (K-1) ``width``, is narrower
         than the matrix, 2w + 1 <= n (which ``zgbmv`` requires), and holds
         no more entries than the K ladder products of one series step
@@ -353,8 +349,7 @@ class SkewMatrix:
         J, series = self._series(t)
         n, w = self.lam.size, (J.size - 1) * self.width
         if 2 * w + 1 > n or (2 * w + 1) * n > J.size * self.nnz:
-            d, dbar = self.d, np.conj(self.d)
-            return lambda g: d * series(dbar * g)
+            return series
         ab = self._band(series, w)
         return lambda g: zgbmv(n, n, w, w, 1.0, ab, g)
 
@@ -516,9 +511,9 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
     L > 1): at L = 1, |k| = 1 the m = 0 multiplier vanishes.
 
     B is exactly skew in the weighted product, including at the mode-space
-    truncation (the dropped couplings are the boundary pair); after
-    symmetrization iB = d H conj(d), d_m = i^m, and H is one ladder: the
-    off-diagonals of a tridiagonal, so a step costs O(M).
+    truncation (the dropped couplings are the boundary pair); in flat
+    coordinates the Hermitian iB is one ladder: the off-diagonals of a
+    tridiagonal, so a step costs O(M).
     """
     if M < 1:
         raise ValueError(f"kolmogorov resolution M must be >= 1, got {M}")
@@ -537,15 +532,14 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
     s = 1.0 - 1.0 / mu
     kL = k * L
 
-    # flat B[m+1, m] = -B[m, m+1] = off[m]; H = conj(d) iB d has +off on both
+    # flat B[m+1, m] = -B[m, m+1] = off[m], so iB[m, m+1] = -i off[m]
     off = 0.5 * kL * np.sqrt(s[1:] * s[:-1])
 
     params = {"L": L, "k": k, "M": M}
     return ModelProblem(
         name="kolmogorov",
         params=params,
-        op=SkewMatrix(mu, s, [(slice(0, -1), slice(1, None), off)],
-                      np.resize([1, 1j, -1, -1j], 2 * M)),
+        op=SkewMatrix(mu, s, [(slice(0, -1), slice(1, None), -1j * off)]),
         c_B=abs(kL) / np.sqrt(mu.min()),  # = 1 exactly for every valid (L, k)
         bound_B=abs(kL),
         mixed_bound=None,

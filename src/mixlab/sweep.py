@@ -259,21 +259,22 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
         result.tau = tau_threshold(trace, cfg.theta)
     except ValueError:
         result.status = "unresolved"
-    try:
-        rf = fit_decay_rate(trace.times, trace.h)
-        if rf.rate > 0.0:
-            result.rate = rf.rate
-            result.fit["rate_fit"] = asdict(rf)
-    except ValueError:
-        pass
     result.meta = {
         "t_end": float(trace.times[-1]),
         "dt": trace.dt,
         "h_end_over_h0": float(trace.h[-1] / trace.h[0]),
         **{key: trace.meta[key] for key in (
             "n_steps", "sample_interval", "max_steps_per_sample", "err_est",
-            "stop_reason", "warnings", "versions")},
+            "stop_reason", "versions")},
+        "warnings": list(trace.meta["warnings"]),
     }
+    try:  # tau stands without a rate: a failed rate fit is a warning
+        rf = fit_decay_rate(trace.times, trace.h)
+        if rf.rate <= 0.0:
+            raise ValueError(f"the tail fit gives {rf.rate:.3e} <= 0")
+        result.rate, result.fit["rate_fit"] = rf.rate, asdict(rf)
+    except ValueError as exc:
+        result.meta["warnings"].append(f"no decay rate: {exc}")
     return result, trace
 
 

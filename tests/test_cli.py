@@ -261,7 +261,7 @@ def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
     assert "did not complete" in capsys.readouterr().err
 
 
-def _synthetic_sweep_dir(tmp_path, statuses=None):
+def _synthetic_sweep_dir(tmp_path, statuses=None, q_pred=0.8):
     """A shear sweep directory (config and row files, no traces) whose
     crossing times follow tau = nu^-0.6 exactly."""
     nus = np.geomspace(1e-6, 1e-3, 6)
@@ -276,7 +276,7 @@ def _synthetic_sweep_dir(tmp_path, statuses=None):
         rr = sweep.RowResult(
             key=key, model="shear", n0=1, **row,
             tau=row["nu"] ** -0.6 if status == "ok" else None, rate=None,
-            q_pred=0.8, status=status)
+            q_pred=q_pred, status=status)
         (d / "rows" / f"{key}.json").write_text(json.dumps(rr.to_dict()))
     return d
 
@@ -292,6 +292,26 @@ def test_report_recovers_synthetic_exponent(tmp_path):
     assert "q_rate_note" in entry
     assert entry["verdict"] == "consistent with prediction"
     assert (d / "tau_vs_nu_shear_g2_k1.svg").exists()
+
+
+def test_report_verdict_exceeds_predicted_exponent(tmp_path, capsys):
+    """q measured 0.6 against a predicted 0.5: past the 0.05 allowance."""
+    d = _synthetic_sweep_dir(tmp_path, q_pred=0.5)
+    assert cli.main(["report", str(d)]) == 0
+    entry = _load_json(d / "report.json")["groups"]["shear_g2_k1"]
+    assert entry["verdict"] == "exceeds predicted exponent"
+    assert "shear_g2_k1: q_pred = 0.500 -> exceeds predicted exponent" in \
+        capsys.readouterr().out.splitlines()
+
+
+def test_verify_bound_refuses_a_row_without_trace(tmp_path, capsys):
+    """A row with no stored trace is refused by name, before bounds.json."""
+    d = _synthetic_sweep_dir(tmp_path)
+    assert cli.main(["verify-bound", str(d), "--amp-t-max", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "row shear_g2_k1_nu1.0000e-06 has no stored trace" in err
+    assert "Traceback" not in err
+    assert not (d / "bounds.json").exists()
 
 
 def test_report_missing_directory_exit_code_1(tmp_path, capsys):
@@ -428,6 +448,68 @@ def test_row_warnings_reach_cli_output_and_report(tmp_path, capsys):
     assert report["groups"]["shear_g1_k1"]["warnings"] == rows
     with open(os.path.join(out, "sweep.csv")) as fh:
         assert fh.readline().strip().split(",") == sweep.CSV_COLUMNS
+
+
+def test_failed_rate_fit_is_a_row_warning(tmp_path, capsys):
+    """At nu = 0.9 the trace has too few samples in its tail for a rate
+    fit: the row keeps its tau and the status ok, records no rate, and
+    says why in a warning that ed-sweep prints and report.json carries."""
+    out = str(tmp_path / "sweep")
+    assert cli.main(["ed-sweep", "--model", "spiral", "--nus",
+                     "0.9,0.3,0.1,0.03", "--resolution", "32",
+                     "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first, *rest = mx.load_sweep(out).rows
+    assert first.status == "ok" and first.tau > 0.0 and first.rate is None
+    assert "rate_fit" not in first.fit
+    (warning,) = first.meta["warnings"]
+    assert warning.startswith("no decay rate: rate fit needs >= 4 samples")
+    assert lines[:2] == [f"{first.key}: tau={first.tau:.6g} rate=- [ok]",
+                         f"  warning: {warning}"]
+    assert all(r.rate and not r.meta["warnings"] for r in rest)
+    assert cli.main(["report", out]) == 0
+    report = _load_json(os.path.join(out, "report.json"))
+    assert report["groups"]["spiral_a1_k1"]["warnings"] == {
+        first.key: [warning]}
+
+
+def test_ed_sweep_row_evolution_error_exit_code_2(tmp_path, capsys,
+                                                  monkeypatch):
+    """A run's EvolutionError becomes the row's status: the row keeps no
+    trace and no time-scale, and ed-sweep exits 2."""
+    def fail(*args, **kwargs):
+        raise mx.EvolutionError("non-finite H norm")
+
+    monkeypatch.setattr(sweep, "evolve", fail)
+    out = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1",
+                     "--resolution", "16", "--out", str(out)]) == 2
+    (row,) = mx.load_sweep(str(out)).rows
+    assert row.status == "error: non-finite H norm"
+    assert row.trace_path == "" and row.tau is None and row.rate is None
+    assert not list((out / "traces").iterdir())
+    captured = capsys.readouterr()
+    assert f"{row.key}: tau=- rate=- [error: non-finite H norm]" in \
+        captured.out.splitlines()
+    assert "1 row(s) did not complete" in captured.err
+
+
+def test_mix_rate_refuses_flags_its_families_do_not_read(capsys):
+    """mix-rate serves shear and spiral: --L (Kolmogorov) and --d
+    (kinetic) are usage errors, as is an abbreviation of a flag it has;
+    the commands that serve every family still take them."""
+    for argv in (["mix-rate", "--model", "shear", "--L", "7"],
+                 ["mix-rate", "--model", "shear", "--d", "3"],
+                 ["mix-rate", "--model", "spiral", "--alph", "2"],
+                 ["ed-sweep", "--model", "heat", "--t-end", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    args = cli._build_parser().parse_args(
+        ["simulate", "--model", "kolmogorov", "--L", "3", "--d", "2",
+         "--nu", "0.1", "--t-end", "1"])
+    assert (args.L, args.d) == (3.0, 2)
 
 
 def test_verify_bound_requires_sweep_config(tmp_path, capsys):

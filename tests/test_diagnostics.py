@@ -84,6 +84,14 @@ def test_tau_threshold_exact_exponentials():
     assert mx.tau_threshold(tr) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tau_threshold_of_a_zero_trace_is_its_first_time():
+    """The zero state is at theta * h(0) = 0 from the first sample on: the
+    crossing is that sample's time, not an interpolation."""
+    tr = _trace([2.0, 3.0, 4.0], np.zeros(3))
+    with np.errstate(divide="ignore"):  # log 0 = -inf is the point
+        assert mx.tau_threshold(tr) == 2.0
+
+
 def test_tau_threshold_monotone_in_theta():
     t = np.linspace(0.0, 50.0, 500)
     tr = _trace(t, np.exp(-0.2 * t))
@@ -128,7 +136,7 @@ def test_bound_check_exact_curve_passes_with_zero_margin():
     rate = c0 * nu**q
     t = np.linspace(0.0, 5.0 * nu**-q, 400)
     tr = _trace(t, np.exp(-rate * t))
-    rep = mx.theorem_bound_check(tr, nu, q, c0)
+    rep = mx.theorem_bound_check(tr, nu, rate, nu**-q)
     assert rep.passed
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.checked > 0
@@ -138,7 +146,7 @@ def test_bound_check_constant_trace_fails():
     nu, q, c0 = 1e-3, 0.8, 0.01
     t = np.linspace(0.0, 5.0 * nu**-q, 200)
     tr = _trace(t, np.ones_like(t))
-    rep = mx.theorem_bound_check(tr, nu, q, c0)
+    rep = mx.theorem_bound_check(tr, nu, c0 * nu**q, nu**-q)
     assert not rep.passed
     assert rep.worst_margin < -0.05
 
@@ -149,17 +157,19 @@ def test_bound_check_tail_certificate():
     lam1 = 3.39
     t = np.linspace(0.0, 100.0, 50)  # nu^-q ~ 1585 >> 100
     tr = _trace(t, np.exp(-0.05 * t))
-    rep = mx.theorem_bound_check(tr, nu, q, c0, lam1=lam1)
+    rate, t_min = c0 * nu**q, nu**-q
+    rep = mx.theorem_bound_check(tr, nu, rate, t_min, lam1=lam1)
     assert rep.passed and rep.tail_certified and rep.checked == 0
     with pytest.raises(ValueError, match="horizon too short"):
-        mx.theorem_bound_check(tr, nu, q, c0)  # no lam1, no samples
+        mx.theorem_bound_check(tr, nu, rate, t_min)  # no lam1, no samples
 
 
 def test_bound_report_serializes_with_numpy_constants():
     # c0 computed from numpy scalars must still give a JSON-ready report
     t = np.linspace(0.0, 100.0, 50)
     tr = _trace(t, np.exp(-0.05 * t))
-    rep = mx.theorem_bound_check(tr, 1e-4, 0.8, np.float64(1e-4), lam1=3.39)
+    rep = mx.theorem_bound_check(tr, 1e-4, np.float64(1e-4) * 1e-4**0.8,
+                                 1e-4**-0.8, lam1=3.39)
     assert rep.tail_certified
     json.dumps(dataclasses.asdict(rep))
 
@@ -167,27 +177,31 @@ def test_bound_report_serializes_with_numpy_constants():
 def test_bound_check_requires_positive_nu():
     tr = _trace(np.linspace(0, 1, 10), np.ones(10))
     with pytest.raises(ValueError):
-        mx.theorem_bound_check(tr, 0.0, 0.8, 0.01)
+        mx.theorem_bound_check(tr, 0.0, 0.01, 1.0)
 
 
 def test_bound_check_exp_variant():
     p, a1, a2 = 1.0, 1.0, 32.0
     nu_max = mx.exp_mixing_nu_threshold(p, a1, a2)
     assert nu_max == pytest.approx(np.exp(-1.0), abs=1e-15)
-    with pytest.raises(ValueError, match="admissibility"):
-        tr = _trace(np.linspace(0, 1, 10), np.ones(10))
-        mx.theorem_bound_check_exp(tr, 0.5, p, a1, a2)
-    # short trace, no certificate: vacuous result, flagged as such
+    for bad in (0.5, 0.0):
+        with pytest.raises(ValueError, match="admissibility"):
+            mx.exp_mixing_law(bad, p, a1, a2)
     nu = 1e-3
+    rate, t_min = mx.exp_mixing_law(nu, p, a1, a2)
     scale = abs(np.log(nu)) ** 2.0
+    assert t_min == pytest.approx(scale, rel=1e-15)
+    assert rate == pytest.approx(mx.constant_c0_exp(p, a1, a2, 0.0) / scale,
+                                 rel=1e-15)
+    # short trace, no certificate: refused like any other law
     t = np.linspace(0.0, 0.5 * scale, 20)
     tr = _trace(t, np.exp(-0.1 * t))
-    rep = mx.theorem_bound_check_exp(tr, nu, p, a1, a2)
-    assert rep.passed and rep.checked == 0 and "vacuous" in rep.note
+    with pytest.raises(ValueError, match="horizon too short"):
+        mx.theorem_bound_check(tr, nu, rate, t_min)
     # long trace decaying fast: passes with real samples
     t = np.linspace(0.0, 3.0 * scale, 200)
     tr = _trace(t, np.exp(-0.1 * t))
-    rep = mx.theorem_bound_check_exp(tr, nu, p, a1, a2)
+    rep = mx.theorem_bound_check(tr, nu, rate, t_min)
     assert rep.passed and rep.checked > 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixlab as mx
-from mixlab import EvolutionError
+from mixlab import EvolutionError, evolution
 from mixlab.evolution import CHECK_EVERY, default_dt
 from mixlab.models import model_params
 
@@ -494,8 +494,7 @@ def test_matrix_families_run_no_eigensolver(monkeypatch):
 
 def _series_flow(op, t):
     """exp(-Bt) as the series summed term by term at each step."""
-    _, series = op._series(t)
-    return lambda g: op.d * series(np.conj(op.d) * g)
+    return op._series(t)[1]
 
 
 def _widest_band_times(op):
@@ -683,3 +682,17 @@ def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
                    delimiter=",", header="t,h,h1,hm1", comments="")
         assert (tmp_path / "a.csv").read_bytes() \
             == (tmp_path / "b.csv").read_bytes()
+
+
+def test_step_control_at_its_cap_warns(monkeypatch):
+    """A controller held at MAX_SUBSTEPS steps per sample interval runs on
+    and says that the splitting error may exceed its budget."""
+    prob = mx.build_model("shear", M=32)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    warning = "step control reached 1 steps per sample interval"
+    tr = mx.evolve(prob, f0, 1e-3, 20.0)
+    assert not any(w.startswith(warning) for w in tr.meta["warnings"])
+    monkeypatch.setattr(evolution, "MAX_SUBSTEPS", 1)
+    tr = mx.evolve(prob, f0, 1e-3, 20.0)
+    assert tr.meta["max_steps_per_sample"] == tr.meta["sample_stride"]
+    assert any(w.startswith(warning) for w in tr.meta["warnings"])

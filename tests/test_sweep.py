@@ -352,3 +352,16 @@ def test_row_error_stops_the_sweep_in_plan_order(tmp_path, workers):
     assert not os.path.exists(os.path.join(cut.out_dir, "sweep.csv"))
     mx.run_sweep(cut, workers=workers)
     assert _result_files(cut.out_dir) == _result_files(whole.out_dir)
+
+
+def test_nonpositive_rate_fit_is_a_row_warning(tmp_path, monkeypatch):
+    """A tail fit whose rate is not positive records no rate, and the row,
+    still ok on its tau, says why."""
+    monkeypatch.setattr(sweep, "fit_decay_rate", lambda t, h: mx.ExpRateFit(
+        -0.5, 0.0, 0.0, (float(t[0]), float(t[-1])), t.size))
+    res = mx.run_sweep(_heat_cfg(str(tmp_path / "s")))
+    (row,) = res.rows
+    assert row.status == "ok" and row.tau and row.rate is None
+    assert row.fit == {}
+    assert row.meta["warnings"] == [
+        "no decay rate: the tail fit gives -5.000e-01 <= 0"]
