@@ -160,8 +160,8 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     Parameters
     ----------
     problem, f_in, nu, t_end
-        Model, initial state (working basis), viscosity (0 = inviscid),
-        final time.
+        Model, initial state (working basis), viscosity (finite and
+        nonnegative; 0 = inviscid), final time.
     dt
         Step size, finite and positive: the run takes ceil(t_end/dt)
         steps of it, fewer if ``stop_ratio`` ends it. Default: intervals
@@ -169,9 +169,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         steps (see the module docstring).
     sample_every
         Record norms every this many steps of ``dt`` or intervals of
-        ``ds`` (default 1, at least 1). Whenever the stored history would
-        exceed ``max_samples`` it is thinned: every other sample dropped
-        and the stride doubled.
+        ``ds``: an integer, at least 1 (default 1). Whenever the stored
+        history would exceed ``max_samples`` it is thinned: every other
+        sample dropped and the stride doubled.
     stop_ratio
         If set, in (0, 1): stop once h <= stop_ratio * h(0) (the sample
         that crossed is recorded). Used by sweeps to capture the
@@ -184,18 +184,22 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     included), ``sample_interval``, ``max_steps_per_sample`` and
     ``err_est``, the summed step-doubling estimate (None with an explicit
     ``dt``), and the ``versions`` of mixlab, numpy and scipy. Raises
-    :class:`EvolutionError` on non-finite state, and ValueError on a bad
-    step control.
+    :class:`EvolutionError` on non-finite state, and ValueError on a
+    negative or non-finite ``nu`` and on a bad step control.
     """
+    if not (np.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"nu must be finite and nonnegative, got {nu:g}")
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end:g}")
     if stop_ratio is not None and not 0.0 < stop_ratio < 1.0:
         raise ValueError(f"stop_ratio must lie in (0, 1), got {stop_ratio:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt:g}")
-    stride = 1 if sample_every is None else int(sample_every)
-    if stride < 1:
-        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
+    stride = 1 if sample_every is None else sample_every
+    if not (float(stride).is_integer() and stride >= 1):
+        raise ValueError(f"sample_every must be an integer >= 1, got "
+                         f"{sample_every}")
+    stride = int(stride)
     c0 = np.asarray(f_in, dtype=complex)
     g = problem._internal(c0)  # ValueError unless c0 has shape (size,)
     want_h2 = "h2" in extras

@@ -85,6 +85,17 @@ def test_bad_model_parameters_exit_code_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_simulate_refuses_negative_or_nonfinite_nu(tmp_path, capsys):
+    for nu in ("-0.01", "nan"):
+        out = tmp_path / f"nu{nu}"
+        assert cli.main(["simulate", "--model", "shear", "--resolution",
+                         "16", "--nu", nu, "--t-end", "5",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: nu must be finite and nonnegative, got {nu}" in err
+        assert not out.exists()
+
+
 def test_mix_rate_shear(tmp_path, capsys):
     rc = cli.main(["mix-rate", "--model", "shear", "--resolution", "512",
                    "--t-max", "300", "--points", "32",

@@ -281,6 +281,16 @@ def test_bad_step_or_state_raises():
     for state in (f0[:-1], f0.reshape(-1, 1)):
         with pytest.raises(ValueError, match="model has 32 coefficients"):
             mx.evolve(prob, state, 1e-2, 1.0)
+    for nu in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be finite and "
+                                             "nonnegative"):
+            mx.evolve(prob, f0, nu, 1.0)
+    for every in (2.5, 0, -1, np.nan):
+        with pytest.raises(ValueError, match="sample_every must be an "
+                                             "integer >= 1"):
+            mx.evolve(prob, f0, 1e-2, 1.0, dt=0.01, sample_every=every)
+    assert mx.evolve(prob, f0, 1e-2, 1.0, dt=0.01,
+                     sample_every=5.0).times[1] == pytest.approx(0.05)
 
 
 def test_step_viscous_single_step():

@@ -589,24 +589,66 @@ def test_shear_series_grid_starts_coarse_and_never_shrinks():
     assert np.all(ser["outer"] <= (16.0 * eps * (1.0 + times)) ** 2)
 
 
+def test_phase_matches_cos_and_sin():
+    """The half-angle phase is within 1e-15 of np.cos and np.sin: at 0,
+    over |x| <= 1e5, and at the doubles nearest odd multiples of pi, where
+    the half angle's tangent reaches ~1e16."""
+    m = np.arange(-15915, 15915)  # |(2m + 1) pi| <= 1e5
+    odd_pi = ((2 * m + 1) * np.arccos(np.longdouble(-1))).astype(float)
+    assert np.abs(np.tan(odd_pi / 2)).max() > 1e15
+    for x in (np.zeros(1), np.linspace(-1e5, 1e5, 200_003), odd_pi):
+        cos, sin = np.empty_like(x), np.empty_like(x)
+        mx.models._phase(x, 1.0, cos, sin)
+        assert np.abs(cos - np.cos(x)).max() <= 1e-15
+        assert np.abs(sin - np.sin(x)).max() <= 1e-15
+        mx.models._phase(x, -1.0, cos, sin)
+        assert np.abs(sin + np.sin(x)).max() <= 1e-15
+
+
+def _spiral_h1_oracle(N, times, form):
+    """h1 of the uniform spiral datum (alpha = k = 1) in np.longdouble,
+    from ``form`` of h1^2 on the values f of a state."""
+    L = np.longdouble
+    r = mx.models._disk(1.0, 1, N)[3].astype(L)  # the rate k r^alpha
+    return np.array([np.sqrt((form(np.cos(r * L(t))) + form(np.sin(r * L(t))))
+                             / form(np.ones(N, dtype=L))) for t in times])
+
+
 def test_spiral_series_forward_sweep_matches_full_solve():
+    """h1 agrees to 1e-13 with two extended-precision oracles: z^T A z,
+    z = sqrt(w) f, from _disk's entries at N = 256, where their rounding,
+    magnified by the form's cancellation, stays below that; and the exact
+    flux form sum_e (r_e/dr)(f_e+1 - f_e)^2 + k^2 sum_j (dr/r_j) f_j^2 at
+    N = 4096. hm1 agrees with a full tridiagonal solve to 1e-12."""
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    from mixlab.models import _disk, _ladder_add
-    N, times = 4096, np.array([0.0, 0.3, 7.0, 250.0])
+    L, times = np.longdouble, np.array([0.0, 0.3, 7.0, 250.0])
+    w, diag, off, *_ = mx.models._disk(1.0, 1, 256)
+
+    def a_form(f):
+        z = np.sqrt(w.astype(L)) * f
+        return (np.sum(diag.astype(L) * z * z)
+                + 2 * np.sum(off.astype(L) * z[:-1] * z[1:]))
+
+    ser = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=256)
+    np.testing.assert_allclose(ser["h1"], _spiral_h1_oracle(
+        256, times, a_form).astype(float), rtol=1e-13, atol=0)
+
+    N = 4096
+    j = np.arange(1, N + 1, dtype=L)  # r_e / dr = e, dr / r_j = 1/(j - 1/2)
+
+    def flux_form(f):
+        return np.sum(j[:-1] * np.diff(f) ** 2) + np.sum(f * f / (j - 0.5))
+
     ser = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=N)
-    w, diag, off, r, *_ = _disk(1.0, 1, N)  # the rate k r^alpha is r here
+    np.testing.assert_allclose(ser["h1"], _spiral_h1_oracle(
+        N, times, flux_form).astype(float), rtol=1e-13, atol=0)
 
-    def a_apply(g):
-        return _ladder_add([(slice(0, -1), slice(1, None), off)], g, diag * g)
-
-    g0 = np.sqrt(w) * np.ones(N, dtype=complex)
-    g0 /= np.sqrt(np.real(np.vdot(g0, a_apply(g0))))
+    w, diag, off, r, *_ = mx.models._disk(1.0, 1, N)
+    g0 = np.sqrt(w / float(np.sum(1 / (j - 0.5))))  # unit h1
     d, e, _ = dpttrf(diag, off)
     for i, t in enumerate(times):
-        g = (np.cos(r * -t) + 1j * np.sin(r * -t)) * g0
-        assert ser["h1"][i] == np.sqrt(np.real(np.vdot(g, a_apply(g))))
-        G = g.view(float).reshape(N, 2)
+        G = np.stack([np.cos(r * t) * g0, np.sin(r * t) * g0], axis=1)
         hm1 = np.sqrt(np.vdot(G, dpttrs(d, e, G)[0]))
         assert ser["hm1"][i] == pytest.approx(hm1, rel=1e-12)
     assert np.all(ser["grid"] == N)
