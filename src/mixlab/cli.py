@@ -23,8 +23,7 @@ from .evolution import EvolutionError, evolve, read_trace, write_norms, \
     write_trace
 from .models import FAMILIES, TOP_BAND_FLAG, build_model, initial_datum, \
     model_params, shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, axis_values, load_sweep, row_datum, row_key, \
-    run_sweep
+from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,26 +38,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-#: model flag -> (type, default, help); ``--resolution`` is common to all
+#: model flag -> (type, help); not given, it is None: the builder's default
 _MODEL_FLAGS = {
-    "profile": (str, "sin", "shear profile name or CSV path (default: sin)"),
-    "gamma": (float, 2.0, "dissipation order for the shear model"),
-    "n0": (int, None, "maximal critical-point degeneracy of the profile "
-                      "(inferred for the built-in profiles)"),
-    "alpha": (float, 1.0, "swirl exponent for the spiral model"),
-    "L": (float, 2.0, "torus aspect ratio for the Kolmogorov model"),
-    "d": (int, 1, "space dimension for the kinetic model"),
+    "profile": (str, "shear profile name or CSV path"),
+    "gamma": (float, "dissipation order for the shear and heat models"),
+    "n0": (int, "critical-point degeneracy (built-in profiles declare it)"),
+    "alpha": (float, "swirl exponent for the spiral model"),
+    "L": (float, "torus aspect ratio for the Kolmogorov model"),
+    "d": (int, "space dimension for the kinetic model"),
 }
 
 
 def _add_model_flags(p, models=tuple(FAMILIES)):
     """``--model``, ``--k`` and the flags that the ``FAMILIES`` maps of
-    ``models`` read; no other model flag."""
+    ``models`` read; :func:`model_params` refuses one ``--model`` does not."""
     p.add_argument("--model", required=True, choices=models)
     read = {flag for model in models for flag in FAMILIES[model][1]}
-    for flag, (kind, default, text) in _MODEL_FLAGS.items():
+    for flag, (kind, text) in _MODEL_FLAGS.items():
         if flag in read:
-            p.add_argument("--" + flag, type=kind, default=default, help=text)
+            p.add_argument("--" + flag, type=kind, help=text)
     p.add_argument("--k", type=int, default=1, help="wavenumber")
 
 
@@ -68,14 +66,19 @@ def _out_dir(args, default=".") -> str:
     return out
 
 
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_simulate(args) -> int:
     problem = build_model(args.model, **model_params(args.model, vars(args)))
     f0 = initial_datum(problem, args.datum, seed=args.seed)
     trace = evolve(problem, f0, args.nu, args.t_end,
                    sample_every=args.sample_every, stop_ratio=args.stop_ratio)
     out = _out_dir(args)
-    key = row_key(args.model, {**axis_values(args.model, vars(args)),
-                               "k": args.k, "nu": args.nu})
+    key = row_key(args.model, {**problem.params, "nu": args.nu})
     path = os.path.join(out, f"trace_{key}.csv")
     write_trace(trace, path)
     print(f"model={args.model} nu={args.nu:g} dt={trace.dt:g} "
@@ -109,15 +112,12 @@ def _mix_rate_times(args) -> np.ndarray:
 
 def _cmd_mix_rate(args) -> int:
     times = _mix_rate_times(args)
-    shear = args.model == "shear"
-    res = args.resolution
-    if res is None:
-        res = 2048 if shear else 8192
-    datum = args.datum or ("single-mode-m1" if shear else "uniform")
+    kw = model_params(args.model, vars(args))
+    if args.datum is not None:
+        kw["datum"] = args.datum
     # the series are looked up here, not in a table: tracers replace them
-    series = (shear_mixing_series if shear else spiral_mixing_series)(
-        times, datum=datum, seed=args.seed, **model_params(
-            args.model, {**vars(args), "resolution": res}))
+    series = (shear_mixing_series if args.model == "shear"
+              else spiral_mixing_series)(times, seed=args.seed, **kw)
     fit = fit_power_law(series["t"], series["hm1"],
                         window=(args.t_min, args.t_max))
     p_meas, p_pred, warnings = -fit.exponent, series["p"], series["warnings"]
@@ -130,14 +130,12 @@ def _cmd_mix_rate(args) -> int:
     out = _out_dir(args)
     stem = os.path.join(out, f"mixing_{args.model}_k{args.k}")
     write_norms(stem + ".csv", *(series[c] for c in ("t", "h", "h1", "hm1")))
-    with open(stem + "_fit.json", "w") as fh:
-        json.dump({"model": args.model, "datum": datum, "resolution": res,
-                   "grid_points": [int(series["grid"].min()),
-                                   int(series["grid"].max())],
-                   "p_measured": p_meas, "p_predicted": p_pred,
-                   "fit": asdict(fit), "warnings": warnings}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(stem + "_fit.json", {
+        "model": args.model, "datum": series["datum"],
+        "resolution": series["resolution"],
+        "grid_points": [int(series["grid"].min()), int(series["grid"].max())],
+        "p_measured": p_meas, "p_predicted": p_pred, "fit": asdict(fit),
+        "warnings": warnings})
     mask = series["t"] > 0
     tt = series["t"][mask]
     fitted = np.exp(fit.intercept) * tt**fit.exponent
@@ -165,28 +163,21 @@ def _q_fits(rows) -> dict:
 
 
 def _cmd_ed_sweep(args) -> int:
-    if model_params(args.model, vars(args)).get("d", 1) != 1:
-        raise ValueError(f"--d {args.d}: a sweep configuration has no space "
-                         "dimension and runs the kinetic model in d = 1")
-    if args.model == "heat" and args.gamma != 2.0:
-        raise ValueError(f"--gamma {args.gamma:g}: heat sweeps run gamma = 2; "
-                         f"sweep --model shear --profile zero --gamma "
-                         f"{args.gamma:g} for fractional diffusion")
     nus = tuple(float(x) for x in args.nus.split(",") if x.strip()) \
         if args.nus else tuple(np.geomspace(args.nu_min, args.nu_max,
                                             args.nu_count))
     ks = tuple(int(x) for x in args.k_list.split(",")) if args.k_list \
         else (args.k,)
-    axes = axis_values(args.model, vars(args))
+    flags = {flag: vars(args)[flag] for flag in _MODEL_FLAGS
+             if vars(args)[flag] is not None}
+    axis = FAMILIES[args.model][2]
+    axes = {axis + "s": (flags.pop(axis),)} if axis in flags else {}
     cfg = SweepConfig(
-        model=args.model, nus=nus, ks=ks,
-        **{f"{axis}s": (value,) for axis, value in axes.items()
-           if value is not None},
-        profile=args.profile, n0=args.n0, L=args.L, datum=args.datum,
-        resolution=args.resolution, t_end_factor=args.t_end_factor,
-        theta=args.theta, stop_ratio=args.stop_ratio, seed=args.seed,
-        out_dir=args.out or "sweep-out",
-    )
+        model=args.model, nus=nus, ks=ks, **axes, model_flags=flags,
+        datum=args.datum, resolution=args.resolution,
+        t_end_factor=args.t_end_factor, theta=args.theta,
+        stop_ratio=args.stop_ratio, seed=args.seed,
+        out_dir=args.out or "sweep-out")
     result = run_sweep(cfg, workers=args.workers)
     bad = 0
     for r in result.rows:
@@ -280,9 +271,7 @@ def _cmd_verify_bound(args) -> int:
                 "tail_certified": check.tail_certified,
             })
     out_path = os.path.join(args.sweep_dir, "bounds.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, report)
     print(f"{n_checked - n_fail}/{n_checked} rows satisfy the decay bound; "
           f"report at {out_path}")
     return 2 if n_fail else 0
@@ -353,9 +342,7 @@ def _cmd_report(args) -> int:
         with open(path, "w") as fh:
             fh.write(text)
     path = os.path.join(out, "report.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     print(f"report written to {path}")
     return 0
 
@@ -392,7 +379,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-max", type=float, default=1e3)
     p.add_argument("--points", type=int, default=48)
     p.add_argument("--datum", default=None,
-                   help="default: single-mode-m1 (shear), uniform (spiral)")
+                   help="initial datum (default: the series' own)")
     p.set_defaults(func=_cmd_mix_rate)
 
     p = sub.add_parser("ed-sweep", parents=[common],
@@ -411,7 +398,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=THETA_DEFAULT)
     p.add_argument("--stop-ratio", type=float, default=1e-3)
     p.add_argument("--workers", type=int, default=1,
-                   help="process pool size for the sweep rows")
+                   help="process pool size for the sweep rows (>= 1)")
     p.set_defaults(func=_cmd_ed_sweep)
 
     p = sub.add_parser("verify-bound",

@@ -28,9 +28,8 @@ each step (about 13 O(n) products) where no narrow band exists.
 and ``lam1``.
 
 Each family is declared once, in :data:`FAMILIES`: its builder, which
-takes the model parameters as keywords with defaults, and the map from
-command-line and sweep flags to those keywords. :func:`build_model`,
-:func:`model_params` and the CLI's ``--model`` choices all read it. The
+takes the model parameters as keywords with their only defaults, the map
+from its flags to those keywords and the flag its sweeps cross. The
 builder also declares the family's named initial data, written in its own
 coordinates (``problem.data``); :func:`initial_datum` looks them up and
 adds the seeded ``"random-h1"`` every family shares.
@@ -686,17 +685,18 @@ def build_kinetic(*, k: int | tuple = 1, N: int = 64,
     )
 
 
-#: family -> (builder, model flag -> builder keyword); ``k`` goes to every
-#: family. ``"heat"`` is the zero-profile shear.
-FAMILIES: dict[str, tuple[Callable[..., ModelProblem], dict[str, str]]] = {
+#: family -> (builder, each flag it reads -> keyword, the flag a sweep
+#: crosses or None); ``k`` goes to every family. Heat: zero-profile shear.
+FAMILIES: dict[str, tuple[Callable[..., ModelProblem], dict, str | None]] = {
     "shear": (build_shear, {"profile": "profile", "gamma": "gamma",
-                            "n0": "n0", "resolution": "M"}),
-    "kolmogorov": (build_kolmogorov, {"L": "L", "resolution": "M"}),
-    "spiral": (build_spiral, {"alpha": "alpha", "resolution": "N"}),
-    "kinetic": (build_kinetic, {"d": "d", "resolution": "N"}),
+                            "n0": "n0", "resolution": "M"}, "gamma"),
+    "kolmogorov": (build_kolmogorov, {"L": "L", "resolution": "M"}, None),
+    "spiral": (build_spiral, {"alpha": "alpha", "resolution": "N"}, "alpha"),
+    "kinetic": (build_kinetic, {"d": "d", "resolution": "N"}, None),
     "heat": (partial(build_shear, profile="zero"),
-             {"gamma": "gamma", "resolution": "M"}),
+             {"gamma": "gamma", "resolution": "M"}, None),
 }
+_FLAGS = {flag for _, flags, _ in FAMILIES.values() for flag in flags}
 
 
 def _family(name: str):
@@ -725,18 +725,17 @@ def _rebuilt(name: str, params: tuple) -> ModelProblem:
 def model_params(family: str, values) -> dict:
     """Builder keyword arguments of ``build_model(family, ...)``.
 
-    ``values`` maps flag names (``k``, ``profile``, ``gamma``, ``n0``,
-    ``alpha``, ``L``, ``d``, ``resolution``) to values, as the command
-    line and a sweep row give them; ``k`` is required. Flags the family
-    does not take are ignored, and a missing or None flag keeps the
-    builder's default.
+    ``values`` maps ``k`` and the flags of :data:`FAMILIES` to values, as
+    the command line and a sweep give them; a missing or None flag keeps
+    the builder's default, and other names are ignored. A set flag that
+    the family does not read is a ValueError naming both.
     """
     flags = _family(family)[1]
-    kw = {"k": values["k"]}
-    for flag, key in flags.items():
-        if values.get(flag) is not None:
-            kw[key] = values[flag]
-    return kw
+    for flag, value in values.items():
+        if value is not None and flag in _FLAGS and flag not in flags:
+            raise ValueError(f"the {family} model does not read --{flag}")
+    return {key: values[flag] for flag, key in {"k": "k", **flags}.items()
+            if values.get(flag) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +839,8 @@ class _ShearGrid:
         return np.square(np.abs(ct, out=self.a2), out=self.a2)
 
 
-def shear_mixing_series(times, *, profile="sin", gamma=2.0, k=1, n0=None,
-                        M=2048, datum="single-mode-m1", seed=None):
+def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
+                        **model):
     """Exact inviscid norm history for a shear flow, evaluated pointwise.
 
     Uses the closed-form solution f(t) = f_in * exp(-i k u(y) t) of
@@ -869,9 +868,9 @@ def shear_mixing_series(times, *, profile="sin", gamma=2.0, k=1, n0=None,
     ----------
     times : array_like
         Finite evaluation times (any order, need not include 0).
-    profile, gamma, k, n0, M :
-        As in `build_shear`; what it refuses is refused before any time
-        is evaluated.
+    M, **model :
+        As in `build_shear`, with its defaults but M's; what it refuses is
+        refused before any time is evaluated.
     datum, seed :
         As in `initial_datum`: "single-mode-m1", "gaussian-bump", or the
         seeded "random-h1".
@@ -880,14 +879,14 @@ def shear_mixing_series(times, *, profile="sin", gamma=2.0, k=1, n0=None,
     -------
     dict with arrays "t", "h", "h1", "hm1" (unit initial H^1 norm), in the
     order of `times`; "grid", the points of the grid each time ran on;
-    "outer", the fraction of the energy in that grid's outer half; the
-    model's declared "p"; and a list of "warnings".
+    "outer", the energy fraction in that grid's outer half; the model's
+    "p"; a list of "warnings"; and the "datum" and "resolution" run.
     """
     times = _series_times(times)
-    problem = build_shear(profile=profile, gamma=gamma, k=k, n0=n0, M=M)
+    problem = build_shear(M=M, **model)
     n = problem.size
     s = 1
-    if profile in PROFILES and datum != "random-h1":
+    if problem.params["profile"] in PROFILES and datum != "random-h1":
         while n % (2 * s) == 0 and n // (2 * s) >= COARSEST_GRID:
             s *= 2
     level = partial(_ShearGrid, problem.op.rate,
@@ -916,11 +915,11 @@ def shear_mixing_series(times, *, profile="sin", gamma=2.0, k=1, n0=None,
                 f"is felt; raise --resolution"] if felt.any() else []
     return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
             "grid": points, "outer": out[3], "p": problem.p,
-            "warnings": warnings}
+            "warnings": warnings, "datum": datum, "resolution": M}
 
 
-def spiral_mixing_series(times, *, alpha=1.0, k=1, N=8192, datum="uniform",
-                         seed=None):
+def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
+                         **model):
     """Exact inviscid norm history for the swirling disk flow.
 
     The advection is a pure radial phase and every datum is real, so
@@ -933,18 +932,18 @@ def spiral_mixing_series(times, *, alpha=1.0, k=1, N=8192, datum="uniform",
     g^T A^-1 g = sum y_j^2 / d_j, g = sqrt(w) f, with A = L D L^T factored
     once (L unit lower bidiagonal) and y = L^-1 g from one contiguous
     ``dtbsv`` sweep per column; it agrees with a full tridiagonal solve
-    to ~1e-14. A time costs O(N) in reused buffers: at N = 65536, ~0.35
-    ms for the phase, ~0.8 ms for the two sweeps and ~0.6 ms for the
-    sums. A time whose phase advances by more than 1 per radial cell,
-    bound_B |t| / N > 1 with bound_B = |k| max r^alpha, feels the
-    truncation, and the series warns.
+    to ~1e-14. A time costs O(N) in reused buffers. A time whose phase
+    advances by more than 1 per radial cell, bound_B |t| / N > 1 with
+    bound_B = |k| max r^alpha, feels the truncation, and the series warns.
 
-    Parameters / returns as in `shear_mixing_series`, with "grid" always N
-    and no "outer"; `datum` may be "uniform", "single-mode-m1", or
-    "gaussian-bump" (no seeded datum, so `seed` is unused).
+    Parameters / returns as in `shear_mixing_series` (`build_spiral` for
+    `build_shear`), "grid" always N and no "outer"; `datum` "uniform",
+    "single-mode-m1" or "gaussian-bump" (no seeded datum: `seed` unused).
     """
     times = _series_times(times)
-    w, diag, off, rate, p, _, data = _disk(alpha, k, N)
+    disk = {**build_spiral.__kwdefaults__, **model, "N": N}
+    k = disk["k"]
+    w, diag, off, rate, p, _, data = _disk(**disk)
     if datum not in data:
         raise ValueError(f"datum {datum!r} is not defined for the spiral "
                          f"series; its data: {', '.join(sorted(data))}")
@@ -983,4 +982,5 @@ def spiral_mixing_series(times, *, alpha=1.0, k=1, N=8192, datum="uniform",
                 f"up to {cells.max():.3g} per radial cell: the truncation "
                 f"is felt; raise --resolution"] if over.any() else []
     return {"t": times, "h": out[0], "h1": out[1], "hm1": out[2],
-            "grid": np.full(times.size, N), "p": p, "warnings": warnings}
+            "grid": np.full(times.size, N), "p": p, "warnings": warnings,
+            "datum": datum, "resolution": N}

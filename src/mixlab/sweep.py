@@ -26,15 +26,15 @@ import numpy as np
 
 from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, evolve, write_trace
-from .models import build_model, initial_datum, model_params
+from .models import FAMILIES, build_model, initial_datum, model_params
 
 __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
-           "row_key", "row_datum", "row_groups", "axis_values"]
+           "row_key", "row_datum", "row_groups"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
-#: version of the row values: 2 = error-controlled steps, 3 = the step is
-#: no setting (no ``dt``); rows without a number predate both
-ROW_FORMAT = 3
+#: version of the row values: 2 = error-controlled steps, 3 = no ``dt``,
+#: 4 = one ``model_flags`` mapping; rows without a number predate all three
+ROW_FORMAT = 4
 
 
 #: axis -> how a row name writes its value (k is a plan row's int)
@@ -45,23 +45,25 @@ _NAMES = {"alpha": "a{:g}", "gamma": "g{:g}", "k": "k{}", "nu": "nu{:.4e}"}
 class SweepConfig:
     """One sweep: a model family crossed with parameter and viscosity lists.
 
-    ``datum`` names the initial data: the seeded ``"random-h1"`` or a
-    name in the model's ``problem.data`` (default ``"single-mode-m1"``,
-    the lowest nontrivial mode). ``t_end_factor`` multiplies the
-    predicted time-scale nu^-q (nu^-1 when the model makes no
-    prediction) to set the horizon; ``stop_ratio`` ends a run early
-    once h has fallen to that fraction of h(0), deep enough for the tail
-    rate fit. ``resolution`` overrides the model's default truncation.
+    It crosses ``nus``, ``ks`` and the flag :data:`~mixlab.models.FAMILIES`
+    names for its family (by default at the builder's value), each at one
+    value or more; ``model_flags`` maps the family's other set flags to
+    their values (``{"L": 3.0}``). ``datum`` names the initial data: the
+    seeded ``"random-h1"`` or a name in the model's ``problem.data``
+    (default ``"single-mode-m1"``, the lowest nontrivial mode).
+    ``t_end_factor`` multiplies the predicted time-scale nu^-q (nu^-1 when
+    the model makes no prediction) to set the horizon; ``stop_ratio`` ends
+    a run early once h has fallen to that fraction of h(0), deep enough
+    for the tail rate fit. ``resolution`` overrides the model's default
+    truncation.
     """
 
     model: str
-    nus: tuple = ()
+    nus: tuple
     ks: tuple = (1,)
     alphas: tuple = ()
     gammas: tuple = ()
-    profile: str = "sin"
-    n0: int | None = None
-    L: float = 2.0
+    model_flags: dict = field(default_factory=dict)
     datum: str = "single-mode-m1"
     resolution: int | None = None
     t_end_factor: float = 20.0
@@ -71,6 +73,12 @@ class SweepConfig:
     out_dir: str = "sweep-out"
 
     def __post_init__(self):
+        model_params(self.model, self.model_flags)  # refuses unread flags
+        build, flags, axis = FAMILIES[self.model]
+        own = {flag for flag in flags if flag not in (axis, "resolution")}
+        if set(self.model_flags) - own or None in self.model_flags.values():
+            raise ValueError(f"model_flags {self.model_flags}: a {self.model} "
+                             f"sweep sets only {sorted(own)} there")
         for nu in self.nus:
             if not 0.0 < nu < 1.0:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
@@ -84,15 +92,23 @@ class SweepConfig:
         if not 0.0 < self.t_end_factor < np.inf:
             raise ValueError(f"t_end_factor must be finite and positive, "
                              f"got {self.t_end_factor}")
-        # two values one row name writes alike would share one row file
-        for axis, name in _NAMES.items():
-            seen = {}
-            for value in getattr(self, axis + "s"):
-                text = name.format(int(value) if axis == "k" else value)
+        # only the lists it crosses; no two values written alike in row names
+        crossed = [name for name in (axis, "k", "nu") if name]
+        for name, form in _NAMES.items():
+            values, seen = tuple(getattr(self, name + "s")), {}
+            if name == axis and not values:  # the builder's default
+                values = (build.__kwdefaults__[flags[axis]],)
+            object.__setattr__(self, name + "s", values)  # JSON gives lists
+            if bool(values) != (name in crossed):
+                raise ValueError(
+                    f"{name}s = {values}: a {self.model} sweep crosses "
+                    f"{', '.join(crossed)}, each at one value or more")
+            for value in values:
+                text = form.format(int(value) if name == "k" else value)
                 if text in seen:
                     raise ValueError(
-                        f"{axis} values {seen[text]!r} and {value!r} are both "
-                        f"written {text!r} in row names; drop one")
+                        f"{name} values {seen[text]!r} and {value!r} are "
+                        f"both written {text!r} in row names; drop one")
                 seen[text] = value
 
     def to_json(self) -> str:
@@ -105,9 +121,11 @@ class SweepConfig:
         lacks a required one."""
         data = json.loads(text)
         data.pop("dt", None)  # a setting of sweeps before row format 3
-        for key in ("nus", "ks", "alphas", "gammas"):
-            if key in data and data[key] is not None:
-                data[key] = tuple(data[key])
+        # row format 3's fields: the set ones the family reads are its flags
+        old = {f: data.pop(f) for f in ("profile", "n0", "L") if f in data}
+        reads = FAMILIES.get(data.get("model"), (None, {}))[1]
+        data.setdefault("model_flags", {}).update(
+            {f: v for f, v in old.items() if v is not None and f in reads})
         return SweepConfig(**_checked_fields(SweepConfig, data, source))
 
     def row_config(self) -> dict:
@@ -126,17 +144,10 @@ class SweepConfig:
                     self.nus)]
 
 
-def axis_values(model: str, flags) -> dict:
-    """``alpha`` and ``gamma`` of a run of ``model`` at ``flags``: a spiral
-    sweep crosses alpha and a shear sweep gamma; other families neither."""
-    return {"alpha": flags["alpha"] if model == "spiral" else None,
-            "gamma": flags["gamma"] if model == "shear" else None}
-
-
 def _group_label(model: str, row: dict) -> str:
-    """Group name: model, alpha and gamma when set, k."""
-    return "_".join([model, *(_NAMES[axis].format(row[axis]) for axis in (
-        "alpha", "gamma", "k") if row[axis] is not None)])
+    """Group name: model, the value of the flag its sweeps cross, k."""
+    return "_".join([model, *(_NAMES[name].format(row[name]) for name in (
+        FAMILIES[model][2], "k") if name)])
 
 
 def row_key(model: str, row: dict) -> str:
@@ -193,16 +204,16 @@ def _checked_fields(cls, data: dict, source: str) -> dict:
 
 def row_groups(cfg: SweepConfig, rows) -> list:
     """``(plan index, row)`` pairs of ``cfg``'s plan, a row being a plan
-    row or a :class:`RowResult`, grouped by the ``(alpha, gamma, k)`` of
-    the plan row: ``(label, the model's builder keywords, the pairs)``."""
+    row or a :class:`RowResult`, grouped by the label of the plan row (its
+    axis value and k): ``(label, the model's builder keywords, pairs)``."""
     plan, groups = cfg.rows(), {}
     for index, row in rows:
-        key = tuple(plan[index][name] for name in ("alpha", "gamma", "k"))
-        if key not in groups:
-            axes = dict(zip(("alpha", "gamma", "k"), key))
-            groups[key] = (_group_label(cfg.model, axes),
-                           model_params(cfg.model, {**vars(cfg), **axes}), [])
-        groups[key][2].append((index, row))
+        label = _group_label(cfg.model, plan[index])
+        if label not in groups:
+            groups[label] = (label, model_params(cfg.model, {
+                **plan[index], **cfg.model_flags,
+                "resolution": cfg.resolution}), [])
+        groups[label][2].append((index, row))
     return list(groups.values())
 
 
@@ -313,6 +324,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     runs pending rows in a process pool, which rebuilds each row's model
     from its pickled recipe; all files are written here.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = cfg.out_dir
     plan = cfg.rows()
     keys = [row_key(cfg.model, row) for row in plan]

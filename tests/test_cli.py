@@ -221,7 +221,37 @@ def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 2, this sweep row_format = 3" in err
+    assert "row_format = 2, this sweep row_format = 4" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_of_row_format_3_reports_but_does_not_resume(tmp_path, capsys):
+    """A sweep written when profile, n0 and L were fields of every config
+    (row format 3) loads with the set ones its family reads as its
+    model_flags, reports and verifies; resuming it is refused by name."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "shear", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    old = {"profile": "sin", "n0": None, "L": 2.0}
+    cfg_path = out / "sweep_config.json"
+    data = _load_json(cfg_path)
+    assert data.pop("model_flags") == {}
+    cfg_path.write_text(json.dumps({**data, **old}))
+    for path in (out / "rows").iterdir():
+        row = _load_json(path)
+        del row["config"]["model_flags"]
+        row["config"].update(row_format=3, **old)
+        path.write_text(json.dumps(row))
+    cfg = mx.load_sweep(str(out)).config
+    assert cfg.model_flags == {"profile": "sin"} and cfg.gammas == (2.0,)
+    assert cli.main(["report", str(out)]) == 0
+    assert cli.main(["verify-bound", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "shear_g2_k1_nu1.0000e-01.json has row_format = 3, this sweep " \
+        "row_format = 4" in err
     assert "Traceback" not in err
 
 
@@ -508,7 +538,8 @@ def test_ed_sweep_row_evolution_error_exit_code_2(tmp_path, capsys,
 def test_mix_rate_refuses_flags_its_families_do_not_read(capsys):
     """mix-rate serves shear and spiral: --L (Kolmogorov) and --d
     (kinetic) are usage errors, as is an abbreviation of a flag it has;
-    the commands that serve every family still take them."""
+    the commands that serve every family still parse them (and refuse,
+    when run, one that their --model does not read)."""
     for argv in (["mix-rate", "--model", "shear", "--L", "7"],
                  ["mix-rate", "--model", "shear", "--d", "3"],
                  ["mix-rate", "--model", "spiral", "--alph", "2"],
@@ -639,21 +670,95 @@ def test_mix_rate_without_predicted_exponent(tmp_path, capsys):
     assert (tmp_path / "mixing_shear_k1.svg").exists()
 
 
-def test_ed_sweep_refuses_kinetic_dimension(tmp_path, capsys):
-    out = tmp_path / "kin"
-    rc = cli.main(["ed-sweep", "--model", "kinetic", "--d", "2",
-                   "--nus", "0.1,0.01", "--out", str(out)])
-    assert rc == 1
-    assert "--d 2" in capsys.readouterr().err
-    assert not out.exists()
+def test_ed_sweep_kinetic_dimension_is_a_model_flag(tmp_path):
+    """--d travels like every other model flag: the kinetic sweep runs in
+    d = 2 and its rows record it."""
+    out = str(tmp_path / "kin")
+    assert cli.main(["ed-sweep", "--model", "kinetic", "--d", "2",
+                     "--resolution", "6", "--nus", "0.1,0.05",
+                     "--out", out]) == 0
+    result = mx.load_sweep(out)
+    assert result.config.model_flags == {"d": 2}
+    assert all(r.config["model_flags"] == {"d": 2} for r in result.rows)
+    ((_, params, _),) = result.groups()
+    assert mx.build_model("kinetic", **params).params["d"] == 2
 
 
-def test_ed_sweep_refuses_heat_gamma(tmp_path, capsys):
-    out = tmp_path / "heat"
-    rc = cli.main(["ed-sweep", "--model", "heat", "--gamma", "1",
-                   "--nus", "0.1,0.01", "--out", str(out)])
-    assert rc == 1
-    assert "--model shear --profile zero --gamma 1" in capsys.readouterr().err
+def test_ed_sweep_heat_gamma_is_a_model_flag(tmp_path):
+    """Heat --gamma 1 sweeps fractional diffusion: the m = 1 mode decays
+    at (k^2 + 1)^(1/2) nu = sqrt(2) nu, so tau = 1 / (sqrt(2) nu)."""
+    out = str(tmp_path / "heat")
+    assert cli.main(["ed-sweep", "--model", "heat", "--gamma", "1",
+                     "--resolution", "16", "--nus", "0.1,0.05",
+                     "--out", out]) == 0
+    rows = mx.load_sweep(out).rows
+    assert [r.key for r in rows] == ["heat_k1_nu1.0000e-01",
+                                     "heat_k1_nu5.0000e-02"]
+    for r in rows:
+        assert r.config["model_flags"] == {"gamma": 1.0}
+        assert abs(r.tau * np.sqrt(2.0) * r.nu - 1.0) < 1e-12
+
+
+_RUN = {"simulate": ["--nu", "1e-3", "--t-end", "1"],
+        "ed-sweep": ["--nus", "0.1,0.05"], "mix-rate": []}
+
+
+@pytest.mark.parametrize("command, model, flag, value", [
+    ("simulate", "spiral", "L", "7"),
+    ("simulate", "spiral", "profile", "nope"),
+    ("simulate", "heat", "profile", "sin"),
+    ("simulate", "kolmogorov", "d", "2"),
+    ("ed-sweep", "kolmogorov", "profile", "sin2"),
+    ("ed-sweep", "kolmogorov", "gamma", "1.5"),
+    ("ed-sweep", "heat", "alpha", "2"),
+    ("ed-sweep", "shear", "alpha", "2"),
+    ("ed-sweep", "spiral", "n0", "1"),
+    ("mix-rate", "spiral", "gamma", "2"),
+])
+def test_a_model_flag_the_model_does_not_read_exit_code_1(
+        tmp_path, capsys, command, model, flag, value):
+    """A model flag given to a --model that does not read it is an error
+    naming the flag and the family, before any directory is made."""
+    out = tmp_path / "s"
+    assert cli.main([command, "--model", model, f"--{flag}", value,
+                     "--resolution", "16", *_RUN[command],
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: the {model} model does not read --{flag}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_rows_and_traces_are_named_as_before_without_model_flags(tmp_path):
+    """With no model flag given, the crossed flag takes its builder's
+    default into the row and trace names."""
+    names = {"spiral": "spiral_a1_k1", "shear": "shear_g2_k1",
+             "heat": "heat_k1", "kolmogorov": "kolmogorov_k1"}
+    for model, label in names.items():
+        out = tmp_path / model
+        assert cli.main(["ed-sweep", "--model", model, "--resolution", "16",
+                         "--nus", "0.1", "--out", str(out)]) == 0
+        assert [p.name for p in (out / "rows").iterdir()] == \
+            [f"{label}_nu1.0000e-01.json"]
+    assert cli.main(["simulate", "--model", "spiral", "--nu", "0.1",
+                     "--t-end", "1", "--resolution", "16",
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "trace_spiral_a1_k1_nu1.0000e-01.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nus", ","], "nus = (): a heat sweep crosses k, nu"),
+    (["--nu-count", "0"], "nus = (): a heat sweep crosses k, nu"),
+    (["--nus", "0.1", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["--nus", "0.1", "--workers", "-2"], "workers must be >= 1, got -2"),
+], ids=["nus-comma", "nu-count-0", "workers-0", "workers-minus-2"])
+def test_empty_sweep_or_pool_exit_code_1(tmp_path, capsys, flags, message):
+    """A sweep of no viscosity or a pool of fewer than one worker is an
+    error before the sweep directory is made."""
+    out = tmp_path / "s"
+    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "16",
+                     *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
     assert not out.exists()
 
 

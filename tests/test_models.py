@@ -124,7 +124,7 @@ def test_unknown_model_name():
 
 def test_families_build_from_k_alone():
     from mixlab.models import FAMILIES, model_params
-    for family, (builder, flags) in FAMILIES.items():
+    for family, (builder, flags, _) in FAMILIES.items():
         prob = mx.build_model(family, k=2)  # every other keyword defaulted
         assert prob.params == builder(k=2).params and prob.params["k"] == 2
         # the resolution flag reaches the family's own size keyword
@@ -236,7 +236,8 @@ def test_working_product_matches_stated_weights():
     for family, w in weights.items():
         res = N if family in ("spiral", "kinetic") else M
         prob = mx.build_model(family, **mx.models.model_params(
-            family, {"k": 1, "L": L, "resolution": res}))
+            family, {"k": 1, "resolution": res,
+                     "L": L if family == "kolmogorov" else None}))
         assert prob.size == w.size
         for _ in range(20):
             f = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)

@@ -65,11 +65,66 @@ def test_row_enumeration_order_and_count():
     assert [r["nu"] for r in plan] == [0.1, 0.05] * 4
 
 
-def test_empty_plan_writes_header_only_csv(tmp_path):
-    cfg = _heat_cfg(tmp_path, nus=())
-    result = mx.run_sweep(cfg)
-    assert result.rows == []
-    assert _read(result.csv_path) == "model,alpha,gamma,n0,k,nu,tau,q_pred,status\n"
+@pytest.mark.parametrize("axes, message", [
+    (dict(nus=()), "nus = (): a heat sweep crosses k, nu"),
+    (dict(nus=(0.1,), ks=()), "ks = (): a heat sweep crosses k, nu"),
+], ids=["nus", "ks"])
+def test_config_refuses_an_empty_sweep(axes, message):
+    """A sweep of no viscosity or no wavenumber plans no row; the config
+    refuses it rather than leave a sweep.csv that is only a header."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mx.SweepConfig(model="heat", **axes)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_sweep_refuses_a_pool_below_one(tmp_path, workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got "
+                                         f"{workers}"):
+        mx.run_sweep(_heat_cfg(tmp_path / "s"), workers=workers)
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(model="spiral", model_flags={"L": 3.0}),
+     "the spiral model does not read --L"),
+    (dict(model="heat", model_flags={"profile": "sin"}),
+     "the heat model does not read --profile"),
+    (dict(model="spiral", model_flags={"alpha": 2.0}),
+     "model_flags {'alpha': 2.0}: a spiral sweep sets only [] there"),
+    (dict(model="kolmogorov", model_flags={"resolution": 16}),
+     "model_flags {'resolution': 16}: a kolmogorov sweep sets only ['L'] "
+     "there"),
+    (dict(model="kinetic", model_flags={"d": None}),
+     "model_flags {'d': None}: a kinetic sweep sets only ['d'] there"),
+    (dict(model="shear", model_flags={"color": "red"}),
+     "model_flags {'color': 'red'}: a shear sweep sets only ['n0', "
+     "'profile'] there"),
+    (dict(model="spiral", gammas=(1.0, 2.0)),
+     "gammas = (1.0, 2.0): a spiral sweep crosses alpha, k, nu"),
+    (dict(model="heat", gammas=(1.0,)),
+     "gammas = (1.0,): a heat sweep crosses k, nu"),
+    (dict(model="shear", alphas=(1.0,)),
+     "alphas = (1.0,): a shear sweep crosses gamma, k, nu"),
+], ids=["unread", "heat-profile", "axis", "resolution", "unset", "no-flag",
+        "spiral-gammas", "heat-gammas", "shear-alphas"])
+def test_config_refuses_a_flag_its_family_does_not_set(kw, message):
+    """model_flags hold only the family's set flags other than its axis
+    and the resolution; an axis list is taken only for the flag the
+    family's sweeps cross."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mx.SweepConfig(nus=(0.1,), **kw)
+
+
+def test_config_model_flags_reach_the_builder():
+    """A family's set flags go to its builder; the crossed flag defaults
+    to the builder's value."""
+    cfg = mx.SweepConfig(model="kolmogorov", nus=(0.1,),
+                         model_flags={"L": 3.0}, resolution=8)
+    ((label, params, _),) = sweep.row_groups(cfg, enumerate(cfg.rows()))
+    assert (label, params) == ("kolmogorov_k1", {"k": 1, "L": 3.0, "M": 8})
+    assert mx.SweepConfig(model="shear", nus=(0.1,)).gammas == (2.0,)
+    assert mx.SweepConfig(model="spiral", nus=(0.1,)).alphas == (1.0,)
+    assert mx.SweepConfig(model="heat", nus=(0.1,)).gammas == ()
 
 
 def test_heat_sweep_tau_scales_like_inverse_nu(tmp_path):
