@@ -16,9 +16,8 @@ from dataclasses import asdict
 import numpy as np
 
 from ._svg import line_plot_svg
-from .diagnostics import THETA_DEFAULT, constant_c0_poly, constant_c0_spiral, \
-    ed_exponent, fit_mixing_amplitude, fit_power_law, theorem_bound_check, \
-    timescale_pairs
+from .diagnostics import constant_c0_poly, constant_c0_spiral, ed_exponent, \
+    fit_mixing_amplitude, fit_power_law, theorem_bound_check, timescale_pairs
 from .evolution import EvolutionError, evolve, read_trace, write_norms, \
     write_trace
 from .models import FAMILIES, TOP_BAND_FLAG, build_model, initial_datum, \
@@ -167,17 +166,18 @@ def _cmd_ed_sweep(args) -> int:
         if args.nus else tuple(np.geomspace(args.nu_min, args.nu_max,
                                             args.nu_count))
     ks = tuple(int(x) for x in args.k_list.split(",")) if args.k_list \
-        else (args.k,)
+        else None if args.k is None else (args.k,)
     flags = {flag: vars(args)[flag] for flag in _MODEL_FLAGS
              if vars(args)[flag] is not None}
     axis = FAMILIES[args.model][2]
     axes = {axis + "s": (flags.pop(axis),)} if axis in flags else {}
-    cfg = SweepConfig(
-        model=args.model, nus=nus, ks=ks, **axes, model_flags=flags,
-        datum=args.datum, resolution=args.resolution,
-        t_end_factor=args.t_end_factor, theta=args.theta,
-        stop_ratio=args.stop_ratio, seed=args.seed,
-        out_dir=args.out or "sweep-out")
+    # a setting not given keeps SweepConfig's default
+    given = {"ks": ks, "datum": args.datum, "resolution": args.resolution,
+             "t_end_factor": args.t_end_factor, "theta": args.theta,
+             "stop_ratio": args.stop_ratio, "out_dir": args.out}
+    cfg = SweepConfig(model=args.model, nus=nus, **axes, model_flags=flags,
+                      seed=args.seed,
+                      **{k: v for k, v in given.items() if v is not None})
     result = run_sweep(cfg, workers=args.workers)
     bad = 0
     for r in result.rows:
@@ -393,13 +393,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu-count", type=int, default=8)
     p.add_argument("--k-list", default=None,
                    help="comma-separated wavenumbers (overrides --k)")
-    p.add_argument("--datum", default="single-mode-m1")
-    p.add_argument("--t-end-factor", type=float, default=20.0)
-    p.add_argument("--theta", type=float, default=THETA_DEFAULT)
-    p.add_argument("--stop-ratio", type=float, default=1e-3)
+    # not given, each of these is None: SweepConfig's default
+    p.add_argument("--datum")
+    p.add_argument("--t-end-factor", type=float)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--stop-ratio", type=float)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the sweep rows (>= 1)")
-    p.set_defaults(func=_cmd_ed_sweep)
+    p.set_defaults(func=_cmd_ed_sweep, k=None)
 
     p = sub.add_parser("verify-bound",
                        help="check the explicit decay bound on every "

@@ -27,27 +27,36 @@ Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. A run stacks, once, the weights of its sampled orders (1,
 lam, 1/lam, and lam^2 with ``"h2"``; see
 :func:`mixlab.spectral.hs_weights`) over the mask of the top band of
-eigenvalues, so each sample is one product ``W @ |g|^2``. Samples fill a
-preallocated array, thinned in place.
+eigenvalues, so each sample is one product ``W @ |g|^2``. Samples fill an
+array preallocated from the sample grid, and every sample is kept.
 
-Time steps. Norms are sampled on a grid of intervals ``ds``. With an
-explicit ``dt``, the fixed-step reference of the tests, each interval is
-one step of ``dt``. Every run of the CLI and of sweeps takes ``ds`` from
-:func:`default_dt`, the only time-step policy, and each interval is m
-Strang steps of ``ds/m``, m a power of two. Both substeps
-are exact, so the splitting error is the commutator of B and nu A alone,
-O(nu dt^2) over a fixed horizon. Every ``CHECK_EVERY``-th interval is
-also run as 2m half steps (step doubling for a symmetric splitting,
-Jahnke & Lubich, BIT 40, 2000), and the run goes on from the finer
-result. The gap ``est`` between the two in log h estimates the error of
-one m-step interval. m doubles, redoing the check, until ``est`` charged
-to every interval run so far fits the budget,
-``est * (j + CHECK_EVERY) <= TOL * max(1, |log h/h0|)`` after j intervals;
-it halves when the charge at m/2 (four times ``est``) would fit. Pacing
-by the elapsed intervals keeps an early, error-heavy transient from
-spending the budget a long slow decay needs later. The summed estimate,
-``CHECK_EVERY * est`` per check, is reported as ``err_est``. With nu = 0
-or B = 0 the step is exact: m = 1 and no checks.
+Time steps. Time is counted in units ``ds``: an explicit ``dt``, the
+fixed-step reference of the tests, or, for every run of the CLI and of
+sweeps, :func:`default_dt`, the only time-step policy. Norms are sampled
+every s units. The stride s starts at ``sample_every`` and doubles at
+the sample t = j ds once 2 s ds <= t/K0, which first holds at j = 2 s K0,
+a multiple of 2 s: the grid stays nested, holds about K0 samples per
+doubling of elapsed time, and its spacing never exceeds
+max(sample_every ds, t/K0). A run shorter than 2 K0 ds samples every
+``sample_every`` units. The last interval ends at t_end and may be short.
+
+Each sample interval is m Strang steps of s ds/m: m = s with an explicit
+``dt``, m = 1 where the step is exact (nu = 0 or B = 0), and under error
+control m is set as follows. Both substeps are exact, so the splitting
+error is the commutator of B and nu A alone, O(nu dt^2) over a fixed
+horizon. Every ``CHECK_EVERY``-th interval is also run as 2m half steps
+(step doubling for a symmetric splitting, Jahnke & Lubich, BIT 40, 2000),
+and the run goes on from the finer result. The gap ``est`` between the two
+in log h estimates the error of one m-step interval. m doubles, redoing
+the check, until ``est`` charged to the time run so far, counted in
+intervals of s ds, fits the budget,
+``est * (j/s + CHECK_EVERY) <= TOL * max(1, |log h/h0|)`` at t = j ds; it
+halves, down to one step per interval, when the charge at m/2 (four times
+``est``) would fit. Pacing by the elapsed time keeps an early,
+error-heavy transient from spending the budget a long slow decay needs
+later. m doubles with the stride, so the step only changes at a check,
+and it never falls below ds/``MAX_SUBSTEPS``. The summed estimate,
+``CHECK_EVERY * est`` per check, is reported as ``err_est``.
 
 Consequences used elsewhere: the inviscid flow is an exact isometry of the
 working norm, the viscous flow is a strict contraction, and every step,
@@ -60,6 +69,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 import scipy
@@ -80,11 +90,11 @@ __all__ = [
     "default_dt",
 ]
 
-MAX_SAMPLES = 10_000
 TOP_BAND_FRACTION = 0.10  # spectral occupancy monitor: top 10% of eigenvalues
 TOL = 1e-5  # step-doubling budget on the error in log h, per unit of log decay
 CHECK_EVERY = 16  # sample intervals from one step-doubling check to the next
-MAX_SUBSTEPS = 1024  # most steps per sample interval the controller takes
+MAX_SUBSTEPS = 1024  # most steps per unit ds the controller takes
+K0 = 2000  # samples per doubling of elapsed time, once the stride grows
 
 
 @dataclass
@@ -94,7 +104,7 @@ class DecayTrace:
     ``extras`` may carry additional sampled norms (keyed by name, e.g.
     ``"h2"``); ``meta`` records integrator metadata and runtime flags.
     ``dt`` is the step of an explicit-step run, or the smallest regular
-    step ``ds/m`` of a controlled one. The final state (``final_state``,
+    step ``s ds/m`` of any other. The final state (``final_state``,
     in the model's working basis) and each sample's top-band energy share
     (``occupancy``) are not serialized with the trace.
     """
@@ -117,10 +127,10 @@ class DecayTrace:
 
 
 def default_dt(problem: ModelProblem, t_end: float) -> float:
-    """Sample interval ``ds`` of a run without an explicit step: half the
-    advection time 1/bound_B, at most 0.5. Pure diffusion (B = 0) is exact
-    at any step, so it splits t_end into 2000 intervals. Never longer than
-    a positive ``t_end``."""
+    """The unit ``ds`` of a run without an explicit step, its first sample
+    interval: half the advection time 1/bound_B, at most 0.5. Pure
+    diffusion (B = 0) is exact at any step, so it splits t_end into 2000
+    intervals. Never longer than a positive ``t_end``."""
     if problem.bound_B > 0.0 or t_end <= 0.0:
         ds = 0.5 / max(1.0, problem.bound_B)
     else:
@@ -151,10 +161,22 @@ def _strang_step(problem: ModelProblem, nu: float, dt: float):
     return step
 
 
+def _sample_grid(n_int: int, stride: int) -> np.ndarray:
+    """The sample indices j (at t = j ds) of a run of n_int intervals ds:
+    every ``stride``-th, the stride doubling at j = 2 stride K0 so that the
+    spacing stays within max(stride, j/K0), and the last index n_int. The
+    grid is nested: each doubling falls on a multiple of the new stride."""
+    parts, j = [], 0
+    while 2 * stride * K0 < n_int:
+        parts.append(np.arange(j, 2 * stride * K0, stride))
+        j, stride = 2 * stride * K0, 2 * stride
+    parts += [np.arange(j, n_int, stride), [n_int]]
+    return np.concatenate(parts).astype(int)
+
+
 def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
            dt: float | None = None, sample_every: int | None = None,
-           stop_ratio: float | None = None, extras: tuple = (),
-           max_samples: int = MAX_SAMPLES) -> DecayTrace:
+           stop_ratio: float | None = None, extras: tuple = ()) -> DecayTrace:
     """Integrate the viscous flow and sample its Sobolev norms.
 
     Parameters
@@ -164,14 +186,14 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         nonnegative; 0 = inviscid), final time.
     dt
         Step size, finite and positive: the run takes ceil(t_end/dt)
-        steps of it, fewer if ``stop_ratio`` ends it. Default: intervals
-        ``ds = default_dt(problem, t_end)``, each of m error-controlled
-        steps (see the module docstring).
+        steps of it, fewer if ``stop_ratio`` ends it. Default: the unit
+        ``ds = default_dt(problem, t_end)``, with m error-controlled steps
+        per sample interval (see the module docstring).
     sample_every
-        Record norms every this many steps of ``dt`` or intervals of
-        ``ds``: an integer, at least 1 (default 1). Whenever the stored
-        history would exceed ``max_samples`` it is thinned: every other
-        sample dropped and the stride doubled.
+        The first sample stride, in steps of ``dt`` or units of ``ds``:
+        an integer, at least 1 (default 1). The stride doubles as the run
+        goes on, so that the spacing stays within max(sample_every ds,
+        t/K0) (see the module docstring); every recorded sample is kept.
     stop_ratio
         If set, in (0, 1): stop once h <= stop_ratio * h(0) (the sample
         that crossed is recorded). Used by sweeps to capture the
@@ -181,9 +203,11 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
 
     Returns a :class:`DecayTrace` whose ``meta`` records, besides the
     stop reason and the occupancy monitor, ``n_steps`` (check steps
-    included), ``sample_interval``, ``max_steps_per_sample`` and
-    ``err_est``, the summed step-doubling estimate (None with an explicit
-    ``dt``), and the ``versions`` of mixlab, numpy and scipy. Raises
+    included), the final ``sample_stride`` and its ``sample_interval``
+    (stride times ``ds``), ``max_steps_per_sample`` (the most steps in one
+    sample interval), ``err_est``, the summed step-doubling estimate (None
+    with an explicit ``dt``), and the ``versions`` of mixlab, numpy and
+    scipy; the trace's ``dt`` is the smallest regular step. Raises
     :class:`EvolutionError` on non-finite state, and ValueError on a
     negative or non-finite ``nu`` and on a bad step control.
     """
@@ -210,7 +234,8 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "versions": {"mixlab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
 
-    n_int = int(np.ceil(t_end / ds - 1e-12))  # 0 for t_end = 0
+    # sample indices: t = j ds; 0 for t_end = 0
+    grid = _sample_grid(int(np.ceil(t_end / ds - 1e-12)), stride)
     op = problem.op
     lam = op.lam
     cut = np.sort(lam)[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam.size)) - 1]
@@ -219,35 +244,36 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     weights = np.array([hs_weights(lam, s) for s in orders] + [lam >= cut],
                        dtype=float)
     a2 = np.empty(lam.size)
-    steppers = {}  # m -> one Strang step of ds/m
+    steppers = {}  # (span, n) in lowest terms -> one Strang step of span ds/n
     n_steps = 0
 
-    def advance(g, m):
-        """One sample interval as m Strang steps of ds/m."""
+    def advance(g, n, span):
+        """An interval of span ds as n Strang steps of span ds/n."""
         nonlocal n_steps
-        if m not in steppers:
-            steppers[m] = _strang_step(problem, nu, ds / m)
-        step = steppers[m]
-        for _ in range(m):
+        d = gcd(span, n)
+        key = (span // d, n // d)
+        if key not in steppers:
+            steppers[key] = _strang_step(problem, nu, key[0] * ds / key[1])
+        step = steppers[key]
+        for _ in range(n):
             g = step(g)
-        n_steps += m
+        n_steps += n
         return g
 
-    # a column per sample: t, the squared norm of each order, and the top
-    # band's share of the energy; thinning keeps at most max_samples + 1
-    samples = np.empty((2 + len(orders), min(n_int, max(max_samples, 1)) + 2))
+    # a column per sample: the squared norm of each order, and the top
+    # band's share of the energy
+    samples = np.empty((1 + len(orders), grid.size))
     n_rec = 0
 
-    def record(t, g):
+    def record(g):
         nonlocal n_rec
         sums = weights @ np.square(np.abs(g, out=a2), out=a2)
         if not np.isfinite(sums[0]):
             raise EvolutionError(
-                f"non-finite H norm at t={t:g} "
-                f"(model {problem.name}, nu={nu:g}, dt={ds / m:g})"
+                f"non-finite H norm at t={grid[n_rec] * ds:g} "
+                f"(model {problem.name}, nu={nu:g}, dt={s * ds / m:g})"
             )
-        samples[0, n_rec] = t
-        samples[1:, n_rec] = sums
+        samples[:, n_rec] = sums
         if sums[0] > 0:
             samples[-1, n_rec] /= sums[0]
             meta["occupancy_max"] = max(meta["occupancy_max"],
@@ -255,53 +281,57 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         n_rec += 1
         return np.sqrt(sums[0])
 
-    m = m_max = 1
-    h0 = record(0.0, g)
+    # m steps per sample interval of s ds: m = s keeps an explicit dt
+    s = stride
+    m = m_max = s if dt is not None else 1
+    dt_min = ds if dt is not None else s * ds  # the smallest regular step
+    at_cap = False
+    h0 = record(g)
     floor = stop_ratio * h0 if stop_ratio else -1.0
     # the step is exact without viscosity, without advection, or on the
     # zero state
     controlled = dt is None and nu != 0.0 and problem.bound_B != 0.0 \
         and h0 > 0.0
+    exact = dt is None and not controlled
 
-    j = 0
-    while j < n_int:
-        if controlled and j % CHECK_EVERY == 0:
-            coarse = advance(g, m)
+    for k in range(grid.size - 1):  # no list of the grid: it may be long
+        j = int(grid[k])
+        span = int(grid[k + 1]) - j
+        if span > s:  # the stride doubled at j: m too, unless exact
+            s = span
+            if not exact:
+                m *= 2
+                m_max = max(m_max, m)
+        if controlled and k % CHECK_EVERY == 0 and span == s:
+            coarse = advance(g, m, s)
             while True:
-                fine = advance(g, 2 * m)
+                fine = advance(g, 2 * m, s)
                 h_fine = np.linalg.norm(fine)
                 est = abs(np.log(np.linalg.norm(coarse) / h_fine))
                 budget = TOL * max(1.0, abs(np.log(h_fine / h0)))
-                if est * (j + CHECK_EVERY) <= budget or m == MAX_SUBSTEPS:
+                capped = m == MAX_SUBSTEPS * s
+                if est * (j / s + CHECK_EVERY) <= budget or capped:
                     break
                 m, coarse = 2 * m, fine
             g = fine
             meta["err_est"] += CHECK_EVERY * est
+            at_cap |= capped
             m_max = max(m_max, m)
-            if m > 1 and 4.0 * est * (j + CHECK_EVERY) <= budget:
+            dt_min = min(dt_min, s * ds / m)
+            if m > 1 and 4.0 * est * (j / s + CHECK_EVERY) <= budget:
                 m //= 2
-        else:
-            g = advance(g, m)
-        j += 1
-        if j % stride == 0 or j == n_int:
-            h = record(j * ds, g)
-            if h <= floor:
-                meta["stop_reason"] = "stop_ratio"
-                break
-            if n_rec > max_samples:
-                kept = (n_rec + 1) // 2
-                samples[:, :kept] = samples[:, :n_rec:2]
-                n_rec = kept
-                stride *= 2
+        else:  # a last, shorter interval takes steps no longer than m's
+            g = advance(g, -(-m * span // s), span)
+        if record(g) <= floor:
+            meta["stop_reason"] = "stop_ratio"
+            break
 
-    # from the final stride: thinning doubles it during the run
-    meta.update(n_steps=n_steps, sample_stride=stride,
-                sample_interval=ds * stride,
-                max_steps_per_sample=stride * m_max)
-    if m_max == MAX_SUBSTEPS:
+    meta.update(n_steps=n_steps, sample_stride=s, sample_interval=s * ds,
+                max_steps_per_sample=m_max)
+    if at_cap:
         meta["warnings"].append(
-            f"step control reached {MAX_SUBSTEPS} steps per sample interval; "
-            "the splitting error may exceed its budget"
+            f"step control reached {MAX_SUBSTEPS} steps per sample interval "
+            f"of {ds:g}; the splitting error may exceed its budget"
         )
     if meta["occupancy_max"] > TOP_BAND_FLAG:
         meta["warnings"].append(
@@ -309,13 +339,13 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "spectral truncation may be felt; raise the resolution"
         )
 
-    norms = np.sqrt(samples[1:-1, :n_rec])
+    norms = np.sqrt(samples[:-1, :n_rec])
     return DecayTrace(
-        times=samples[0, :n_rec].copy(), h=norms[0], h1=norms[1],
+        times=grid[:n_rec] * ds, h=norms[0], h1=norms[1],
         hm1=norms[2], nu=nu, model=problem.name,
-        params=dict(problem.params), dt=ds / m_max,
+        params=dict(problem.params), dt=dt_min,
         extras={"h2": norms[3]} if want_h2 else {}, meta=meta,
-        final_state=op.from_internal(g) if j else c0.copy(),
+        final_state=op.from_internal(g) if n_rec > 1 else c0.copy(),
         occupancy=samples[-1, :n_rec].copy(),
     )
 
@@ -346,12 +376,15 @@ def write_norms(path, t, h, h1, hm1) -> None:
     """Write the norm table: a header, then t, h, h1, hm1 per row, each
     number as ``%.17g`` (the bytes ``np.savetxt`` writes with that
     format, in two thirds of its time). Rows are formatted from Python
-    floats and streamed to the file, so no copy of the table is held as
-    text."""
-    cols = np.column_stack([t, h, h1, hm1]).T.tolist()
+    floats, 4096 at a time, and streamed to the file, so no copy of the
+    table is held as text or as Python floats."""
+    table = np.column_stack([t, h, h1, hm1])
     with open(path, "w") as fh:
         fh.write("t,h,h1,hm1\n")
-        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(*cols)))
+        for start in range(0, len(table), 4096):
+            cols = table[start:start + 4096].T.tolist()
+            fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__,
+                              zip(*cols)))
 
 
 def write_trace(trace: DecayTrace, path) -> None:

@@ -202,6 +202,26 @@ def _checked_fields(cls, data: dict, source: str) -> dict:
     return data
 
 
+def _flag_keywords(model: str, flags: dict) -> dict:
+    """The builder keywords of a sweep's ``model_flags``, the builder's
+    default in place of each flag left out: the model, not its spelling."""
+    build, reads, axis = FAMILIES[model]
+    defaults = {**getattr(build, "func", build).__kwdefaults__,
+                **getattr(build, "keywords", {})}  # heat is a partial
+    return {**{key: defaults[key] for flag, key in reads.items()
+               if flag not in (axis, "resolution")},
+            **model_params(model, flags)}
+
+
+def _same_setting(model: str, name: str, found, value) -> bool:
+    """Whether a row's recorded :meth:`SweepConfig.row_config` field
+    ``name`` matches this sweep's; model flags match when they give the
+    builder the same keywords."""
+    if name != "model_flags":
+        return found == value
+    return _flag_keywords(model, found) == _flag_keywords(model, value)
+
+
 def row_groups(cfg: SweepConfig, rows) -> list:
     """``(plan index, row)`` pairs of ``cfg``'s plan, a row being a plan
     row or a :class:`RowResult`, grouped by the label of the plan row (its
@@ -315,7 +335,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run (or resume) a sweep.
 
     Rows already present under ``out_dir/rows/`` are not recomputed, but
-    each must record this sweep's :meth:`SweepConfig.row_config`:
+    each must record this sweep's :meth:`SweepConfig.row_config` (model
+    flags that give the builder the same keywords match):
     otherwise a ValueError naming the first field that differs is raised
     before anything is written, as is the ValueError of a model or datum
     a pending row cannot build. A run's EvolutionError is recorded in the
@@ -339,7 +360,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
             continue
         rr = _read_row(row_path)
         for name, value in expected.items():
-            if name not in rr.config or rr.config[name] != value:
+            if name not in rr.config or not _same_setting(
+                    cfg.model, name, rr.config[name], value):
                 found = f"{name} = {rr.config[name]!r}" \
                     if name in rr.config else f"no {name} record"
                 raise ValueError(

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -697,6 +698,48 @@ def test_ed_sweep_heat_gamma_is_a_model_flag(tmp_path):
     for r in rows:
         assert r.config["model_flags"] == {"gamma": 1.0}
         assert abs(r.tau * np.sqrt(2.0) * r.nu - 1.0) < 1e-12
+
+
+def test_ed_sweep_resumes_by_model_not_by_spelling(tmp_path, capsys):
+    """A heat sweep given --gamma 2, the builder's default, and the same
+    sweep without it build one model, so each resumes the other without
+    recomputing a row; --gamma 1 is another model and is refused."""
+    base = ["ed-sweep", "--model", "heat", "--resolution", "16",
+            "--nus", "0.1,0.05"]
+    for first, second in ((["--gamma", "2"], []), ([], ["--gamma", "2"])):
+        out = tmp_path / f"flags{len(first)}"
+        assert cli.main([*base, *first, "--out", str(out)]) == 0
+        rows = {p.name: p.read_bytes() for p in (out / "rows").iterdir()}
+        assert cli.main([*base, *second, "--out", str(out)]) == 0
+        assert rows == {p.name: p.read_bytes()
+                        for p in (out / "rows").iterdir()}
+        capsys.readouterr()
+        assert cli.main([*base, "--gamma", "1", "--out", str(out)]) == 1
+        assert "has model_flags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["shear", "heat", "spiral", "kolmogorov"])
+def test_ed_sweep_defaults_are_the_sweep_configs(monkeypatch, model):
+    """ed-sweep without its sweep settings passes none of them, so the
+    config it runs is SweepConfig(model, nus), field for field."""
+    passed, ran = [], []
+
+    def config(**kw):
+        passed.append(set(kw))
+        return sweep.SweepConfig(**kw)
+
+    def run(cfg, workers):
+        ran.append(cfg)
+        raise ValueError("not run")
+
+    monkeypatch.setattr(cli, "SweepConfig", config)
+    monkeypatch.setattr(cli, "run_sweep", run)
+    assert cli.main(["ed-sweep", "--model", model, "--nus", "0.1,0.05"]) == 1
+    assert not passed[0] & {"ks", "datum", "t_end_factor", "theta",
+                            "stop_ratio", "out_dir", "resolution"}
+    want = sweep.SweepConfig(model=model, nus=(0.1, 0.05))
+    for f in dataclasses.fields(want):
+        assert getattr(ran[0], f.name) == getattr(want, f.name), f.name
 
 
 _RUN = {"simulate": ["--nu", "1e-3", "--t-end", "1"],

@@ -91,11 +91,15 @@ def test_zero_horizon_returns_single_sample():
     assert np.array_equal(tr.final_state, np.asarray(f0))
 
 
-def test_sample_cap_decimates_but_keeps_endpoints():
+def test_sample_cap_decimates_but_keeps_endpoints(monkeypatch):
+    """The stride doubles with elapsed time, about K0 samples per doubling
+    (K0 = 10 here): 1000 steps leave 77 samples, both endpoints kept."""
+    monkeypatch.setattr(evolution, "K0", 10)
     heat = mx.build_model("heat", k=1, M=8)
     f0 = mx.initial_datum(heat, "single-mode-m1")
-    tr = mx.evolve(heat, f0, 1e-3, 1.0, dt=1e-3, max_samples=50)
-    assert len(tr) <= 51
+    tr = mx.evolve(heat, f0, 1e-3, 1.0, dt=1e-3)
+    # 20 at stride 1, 10 at each of 2 ... 32, 6 at 64, and t_end
+    assert len(tr) == 77 and tr.meta["n_steps"] == 1000
     assert tr.times[0] == 0.0
     assert tr.times[-1] == pytest.approx(1.0, rel=1e-12)
     assert np.all(np.diff(tr.times) > 0)
@@ -167,43 +171,57 @@ def test_default_dt_policy():
     assert default_dt(heat, 0.0) > 0.0 and default_dt(fast, 0.0) > 0.0
 
 
-def test_controlled_run_keeps_the_sample_grid():
+def test_controlled_run_keeps_the_sample_grid(monkeypatch):
     """Without dt, samples fall every ds = default_dt: the grid of
-    dt = ds/5 sampled every 5 steps, also once thinning doubles the
-    stride; the values agree to the splitting error."""
+    dt = ds/5 sampled every 5 steps, also once the stride doubles with
+    elapsed time (K0 = 4); the values agree to the splitting error."""
     prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
     f0 = mx.initial_datum(prob, "random-h1", seed=2)
     ds = default_dt(prob, 40.0)
-    for cap in (mx.evolution.MAX_SAMPLES, 15):
-        ctl = mx.evolve(prob, f0, 1e-3, 40.0, max_samples=cap)
-        ref = mx.evolve(prob, f0, 1e-3, 40.0, dt=ds / 5, sample_every=5,
-                        max_samples=cap)
+    for k0 in (evolution.K0, 4):
+        monkeypatch.setattr(evolution, "K0", k0)
+        ctl = mx.evolve(prob, f0, 1e-3, 40.0)
+        ref = mx.evolve(prob, f0, 1e-3, 40.0, dt=ds / 5, sample_every=5)
         assert ctl.times.shape == ref.times.shape
         np.testing.assert_allclose(ctl.times, ref.times, rtol=1e-13)
         np.testing.assert_allclose(ctl.h, ref.h, rtol=1e-5)
         assert ctl.meta["sample_stride"] == ref.meta["sample_stride"] // 5
-    assert ctl.meta["sample_stride"] > 1  # the cap of 15 samples thinned
+    assert ctl.meta["sample_stride"] == 16  # doubled at t = 4, 8, 16, 32
     assert ctl.meta["sample_interval"] == ds * ctl.meta["sample_stride"]
     assert ctl.meta["err_est"] > 0.0
 
 
 @pytest.mark.parametrize("nu, dt", [(0.0, None), (1e-3, None), (1e-3, 0.1)],
                          ids=["exact", "controlled", "explicit-dt"])
-def test_thinned_trace_records_its_final_sample_interval(nu, dt):
-    """Thinning doubles the stride during the run: the recorded sample
-    interval is the spacing of the trace, and the steps per sample
-    interval count the final stride."""
+def test_thinned_trace_records_its_final_sample_interval(nu, dt,
+                                                        monkeypatch):
+    """The stride doubles during the run (K0 = 4): the trace's spacing
+    grows from one unit to the recorded final sample interval, and the
+    steps per sample interval follow the stride of each kind of run."""
+    monkeypatch.setattr(evolution, "K0", 4)
     prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
     f0 = mx.initial_datum(prob, "single-mode-m1")
-    tr = mx.evolve(prob, f0, nu, 40.0, dt=dt, max_samples=15)
+    tr = mx.evolve(prob, f0, nu, 40.0, dt=dt)
     stride = tr.meta["sample_stride"]
-    assert stride > 1  # the cap of 15 samples thinned
     step = default_dt(prob, 40.0) if dt is None else dt
+    assert stride == (16 if dt is None else 64)  # of 80 or 400 units
     assert tr.meta["sample_interval"] == step * stride
-    np.testing.assert_allclose(np.diff(tr.times)[:-1],
-                               tr.meta["sample_interval"], rtol=1e-13)
-    assert tr.meta["max_steps_per_sample"] == stride * (
-        1 if nu == 0.0 or dt else round(step / tr.dt))
+    spacing = np.diff(tr.times)
+    np.testing.assert_allclose(spacing[:8], step, rtol=1e-12)
+    # spacings grow to the final interval; only a last one cut at t_end
+    # (dt = 0.1: 1.6 after 6.4) is shorter
+    np.testing.assert_allclose(spacing.max(), tr.meta["sample_interval"],
+                               rtol=1e-13)
+    assert np.all(np.diff(spacing[:-1]) > -1e-12)
+    if dt is not None:  # fixed steps of dt, so the stride of them
+        assert tr.meta["max_steps_per_sample"] == stride and tr.dt == dt
+    elif nu == 0.0:  # exact: one step per interval, at most
+        assert tr.meta["max_steps_per_sample"] == 1 and tr.dt == step
+        assert tr.meta["n_steps"] == len(tr) - 1
+    else:  # controlled: steps of ds/2^i, no shorter than the smallest
+        assert np.log2(step / tr.dt).is_integer() and tr.dt < step
+        assert tr.meta["max_steps_per_sample"] * tr.dt \
+            <= tr.meta["sample_interval"]
 
 
 def test_controlled_rows_match_fixed_step_rows(tmp_path):
@@ -251,7 +269,7 @@ def test_exact_steps_take_one_step_per_sample():
     assert tr.meta["n_steps"] >= len(tr) - 1 + 2 * (40 // CHECK_EVERY + 1)
 
 
-def test_explicit_dt_runs_as_before():
+def test_explicit_dt_runs_as_before(monkeypatch):
     """An explicit dt takes ceil(t_end/dt) steps and samples every
     sample_every of them; the values were recorded before the step
     control existed."""
@@ -262,10 +280,16 @@ def test_explicit_dt_runs_as_before():
             ("kolmogorov", dict(L=2.0, k=1, M=8), 0.35988467621711007)):
         prob = mx.build_model(name, **kw)
         f0 = mx.initial_datum(prob, "random-h1", seed=5)
-        tr = mx.evolve(prob, f0, 1e-3, 2.03, dt=0.01, sample_every=7,
-                       max_samples=10)
-        assert tr.meta["n_steps"] == 203 and len(tr) == 9
-        assert tr.meta["sample_stride"] == 28
+        tr = mx.evolve(prob, f0, 1e-3, 2.03, dt=0.01, sample_every=7)
+        assert tr.meta["n_steps"] == 203 and len(tr) == 30
+        assert tr.meta["sample_stride"] == 7
+        # a stride grown with elapsed time takes the same steps
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "K0", 2)
+            grown = mx.evolve(prob, f0, 1e-3, 2.03, dt=0.01, sample_every=7)
+        assert grown.meta["n_steps"] == 203 and len(grown) == 11
+        assert grown.meta["sample_stride"] == 56
+        assert grown.h[-1] == tr.h[-1]
         assert tr.times[-1] == pytest.approx(2.03, rel=1e-14)
         assert tr.h[-1] == pytest.approx(h_end, rel=1e-12), name
         assert tr.dt == 0.01 and tr.meta["err_est"] is None
@@ -679,14 +703,15 @@ def test_trace_io_roundtrip(tmp_path):
 def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
     """The norm table is byte for byte what np.savetxt writes with
     ``%.17g``, on zeros, subnormals, huge values and non-finite ones,
-    and with no rows."""
+    with no rows, and with rows past one 4096-row chunk."""
     from mixlab.evolution import write_norms
 
     col = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
                     1.0 / 3.0, -2.5, 1e22, 1e300, 1.7976931348623157e308,
                     np.inf, np.nan])
+    long = np.random.default_rng(0).standard_normal((4, 9000))
     for cols in ((col, col[::-1], np.roll(col, 3), -col / 7.0),
-                 (np.empty(0),) * 4):
+                 (np.empty(0),) * 4, tuple(long)):
         write_norms(tmp_path / "a.csv", *cols)
         np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g",
                    delimiter=",", header="t,h,h1,hm1", comments="")
@@ -706,3 +731,70 @@ def test_step_control_at_its_cap_warns(monkeypatch):
     tr = mx.evolve(prob, f0, 1e-3, 20.0)
     assert tr.meta["max_steps_per_sample"] == tr.meta["sample_stride"]
     assert any(w.startswith(warning) for w in tr.meta["warnings"])
+
+
+def test_short_runs_keep_the_uniform_sample_grid():
+    """A controlled run that ends before t = 2 K0 ds samples every ds and
+    steps as it did before the stride could grow: the values below were
+    recorded on that uniform grid."""
+    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=32)
+    f0 = mx.initial_datum(prob, "random-h1", seed=3)
+    ds = default_dt(prob, 1e4)
+    assert 1999.5 < 2 * evolution.K0 * ds
+    tr = mx.evolve(prob, f0, 1e-4, 1999.5)
+    assert len(tr) == 4000 and tr.meta["sample_stride"] == 1
+    assert np.array_equal(tr.times, np.arange(4000) * ds)
+    assert tr.h[1234] == pytest.approx(0.01458528222105953, rel=1e-12)
+    assert tr.h[-1] == pytest.approx(1.2738347230242445e-05, rel=1e-12)
+    assert tr.meta["n_steps"] == 4633 and tr.dt == ds / 2
+
+
+def test_the_sample_stride_grows_with_elapsed_time(monkeypatch):
+    """With K0 = 100, a deep shear run samples every ds up to t = 2 K0 ds,
+    then every 2^i ds, never more than max(ds, t/K0) apart; its tau and
+    1/rate agree to 1e-5 with the same run on the uniform grid, which
+    takes more steps."""
+    prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=64)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    ds = default_dt(prob, 1e4)
+    runs = []
+    for k0 in (100, 10**9):
+        monkeypatch.setattr(evolution, "K0", k0)
+        runs.append(mx.evolve(prob, f0, 1e-5, 1e4, stop_ratio=1e-3))
+    tr, ref = runs
+    assert tr.meta["stop_reason"] == ref.meta["stop_reason"] == "stop_ratio"
+    units = np.diff(tr.times) / ds
+    np.testing.assert_allclose(units, np.rint(units), rtol=0, atol=1e-9)
+    units = np.rint(units).astype(int)
+    assert np.all(units[:200] == 1) and units[200] == 2
+    assert np.all(units & (units - 1) == 0)  # powers of two
+    assert np.all(units * ds <= np.maximum(ds, tr.times[:-1] / 100) + 1e-9)
+    assert np.all(np.diff(units) >= 0)
+    assert tr.meta["sample_stride"] == units[-1] > 8
+    assert mx.tau_threshold(tr) == pytest.approx(mx.tau_threshold(ref),
+                                                 rel=1e-5)
+    assert mx.fit_decay_rate(tr.times, tr.h).rate == pytest.approx(
+        mx.fit_decay_rate(ref.times, ref.h).rate, rel=1e-5)
+    assert tr.meta["n_steps"] < ref.meta["n_steps"]
+
+
+def test_exact_runs_take_one_step_per_grown_interval(monkeypatch):
+    """nu = 0 and heat runs take one step per sample interval also after
+    the stride grows (K0 = 4), and stay exact: their norms match the
+    uniform-grid run at the shared times."""
+    shear = mx.build_model("shear", profile="sin", k=1, M=16)
+    heat = mx.build_model("heat", k=1, M=16)
+    for prob, nu in ((shear, 0.0), (heat, 1e-2)):
+        f0 = mx.initial_datum(prob, "single-mode-m1")
+        monkeypatch.setattr(evolution, "K0", 10**9)
+        ref = mx.evolve(prob, f0, nu, 20.0)
+        monkeypatch.setattr(evolution, "K0", 4)
+        tr = mx.evolve(prob, f0, nu, 20.0)
+        assert tr.meta["sample_stride"] > 1
+        assert tr.meta["n_steps"] == len(tr) - 1 < ref.meta["n_steps"]
+        assert tr.meta["max_steps_per_sample"] == 1
+        assert tr.meta["err_est"] == 0.0
+        at = np.searchsorted(ref.times, tr.times - 1e-9)
+        np.testing.assert_allclose(ref.times[at], tr.times, rtol=1e-13)
+        np.testing.assert_allclose(tr.h, ref.h[at], rtol=1e-12)
+        np.testing.assert_allclose(tr.h1, ref.h1[at], rtol=1e-12)
