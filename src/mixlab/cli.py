@@ -161,10 +161,20 @@ def _q_fits(rows) -> dict:
     return fits
 
 
+#: ed-sweep's viscosity grid when --nus is not given
+_NU_GRID = {"nu_min": 1e-6, "nu_max": 1e-3, "nu_count": 8}
+
+
 def _cmd_ed_sweep(args) -> int:
+    a = vars(args)
+    for flag, other in [("nus", key) for key in _NU_GRID] + [("k_list", "k")]:
+        if a[flag] is not None and a[other] is not None:
+            raise ValueError(f"--{flag} and --{other} both set the sweep's "
+                             "values; give one".replace("_", "-"))
+    lo, hi, count = (_NU_GRID[key] if a[key] is None else a[key]
+                     for key in _NU_GRID)
     nus = tuple(float(x) for x in args.nus.split(",") if x.strip()) \
-        if args.nus else tuple(np.geomspace(args.nu_min, args.nu_max,
-                                            args.nu_count))
+        if args.nus else tuple(np.geomspace(lo, hi, count))
     ks = tuple(int(x) for x in args.k_list.split(",")) if args.k_list \
         else None if args.k is None else (args.k,)
     flags = {flag: vars(args)[flag] for flag in _MODEL_FLAGS
@@ -386,13 +396,11 @@ def _build_parser() -> _Parser:
                        help="run a viscosity sweep and fit the "
                             "enhanced-dissipation exponent")
     _add_model_flags(p)
-    p.add_argument("--nus", default=None,
-                   help="comma-separated viscosities (overrides --nu-*)")
-    p.add_argument("--nu-min", type=float, default=1e-6)
-    p.add_argument("--nu-max", type=float, default=1e-3)
-    p.add_argument("--nu-count", type=int, default=8)
-    p.add_argument("--k-list", default=None,
-                   help="comma-separated wavenumbers (overrides --k)")
+    p.add_argument("--nus", help="comma-separated viscosities")
+    for key, value in _NU_GRID.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(value),
+                       help=f"default {value:g}; not with --nus")
+    p.add_argument("--k-list", help="comma-separated wavenumbers")
     # not given, each of these is None: SweepConfig's default
     p.add_argument("--datum")
     p.add_argument("--t-end-factor", type=float)

@@ -27,8 +27,8 @@ Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. A run stacks, once, the weights of its sampled orders (1,
 lam, 1/lam, and lam^2 with ``"h2"``; see
 :func:`mixlab.spectral.hs_weights`) over the mask of the top band of
-eigenvalues, so each sample is one product ``W @ |g|^2``. Samples fill an
-array preallocated from the sample grid, and every sample is kept.
+eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
+kept, in a buffer that doubles when it is full.
 
 Time steps. Time is counted in units ``ds``: an explicit ``dt``, the
 fixed-step reference of the tests, or, for every run of the CLI and of
@@ -39,6 +39,9 @@ a multiple of 2 s: the grid stays nested, holds about K0 samples per
 doubling of elapsed time, and its spacing never exceeds
 max(sample_every ds, t/K0). A run shorter than 2 K0 ds samples every
 ``sample_every`` units. The last interval ends at t_end and may be short.
+The loop takes each next sample from this rule, so nothing is sized by
+the horizon t_end/ds. A run also stops, with a warning, at the first
+sample whose h^2 is below the smallest normal double.
 
 Each sample interval is m Strang steps of s ds/m: m = s with an explicit
 ``dt``, m = 1 where the step is exact (nu = 0 or B = 0), and under error
@@ -161,19 +164,6 @@ def _strang_step(problem: ModelProblem, nu: float, dt: float):
     return step
 
 
-def _sample_grid(n_int: int, stride: int) -> np.ndarray:
-    """The sample indices j (at t = j ds) of a run of n_int intervals ds:
-    every ``stride``-th, the stride doubling at j = 2 stride K0 so that the
-    spacing stays within max(stride, j/K0), and the last index n_int. The
-    grid is nested: each doubling falls on a multiple of the new stride."""
-    parts, j = [], 0
-    while 2 * stride * K0 < n_int:
-        parts.append(np.arange(j, 2 * stride * K0, stride))
-        j, stride = 2 * stride * K0, 2 * stride
-    parts += [np.arange(j, n_int, stride), [n_int]]
-    return np.concatenate(parts).astype(int)
-
-
 def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
            dt: float | None = None, sample_every: int | None = None,
            stop_ratio: float | None = None, extras: tuple = ()) -> DecayTrace:
@@ -201,15 +191,16 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     extras
         Extra norms to sample; currently ``"h2"``.
 
-    Returns a :class:`DecayTrace` whose ``meta`` records, besides the
-    stop reason and the occupancy monitor, ``n_steps`` (check steps
-    included), the final ``sample_stride`` and its ``sample_interval``
-    (stride times ``ds``), ``max_steps_per_sample`` (the most steps in one
-    sample interval), ``err_est``, the summed step-doubling estimate (None
-    with an explicit ``dt``), and the ``versions`` of mixlab, numpy and
-    scipy; the trace's ``dt`` is the smallest regular step. Raises
-    :class:`EvolutionError` on non-finite state, and ValueError on a
-    negative or non-finite ``nu`` and on a bad step control.
+    Returns a :class:`DecayTrace` whose ``meta`` records, besides the stop
+    reason (``"t_end"``, ``"stop_ratio"`` or ``"underflow"``) and the
+    occupancy monitor, ``n_steps`` (check steps included), the final
+    ``sample_stride`` and its ``sample_interval`` (stride times ``ds``),
+    ``max_steps_per_sample`` (the most steps in one sample interval),
+    ``err_est``, the summed step-doubling estimate (None with an explicit
+    ``dt``), and the ``versions`` of mixlab, numpy and scipy; the trace's
+    ``dt`` is the smallest regular step. Raises :class:`EvolutionError` on
+    non-finite state, and ValueError on a negative or non-finite ``nu``
+    and on a bad step control.
     """
     if not (np.isfinite(nu) and nu >= 0.0):
         raise ValueError(f"nu must be finite and nonnegative, got {nu:g}")
@@ -219,23 +210,22 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         raise ValueError(f"stop_ratio must lie in (0, 1), got {stop_ratio:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt:g}")
-    stride = 1 if sample_every is None else sample_every
-    if not (float(stride).is_integer() and stride >= 1):
+    s = 1 if sample_every is None else sample_every  # the sample stride
+    if not (float(s).is_integer() and s >= 1):
         raise ValueError(f"sample_every must be an integer >= 1, got "
                          f"{sample_every}")
-    stride = int(stride)
+    s = int(s)
     c0 = np.asarray(f_in, dtype=complex)
     g = problem._internal(c0)  # ValueError unless c0 has shape (size,)
     want_h2 = "h2" in extras
     orders = (0.0, 1.0, -1.0, 2.0) if want_h2 else (0.0, 1.0, -1.0)
     ds = default_dt(problem, t_end) if dt is None else dt
     meta = {"err_est": None if dt is not None else 0.0,
-            "occupancy_max": 0.0, "warnings": [], "stop_reason": "t_end",
+            "warnings": [], "stop_reason": "t_end",
             "versions": {"mixlab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
 
-    # sample indices: t = j ds; 0 for t_end = 0
-    grid = _sample_grid(int(np.ceil(t_end / ds - 1e-12)), stride)
+    n_int = int(np.ceil(t_end / ds - 1e-12))  # the run ends at n_int ds
     op = problem.op
     lam = op.lam
     cut = np.sort(lam)[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam.size)) - 1]
@@ -260,33 +250,33 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         n_steps += n
         return g
 
-    # a column per sample: the squared norm of each order, and the top
-    # band's share of the energy
-    samples = np.empty((1 + len(orders), grid.size))
+    # a column per sample: its index j, the squared norm of each order and
+    # the top band's energy; the buffer doubles when it is full
+    samples = np.empty((2 + len(orders), 1024))
     n_rec = 0
 
-    def record(g):
-        nonlocal n_rec
+    def record(g, j):
+        """Sample g at t = j ds; returns its h^2."""
+        nonlocal samples, n_rec
         sums = weights @ np.square(np.abs(g, out=a2), out=a2)
         if not np.isfinite(sums[0]):
             raise EvolutionError(
-                f"non-finite H norm at t={grid[n_rec] * ds:g} "
+                f"non-finite H norm at t={j * ds:g} "
                 f"(model {problem.name}, nu={nu:g}, dt={s * ds / m:g})"
             )
-        samples[:, n_rec] = sums
-        if sums[0] > 0:
-            samples[-1, n_rec] /= sums[0]
-            meta["occupancy_max"] = max(meta["occupancy_max"],
-                                        float(samples[-1, n_rec]))
+        if n_rec == samples.shape[1]:
+            full, samples = samples, np.empty((len(samples), 2 * n_rec))
+            samples[:, :n_rec] = full
+        samples[0, n_rec] = j
+        samples[1:, n_rec] = sums
         n_rec += 1
-        return np.sqrt(sums[0])
+        return sums[0]
 
     # m steps per sample interval of s ds: m = s keeps an explicit dt
-    s = stride
     m = m_max = s if dt is not None else 1
     dt_min = ds if dt is not None else s * ds  # the smallest regular step
     at_cap = False
-    h0 = record(g)
+    h0 = np.sqrt(record(g, 0))
     floor = stop_ratio * h0 if stop_ratio else -1.0
     # the step is exact without viscosity, without advection, or on the
     # zero state
@@ -294,9 +284,10 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         and h0 > 0.0
     exact = dt is None and not controlled
 
-    for k in range(grid.size - 1):  # no list of the grid: it may be long
-        j = int(grid[k])
-        span = int(grid[k + 1]) - j
+    j = k = 0  # t = j ds after k sample intervals
+    while j < n_int:
+        # the stride doubles at j = 2 s K0; the last interval ends at n_int
+        span = min(2 * s if j == 2 * s * K0 else s, n_int - j)
         if span > s:  # the stride doubled at j: m too, unless exact
             s = span
             if not exact:
@@ -322,12 +313,23 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
                 m //= 2
         else:  # a last, shorter interval takes steps no longer than m's
             g = advance(g, -(-m * span // s), span)
-        if record(g) <= floor:
+        j, k = j + span, k + 1
+        h2 = record(g, j)
+        if np.sqrt(h2) <= floor:
             meta["stop_reason"] = "stop_ratio"
             break
+        if h2 < np.finfo(float).tiny and h0 > 0.0:  # the zero state aside
+            meta["stop_reason"] = "underflow"
+            meta["warnings"].append(f"h^2 underflowed at t={j * ds:g}; the "
+                                    "run stops there")
+            break
 
+    samples = samples[:, :n_rec]
+    occupancy = np.divide(samples[-1], samples[1], out=samples[-1].copy(),
+                          where=samples[1] > 0)
     meta.update(n_steps=n_steps, sample_stride=s, sample_interval=s * ds,
-                max_steps_per_sample=m_max)
+                max_steps_per_sample=m_max,
+                occupancy_max=float(occupancy.max()))
     if at_cap:
         meta["warnings"].append(
             f"step control reached {MAX_SUBSTEPS} steps per sample interval "
@@ -339,14 +341,14 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             "spectral truncation may be felt; raise the resolution"
         )
 
-    norms = np.sqrt(samples[:-1, :n_rec])
+    norms = np.sqrt(samples[1:-1])
     return DecayTrace(
-        times=grid[:n_rec] * ds, h=norms[0], h1=norms[1],
+        times=samples[0] * ds, h=norms[0], h1=norms[1],
         hm1=norms[2], nu=nu, model=problem.name,
         params=dict(problem.params), dt=dt_min,
         extras={"h2": norms[3]} if want_h2 else {}, meta=meta,
         final_state=op.from_internal(g) if n_rec > 1 else c0.copy(),
-        occupancy=samples[-1, :n_rec].copy(),
+        occupancy=occupancy,
     )
 
 

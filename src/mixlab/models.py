@@ -707,6 +707,14 @@ def _family(name: str):
                          f"{sorted(FAMILIES)}") from None
 
 
+def _builder_defaults(family: str) -> dict:
+    """Each keyword of ``family``'s builder with its default (heat's is a
+    ``partial``): the one reader of the defaults."""
+    build = _family(family)[0]
+    return {**getattr(build, "func", build).__kwdefaults__,
+            **getattr(build, "keywords", {})}
+
+
 def build_model(name: str, **params) -> ModelProblem:
     """Build a model by family name from its builder's keywords; the
     model carries the family name (``"heat"`` is a shear build)."""
@@ -941,7 +949,7 @@ def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
     "single-mode-m1" or "gaussian-bump" (no seeded datum: `seed` unused).
     """
     times = _series_times(times)
-    disk = {**build_spiral.__kwdefaults__, **model, "N": N}
+    disk = {**_builder_defaults("spiral"), **model, "N": N}
     k = disk["k"]
     w, diag, off, rate, p, _, data = _disk(**disk)
     if datum not in data:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, evolve, write_trace
-from .models import FAMILIES, build_model, initial_datum, model_params
+from .models import FAMILIES, _builder_defaults, build_model, \
+    initial_datum, model_params
 
 __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
            "row_key", "row_datum", "row_groups"]
@@ -74,7 +75,7 @@ class SweepConfig:
 
     def __post_init__(self):
         model_params(self.model, self.model_flags)  # refuses unread flags
-        build, flags, axis = FAMILIES[self.model]
+        _, flags, axis = FAMILIES[self.model]
         own = {flag for flag in flags if flag not in (axis, "resolution")}
         if set(self.model_flags) - own or None in self.model_flags.values():
             raise ValueError(f"model_flags {self.model_flags}: a {self.model} "
@@ -97,7 +98,7 @@ class SweepConfig:
         for name, form in _NAMES.items():
             values, seen = tuple(getattr(self, name + "s")), {}
             if name == axis and not values:  # the builder's default
-                values = (build.__kwdefaults__[flags[axis]],)
+                values = (_builder_defaults(self.model)[flags[axis]],)
             object.__setattr__(self, name + "s", values)  # JSON gives lists
             if bool(values) != (name in crossed):
                 raise ValueError(
@@ -202,24 +203,15 @@ def _checked_fields(cls, data: dict, source: str) -> dict:
     return data
 
 
-def _flag_keywords(model: str, flags: dict) -> dict:
-    """The builder keywords of a sweep's ``model_flags``, the builder's
-    default in place of each flag left out: the model, not its spelling."""
-    build, reads, axis = FAMILIES[model]
-    defaults = {**getattr(build, "func", build).__kwdefaults__,
-                **getattr(build, "keywords", {})}  # heat is a partial
-    return {**{key: defaults[key] for flag, key in reads.items()
-               if flag not in (axis, "resolution")},
-            **model_params(model, flags)}
-
-
 def _same_setting(model: str, name: str, found, value) -> bool:
     """Whether a row's recorded :meth:`SweepConfig.row_config` field
     ``name`` matches this sweep's; model flags match when they give the
-    builder the same keywords."""
+    builder the same keywords, its default in place of a flag left out."""
     if name != "model_flags":
         return found == value
-    return _flag_keywords(model, found) == _flag_keywords(model, value)
+    defaults = _builder_defaults(model)
+    return {**defaults, **model_params(model, found)} \
+        == {**defaults, **model_params(model, value)}
 
 
 def row_groups(cfg: SweepConfig, rows) -> list:

@@ -956,3 +956,39 @@ def test_benchmark_tracing_contract(tmp_path, monkeypatch):
     assert all(s["flop"] > 0 for s in evolves)
     assert {"evolution.propagator_setup", "models.series",
             "diagnostics.bound"} <= names
+
+
+@pytest.mark.parametrize("flags, both", [
+    (["--nus", "0.1,0.05,0.02,0.01", "--nu-count", "3"],
+     "--nus and --nu-count"),
+    (["--nu-min", "0.01", "--nus", "0.1,0.05"], "--nus and --nu-min"),
+    (["--nus", "0.1,0.05", "--nu-max", "0.5"], "--nus and --nu-max"),
+    (["--nus", "0.1,0.05", "--k-list", "1", "--k", "2"],
+     "--k-list and --k"),
+])
+def test_ed_sweep_refuses_flags_it_would_ignore(tmp_path, capsys, flags,
+                                                both):
+    """``--nus`` and a ``--nu-*`` flag, or ``--k-list`` and ``--k``, set
+    the same axis: given together, the sweep names both and makes no
+    directory."""
+    out = tmp_path / "s"
+    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "8",
+                     *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {both} both set the sweep's values" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_past_2_63_intervals_writes_the_shorter_run(tmp_path):
+    """A horizon of 2e19 intervals that --stop-ratio ends at t = 110
+    writes the trace of the same run to t_end = 1e6, byte for byte."""
+    base = ["simulate", "--model", "shear", "--resolution", "64", "--nu",
+            "1e-2", "--stop-ratio", "1e-3"]
+    for t_end in ("1e19", "1e6"):
+        assert cli.main([*base, "--t-end", t_end,
+                         "--out", str(tmp_path / t_end)]) == 0
+    name = "trace_shear_g2_k1_nu1.0000e-02"
+    for ext in (".csv", ".json"):
+        assert (tmp_path / "1e19" / (name + ext)).read_bytes() \
+            == (tmp_path / "1e6" / (name + ext)).read_bytes()

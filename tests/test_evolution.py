@@ -798,3 +798,71 @@ def test_exact_runs_take_one_step_per_grown_interval(monkeypatch):
         np.testing.assert_allclose(ref.times[at], tr.times, rtol=1e-13)
         np.testing.assert_allclose(tr.h, ref.h[at], rtol=1e-12)
         np.testing.assert_allclose(tr.h1, ref.h1[at], rtol=1e-12)
+
+
+def test_a_horizon_past_2_63_intervals_runs_as_a_shorter_one():
+    """Nothing in the run is sized by its horizon: a run to t_end = 1e19,
+    2e19 intervals of ds, that stop_ratio ends at t = 110 is the run to
+    t_end = 1e6, sample for sample."""
+    prob = mx.build_model("shear", M=64)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    far, near = (mx.evolve(prob, f0, 1e-2, t_end, stop_ratio=1e-3)
+                 for t_end in (1e19, 1e6))
+    assert far.meta["stop_reason"] == "stop_ratio" and len(far) == 221
+    for name in ("times", "h", "h1", "hm1", "occupancy", "final_state"):
+        assert np.array_equal(getattr(far, name), getattr(near, name))
+    assert far.meta == near.meta and far.dt == near.dt
+
+
+def test_a_short_last_interval_after_a_doubling_steps_as_before(monkeypatch):
+    """With K0 = 2 the stride doubles at j = 4 and at j = 8; a run of 11
+    intervals of ds ends with a span of 3 units, between the stride 2 and
+    its double 4. It is stepped, checked and recorded as it was when the
+    sample grid was a list made before the run: these values were
+    recorded then."""
+    monkeypatch.setattr(evolution, "K0", 2)
+    prob = mx.build_model("shear", M=16)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    tr = mx.evolve(prob, f0, 1e-2, 10.5 * 0.5)
+    assert np.array_equal(tr.times / 0.5, [0, 1, 2, 3, 4, 6, 8, 11])
+    np.testing.assert_allclose(tr.h, [
+        0.7071067811865475, 0.6999277791157607, 0.6919941652972816,
+        0.6825802940564781, 0.6710852551159082, 0.6402203032670467,
+        0.5979795171139428, 0.5176789924648345], rtol=1e-13)
+    assert tr.meta["n_steps"] == 239 and tr.meta["sample_stride"] == 3
+    assert tr.meta["max_steps_per_sample"] == 64 and tr.dt == 0.03125
+
+
+def test_a_long_run_keeps_every_sample(monkeypatch):
+    """The sample buffer grows with the run: 9000 intervals at one stride
+    (K0 out of reach) fill it several times over, and every sample is
+    kept, in order, on the exact decay of a single heat mode."""
+    monkeypatch.setattr(evolution, "K0", 10**9)
+    heat = mx.build_model("heat", k=1, M=8)
+    f0 = mx.initial_datum(heat, "single-mode-m1")
+    tr = mx.evolve(heat, f0, 0.05, 9.0, dt=1e-3)
+    assert len(tr) == 9001 and tr.meta["n_steps"] == 9000
+    assert np.array_equal(tr.times, np.arange(9001) * 1e-3)
+    pred = tr.h[0] * np.exp(-0.05 * 2.0 * tr.times)
+    np.testing.assert_allclose(tr.h, pred, rtol=1e-11)
+    np.testing.assert_allclose(tr.h1, np.sqrt(2.0) * tr.h, rtol=1e-14)
+    assert tr.occupancy.shape == (9001,) and not tr.occupancy.any()
+
+
+def test_a_run_whose_norm_underflows_stops_and_says_so():
+    """h^2 below the smallest normal double has lost precision, and on
+    would read h = 0 with a nonzero state and an estimate of nan: the run
+    stops at the first such sample, with a warning, before the step
+    control runs up to its cap (101,129 steps to the first h = 0)."""
+    prob = mx.build_model("shear", M=8)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    tr = mx.evolve(prob, f0, 0.1, 1.05 * 1477)
+    assert tr.meta["stop_reason"] == "underflow"
+    assert np.all(tr.h > 0) and tr.h[-1] ** 2 < np.finfo(float).tiny
+    assert np.all(tr.h[:-1] ** 2 >= np.finfo(float).tiny)
+    assert tr.meta["n_steps"] <= 101_129
+    assert [w for w in tr.meta["warnings"] if "underflowed" in w]
+    assert not [w for w in tr.meta["warnings"] if "step control" in w]
+    # the zero state has no norm to lose: it runs to t_end
+    zero = mx.evolve(prob, np.zeros_like(f0), 0.1, 5.0)
+    assert zero.meta["stop_reason"] == "t_end" and not zero.h.any()
