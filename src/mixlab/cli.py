@@ -84,6 +84,9 @@ def _cmd_simulate(args) -> int:
           f"samples={len(trace)}")
     print(f"final t={trace.times[-1]:.6g} h={trace.h[-1]:.10g} "
           f"h1={trace.h1[-1]:.10g} hm1={trace.hm1[-1]:.10g}")
+    print(f"stop reason: {trace.meta['stop_reason']}")
+    for warning in trace.meta["warnings"]:
+        print(f"  warning: {warning}")
     print(f"trace written to {path}")
     return 0
 

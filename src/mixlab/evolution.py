@@ -11,9 +11,14 @@ eigenvalues ``lam`` and the inner product is flat:
 
 with ``advect = op.flow(dt)``, formed once per step size. A step
 allocates one array, ``half * g``, and works in it: on the Fourier grid
-(shear) the flow is an unscaled inverse FFT into it, a multiply by the
-grid phase with the forward FFT's 1/n folded in, and an unscaled forward
-FFT into it; the second half-step scales it in place. For the matrix
+(shear) the flow of complex coefficients is an unscaled inverse FFT into
+it, a multiply by the grid phase with the forward FFT's 1/n folded in,
+and an unscaled forward FFT into it; the second half-step scales it in
+place. A real datum under an odd profile (``single-mode-m1`` under
+``sin``) has real coefficients, which the flow keeps real: there it is
+one ``dgbmv`` with the phase's real kernel, a band formed once per step
+size, into a second array (:meth:`mixlab.models.FourierPhase.flow`;
+where that band is wide, the FFT pair on a complex copy). For the matrix
 families (Kolmogorov, kinetic) the flow is one ``zgbmv`` with the band
 of exp(-B dt), formed from its Chebyshev-Bessel series by probing, into
 a second array; where no narrow band exists (kinetic d >= 2, or a step

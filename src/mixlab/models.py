@@ -19,7 +19,9 @@ kinetic) — is the model's one spectral frame. It stores the weights of
 the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
 the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
-Fourier grid it overwrites its argument), or the Chebyshev-Bessel series
+Fourier grid, an FFT pair that overwrites a complex argument, or, for
+real coefficients under an odd shear, one banded product with the
+phase's real kernel), or the Chebyshev-Bessel series
 in the banded Hermitian iB, a polynomial formed once per step
 size as one narrow band and applied by one ``zgbmv`` a step, or summed at
 each step (about 13 O(n) products) where no narrow band exists.
@@ -59,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dtbsv, zgbmv
+from scipy.linalg.blas import dgbmv, dtbsv, zgbmv
 from scipy.linalg.lapack import dpttrf
 
 from .spectral import fractional_symbol, hs_norm
@@ -164,10 +166,23 @@ def _grid_times(mult: np.ndarray):
     return apply
 
 
+ODD_ULPS = 16.0  # |rate(-y) + rate(y)| <= ODD_ULPS eps max|rate|: odd
+KERNEL_CUT = 4.0  # the real kernel is cut below KERNEL_CUT eps max|p_l|
+BAND_COST = 8.0  # a band of 2w + 1 <= BAND_COST log2 n diagonals is cheaper
+
+
 class FourierPhase:
     """B = i * rate(y) on the grid of a Fourier series (shear, heat); the
     internal coordinates are the state's own Fourier coefficients, and the
-    working product is flat (``w = 1``)."""
+    working product is flat (``w = 1``).
+
+    Where the rate is odd on the grid (``odd``: rate(-y) = -rate(y) to a
+    few ulps of max|rate|, as for the ``sin``, ``sin2`` and ``zero``
+    profiles), the flow keeps real coefficients real, since it keeps
+    f(-y) = conj f(y). The internal coordinates of a state whose
+    imaginary part is exactly zero are then its real parts, a float64
+    copy; any other state stays complex. ``from_internal`` always returns
+    complex coefficients."""
 
     kind = "phase"
     w = 1.0
@@ -175,19 +190,65 @@ class FourierPhase:
     def __init__(self, lam: np.ndarray, rate: np.ndarray):
         self.lam = lam
         self.rate = rate
+        n = np.size(rate)
+        self.odd = np.ndim(rate) == 1 and n % 2 == 0 and bool(np.all(
+            np.abs(rate[-np.arange(n)] + rate)
+            <= ODD_ULPS * np.finfo(float).eps * np.abs(rate).max(initial=0.0)))
 
     def to_internal(self, state) -> np.ndarray:
-        return np.asarray(state, dtype=complex)
+        c = np.asarray(state, dtype=complex)
+        return c.real.copy() if self.odd and not c.imag.any() else c
 
     def from_internal(self, g: np.ndarray) -> np.ndarray:
-        return g
+        return np.asarray(g, dtype=complex)
 
     def apply_B(self, g: np.ndarray) -> np.ndarray:
         return _grid_times(1j * self.rate)(np.array(g, dtype=complex))
 
+    def _band(self, phase: np.ndarray):
+        """The flow on real coefficients as one ``dgbmv``, or None where
+        its band is wide. For an odd rate the grid ``phase`` has the real
+        kernel p_l = Re fft(phase)_l / n, and c_m -> sum_l p_l c_{m-l}
+        (indices mod n) is the cyclic convolution, aliasing included, that
+        the FFT pair computes. The kernel is cut at the half-width w past
+        which every |p_l| is below ``KERNEL_CUT`` eps max|p|, its round-off
+        floor (for ``sin``, J_l(t) past |l| = 11 at t = 0.5). The band is
+        the n x (n + 2w) Toeplitz matrix with kl = 0, ku = 2w, whose
+        storage row q is the constant p_{q-w}, applied to the state
+        extended periodically by w on each side. It is wide, and the FFT
+        pair is cheaper, once 2w + 1 > min(n, ``BAND_COST`` log2 n)."""
+        n = phase.size
+        p = np.fft.fft(phase).real / n
+        dist = np.minimum(np.arange(n), n - np.arange(n))  # |l| mod n
+        w = int(dist[np.abs(p) > KERNEL_CUT * np.finfo(float).eps
+                     * np.abs(p).max()].max())
+        if 2 * w + 1 > min(n, BAND_COST * np.log2(n)):
+            return None
+        ab = np.asfortranarray(np.broadcast_to(
+            p[np.arange(-w, w + 1), None], (2 * w + 1, n + 2 * w)))
+        ext = (np.arange(n + 2 * w) - w) % n
+        return lambda g: dgbmv(n, n + 2 * w, 0, 2 * w, 1.0, ab, g[ext])
+
     def flow(self, t: float):
-        """The flow g -> e^{-Bt} g, which overwrites its argument."""
-        return _grid_times(np.exp(-1j * self.rate * t))
+        """The flow g -> e^{-Bt} g. A complex g goes through the FFT pair
+        of ``_grid_times``, which overwrites it. A real g (``odd`` only) is
+        mapped into a new real array: by the band of :meth:`_band`, formed
+        on the first real call, or where that band is wide by the FFT pair
+        on a complex copy, whose real part is kept."""
+        phase = np.exp(-1j * self.rate * t)
+        pair = _grid_times(phase)
+        real = None
+
+        def apply(g):
+            nonlocal real
+            if np.iscomplexobj(g):
+                return pair(g)
+            if real is None:
+                real = self._band(phase) \
+                    or (lambda x: pair(x.astype(complex)).real)
+            return real(g)
+
+        return apply
 
     def inviscid(self, state, t: float) -> np.ndarray:
         return self.flow(t)(np.array(state, dtype=complex))

@@ -24,7 +24,8 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
+from .diagnostics import TAIL_EFOLDS, THETA_DEFAULT, fit_decay_rate, \
+    tau_threshold
 from .evolution import EvolutionError, evolve, write_trace
 from .models import FAMILIES, _builder_defaults, build_model, \
     initial_datum, model_params
@@ -296,6 +297,11 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
         if rf.rate <= 0.0:
             raise ValueError(f"the tail fit gives {rf.rate:.3e} <= 0")
         result.rate, result.fit["rate_fit"] = rf.rate, asdict(rf)
+        if rf.window[0] == trace.times[0]:  # no tail: h never fell that far
+            result.meta["warnings"].append(
+                f"the decay rate is fitted over the whole trace: h fell "
+                f"{np.log(trace.h[0] / trace.h[-1]):.3g} e-folds, fewer than "
+                f"the {TAIL_EFOLDS:g} of a tail")
     except ValueError as exc:
         result.meta["warnings"].append(f"no decay rate: {exc}")
     return result, trace

@@ -992,3 +992,41 @@ def test_simulate_past_2_63_intervals_writes_the_shorter_run(tmp_path):
     for ext in (".csv", ".json"):
         assert (tmp_path / "1e19" / (name + ext)).read_bytes() \
             == (tmp_path / "1e6" / (name + ext)).read_bytes()
+
+
+def test_simulate_says_why_it_stopped(tmp_path, capsys):
+    """simulate prints its stop reason; a run without warnings prints
+    none."""
+    assert cli.main([*_SIM, "--resolution", "16", "--t-end", "100",
+                     "--stop-ratio", "1e-3", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "stop reason: stop_ratio" in out.splitlines()
+    assert "warning" not in out
+
+
+def test_simulate_prints_each_trace_warning(tmp_path, capsys):
+    """simulate prints the trace's warnings as ed-sweep prints a row's,
+    after its stop reason."""
+    assert cli.main(["simulate", "--model", "heat", "--resolution", "8",
+                     "--nu", "10", "--t-end", "100",
+                     "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    warned = "h^2 underflowed at t=17.7; the run stops there"
+    assert lines[2:4] == ["stop reason: underflow", f"  warning: {warned}"]
+    sidecar = _load_json(tmp_path / "trace_heat_k1_nu1.0000e+01.json")
+    assert sidecar["warnings"] == [warned]
+
+
+def test_a_rate_fitted_over_the_whole_trace_warns(tmp_path, capsys):
+    """A row whose h never falls TAIL_EFOLDS below its start has no tail:
+    its rate is fitted from the first sample, and the row says so."""
+    out = tmp_path / "s"
+    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "32",
+                     "--nus", "0.1", "--t-end-factor", "0.05",
+                     "--out", str(out)]) == 2
+    warned = ("the decay rate is fitted over the whole trace: h fell 0.1 "
+              "e-folds, fewer than the 3 of a tail")
+    assert f"  warning: {warned}" in capsys.readouterr().out.splitlines()
+    row = _load_json(out / "rows" / "heat_k1_nu1.0000e-01.json")
+    assert row["meta"]["warnings"] == [warned]
+    assert row["fit"]["rate_fit"]["window"][0] == 0.0

@@ -326,6 +326,59 @@ def test_exact_inviscid_unsupported_models():
         mx.exact_inviscid(kol, np.ones(kol.size, dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("M", [16, 64, 256])
+@pytest.mark.parametrize("profile", ["sin", "sin2"])
+def test_real_flow_is_the_fft_pair_on_the_complex_copy(profile, M):
+    """Under an odd profile the flow maps real coefficients to new real
+    ones, within 1e-15 of the real part of the FFT pair on their complex
+    copy, for a unit state. The steps fall on both sides of the band's
+    width rule in every case: the shortest takes the band, the longest
+    the FFT pair."""
+    prob = mx.build_model("shear", profile=profile, M=M)
+    assert prob.op.odd
+    rng = np.random.default_rng(M)
+    banded = []
+    for t in (1.0 / 32.0, 0.5, 2.0, 4.0, 40.0):
+        g = rng.standard_normal(prob.size)
+        g /= np.linalg.norm(g)
+        before = g.copy()
+        out = prob.op.flow(t)(g)
+        ref = prob.op.flow(t)(g.astype(complex))
+        assert out.dtype == np.float64 and np.array_equal(g, before)
+        assert np.abs(out - ref.real).max() <= 1e-15, t
+        banded.append(prob.op._band(np.exp(-1j * prob.op.rate * t))
+                      is not None)
+    assert banded[0] and not banded[-1]
+
+
+def test_real_data_of_odd_shears_have_real_coordinates(tmp_path):
+    """The internal coordinates of a datum with an exactly zero imaginary
+    part are real on an odd profile (shear, heat); other data, and any
+    datum of a profile that is not odd, stay complex. States handed back
+    are complex either way."""
+    for name in ("shear", "heat"):
+        prob = mx.build_model(name, M=16)
+        f0 = mx.initial_datum(prob, "single-mode-m1")
+        assert prob._internal(f0).dtype == np.float64, name
+        assert mx.evolve(prob, f0, 1e-2, 1.0).final_state.dtype \
+            == np.complex128
+        for out in (prob.project_low(f0, 4.0), prob.apply_A(f0),
+                    mx.step_viscous(prob, f0, 1e-2, 0.1)):
+            assert out.dtype == np.complex128
+    shear = mx.build_model("shear", M=16)
+    for datum in ("random-h1", "gaussian-bump"):
+        f0 = mx.initial_datum(shear, datum, seed=2)
+        assert shear._internal(f0).dtype == np.complex128, datum
+    path = tmp_path / "profile.csv"
+    y = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    path.write_text("y,u\n" + "".join(f"{a:.17g},{np.cos(a):.17g}\n"
+                                       for a in y))
+    table = mx.build_model("shear", profile=str(path), M=16)
+    assert not table.op.odd
+    f0 = mx.initial_datum(table, "single-mode-m1")
+    assert table._internal(f0).dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # initial data
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mixlab as mx
 from mixlab import sweep
+from mixlab.models import FourierPhase
 
 
 def _heat_cfg(out_dir, nus=(0.1,), **kw):
@@ -407,6 +408,34 @@ def test_row_error_stops_the_sweep_in_plan_order(tmp_path, workers):
     assert not os.path.exists(os.path.join(cut.out_dir, "sweep.csv"))
     mx.run_sweep(cut, workers=workers)
     assert _result_files(cut.out_dir) == _result_files(whole.out_dir)
+
+
+def test_a_shear_row_on_the_complex_path_matches_the_real_row(
+        tmp_path, monkeypatch):
+    """A shear row of a real datum steps real coefficients by the band;
+    forced onto complex coefficients and the FFT pair (the parity flag
+    off), it gives the same tau, 1/rate and step count."""
+    def row(out):
+        cfg = mx.SweepConfig(model="shear", nus=(1e-3,), resolution=64,
+                             out_dir=str(out))
+        (result,) = mx.run_sweep(cfg).rows
+        assert result.status == "ok"
+        return result
+
+    assert mx.build_model("shear", M=64).op.odd
+    real = row(tmp_path / "real")
+    init = FourierPhase.__init__
+
+    def complex_only(self, lam, rate):
+        init(self, lam, rate)
+        self.odd = False
+
+    monkeypatch.setattr(FourierPhase, "__init__", complex_only)
+    assert not mx.build_model("shear", M=64).op.odd
+    cplx = row(tmp_path / "complex")
+    assert cplx.tau == pytest.approx(real.tau, rel=1e-12, abs=0)
+    assert 1 / cplx.rate == pytest.approx(1 / real.rate, rel=1e-12, abs=0)
+    assert cplx.meta["n_steps"] == real.meta["n_steps"]
 
 
 def test_nonpositive_rate_fit_is_a_row_warning(tmp_path, monkeypatch):
