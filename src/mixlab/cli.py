@@ -27,7 +27,7 @@ from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; reserve 2 for numerics.
-    No abbreviations: ``ed-sweep --t-end`` is not ``--t-end-factor``."""
+    No abbreviations: ``ed-sweep --stop`` is not ``--stop-ratio``."""
 
     def __init__(self, **kw):
         super().__init__(allow_abbrev=False, **kw)
@@ -186,8 +186,8 @@ def _cmd_ed_sweep(args) -> int:
     axes = {axis + "s": (flags.pop(axis),)} if axis in flags else {}
     # a setting not given keeps SweepConfig's default
     given = {"ks": ks, "datum": args.datum, "resolution": args.resolution,
-             "t_end_factor": args.t_end_factor, "theta": args.theta,
-             "stop_ratio": args.stop_ratio, "out_dir": args.out}
+             "theta": args.theta, "stop_ratio": args.stop_ratio,
+             "out_dir": args.out}
     cfg = SweepConfig(model=args.model, nus=nus, **axes, model_flags=flags,
                       seed=args.seed,
                       **{k: v for k, v in given.items() if v is not None})
@@ -208,8 +208,8 @@ def _cmd_ed_sweep(args) -> int:
                 continue
             q_pred = rows[0].q_pred
             pred = f" (predicted {q_pred:.4g})" if q_pred else ""
-            print(f"{label}: q = {fit.exponent:.4f} +/- {fit.residual:.4f} "
-                  f"[{basis} time-scale]{pred}")
+            print(f"{label}: q = {fit.exponent:.4f} (rms residual "
+                  f"{fit.residual:.4f}) [{basis} time-scale]{pred}")
     print(f"sweep table: {result.csv_path}")
     if bad:
         print(f"{bad} row(s) did not complete", file=sys.stderr)
@@ -318,11 +318,11 @@ def _cmd_report(args) -> int:
                 entry[f"q_{basis}_note"] = str(fit)
                 continue
             entry[f"q_{basis}"] = fit.exponent
-            entry[f"q_{basis}_stderr"] = fit.residual
+            entry[f"q_{basis}_residual"] = fit.residual
             if q_meas is None:
                 q_meas = fit.exponent
-            print(f"{label}: q = {fit.exponent:.3f} +/- {fit.residual:.3f} "
-                  f"[{basis}]")
+            print(f"{label}: q = {fit.exponent:.3f} (rms residual "
+                  f"{fit.residual:.3f}) [{basis}]")
         q_pred = rows[0].q_pred
         entry["verdict"] = "insufficient data" if q_meas is None else \
             "no prediction" if q_pred is None else \
@@ -406,7 +406,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-list", help="comma-separated wavenumbers")
     # not given, each of these is None: SweepConfig's default
     p.add_argument("--datum")
-    p.add_argument("--t-end-factor", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--stop-ratio", type=float)
     p.add_argument("--workers", type=int, default=1,

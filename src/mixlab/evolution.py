@@ -35,11 +35,15 @@ lam, 1/lam, and lam^2 with ``"h2"``; see
 eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
 kept, in a buffer that doubles when it is full.
 
-Time steps. Time is counted in units ``ds``: an explicit ``dt``, the
-fixed-step reference of the tests, or, for every run of the CLI and of
-sweeps, :func:`default_dt`, the only time-step policy. Norms are sampled
-every s units. The stride s starts at ``sample_every`` and doubles at
-the sample t = j ds once 2 s ds <= t/K0, which first holds at j = 2 s K0,
+Time steps. A viscous run with ``stop_ratio`` first cuts its horizon to
+ln(1/stop_ratio)/(nu lam1), where the tail certificate below has brought
+h to ``stop_ratio`` h(0); a sweep row runs to exactly that time. Time is
+then counted in units ``ds``: an explicit ``dt``, the fixed-step
+reference of the tests, or, for every run of the CLI and of sweeps,
+:func:`default_dt` of that horizon, the only time-step policy (with
+B = 0, 2000 intervals of it). Norms are sampled every s units. The
+stride s starts at ``sample_every`` and doubles at the sample
+t = j ds once 2 s ds <= t/K0, which first holds at j = 2 s K0,
 a multiple of 2 s: the grid stays nested, holds about K0 samples per
 doubling of elapsed time, and its spacing never exceeds
 max(sample_every ds, t/K0). A run shorter than 2 K0 ds samples every
@@ -77,7 +81,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, log
 
 import numpy as np
 import scipy
@@ -146,6 +150,16 @@ def default_dt(problem: ModelProblem, t_end: float) -> float:
     return min(ds, t_end) if t_end > 0.0 else ds
 
 
+def _certified_horizon(problem: ModelProblem, nu: float, stop_ratio,
+                       t_end: float = np.inf) -> float:
+    """``t_end``, cut where the tail certificate h(t) <= exp(-nu lam1 t)
+    h(0) has brought h to ``stop_ratio`` h(0): ln(1/stop_ratio)/(nu lam1).
+    Without ``stop_ratio`` or viscosity there is no such time."""
+    if not stop_ratio or nu * problem.lam1 <= 0.0:
+        return t_end
+    return min(t_end, log(1.0 / stop_ratio) / (nu * problem.lam1))
+
+
 def step_viscous(problem: ModelProblem, f, nu: float, dt: float) -> np.ndarray:
     """One Strang step of the viscous flow, in the model's working basis."""
     return evolve(problem, f, nu, dt, dt=dt).final_state
@@ -178,11 +192,12 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     ----------
     problem, f_in, nu, t_end
         Model, initial state (working basis), viscosity (finite and
-        nonnegative; 0 = inviscid), final time.
+        nonnegative; 0 = inviscid), final time (finite; see
+        ``stop_ratio``).
     dt
         Step size, finite and positive: the run takes ceil(t_end/dt)
         steps of it, fewer if ``stop_ratio`` ends it. Default: the unit
-        ``ds = default_dt(problem, t_end)``, with m error-controlled steps
+        ``ds = default_dt`` of the horizon, with m error-controlled steps
         per sample interval (see the module docstring).
     sample_every
         The first sample stride, in steps of ``dt`` or units of ``ds``:
@@ -191,8 +206,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         t/K0) (see the module docstring); every recorded sample is kept.
     stop_ratio
         If set, in (0, 1): stop once h <= stop_ratio * h(0) (the sample
-        that crossed is recorded). Used by sweeps to capture the
-        asymptotic decay without running to the full horizon.
+        that crossed is recorded); with ``nu > 0``, end by
+        ln(1/stop_ratio)/(nu lam1), where the tail certificate has
+        brought h there. Used by sweeps to capture the asymptotic decay.
     extras
         Extra norms to sample; currently ``"h2"``.
 
@@ -224,6 +240,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     g = problem._internal(c0)  # ValueError unless c0 has shape (size,)
     want_h2 = "h2" in extras
     orders = (0.0, 1.0, -1.0, 2.0) if want_h2 else (0.0, 1.0, -1.0)
+    t_end = _certified_horizon(problem, nu, stop_ratio, t_end)
     ds = default_dt(problem, t_end) if dt is None else dt
     meta = {"err_est": None if dt is not None else 0.0,
             "warnings": [], "stop_reason": "t_end",

@@ -551,11 +551,12 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         basis="torus-fourier",
         data={"single-mode-m1": lambda: (modes == 1.0).astype(complex),
               # the bump at pi and its images at pi -+ 2 pi, periodic to
-              # round-off (the next images are below 1e-76)
+              # round-off (the next images are below 1e-76); even about pi,
+              # so its coefficients are real but for round-off, dropped here
               "gaussian-bump": lambda: np.fft.fft(sum(
                   np.exp(-((y - c) ** 2) / 0.5)
                   for c in (-np.pi, np.pi, 3 * np.pi)).astype(complex),
-                  norm="forward")},
+                  norm="forward").real.astype(complex)},
     )
 
 

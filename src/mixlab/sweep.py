@@ -26,7 +26,8 @@ import numpy as np
 
 from .diagnostics import TAIL_EFOLDS, THETA_DEFAULT, fit_decay_rate, \
     tau_threshold
-from .evolution import EvolutionError, evolve, write_trace
+from .evolution import EvolutionError, _certified_horizon, evolve, \
+    write_trace
 from .models import FAMILIES, _builder_defaults, build_model, \
     initial_datum, model_params
 
@@ -35,8 +36,9 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values: 2 = error-controlled steps, 3 = no ``dt``,
-#: 4 = one ``model_flags`` mapping; rows without a number predate all three
-ROW_FORMAT = 4
+#: 4 = one ``model_flags`` mapping, 5 = the certified horizon; rows
+#: without a number predate all four
+ROW_FORMAT = 5
 
 
 #: axis -> how a row name writes its value (k is a plan row's int)
@@ -53,10 +55,10 @@ class SweepConfig:
     their values (``{"L": 3.0}``). ``datum`` names the initial data: the
     seeded ``"random-h1"`` or a name in the model's ``problem.data``
     (default ``"single-mode-m1"``, the lowest nontrivial mode).
-    ``t_end_factor`` multiplies the predicted time-scale nu^-q (nu^-1 when
-    the model makes no prediction) to set the horizon; ``stop_ratio`` ends
-    a run early once h has fallen to that fraction of h(0), deep enough
-    for the tail rate fit. ``resolution`` overrides the model's default
+    ``stop_ratio`` ends a run once h has fallen to that fraction of h(0),
+    deep enough for the tail rate fit; the run's horizon is the time
+    ln(1/stop_ratio)/(nu lam1) by which the diffusive tail certificate
+    has got it there. ``resolution`` overrides the model's default
     truncation.
     """
 
@@ -68,7 +70,6 @@ class SweepConfig:
     model_flags: dict = field(default_factory=dict)
     datum: str = "single-mode-m1"
     resolution: int | None = None
-    t_end_factor: float = 20.0
     theta: float = THETA_DEFAULT
     stop_ratio: float = 1e-3
     seed: int = 0
@@ -91,9 +92,6 @@ class SweepConfig:
         if not 0.0 < self.stop_ratio < self.theta:
             raise ValueError(f"stop_ratio must lie in (0, theta = "
                              f"{self.theta:g}), got {self.stop_ratio}")
-        if not 0.0 < self.t_end_factor < np.inf:
-            raise ValueError(f"t_end_factor must be finite and positive, "
-                             f"got {self.t_end_factor}")
         # only the lists it crosses; no two values written alike in row names
         crossed = [name for name in (axis, "k", "nu") if name]
         for name, form in _NAMES.items():
@@ -123,6 +121,7 @@ class SweepConfig:
         lacks a required one."""
         data = json.loads(text)
         data.pop("dt", None)  # a setting of sweeps before row format 3
+        data.pop("t_end_factor", None)  # and before row format 5
         # row format 3's fields: the set ones the family reads are its flags
         old = {f: data.pop(f) for f in ("profile", "n0", "L") if f in data}
         reads = FAMILIES.get(data.get("model"), (None, {}))[1]
@@ -264,17 +263,16 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
     """Execute one row on its group's model; pure function of the four."""
     datum = row_datum(cfg, problem, index)
     nu = row["nu"]
-    q_pred = problem.q
-    t_end = cfg.t_end_factor * nu ** (-(q_pred if q_pred else 1.0))
-
     result = RowResult(
         key=row_key(cfg.model, row), model=cfg.model, alpha=row["alpha"],
         gamma=row["gamma"], n0=problem.params.get("n0"), k=row["k"], nu=nu,
-        tau=None, rate=None, q_pred=q_pred, status="ok",
+        tau=None, rate=None, q_pred=problem.q, status="ok",
         config=cfg.row_config(),
     )
     try:
-        trace = evolve(problem, datum, nu, t_end, stop_ratio=cfg.stop_ratio)
+        trace = evolve(problem, datum, nu,
+                       _certified_horizon(problem, nu, cfg.stop_ratio),
+                       stop_ratio=cfg.stop_ratio)
     except EvolutionError as exc:
         result.status = f"error: {exc}"
         return result, None

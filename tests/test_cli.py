@@ -222,7 +222,7 @@ def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 2, this sweep row_format = 4" in err
+    assert "row_format = 2, this sweep row_format = 5" in err
     assert "Traceback" not in err
 
 
@@ -252,7 +252,34 @@ def test_sweep_of_row_format_3_reports_but_does_not_resume(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "shear_g2_k1_nu1.0000e-01.json has row_format = 3, this sweep " \
-        "row_format = 4" in err
+        "row_format = 5" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_with_a_horizon_factor_reports_but_does_not_resume(tmp_path,
+                                                                 capsys):
+    """A sweep written when the horizon was a setting (row format 4, a
+    ``t_end_factor`` in its config and rows) loads without it, reports and
+    verifies; resuming it is refused."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    cfg_path = out / "sweep_config.json"
+    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path),
+                                    "t_end_factor": 20.0}))
+    for path in (out / "rows").iterdir():
+        row = _load_json(path)
+        row["config"].update(row_format=4, t_end_factor=20.0)
+        path.write_text(json.dumps(row))
+    assert mx.load_sweep(str(out)).config == cfg
+    assert cli.main(["report", str(out)]) == 0
+    assert cli.main(["verify-bound", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "row_format = 4, this sweep row_format = 5" in err
     assert "Traceback" not in err
 
 
@@ -295,10 +322,14 @@ def test_ed_sweep_refuses_nus_that_share_a_row_name(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys):
+def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys,
+                                              monkeypatch):
+    def no_crossing(trace, theta):
+        raise ValueError("h never falls below theta h(0)")
+
+    monkeypatch.setattr(sweep, "tau_threshold", no_crossing)
     rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
-                   "--t-end-factor", "0.05", "--resolution", "32",
-                   "--out", str(tmp_path / "short")])
+                   "--resolution", "32", "--out", str(tmp_path / "short")])
     assert rc == 2
     assert "did not complete" in capsys.readouterr().err
 
@@ -334,6 +365,18 @@ def test_report_recovers_synthetic_exponent(tmp_path):
     assert "q_rate_note" in entry
     assert entry["verdict"] == "consistent with prediction"
     assert (d / "tau_vs_nu_shear_g2_k1.svg").exists()
+
+
+def test_report_names_the_fit_residual(tmp_path, capsys):
+    """The spread printed and stored with a fitted q is the RMS residual
+    of log tau about the fitted line, and is named so."""
+    d = _synthetic_sweep_dir(tmp_path)
+    assert cli.main(["report", str(d)]) == 0
+    entry = _load_json(d / "report.json")["groups"]["shear_g2_k1"]
+    assert entry["q_crossing_residual"] < 1e-12
+    assert not [key for key in entry if key.endswith("_stderr")]
+    assert "shear_g2_k1: q = 0.600 (rms residual 0.000) [crossing]" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_report_verdict_exceeds_predicted_exponent(tmp_path, capsys):
@@ -544,7 +587,7 @@ def test_mix_rate_refuses_flags_its_families_do_not_read(capsys):
     for argv in (["mix-rate", "--model", "shear", "--L", "7"],
                  ["mix-rate", "--model", "shear", "--d", "3"],
                  ["mix-rate", "--model", "spiral", "--alph", "2"],
-                 ["ed-sweep", "--model", "heat", "--t-end", "3"]):
+                 ["ed-sweep", "--model", "heat", "--stop", "0.1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
@@ -735,8 +778,8 @@ def test_ed_sweep_defaults_are_the_sweep_configs(monkeypatch, model):
     monkeypatch.setattr(cli, "SweepConfig", config)
     monkeypatch.setattr(cli, "run_sweep", run)
     assert cli.main(["ed-sweep", "--model", model, "--nus", "0.1,0.05"]) == 1
-    assert not passed[0] & {"ks", "datum", "t_end_factor", "theta",
-                            "stop_ratio", "out_dir", "resolution"}
+    assert not passed[0] & {"ks", "datum", "theta", "stop_ratio", "out_dir",
+                            "resolution"}
     want = sweep.SweepConfig(model=model, nus=(0.1, 0.05))
     for f in dataclasses.fields(want):
         assert getattr(ran[0], f.name) == getattr(want, f.name), f.name
@@ -815,8 +858,6 @@ _SIM_SHEAR = ["simulate", "--model", "shear", "--resolution", "16",
     [*_SIM, "--sample-every", "-1"],
     [*_SIM, "--stop-ratio", "0"],
     [*_SIM, "--sample-every", "0"],
-    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01",
-     "--t-end-factor", "0"],
     [*_SIM_SHEAR, "--t-end", "inf"],
     [*_SIM_SHEAR, "--t-end", "nan"],
     [*_SIM, "--stop-ratio", "1.5"],
@@ -897,7 +938,6 @@ def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
     ("--theta", "0"),
     ("--stop-ratio", "1.5"),
     ("--stop-ratio", "-1"),
-    ("--t-end-factor", "0"),
     ("--resolution", "0"),
 ])
 def test_bad_sweep_controls_exit_code_1(tmp_path, capsys, flag, value):
@@ -1004,6 +1044,21 @@ def test_simulate_says_why_it_stopped(tmp_path, capsys):
     assert "warning" not in out
 
 
+def test_heat_simulate_past_its_certified_horizon(tmp_path, capsys):
+    """With no advection the sample interval is 1/2000 of the horizon.
+    A horizon far past where stop_ratio ends the run is cut to the time
+    by which the diffusive certificate gets h there, so the trace samples
+    the decay instead of jumping to h = 0."""
+    assert cli.main(["simulate", "--model", "heat", "--nu", "0.1",
+                     "--t-end", "1e19", "--stop-ratio", "1e-3",
+                     "--out", str(tmp_path)]) == 0
+    assert "stop reason: stop_ratio" in capsys.readouterr().out.splitlines()
+    trace = mx.read_trace(tmp_path / "trace_heat_k1_nu1.0000e-01.csv")
+    assert len(trace) > 2
+    assert 0.0 < trace.h[-1] <= 1e-3 * trace.h[0] < trace.h[-2]
+    assert trace.times[-1] <= np.log(1e3) / 0.1
+
+
 def test_simulate_prints_each_trace_warning(tmp_path, capsys):
     """simulate prints the trace's warnings as ed-sweep prints a row's,
     after its stop reason."""
@@ -1022,9 +1077,9 @@ def test_a_rate_fitted_over_the_whole_trace_warns(tmp_path, capsys):
     its rate is fitted from the first sample, and the row says so."""
     out = tmp_path / "s"
     assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "32",
-                     "--nus", "0.1", "--t-end-factor", "0.05",
-                     "--out", str(out)]) == 2
-    warned = ("the decay rate is fitted over the whole trace: h fell 0.1 "
+                     "--nus", "0.1", "--stop-ratio", "0.3",
+                     "--out", str(out)]) == 0
+    warned = ("the decay rate is fitted over the whole trace: h fell 1.21 "
               "e-folds, fewer than the 3 of a tail")
     assert f"  warning: {warned}" in capsys.readouterr().out.splitlines()
     row = _load_json(out / "rows" / "heat_k1_nu1.0000e-01.json")

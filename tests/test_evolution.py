@@ -240,7 +240,7 @@ def test_controlled_rows_match_fixed_step_rows(tmp_path):
                 model, {**vars(cfg), "alpha": row.alpha,
                         "gamma": row.gamma, "k": row.k}))
             f0 = mx.initial_datum(prob, cfg.datum)
-            t_end = cfg.t_end_factor * row.nu ** -(prob.q or 1.0)
+            t_end = evolution._certified_horizon(prob, row.nu, cfg.stop_ratio)
             ds = row.meta["sample_interval"]
             ref = mx.evolve(prob, f0, row.nu, t_end, dt=ds / 5,
                             sample_every=5, stop_ratio=cfg.stop_ratio)

@@ -145,6 +145,45 @@ def test_heat_sweep_tau_scales_like_inverse_nu(tmp_path):
         assert trace.nu == row.nu
 
 
+def test_a_heat_row_runs_to_its_certified_horizon(tmp_path):
+    """A heat row's horizon is ln(1/stop_ratio)/(nu lam1), the time by
+    which the tail certificate gets h to stop_ratio; its sample interval is
+    1/2000 of it, and the row stops on stop_ratio within it."""
+    cfg = _heat_cfg(tmp_path, nus=(0.1, 0.01))
+    for row in mx.run_sweep(cfg).rows:
+        horizon = np.log(1.0 / cfg.stop_ratio) / row.nu  # lam1 = 1
+        trace = mx.read_trace(os.path.join(str(tmp_path), row.trace_path))
+        assert row.meta["stop_reason"] == "stop_ratio"
+        assert trace.h[-1] <= cfg.stop_ratio * trace.h[0] < trace.h[-2]
+        assert trace.times[-1] == row.meta["t_end"] <= horizon
+        assert row.meta["sample_interval"] == pytest.approx(horizon / 2000,
+                                                            rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=-2.0), st.sampled_from([1.0, 2.0]))
+def test_the_certified_horizon_cuts_no_shear_row_short(log_nu, gamma):
+    """A shear row stops on stop_ratio well inside its certified horizon:
+    run with a horizon 10x longer, that evolve does not cut, it gives the
+    same tau, 1/rate and step count."""
+    cfg = mx.SweepConfig(model="shear", nus=(10.0 ** log_nu,),
+                         gammas=(gamma,), resolution=32)
+    (_, params, [(index, row)]), = sweep.row_groups(cfg, enumerate(cfg.rows()))
+    problem = mx.build_model("shear", **params)
+    certified, _ = sweep._run_row(cfg, problem, row, index)
+    horizon = sweep._certified_horizon(problem, row["nu"], cfg.stop_ratio)
+    with mock.patch.object(sweep, "_certified_horizon",
+                           lambda *args: 10.0 * horizon), \
+            mock.patch.object(mx.evolution, "_certified_horizon",
+                              lambda problem, nu, ratio, t_end: t_end):
+        longer, _ = sweep._run_row(cfg, problem, row, index)
+    assert certified.status == longer.status == "ok"
+    assert certified.meta["stop_reason"] == "stop_ratio"
+    assert longer.tau == certified.tau
+    assert longer.rate == certified.rate
+    assert longer.meta["n_steps"] == certified.meta["n_steps"]
+
+
 def test_resume_skips_finished_rows(tmp_path):
     cfg = _heat_cfg(tmp_path, nus=(0.1, 0.05))
     first = mx.run_sweep(cfg)
@@ -241,9 +280,13 @@ def test_sweep_deterministic_across_directories(tmp_path):
     assert _read(res_a.csv_path) == _read(res_b.csv_path)
 
 
-def test_unresolved_row_recorded_not_raised(tmp_path):
-    # horizon far too short to cross theta: status records it, nothing raises
-    cfg = _heat_cfg(tmp_path, nus=(0.1,), t_end_factor=0.05)
+def test_unresolved_row_recorded_not_raised(tmp_path, monkeypatch):
+    # a trace that never crosses theta: status records it, nothing raises
+    def no_crossing(trace, theta):
+        raise ValueError("h never falls below theta h(0)")
+
+    monkeypatch.setattr(sweep, "tau_threshold", no_crossing)
+    cfg = _heat_cfg(tmp_path, nus=(0.1,))
     result = mx.run_sweep(cfg)
     row = result.rows[0]
     assert row.status == "unresolved"
