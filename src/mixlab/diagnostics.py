@@ -148,8 +148,13 @@ def fit_decay_rate(times, values) -> ExpRateFit:
 def tau_threshold(trace: DecayTrace, theta: float = THETA_DEFAULT) -> float:
     """First time the working norm falls below theta * h(0).
 
-    Linear interpolation in (t, log h) between the bracketing samples.
-    Raises if the trace never crosses — the horizon was too short.
+    The crossing of the cubic Hermite interpolant of log h between the
+    bracketing samples, whose end slopes are those of the energy identity,
+    d log h/dt = -nu (h1/h)^2: exact for the continuous flow, and read
+    from the trace, so the error is the interpolant's, fourth order in the
+    spacing. Where a slope cannot be formed (nu = 0, h = 0), the linear
+    crossing in (t, log h). Raises if the trace never crosses — the
+    horizon was too short.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -166,8 +171,20 @@ def tau_threshold(trace: DecayTrace, theta: float = THETA_DEFAULT) -> float:
     if i == 0:
         return float(trace.times[0])
     t0, t1 = trace.times[i - 1], trace.times[i]
-    l0, l1 = lh[i - 1], lh[i]
-    return float(t0 + (target - l0) * (t1 - t0) / (l1 - l0))
+    l0, l1 = lh[i - 1] - target, lh[i] - target  # > 0 >= l1
+    x = l0 / (l0 - l1)  # the linear crossing, as a fraction of t1 - t0
+    h, h1 = trace.h[i - 1:i + 1], trace.h1[i - 1:i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0, d1 = -trace.nu * (h1 / h) ** 2 * (t1 - t0)  # the slopes in x
+    if trace.nu > 0.0 and np.isfinite(d0) and np.isfinite(d1):
+        # the Hermite cubic, minus the target, in x = (t - t0)/(t1 - t0),
+        # runs from l0 > 0 to l1 <= 0: its first real root in [0, 1]
+        c3, c2 = 2.0 * (l0 - l1) + d0 + d1, 3.0 * (l1 - l0) - 2.0 * d0 - d1
+        r = np.roots([c3, c2, d0, l0])
+        r = r.real[(r.imag == 0.0) & (r.real >= 0.0) & (r.real <= 1.0)]
+        if r.size:
+            x = r.min()
+    return float(t0 + x * (t1 - t0))
 
 
 _TIMESCALE_ATTR = {"crossing": "tau", "rate": "tau_rate"}

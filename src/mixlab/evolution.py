@@ -33,7 +33,12 @@ coordinates. A run stacks, once, the weights of its sampled orders (1,
 lam, 1/lam, and lam^2 with ``"h2"``; see
 :func:`mixlab.spectral.hs_weights`) over the mask of the top band of
 eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
-kept, in a buffer that doubles when it is full.
+kept, in a buffer that doubles when it is full. The top band is one or
+two contiguous slices of the internal order, and every state a kept
+interval steps through before its sampled end adds up their energy; the
+largest is charged against the next sample's h^2. h never increases, so
+a sample's top-band share bounds that of every state stepped through
+since the one before, and a sparse grid hides no peak of the run.
 
 Time steps. A viscous run with ``stop_ratio`` first cuts its horizon to
 ln(1/stop_ratio)/(nu lam1), where the tail certificate below has brought
@@ -41,13 +46,16 @@ h to ``stop_ratio`` h(0); a sweep row runs to exactly that time. Time is
 then counted in units ``ds``: an explicit ``dt``, the fixed-step
 reference of the tests, or, for every run of the CLI and of sweeps,
 :func:`default_dt` of that horizon, the only time-step policy (with
-B = 0, 2000 intervals of it). Norms are sampled every s units. The
+B = 0, 1000 intervals of it). Norms are sampled every s units. The
 stride s starts at ``sample_every`` and doubles at the sample
 t = j ds once 2 s ds <= t/K0, which first holds at j = 2 s K0,
 a multiple of 2 s: the grid stays nested, holds about K0 samples per
 doubling of elapsed time, and its spacing never exceeds
-max(sample_every ds, t/K0). A run shorter than 2 K0 ds samples every
-``sample_every`` units. The last interval ends at t_end and may be short.
+max(sample_every ds, t/K0). K0 = 500 is enough for the crossing time,
+which :func:`mixlab.diagnostics.tau_threshold` reads by a Hermite
+crossing on the energy identity, fourth order in the spacing. A run
+shorter than 2 K0 ds samples every ``sample_every`` units. The last
+interval ends at t_end and may be short.
 The loop takes each next sample from this rule, so nothing is sized by
 the horizon t_end/ds. A run also stops, with a warning, at the first
 sample whose h^2 is below the smallest normal double.
@@ -106,7 +114,7 @@ TOP_BAND_FRACTION = 0.10  # spectral occupancy monitor: top 10% of eigenvalues
 TOL = 1e-5  # step-doubling budget on the error in log h, per unit of log decay
 CHECK_EVERY = 16  # sample intervals from one step-doubling check to the next
 MAX_SUBSTEPS = 1024  # most steps per unit ds the controller takes
-K0 = 2000  # samples per doubling of elapsed time, once the stride grows
+K0 = 500  # samples per doubling of elapsed time, once the stride grows
 
 
 @dataclass
@@ -118,7 +126,8 @@ class DecayTrace:
     ``dt`` is the step of an explicit-step run, or the smallest regular
     step ``s ds/m`` of any other. The final state (``final_state``,
     in the model's working basis) and each sample's top-band energy share
-    (``occupancy``) are not serialized with the trace.
+    (``occupancy``: the most top-band energy of the states since the last
+    sample over this sample's h^2) are not serialized with the trace.
     """
 
     times: np.ndarray
@@ -141,12 +150,12 @@ class DecayTrace:
 def default_dt(problem: ModelProblem, t_end: float) -> float:
     """The unit ``ds`` of a run without an explicit step, its first sample
     interval: half the advection time 1/bound_B, at most 0.5. Pure
-    diffusion (B = 0) is exact at any step, so it splits t_end into 2000
+    diffusion (B = 0) is exact at any step, so it splits t_end into 1000
     intervals. Never longer than a positive ``t_end``."""
     if problem.bound_B > 0.0 or t_end <= 0.0:
         ds = 0.5 / max(1.0, problem.bound_B)
     else:
-        ds = t_end / 2000.0
+        ds = t_end / 1000.0
     return min(ds, t_end) if t_end > 0.0 else ds
 
 
@@ -256,19 +265,33 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     weights = np.array([hs_weights(lam, s) for s in orders] + [lam >= cut],
                        dtype=float)
     a2 = np.empty(lam.size)
+    # the top band as contiguous slices of the internal order (one or two)
+    edges = np.flatnonzero(np.diff(np.r_[0, weights[-1], 0])).tolist()
+    top = [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
     steppers = {}  # (span, n) in lowest terms -> one Strang step of span ds/n
     n_steps = 0
+    between = 0.0  # the most top-band energy of a kept interval's inner states
 
     def advance(g, n, span):
-        """An interval of span ds as n Strang steps of span ds/n."""
-        nonlocal n_steps
+        """An interval of span ds as n Strang steps of span ds/n;
+        ``between`` becomes the largest top-band energy of the states it
+        passes through before its last."""
+        nonlocal n_steps, between
         d = gcd(span, n)
         key = (span // d, n // d)
         if key not in steppers:
             steppers[key] = _strang_step(problem, nu, key[0] * ds / key[1])
         step = steppers[key]
-        for _ in range(n):
+        peak = 0.0
+        for i in range(n):
             g = step(g)
+            if i < n - 1:
+                energy = 0.0
+                for sl in top:
+                    v = g[sl]
+                    energy += np.vdot(v, v).real
+                peak = max(peak, energy)
+        between = peak
         n_steps += n
         return g
 
@@ -289,6 +312,8 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         if n_rec == samples.shape[1]:
             full, samples = samples, np.empty((len(samples), 2 * n_rec))
             samples[:, :n_rec] = full
+        # an inner state's share, charged to this h^2 <= its own, bounds it
+        sums[-1] = max(sums[-1], between)
         samples[0, n_rec] = j
         samples[1:, n_rec] = sums
         n_rec += 1
@@ -298,6 +323,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     m = m_max = s if dt is not None else 1
     dt_min = ds if dt is not None else s * ds  # the smallest regular step
     at_cap = False
+    tiny = np.finfo(float).tiny  # the smallest normal double
     h0 = np.sqrt(record(g, 0))
     floor = stop_ratio * h0 if stop_ratio else -1.0
     # the step is exact without viscosity, without advection, or on the
@@ -340,7 +366,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         if np.sqrt(h2) <= floor:
             meta["stop_reason"] = "stop_ratio"
             break
-        if h2 < np.finfo(float).tiny and h0 > 0.0:  # the zero state aside
+        if h2 < tiny and h0 > 0.0:  # the zero state aside
             meta["stop_reason"] = "underflow"
             meta["warnings"].append(f"h^2 underflowed at t={j * ds:g}; the "
                                     "run stops there")

@@ -1045,7 +1045,7 @@ def test_simulate_says_why_it_stopped(tmp_path, capsys):
 
 
 def test_heat_simulate_past_its_certified_horizon(tmp_path, capsys):
-    """With no advection the sample interval is 1/2000 of the horizon.
+    """With no advection the sample interval is 1/1000 of the horizon.
     A horizon far past where stop_ratio ends the run is cut to the time
     by which the diffusive certificate gets h there, so the trace samples
     the decay instead of jumping to h = 0."""

@@ -10,10 +10,18 @@ import mixlab as mx
 from mixlab import DecayTrace
 
 
-def _trace(times, h):
+def _trace(times, h, h1=None):
     times = np.asarray(times, dtype=float)
     h = np.asarray(h, dtype=float)
-    return DecayTrace(times=times, h=h, h1=h.copy(), hm1=h.copy(), nu=1e-3)
+    h1 = h.copy() if h1 is None else np.asarray(h1, dtype=float)
+    return DecayTrace(times=times, h=h, h1=h1, hm1=h.copy(), nu=1e-3)
+
+
+def _decay(t, rate):
+    """A trace of h = e^{-rate t} that keeps the energy identity
+    d log h/dt = -nu (h1/h)^2: h1 = h sqrt(rate/nu)."""
+    h = np.exp(-rate * np.asarray(t, dtype=float))
+    return _trace(t, h, h * np.sqrt(rate / 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +82,28 @@ def test_fit_decay_rate_uses_asymptotic_tail():
 
 def test_tau_threshold_exact_exponentials():
     t = np.linspace(0.0, 10.0, 300)
-    tr = _trace(t, np.exp(-t))
+    tr = _decay(t, 1.0)
     assert mx.tau_threshold(tr) == pytest.approx(1.0, abs=1e-9)
-    tr = _trace(t, np.exp(-4.0 * t))
+    tr = _decay(t, 4.0)
     assert mx.tau_threshold(tr) == pytest.approx(0.25, abs=1e-9)
     # interpolation in log h is exact for exponentials even on coarse grids
     t = np.linspace(0.0, 10.0, 6)
-    tr = _trace(t, np.exp(-t))
+    tr = _decay(t, 1.0)
     assert mx.tau_threshold(tr) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_hermite_crossing_beats_the_chord_on_a_curved_decay():
+    """log h = 1 - e^t on a grid of 0.5: the Hermite crossing, whose end
+    slopes -nu (h1/h)^2 = -e^t the trace carries, lands closer to the true
+    tau = ln 2 than the linear crossing, which the same trace gives
+    without viscosity (no slope can be formed)."""
+    t = np.linspace(0.0, 3.0, 7)
+    h = np.exp(1.0 - np.exp(t))
+    tr = _trace(t, h, h * np.sqrt(np.exp(t) / 1e-3))
+    truth = np.log(2.0)
+    hermite = mx.tau_threshold(tr)
+    linear = mx.tau_threshold(dataclasses.replace(tr, nu=0.0))
+    assert abs(hermite - truth) < abs(linear - truth)
 
 
 def test_tau_threshold_of_a_zero_trace_is_its_first_time():

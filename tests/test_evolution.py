@@ -1,5 +1,6 @@
 """Integrator tests: exactness, convergence order, conservation, trace IO."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -51,7 +52,10 @@ def test_strang_splitting_is_second_order():
         assert 3.5 < ratio < 4.5, f"{name}: expected O(dt^2), got {ratio}"
 
 
-def test_energy_residual_scales():
+def test_energy_residual_scales(monkeypatch):
+    # on the uniform grid of dt (K0 out of reach): the residual is a
+    # three-point difference over the sample spacing
+    monkeypatch.setattr(evolution, "K0", 10**9)
     heat = mx.build_model("heat", k=1, M=32)
     f0 = mx.initial_datum(heat, "single-mode-m1")
     tr = mx.evolve(heat, f0, 0.05, 10.0, dt=1e-3)
@@ -161,7 +165,7 @@ def test_viscous_flow_approaches_inviscid_limit():
 
 def test_default_dt_policy():
     heat = mx.build_model("heat", k=1, M=8)
-    assert default_dt(heat, 50.0) == pytest.approx(50.0 / 2000.0)
+    assert default_dt(heat, 50.0) == pytest.approx(50.0 / 1000.0)
     shear = mx.build_model("shear", profile="sin", k=1, M=8)
     assert default_dt(shear, 50.0) == pytest.approx(0.5)  # 0.5/max(1, 1)
     assert default_dt(shear, 0.2) == pytest.approx(0.2)  # capped at t_end
@@ -736,17 +740,19 @@ def test_step_control_at_its_cap_warns(monkeypatch):
 def test_short_runs_keep_the_uniform_sample_grid():
     """A controlled run that ends before t = 2 K0 ds samples every ds and
     steps as it did before the stride could grow: the values below were
-    recorded on that uniform grid."""
+    recorded on that uniform grid (K0 = 2000, t_end = 499.5)."""
     prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=32)
     f0 = mx.initial_datum(prob, "random-h1", seed=3)
     ds = default_dt(prob, 1e4)
-    assert 1999.5 < 2 * evolution.K0 * ds
-    tr = mx.evolve(prob, f0, 1e-4, 1999.5)
-    assert len(tr) == 4000 and tr.meta["sample_stride"] == 1
-    assert np.array_equal(tr.times, np.arange(4000) * ds)
-    assert tr.h[1234] == pytest.approx(0.01458528222105953, rel=1e-12)
-    assert tr.h[-1] == pytest.approx(1.2738347230242445e-05, rel=1e-12)
-    assert tr.meta["n_steps"] == 4633 and tr.dt == ds / 2
+    n = 2 * evolution.K0
+    t_end = (n - 1) * ds
+    assert t_end < 2 * evolution.K0 * ds
+    tr = mx.evolve(prob, f0, 1e-4, t_end)
+    assert len(tr) == n and tr.meta["sample_stride"] == 1
+    assert np.array_equal(tr.times, np.arange(n) * ds)
+    assert tr.h[617] == pytest.approx(0.07021473861181327, rel=1e-12)
+    assert tr.h[-1] == pytest.approx(0.0265388730626569, rel=1e-12)
+    assert tr.meta["n_steps"] == 1259 and tr.dt == ds / 2
 
 
 def test_the_sample_stride_grows_with_elapsed_time(monkeypatch):
@@ -866,3 +872,45 @@ def test_a_run_whose_norm_underflows_stops_and_says_so():
     # the zero state has no norm to lose: it runs to t_end
     zero = mx.evolve(prob, np.zeros_like(f0), 0.1, 5.0)
     assert zero.meta["stop_reason"] == "t_end" and not zero.h.any()
+
+
+def test_the_top_band_monitor_sees_between_samples(monkeypatch):
+    """A shear run (gamma = 2, M = 32, nu = 1e-6) to t = 2e4, about where
+    h reaches 1e-3 h(0), at a fixed step, so that every grid steps through
+    the same states. Its top-band share peaks near t = 17585, where the
+    stride of K0 = 500 has grown to 64 ds: the share charged from the
+    states between samples reads at least the peak of the uniform grid (K0
+    out of reach: one step an interval, no state between samples) and more
+    than the samples of K0 = 500 alone."""
+    prob = mx.build_model("shear", gamma=2.0, M=32)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    runs = []
+    for k0 in (evolution.K0, 10**9):
+        monkeypatch.setattr(evolution, "K0", k0)
+        runs.append(mx.evolve(prob, f0, 1e-6, 2e4, dt=0.5))
+    tr, ref = runs
+    assert tr.meta["occupancy_max"] >= ref.meta["occupancy_max"]
+    sampled = np.isin(ref.times, tr.times)
+    assert sampled.sum() == len(tr)
+    assert tr.meta["occupancy_max"] > ref.occupancy[sampled].max()
+
+
+def test_a_hermite_tau_on_the_grown_grid_matches_the_uniform_grid(
+        monkeypatch):
+    """A shear run at a fixed step (so both grids sample the same
+    states), crossing e^-1 at t = 1451 on a stride grown to 4 ds: its
+    Hermite tau is within 1e-6 of the uniform grid's (K0 out of reach),
+    where the linear crossing on the grown grid is not."""
+    prob = mx.build_model("shear", gamma=2.0, M=32)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    runs = []
+    for k0 in (evolution.K0, 10**9):
+        monkeypatch.setattr(evolution, "K0", k0)
+        runs.append(mx.evolve(prob, f0, 2e-6, 1e4, dt=0.5,
+                              stop_ratio=np.exp(-1.5)))
+    tr, ref = runs
+    tau = mx.tau_threshold(ref)
+    assert tr.meta["sample_stride"] > 1 == ref.meta["sample_stride"]
+    assert mx.tau_threshold(tr) == pytest.approx(tau, rel=1e-6)
+    linear = mx.tau_threshold(dataclasses.replace(tr, nu=0.0))
+    assert linear != pytest.approx(tau, rel=1e-6)

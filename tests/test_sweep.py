@@ -148,7 +148,7 @@ def test_heat_sweep_tau_scales_like_inverse_nu(tmp_path):
 def test_a_heat_row_runs_to_its_certified_horizon(tmp_path):
     """A heat row's horizon is ln(1/stop_ratio)/(nu lam1), the time by
     which the tail certificate gets h to stop_ratio; its sample interval is
-    1/2000 of it, and the row stops on stop_ratio within it."""
+    1/1000 of it, and the row stops on stop_ratio within it."""
     cfg = _heat_cfg(tmp_path, nus=(0.1, 0.01))
     for row in mx.run_sweep(cfg).rows:
         horizon = np.log(1.0 / cfg.stop_ratio) / row.nu  # lam1 = 1
@@ -156,7 +156,7 @@ def test_a_heat_row_runs_to_its_certified_horizon(tmp_path):
         assert row.meta["stop_reason"] == "stop_ratio"
         assert trace.h[-1] <= cfg.stop_ratio * trace.h[0] < trace.h[-2]
         assert trace.times[-1] == row.meta["t_end"] <= horizon
-        assert row.meta["sample_interval"] == pytest.approx(horizon / 2000,
+        assert row.meta["sample_interval"] == pytest.approx(horizon / 1000,
                                                             rel=1e-12)
 
 
