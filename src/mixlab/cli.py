@@ -75,7 +75,7 @@ def _cmd_simulate(args) -> int:
     problem = build_model(args.model, **model_params(args.model, vars(args)))
     f0 = initial_datum(problem, args.datum, seed=args.seed)
     trace = evolve(problem, f0, args.nu, args.t_end,
-                   sample_every=args.sample_every, stop_ratio=args.stop_ratio)
+                   stop_ratio=args.stop_ratio)
     out = _out_dir(args)
     key = row_key(args.model, {**problem.params, "nu": args.nu})
     path = os.path.join(out, f"trace_{key}.csv")
@@ -186,8 +186,7 @@ def _cmd_ed_sweep(args) -> int:
     axes = {axis + "s": (flags.pop(axis),)} if axis in flags else {}
     # a setting not given keeps SweepConfig's default
     given = {"ks": ks, "datum": args.datum, "resolution": args.resolution,
-             "theta": args.theta, "stop_ratio": args.stop_ratio,
-             "out_dir": args.out}
+             "stop_ratio": args.stop_ratio, "out_dir": args.out}
     cfg = SweepConfig(model=args.model, nus=nus, **axes, model_flags=flags,
                       seed=args.seed,
                       **{k: v for k, v in given.items() if v is not None})
@@ -217,6 +216,11 @@ def _cmd_ed_sweep(args) -> int:
     return 0
 
 
+#: horizon of the inviscid run that fits the mixing amplitude; a
+#: resolution policy (ROADMAP item 3) is to derive it
+_AMP_T_MAX = 100.0
+
+
 def _cmd_verify_bound(args) -> int:
     result = load_sweep(args.sweep_dir)
     cfg = result.config
@@ -235,7 +239,7 @@ def _cmd_verify_bound(args) -> int:
         # on its n samples before the first past the top-band flag
         a, t_fit, warnings = 0.0, np.inf, []
         for f0 in data.values():
-            trace = evolve(problem, f0, 0.0, args.amp_t_max)
+            trace = evolve(problem, f0, 0.0, _AMP_T_MAX)
             n = np.append(trace.occupancy > TOP_BAND_FLAG, True).argmax()
             if n == 0:
                 raise EvolutionError(
@@ -253,7 +257,7 @@ def _cmd_verify_bound(args) -> int:
         report["groups"][label] = {"a": a, "p": problem.p, "q": problem.q,
                                    "c0": c0, "datum": cfg.datum,
                                    "fit_t_max": t_fit, "warnings": warnings}
-        window = f" to t = {t_fit:g}" if t_fit < args.amp_t_max else ""
+        window = f" to t = {t_fit:g}" if t_fit < _AMP_T_MAX else ""
         print(f"{label}: fitted amplitude a = {a:g}{window}, c0 = {c0:.4g}, "
               f"q = {problem.q:.4g}")
         for warning in warnings:
@@ -267,7 +271,7 @@ def _cmd_verify_bound(args) -> int:
             # t_min = nu^-q
             rate = c0 * r.nu**problem.q * (
                 abs(r.k) ** (1.0 - problem.q) if spiral else 1.0)
-            check = theorem_bound_check(trace, r.nu, rate, r.nu**-problem.q,
+            check = theorem_bound_check(trace, rate, r.nu**-problem.q,
                                         tol=args.tol, lam1=problem.lam1)
             n_checked += 1
             n_fail += not check.passed
@@ -382,7 +386,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--datum", default="single-mode-m1")
     p.add_argument("--stop-ratio", type=float, default=None,
                    help="stop early once h falls below this fraction of h(0)")
-    p.add_argument("--sample-every", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("mix-rate", parents=[common],
@@ -406,7 +409,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-list", help="comma-separated wavenumbers")
     # not given, each of these is None: SweepConfig's default
     p.add_argument("--datum")
-    p.add_argument("--theta", type=float)
     p.add_argument("--stop-ratio", type=float)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the sweep rows (>= 1)")
@@ -417,9 +419,6 @@ def _build_parser() -> _Parser:
                             "completed sweep row")
     p.add_argument("sweep_dir")
     p.add_argument("--tol", type=float, default=5e-2)
-    p.add_argument("--amp-t-max", type=float, default=100.0,
-                   help="horizon of the inviscid run used to fit the "
-                        "mixing amplitude")
     p.set_defaults(func=_cmd_verify_bound)
 
     p = sub.add_parser("report", parents=[out],

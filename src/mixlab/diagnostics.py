@@ -224,17 +224,19 @@ def ed_exponent(pairs) -> RateFit:
 # ---------------------------------------------------------------------------
 # explicit decay-bound verification
 
-def theorem_bound_check(trace: DecayTrace, nu: float, rate: float,
-                        t_min: float, tol: float = 5e-2,
+def theorem_bound_check(trace: DecayTrace, rate: float, t_min: float,
+                        tol: float = 5e-2,
                         lam1: float | None = None) -> BoundReport:
     """Verify h(t) <= (1 + tol) e^{-rate t} h(0) for all t > ``t_min`` on
     the samples past t_min and, when ``lam1`` is given and
-    nu * lam1 >= rate, past the trace end by the integrator's exact
-    diffusive contraction (the trace endpoint then dominates everything
-    later). Every law ``(rate, t_min)`` of the theorem is checked here:
-    c0 nu^q from nu^-q, or :func:`exp_mixing_law`. A trace with neither a
+    nu * lam1 >= rate (nu is ``trace.nu``), past the trace end by the
+    integrator's exact diffusive contraction (the trace endpoint then
+    dominates everything later). Every law ``(rate, t_min)`` of the
+    theorem is checked here: c0 nu^q from nu^-q, or
+    :func:`exp_mixing_law`. A trace with neither a
     checked sample nor the certificate is refused: horizon too short.
     """
+    nu = trace.nu
     if nu <= 0.0:
         raise ValueError("bound check requires positive viscosity")
     h0 = trace.h[0]

@@ -36,9 +36,10 @@ eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
 kept, in a buffer that doubles when it is full. The top band is one or
 two contiguous slices of the internal order, and every state a kept
 interval steps through before its sampled end adds up their energy; the
-largest is charged against the next sample's h^2. h never increases, so
-a sample's top-band share bounds that of every state stepped through
-since the one before, and a sparse grid hides no peak of the run.
+largest is charged against the next sample's h^2, and the share is
+capped at 1. h never increases, so a sample's top-band share bounds that
+of every state stepped through since the one before, and a sparse grid
+hides no peak of the run.
 
 Time steps. A viscous run with ``stop_ratio`` first cuts its horizon to
 ln(1/stop_ratio)/(nu lam1), where the tail certificate below has brought
@@ -54,10 +55,11 @@ doubling of elapsed time, and its spacing never exceeds
 max(sample_every ds, t/K0). K0 = 500 is enough for the crossing time,
 which :func:`mixlab.diagnostics.tau_threshold` reads by a Hermite
 crossing on the energy identity, fourth order in the spacing. A run
-shorter than 2 K0 ds samples every ``sample_every`` units. The last
-interval ends at t_end and may be short.
-The loop takes each next sample from this rule, so nothing is sized by
-the horizon t_end/ds. A run also stops, with a warning, at the first
+shorter than 2 K0 ds samples every ``sample_every`` units. The run
+ends at ceil(t_end/ds) ds, the first multiple of ds at or past t_end,
+and its last interval may be shorter than the stride. The loop takes
+each next sample from this rule, so nothing is sized by the horizon
+t_end/ds. A run also stops, with a warning, at the first
 sample whose h^2 is below the smallest normal double.
 
 Each sample interval is m Strang steps of s ds/m: m = s with an explicit
@@ -127,7 +129,8 @@ class DecayTrace:
     step ``s ds/m`` of any other. The final state (``final_state``,
     in the model's working basis) and each sample's top-band energy share
     (``occupancy``: the most top-band energy of the states since the last
-    sample over this sample's h^2) are not serialized with the trace.
+    sample over this sample's h^2, at most 1) are not serialized with the
+    trace.
     """
 
     times: np.ndarray
@@ -201,8 +204,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     ----------
     problem, f_in, nu, t_end
         Model, initial state (working basis), viscosity (finite and
-        nonnegative; 0 = inviscid), final time (finite; see
-        ``stop_ratio``).
+        nonnegative; 0 = inviscid), horizon (finite; the run ends at
+        ceil(t_end/ds) ds, ``ds`` being ``dt`` or the unit below, or
+        earlier by ``stop_ratio``).
     dt
         Step size, finite and positive: the run takes ceil(t_end/dt)
         steps of it, fewer if ``stop_ratio`` ends it. Default: the unit
@@ -312,8 +316,9 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         if n_rec == samples.shape[1]:
             full, samples = samples, np.empty((len(samples), 2 * n_rec))
             samples[:, :n_rec] = full
-        # an inner state's share, charged to this h^2 <= its own, bounds it
-        sums[-1] = max(sums[-1], between)
+        # an inner state's share, charged to this h^2 <= its own, bounds
+        # it; capped at this h^2, since no true share passes 1
+        sums[-1] = min(max(sums[-1], between), sums[0])
         samples[0, n_rec] = j
         samples[1:, n_rec] = sums
         n_rec += 1

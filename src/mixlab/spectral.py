@@ -2,13 +2,13 @@
 
 Every model diagonalizes its dissipation operator A, so Sobolev norms of
 every order are eigenvalue-weighted sums of squared coefficient moduli.
-:func:`hs_weights` gives the weights ``lam^s`` of one order, and is the one
-place that says which orders take no power; :func:`hs_norm` is one product
-of them with an array of squared moduli. States, the working product and
-the cut-off P_R live on :class:`mixlab.models.ModelProblem`, which calls
-:func:`hs_norm` through its representation ``op``. The integrator stacks
-the weights of every order it samples, once per run, so that each sample
-is one matrix-vector product (see :mod:`mixlab.evolution`).
+:func:`hs_weights` gives the weights ``lam^s`` of one order, and
+:func:`hs_norm` is one product of them with an array of squared moduli.
+States, the working product and the cut-off P_R live on
+:class:`mixlab.models.ModelProblem`, which calls :func:`hs_norm` through
+its representation ``op``. The integrator stacks the weights of every
+order it samples, once per run, so that each sample is one
+matrix-vector product (see :mod:`mixlab.evolution`).
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ __all__ = ["hs_weights", "hs_norm", "fractional_symbol"]
 
 
 def hs_weights(lam: np.ndarray, s: float) -> np.ndarray:
-    """The weights ``lam_j^s`` of the H^s norm over eigenvalues ``lam``.
-
-    Orders 0 and +-1, the ones sampled along every trajectory, take no
-    power. Order 1 returns ``lam`` itself, not a copy.
-    """
-    if s == 0.0:
-        return np.ones(np.shape(lam))
-    if s == 1.0:
-        return lam
-    if s == -1.0:
-        return 1.0 / lam
+    """The weights ``lam_j^s`` of the H^s norm over eigenvalues ``lam``."""
     return lam**s
 
 

@@ -2,7 +2,7 @@
 
 Each grid row runs one viscous evolution and extracts both measured
 time-scales: the threshold-crossing time tau (first passage of h below
-theta * h(0)) and the asymptotic e-folding time 1/rate from the fitted
+e^-1 h(0)) and the asymptotic e-folding time 1/rate from the fitted
 tail decay rate. Rows persist as individual JSON files the moment they
 finish — the source of truth — and ``sweep.csv`` is regenerated from them
 in enumeration order at the end, so an interrupted sweep resumes to a
@@ -36,9 +36,9 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values: 2 = error-controlled steps, 3 = no ``dt``,
-#: 4 = one ``model_flags`` mapping, 5 = the certified horizon; rows
-#: without a number predate all four
-ROW_FORMAT = 5
+#: 4 = one ``model_flags`` mapping, 5 = the certified horizon, 6 = no
+#: ``theta``; rows without a number predate all five
+ROW_FORMAT = 6
 
 
 #: axis -> how a row name writes its value (k is a plan row's int)
@@ -70,7 +70,6 @@ class SweepConfig:
     model_flags: dict = field(default_factory=dict)
     datum: str = "single-mode-m1"
     resolution: int | None = None
-    theta: float = THETA_DEFAULT
     stop_ratio: float = 1e-3
     seed: int = 0
     out_dir: str = "sweep-out"
@@ -87,11 +86,9 @@ class SweepConfig:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
         if self.resolution is not None and self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not 0.0 < self.stop_ratio < self.theta:
-            raise ValueError(f"stop_ratio must lie in (0, theta = "
-                             f"{self.theta:g}), got {self.stop_ratio}")
+        if not 0.0 < self.stop_ratio < THETA_DEFAULT:
+            raise ValueError(f"stop_ratio must lie in (0, e^-1 = "
+                             f"{THETA_DEFAULT:g}), got {self.stop_ratio}")
         # only the lists it crosses; no two values written alike in row names
         crossed = [name for name in (axis, "k", "nu") if name]
         for name, form in _NAMES.items():
@@ -122,6 +119,10 @@ class SweepConfig:
         data = json.loads(text)
         data.pop("dt", None)  # a setting of sweeps before row format 3
         data.pop("t_end_factor", None)  # and before row format 5
+        theta = data.pop("theta", THETA_DEFAULT)  # and before row format 6
+        if theta != THETA_DEFAULT:
+            raise ValueError(f"{source} has theta = {theta!r}; a sweep "
+                             f"reads tau at theta = {THETA_DEFAULT!r}")
         # row format 3's fields: the set ones the family reads are its flags
         old = {f: data.pop(f) for f in ("profile", "n0", "L") if f in data}
         reads = FAMILIES.get(data.get("model"), (None, {}))[1]
@@ -278,7 +279,7 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
         return result, None
 
     try:
-        result.tau = tau_threshold(trace, cfg.theta)
+        result.tau = tau_threshold(trace)
     except ValueError:
         result.status = "unresolved"
     result.meta = {

@@ -11,6 +11,7 @@ import pytest
 
 import mixlab as mx
 from mixlab import cli, sweep
+from mixlab._svg import line_plot_svg
 
 
 def _load_json(path):
@@ -136,6 +137,29 @@ def test_mix_rate_spiral(tmp_path):
     assert fit["warnings"] == []
 
 
+@pytest.mark.parametrize("model, datum, resolution", [
+    ("shear", "gaussian-bump", "512"), ("spiral", "single-mode-m1", "256")])
+def test_mix_rate_datum_sets_the_series_datum(tmp_path, model, datum,
+                                              resolution):
+    """--datum reaches the series: the fit records it, and the norms
+    written are the library series' of that datum, not of the default."""
+    argv = ["mix-rate", "--model", model, "--resolution", resolution,
+            "--t-max", "100", "--points", "16", "--datum", datum,
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert _load_json(tmp_path / f"mixing_{model}_k1_fit.json")["datum"] \
+        == datum
+    args = cli._build_parser().parse_args(argv)
+    kw = mx.models.model_params(model, vars(args))
+    series = getattr(mx, f"{model}_mixing_series")
+    times = cli._mix_rate_times(args)
+    written = np.loadtxt(tmp_path / f"mixing_{model}_k1.csv", delimiter=",",
+                         skiprows=1)
+    assert np.array_equal(written[:, 3],
+                          series(times, seed=0, datum=datum, **kw)["hm1"])
+    assert not np.array_equal(written[:, 3], series(times, seed=0, **kw)["hm1"])
+
+
 def test_mix_rate_spiral_warns_past_its_resolution(tmp_path, capsys):
     """At N = 256 the phase of t = 1e4 advances by 39 per radial cell: the
     fit reads p ~ 0.5 against the predicted 1, and the series warns."""
@@ -222,7 +246,7 @@ def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 2, this sweep row_format = 5" in err
+    assert "row_format = 2, this sweep row_format = 6" in err
     assert "Traceback" not in err
 
 
@@ -252,7 +276,7 @@ def test_sweep_of_row_format_3_reports_but_does_not_resume(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "shear_g2_k1_nu1.0000e-01.json has row_format = 3, this sweep " \
-        "row_format = 5" in err
+        "row_format = 6" in err
     assert "Traceback" not in err
 
 
@@ -279,8 +303,39 @@ def test_sweep_with_a_horizon_factor_reports_but_does_not_resume(tmp_path,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 4, this sweep row_format = 5" in err
+    assert "row_format = 4, this sweep row_format = 6" in err
     assert "Traceback" not in err
+
+
+def test_sweep_of_row_format_5_reports_but_does_not_resume(tmp_path, capsys):
+    """A sweep written when the crossing level was a setting (row format
+    5, ``theta = e^-1`` in its config and rows) loads without it, reports
+    and verifies; resuming it is refused by its row format, and a config
+    with another theta is refused by name."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    theta = mx.diagnostics.THETA_DEFAULT
+    cfg_path = out / "sweep_config.json"
+    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "theta": theta}))
+    for path in (out / "rows").iterdir():
+        row = _load_json(path)
+        row["config"].update(row_format=5, theta=theta)
+        path.write_text(json.dumps(row))
+    assert mx.load_sweep(str(out)).config == cfg
+    assert cli.main(["report", str(out)]) == 0
+    assert cli.main(["verify-bound", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "row_format = 5, this sweep row_format = 6" in err
+    assert "Traceback" not in err
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "theta": 0.5}))
+    assert cli.main(["report", str(out)]) == 1
+    assert f"{cfg_path} has theta = 0.5; a sweep reads tau at theta = " \
+        f"{theta!r}" in capsys.readouterr().err
 
 
 def _snapshot(root):
@@ -324,8 +379,8 @@ def test_ed_sweep_refuses_nus_that_share_a_row_name(tmp_path, capsys):
 
 def test_ed_sweep_unresolved_rows_exit_code_2(tmp_path, capsys,
                                               monkeypatch):
-    def no_crossing(trace, theta):
-        raise ValueError("h never falls below theta h(0)")
+    def no_crossing(trace):
+        raise ValueError("h never falls below e^-1 h(0)")
 
     monkeypatch.setattr(sweep, "tau_threshold", no_crossing)
     rc = cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
@@ -392,7 +447,7 @@ def test_report_verdict_exceeds_predicted_exponent(tmp_path, capsys):
 def test_verify_bound_refuses_a_row_without_trace(tmp_path, capsys):
     """A row with no stored trace is refused by name, before bounds.json."""
     d = _synthetic_sweep_dir(tmp_path)
-    assert cli.main(["verify-bound", str(d), "--amp-t-max", "1"]) == 1
+    assert cli.main(["verify-bound", str(d)]) == 1
     err = capsys.readouterr().err
     assert "row shear_g2_k1_nu1.0000e-06 has no stored trace" in err
     assert "Traceback" not in err
@@ -444,7 +499,7 @@ def test_verify_bound_amplitude_from_the_rows_own_data(tmp_path):
     fits, ends = [], []
     for i in range(4):
         f0 = mx.initial_datum(problem, "random-h1", seed=(0, i))
-        trace = mx.evolve(problem, f0, 0.0, 100.0)  # --amp-t-max default
+        trace = mx.evolve(problem, f0, 0.0, cli._AMP_T_MAX)
         n = int(np.argmax(trace.occupancy > mx.models.TOP_BAND_FLAG))
         assert 0 < n < len(trace)  # the truncation is felt before t = 100
         fits.append(mx.fit_mixing_amplitude(trace.times[:n], trace.hm1[:n],
@@ -778,7 +833,7 @@ def test_ed_sweep_defaults_are_the_sweep_configs(monkeypatch, model):
     monkeypatch.setattr(cli, "SweepConfig", config)
     monkeypatch.setattr(cli, "run_sweep", run)
     assert cli.main(["ed-sweep", "--model", model, "--nus", "0.1,0.05"]) == 1
-    assert not passed[0] & {"ks", "datum", "theta", "stop_ratio", "out_dir",
+    assert not passed[0] & {"ks", "datum", "stop_ratio", "out_dir",
                             "resolution"}
     want = sweep.SweepConfig(model=model, nus=(0.1, 0.05))
     for f in dataclasses.fields(want):
@@ -855,9 +910,9 @@ _SIM_SHEAR = ["simulate", "--model", "shear", "--resolution", "16",
 
 @pytest.mark.parametrize("argv", [
     [*_SIM, "--t-end", "-1"],
-    [*_SIM, "--sample-every", "-1"],
+    [*_SIM, "--stop-ratio", "1"],
     [*_SIM, "--stop-ratio", "0"],
-    [*_SIM, "--sample-every", "0"],
+    [*_SIM, "--t-end", "inf"],
     [*_SIM_SHEAR, "--t-end", "inf"],
     [*_SIM_SHEAR, "--t-end", "nan"],
     [*_SIM, "--stop-ratio", "1.5"],
@@ -868,6 +923,22 @@ def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--theta", "0.5"],
+    ["verify-bound", "sweep", "--amp-t-max", "100"],
+    [*_SIM, "--sample-every", "1"],
+], ids=["ed-sweep-theta", "verify-bound-amp-t-max", "simulate-sample-every"])
+def test_the_methods_constants_are_not_flags(capsys, argv):
+    """The crossing level e^-1, the amplitude fit's horizon and the first
+    sample stride are constants of the method: each old flag is refused
+    as unknown, before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -934,8 +1005,6 @@ def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--theta", "1.5"),
-    ("--theta", "0"),
     ("--stop-ratio", "1.5"),
     ("--stop-ratio", "-1"),
     ("--resolution", "0"),
@@ -950,6 +1019,17 @@ def test_bad_sweep_controls_exit_code_1(tmp_path, capsys, flag, value):
     assert f"{flag[2:].replace('-', '_')} must" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_line_plot_svg_refuses_what_it_cannot_draw():
+    """One or two series, each with a point a log-log plot can place."""
+    x = np.array([1.0, 2.0])
+    for series in ([], [(x, x, "a")] * 3):
+        with pytest.raises(ValueError, match="one or two series"):
+            line_plot_svg(series, "x", "y")
+    with pytest.raises(ValueError, match="series 'b' has no positive finite "
+                                         "points"):
+        line_plot_svg([(x, x, "a"), (x, np.array([0.0, -1.0]), "b")], "x", "y")
 
 
 def test_benchmark_tracing_contract(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Fits, time-scales, decay-bound checks, and the explicit constants."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -10,11 +11,11 @@ import mixlab as mx
 from mixlab import DecayTrace
 
 
-def _trace(times, h, h1=None):
+def _trace(times, h, h1=None, nu=1e-3):
     times = np.asarray(times, dtype=float)
     h = np.asarray(h, dtype=float)
     h1 = h.copy() if h1 is None else np.asarray(h1, dtype=float)
-    return DecayTrace(times=times, h=h, h1=h1, hm1=h.copy(), nu=1e-3)
+    return DecayTrace(times=times, h=h, h1=h1, hm1=h.copy(), nu=nu)
 
 
 def _decay(t, rate):
@@ -65,6 +66,15 @@ def test_fit_decay_rate_exact_exponential():
     fit = mx.fit_decay_rate(t, np.exp(-0.3 * t))
     assert fit.rate == pytest.approx(0.3, abs=1e-12)
     assert fit.residual < 1e-12
+
+
+def test_fit_decay_rate_refuses_a_nonpositive_value():
+    t = np.linspace(0.0, 30.0, 200)
+    for bad in (0.0, -1e-3):
+        h = np.exp(-0.3 * t)
+        h[-1] = bad
+        with pytest.raises(ValueError, match="strictly positive"):
+            mx.fit_decay_rate(t, h)
 
 
 def test_fit_decay_rate_uses_asymptotic_tail():
@@ -158,7 +168,7 @@ def test_bound_check_exact_curve_passes_with_zero_margin():
     rate = c0 * nu**q
     t = np.linspace(0.0, 5.0 * nu**-q, 400)
     tr = _trace(t, np.exp(-rate * t))
-    rep = mx.theorem_bound_check(tr, nu, rate, nu**-q)
+    rep = mx.theorem_bound_check(tr, rate, nu**-q)
     assert rep.passed
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.checked > 0
@@ -168,7 +178,7 @@ def test_bound_check_constant_trace_fails():
     nu, q, c0 = 1e-3, 0.8, 0.01
     t = np.linspace(0.0, 5.0 * nu**-q, 200)
     tr = _trace(t, np.ones_like(t))
-    rep = mx.theorem_bound_check(tr, nu, c0 * nu**q, nu**-q)
+    rep = mx.theorem_bound_check(tr, c0 * nu**q, nu**-q)
     assert not rep.passed
     assert rep.worst_margin < -0.05
 
@@ -178,28 +188,41 @@ def test_bound_check_tail_certificate():
     nu, q, c0 = 1e-4, 0.8, 1e-4
     lam1 = 3.39
     t = np.linspace(0.0, 100.0, 50)  # nu^-q ~ 1585 >> 100
-    tr = _trace(t, np.exp(-0.05 * t))
+    tr = _trace(t, np.exp(-0.05 * t), nu=nu)
     rate, t_min = c0 * nu**q, nu**-q
-    rep = mx.theorem_bound_check(tr, nu, rate, t_min, lam1=lam1)
+    rep = mx.theorem_bound_check(tr, rate, t_min, lam1=lam1)
     assert rep.passed and rep.tail_certified and rep.checked == 0
     with pytest.raises(ValueError, match="horizon too short"):
-        mx.theorem_bound_check(tr, nu, rate, t_min)  # no lam1, no samples
+        mx.theorem_bound_check(tr, rate, t_min)  # no lam1, no samples
 
 
 def test_bound_report_serializes_with_numpy_constants():
     # c0 computed from numpy scalars must still give a JSON-ready report
     t = np.linspace(0.0, 100.0, 50)
-    tr = _trace(t, np.exp(-0.05 * t))
-    rep = mx.theorem_bound_check(tr, 1e-4, np.float64(1e-4) * 1e-4**0.8,
+    tr = _trace(t, np.exp(-0.05 * t), nu=1e-4)
+    rep = mx.theorem_bound_check(tr, np.float64(1e-4) * 1e-4**0.8,
                                  1e-4**-0.8, lam1=3.39)
     assert rep.tail_certified
     json.dumps(dataclasses.asdict(rep))
 
 
+def test_bound_check_reads_nu_from_the_trace():
+    """The tail certificate nu lam1 >= rate takes nu from the trace: the
+    same samples are certified at nu = 1e-4 and refused at nu = 1e-8."""
+    t = np.linspace(0.0, 100.0, 50)
+    rate, t_min, lam1 = 1e-7, 1e4, 3.39
+    tr = _trace(t, np.exp(-0.05 * t), nu=1e-4)
+    assert mx.theorem_bound_check(tr, rate, t_min, lam1=lam1).tail_certified
+    with pytest.raises(ValueError, match="horizon too short"):
+        mx.theorem_bound_check(dataclasses.replace(tr, nu=1e-8), rate, t_min,
+                               lam1=lam1)
+    assert "nu" not in inspect.signature(mx.theorem_bound_check).parameters
+
+
 def test_bound_check_requires_positive_nu():
-    tr = _trace(np.linspace(0, 1, 10), np.ones(10))
+    tr = _trace(np.linspace(0, 1, 10), np.ones(10), nu=0.0)
     with pytest.raises(ValueError):
-        mx.theorem_bound_check(tr, 0.0, 0.01, 1.0)
+        mx.theorem_bound_check(tr, 0.01, 1.0)
 
 
 def test_bound_check_exp_variant():
@@ -219,11 +242,11 @@ def test_bound_check_exp_variant():
     t = np.linspace(0.0, 0.5 * scale, 20)
     tr = _trace(t, np.exp(-0.1 * t))
     with pytest.raises(ValueError, match="horizon too short"):
-        mx.theorem_bound_check(tr, nu, rate, t_min)
+        mx.theorem_bound_check(tr, rate, t_min)
     # long trace decaying fast: passes with real samples
     t = np.linspace(0.0, 3.0 * scale, 200)
     tr = _trace(t, np.exp(-0.1 * t))
-    rep = mx.theorem_bound_check(tr, nu, rate, t_min)
+    rep = mx.theorem_bound_check(tr, rate, t_min)
     assert rep.passed and rep.checked > 0
 
 

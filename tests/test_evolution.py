@@ -249,7 +249,7 @@ def test_controlled_rows_match_fixed_step_rows(tmp_path):
             ref = mx.evolve(prob, f0, row.nu, t_end, dt=ds / 5,
                             sample_every=5, stop_ratio=cfg.stop_ratio)
             tau_rate = 1.0 / mx.fit_decay_rate(ref.times, ref.h).rate
-            assert row.tau == pytest.approx(mx.tau_threshold(ref, cfg.theta),
+            assert row.tau == pytest.approx(mx.tau_threshold(ref),
                                             rel=2e-5), row.key
             assert row.tau_rate == pytest.approx(tau_rate, rel=2e-5), row.key
             assert row.meta["n_steps"] < ref.meta["n_steps"] * 2
@@ -872,6 +872,44 @@ def test_a_run_whose_norm_underflows_stops_and_says_so():
     # the zero state has no norm to lose: it runs to t_end
     zero = mx.evolve(prob, np.zeros_like(f0), 0.1, 5.0)
     assert zero.meta["stop_reason"] == "t_end" and not zero.h.any()
+
+
+def test_the_top_band_share_is_at_most_one():
+    """An inner state's top-band energy is charged against the next
+    sample's h^2, which is smaller: on the spiral at N = 1 (nu = 1e-2, to
+    t = 1) the charge reads 1.0202 h^2. Every true share is at most 1, so
+    the share is capped there, and the run is still flagged."""
+    prob = mx.build_model("spiral", N=1)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    tr = mx.evolve(prob, f0, 1e-2, 1.0)
+    assert tr.occupancy.max() == tr.meta["occupancy_max"] == 1.0
+    assert "top-band occupancy reached 100.0%: spectral truncation may be " \
+        "felt; raise the resolution" in tr.meta["warnings"]
+
+
+def test_a_run_ends_at_the_first_multiple_of_ds_at_or_past_t_end():
+    """The last sample is at ceil(t_end/ds) ds. Kinetic N = 2 to t = 1
+    steps in units ds = 0.5/bound_B and ends at 3 ds = 1.06066, past t =
+    1; an explicit dt ends at ceil(t_end/dt) dt, at t_end when dt divides
+    it."""
+    prob = mx.build_model("kinetic", N=2)
+    f0 = mx.initial_datum(prob, "single-mode-m1")
+    ds = default_dt(prob, 1.0)
+    assert ds == 0.5 / prob.bound_B
+    tr = mx.evolve(prob, f0, 1e-2, 1.0)
+    assert tr.times[-1] == 3 * ds
+    assert tr.times[-1] == pytest.approx(1.06066, abs=1e-5)
+    assert mx.evolve(prob, f0, 1e-2, 1.0, dt=0.3).times[-1] == 4 * 0.3
+    assert mx.evolve(prob, f0, 1e-2, 1.0, dt=0.25).times[-1] == 1.0
+
+
+def test_energy_residual_needs_three_samples():
+    heat = mx.build_model("heat", M=8)
+    f0 = mx.initial_datum(heat, "single-mode-m1")
+    tr = mx.evolve(heat, f0, 0.1, 1.0, dt=1.0)
+    assert len(tr) == 2
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        mx.energy_residual(tr)
 
 
 def test_the_top_band_monitor_sees_between_samples(monkeypatch):

@@ -112,6 +112,9 @@ def test_kinetic_constraints():
     for d in (0, -1):
         with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
             mx.build_model("kinetic", d=d)
+    for k in ((1, 0), (1.0, 2.0, 0.0, 1.0)):  # neither 1 nor d = 3 entries
+        with pytest.raises(ValueError, match=f"has {len(k)} entries for d=3"):
+            mx.build_model("kinetic", d=3, k=k)
 
 
 def test_unknown_model_name():

@@ -1,5 +1,6 @@
 """Tests for sweep planning, persistence, and resume semantics."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -54,6 +55,18 @@ def test_config_json_roundtrip():
                          out_dir="somewhere")
     again = mx.SweepConfig.from_json(cfg.to_json())
     assert again == cfg
+
+
+def test_config_reads_tau_at_e_minus_1_only():
+    """theta is no setting: a config neither holds nor records it, and
+    stop_ratio is bounded by e^-1. (A legacy theta: test_cli's format-5
+    sweep.)"""
+    assert "theta" not in {f.name for f in dataclasses.fields(mx.SweepConfig)}
+    cfg = mx.SweepConfig(model="heat", nus=(0.1,))
+    assert "theta" not in json.loads(cfg.to_json())
+    assert "theta" not in cfg.row_config()
+    with pytest.raises(ValueError, match=r"stop_ratio must lie in \(0, e\^-1"):
+        mx.SweepConfig(model="heat", nus=(0.1,), stop_ratio=0.5)
 
 
 def test_row_enumeration_order_and_count():
@@ -281,9 +294,9 @@ def test_sweep_deterministic_across_directories(tmp_path):
 
 
 def test_unresolved_row_recorded_not_raised(tmp_path, monkeypatch):
-    # a trace that never crosses theta: status records it, nothing raises
-    def no_crossing(trace, theta):
-        raise ValueError("h never falls below theta h(0)")
+    # a trace that never crosses e^-1 h(0): status records it, nothing raises
+    def no_crossing(trace):
+        raise ValueError("h never falls below e^-1 h(0)")
 
     monkeypatch.setattr(sweep, "tau_threshold", no_crossing)
     cfg = _heat_cfg(tmp_path, nus=(0.1,))
