@@ -42,12 +42,12 @@ from .models import (
     ModelProblem,
     build_model,
     exact_inviscid,
+    fractional_symbol,
     initial_datum,
     load_profile_csv,
     shear_mixing_series,
     spiral_mixing_series,
 )
-from .spectral import fractional_symbol
 from .sweep import RowResult, SweepConfig, SweepResult, load_sweep, run_sweep
 
 __all__ = [

@@ -55,7 +55,11 @@ TAIL_EFOLDS = 3.0
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares power law: slope/intercept in log-log coordinates.
+    """Least-squares power law ``y ~ exp(intercept) * x^exponent``: the
+    slope and intercept of log y against log x, as
+    :func:`fit_power_law` returns them. :func:`ed_exponent` flips the
+    sign of the exponent alone, so its record holds q = -slope with the
+    slope's intercept: ``taus ~ exp(intercept) * nus^(-exponent)``.
 
     ``window`` is the (min, max) range of the abscissa actually used —
     times for mixing fits, viscosities for sweep fits.
@@ -209,8 +213,10 @@ def ed_exponent(pairs) -> RateFit:
 
     Fits log tau against log nu over the ``(nus, taus)`` pair — one row
     group's, as :func:`timescale_pairs` takes it from the rows — by
-    :func:`fit_power_law`, and reports q_meas = -slope. Requires at least
-    4 viscosities spanning two or more decades.
+    :func:`fit_power_law`, and reports q_meas = -slope as ``exponent``
+    with the fit's own ``intercept``, so
+    ``taus ~ exp(intercept) * nus^(-exponent)``. Requires at least 4
+    viscosities spanning two or more decades.
     """
     nus, taus = (np.asarray(x, dtype=float) for x in pairs)
     if nus.size < 4:

@@ -31,7 +31,7 @@ heat equation) takes one diffusion multiply per step.
 Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. A run stacks, once, the weights of its sampled orders (1,
 lam, 1/lam, and lam^2 with ``"h2"``; see
-:func:`mixlab.spectral.hs_weights`) over the mask of the top band of
+:func:`mixlab.models.hs_weights`) over the mask of the top band of
 eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
 kept, in a buffer that doubles when it is full. The top band is one or
 two contiguous slices of the internal order, and every state a kept
@@ -97,8 +97,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .models import TOP_BAND_FLAG, EvolutionError, ModelProblem
-from .spectral import hs_weights
+from .models import TOP_BAND_FLAG, EvolutionError, ModelProblem, hs_weights
 
 __all__ = [
     "DecayTrace",
@@ -266,8 +265,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
     cut = np.sort(lam)[int(np.ceil((1.0 - TOP_BAND_FRACTION) * lam.size)) - 1]
     # a sample is one product: the squared norm of each order, then the
     # energy in the top band
-    weights = np.array([hs_weights(lam, s) for s in orders] + [lam >= cut],
-                       dtype=float)
+    weights = np.vstack([hs_weights(lam, orders), lam >= cut])
     a2 = np.empty(lam.size)
     # the top band as contiguous slices of the internal order (one or two)
     edges = np.flatnonzero(np.diff(np.r_[0, weights[-1], 0])).tolist()

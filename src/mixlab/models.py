@@ -27,7 +27,9 @@ size as one narrow band and applied by one ``zgbmv`` a step, or summed at
 each step (about 13 O(n) products) where no narrow band exists.
 :class:`ModelProblem` reads every norm and projection off it: the product
 ``inner``, the H^s norms ``sobolev``, the cut-off ``project_low`` (P_R)
-and ``lam1``.
+and ``lam1``. Every H^s norm is a product of squared coefficient moduli
+in those coordinates with the weights ``lam^s`` that :func:`hs_weights`
+stacks, one row per order.
 
 Each family is declared once, in :data:`FAMILIES`: its builder, which
 takes the model parameters as keywords with their only defaults, the map
@@ -64,15 +66,15 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgbmv, dtbsv, zgbmv
 from scipy.linalg.lapack import dpttrf
 
-from .spectral import fractional_symbol, hs_norm
-
 __all__ = [
     "EvolutionError",
     "FourierPhase",
     "RadialPhase",
     "SkewMatrix",
+    "hs_weights",
     "ModelProblem",
     "PROFILES",
+    "fractional_symbol",
     "load_profile_csv",
     "resolve_profile",
     "build_shear",
@@ -414,6 +416,16 @@ class SkewMatrix:
         return lambda g: zgbmv(n, n, w, w, 1.0, ab, g)
 
 
+def hs_weights(lam: np.ndarray, orders) -> np.ndarray:
+    """The weights ``lam_j^s`` of the H^s norms over eigenvalues ``lam``,
+    one row per order ``s`` of ``orders``: ``|c|^2`` of coefficients in
+    an orthonormal eigenbasis of A, in ``lam``'s order, gives the squared
+    norms as ``hs_weights(lam, orders) @ |c|^2``. Each row is one power
+    with a scalar exponent, so numpy's exact fast paths (s = 0, +-1, 2)
+    apply."""
+    return np.array([lam**s for s in orders])
+
+
 @dataclass(frozen=True)
 class ModelProblem:
     """A built model: representation, constants, predictions.
@@ -479,7 +491,8 @@ class ModelProblem:
 
     def sobolev(self, state, s: float) -> float:
         """H^s norm of a state (s = 0: working norm, s = -1: mixing norm)."""
-        return hs_norm(np.abs(self._internal(state)) ** 2, self.op.lam, s)
+        a2 = np.abs(self._internal(state)) ** 2
+        return float(np.sqrt(hs_weights(self.op.lam, (s,))[0] @ a2))
 
     def project_low(self, state, R: float) -> np.ndarray:
         """P_R: keep the eigencomponents with eigenvalue <= R. Idempotent;
@@ -499,6 +512,23 @@ class ModelProblem:
 
 # ---------------------------------------------------------------------------
 # builders
+
+def fractional_symbol(gamma: float, k, m):
+    """Fourier multiplier of the fractional Laplacian on the torus.
+
+    Returns ``(k^2 + m^2)^(gamma/2)`` for mode (k, m); ``gamma = 2``
+    reproduces the Laplacian symbol.  Multipliers compose additively in
+    gamma.  Accepts scalars or arrays for k and m.
+    """
+    if not 0.0 < gamma <= 2.0:
+        raise ValueError(f"diffusion order gamma must lie in (0, 2], got {gamma}")
+    k = np.asarray(k, dtype=float)
+    m = np.asarray(m, dtype=float)
+    out = (k * k + m * m) ** (gamma / 2.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
 
 def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
                 n0: int | None = None, M: int = 512) -> ModelProblem:
@@ -885,17 +915,18 @@ def _phase(rate, t, cos, sin):
 class _ShearGrid:
     """The grid y[::s] of the shear series, ``s`` a power of two dividing
     the 2M of the full grid: its rates, the datum's values with the FFT's
-    1/n folded in (times s, exact), the full grid's eigenvalue of each of
-    its modes, and the slice of its outer half |m| > n/4 in FFT order."""
+    1/n folded in (times s, exact), the rows ``w`` of the h, h1 and hm1
+    weights at the full grid's eigenvalue of each of its modes, and the
+    slice of its outer half |m| > n/4 in FFT order."""
 
     def __init__(self, rate, vals, lam, s):
         n = rate.size // s
-        m = np.arange(n)
-        m[(n + 1) // 2:] -= n  # integer modes, FFT order
-        self.points = n
-        self.rate, self.vals, self.lam = ((rate, vals, lam) if s == 1 else
-                                          (rate[::s].copy(), s * vals[::s],
-                                           lam[m]))
+        if s > 1:
+            m = np.arange(n)
+            m[(n + 1) // 2:] -= n  # integer modes, FFT order
+            rate, vals, lam = rate[::s].copy(), s * vals[::s], lam[m]
+        self.points, self.rate, self.vals = n, rate, vals
+        self.w = hs_weights(lam, (0.0, 1.0, -1.0))
         self.outer = slice(n // 4 + 1, n - n // 4)
         self.g = np.empty(n, dtype=complex)
         self.a2 = np.empty(n)
@@ -925,11 +956,12 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
     outer half |m| > n/4 of its one FFT holds at most
     ``(16 eps (1 + |t| max|k u|))^2`` of the energy, the round-off floor
     the phase k u t already carries on the full grid; otherwise s halves,
-    for good, and the time is redone. A time costs one phase and one
-    unnormalized FFT on that grid in reused buffers, against the 2M-point
-    grid at every time; h and h1 agree with the full grid to round-off
-    and hm1 to the FFT's round-off relative to its small low modes
-    (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
+    for good, and the time is redone. A time costs one phase, one
+    unnormalized FFT and one product with each of the grid's three rows
+    of weights, formed once per grid, in reused buffers, against the
+    2M-point grid at every time; h and h1 agree with the full grid to
+    round-off and hm1 to the FFT's round-off relative to its small low
+    modes (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
     ``random-h1`` fills every mode, so both run on the full 2M-point grid
     at every time. Memory stays O(M). A time on the full grid with more
     than ``TOP_BAND_FLAG`` of the energy in its outer half is warned of.
@@ -974,9 +1006,9 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
             if s == 1 or outer <= floor:
                 break
             s //= 2
+            del grid  # free the coarser grid before the finer one is made
             grid = level(s)
-        out[:, i] = [hs_norm(a2, grid.lam, p) for p in (0.0, 1.0, -1.0)] \
-            + [outer]
+        out[:, i] = [np.sqrt(w @ a2) for w in grid.w] + [outer]
         points[i] = grid.points
     felt = (points == n) & (out[3] > TOP_BAND_FLAG)
     warnings = [f"{felt.sum()} of {times.size} times ran on the full "

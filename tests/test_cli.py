@@ -5,6 +5,9 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1030,6 +1033,33 @@ def test_line_plot_svg_refuses_what_it_cannot_draw():
     with pytest.raises(ValueError, match="series 'b' has no positive finite "
                                          "points"):
         line_plot_svg([(x, x, "a"), (x, np.array([0.0, -1.0]), "b")], "x", "y")
+
+
+@pytest.mark.parametrize("x, y", [([1e-3, 1e-3], [2.0, 5.0]),
+                                  ([1e-3, 1e-2], [5.0, 5.0]),
+                                  ([1e-3], [5.0])],
+                         ids=["flat-x", "flat-y", "one-point"])
+def test_line_plot_svg_widens_a_flat_range(x, y):
+    """A flat x or y range (``report`` on a one-row sweep plots a single
+    point) is widened to a factor of 2 each way, so every coordinate is
+    finite."""
+    svg = line_plot_svg([(np.array(x), np.array(y), "a")], "x", "y")
+    coords = re.findall(r'\b(?:x1|y1|x2|y2|cx|cy|x|y)="([^"]*)"', svg)
+    coords += re.search(r'points="([^"]*)"', svg).group(1) \
+        .replace(",", " ").split()
+    assert len(coords) > 10
+    assert all(np.isfinite(float(c)) for c in coords)
+
+
+def test_module_entry_point_prints_usage():
+    """``python -m mixlab.cli --help`` reaches ``main`` and exits 0."""
+    src = os.path.dirname(os.path.dirname(mx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "mixlab.cli", "--help"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: mixlab")
 
 
 def test_benchmark_tracing_contract(tmp_path, monkeypatch):

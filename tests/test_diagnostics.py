@@ -150,6 +150,19 @@ def test_ed_exponent_synthetic_half():
     assert fit.residual < 1e-12
 
 
+def test_ed_exponent_holds_q_with_the_slopes_intercept():
+    """On an exact power law taus = 3 nus^-0.4 the record holds q = 0.4
+    and the intercept ln 3 of log tau against log nu, so
+    taus = exp(intercept) * nus^(-exponent)."""
+    nus = np.geomspace(1e-6, 1e-2, 9)
+    taus = 3.0 * nus**-0.4
+    fit = mx.ed_exponent((nus, taus))
+    assert fit.exponent == pytest.approx(0.4, abs=1e-12)
+    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
+    np.testing.assert_allclose(np.exp(fit.intercept) * nus**-fit.exponent,
+                               taus, rtol=1e-10)
+
+
 def test_ed_exponent_preconditions():
     with pytest.raises(ValueError):
         mx.ed_exponent((np.array([1e-3, 1e-4, 1e-5]), np.ones(3)))  # < 4 points
@@ -289,3 +302,6 @@ def test_fit_mixing_amplitude_rounds_up_to_powers_of_two():
     assert mx.fit_mixing_amplitude(t, hm1, p, k, 2.0) == 0.5
     with pytest.raises(ValueError):
         mx.fit_mixing_amplitude(t, hm1, p, k, 0.0)
+    # an all-zero hm1 has no amplitude to round up
+    with pytest.raises(ValueError, match="nonpositive supremum"):
+        mx.fit_mixing_amplitude(t, np.zeros_like(t), p, k, 1.0)

@@ -646,6 +646,22 @@ def test_shear_series_grid_starts_coarse_and_never_shrinks():
     assert np.all(ser["outer"] <= (16.0 * eps * (1.0 + times)) ** 2)
 
 
+def test_shear_series_forms_its_weights_once_per_grid(monkeypatch):
+    """Each grid level stacks its h, h1 and hm1 weights once; the one
+    other call normalizes the datum."""
+    calls = []
+
+    def counting(lam, orders, real=mx.models.hs_weights):
+        calls.append(lam.size)
+        return real(lam, orders)
+
+    monkeypatch.setattr(mx.models, "hs_weights", counting)
+    ser = mx.shear_mixing_series(np.linspace(0.0, 500.0, 401), M=4096)
+    levels = int(np.log2(ser["grid"].max() / ser["grid"].min())) + 1
+    assert levels >= 5
+    assert len(calls) <= levels + 1
+
+
 def test_phase_matches_cos_and_sin():
     """The half-angle phase is within 1e-15 of np.cos and np.sin: at 0,
     over |x| <= 1e5, and at the doubles nearest odd multiples of pi, where

@@ -1,13 +1,12 @@
-"""Tests for the spectral frame: H^s norms, the working product, P_R,
-and the fractional multiplier."""
+"""Tests for the spectral frame: the H^s weights and norms, the working
+product, P_R, and the fractional multiplier."""
 
 import numpy as np
 import pytest
 
 import mixlab as mx
 from mixlab import fractional_symbol
-from mixlab.models import FourierPhase, SkewMatrix
-from mixlab.spectral import hs_norm
+from mixlab.models import FourierPhase, SkewMatrix, hs_weights
 
 
 def _problem(op):
@@ -41,12 +40,27 @@ def test_sobolev_norm_examples():
     lam = np.array([1.0, 2.0, 4.0])
     f = np.array([1.0, 1.0, 0.0], dtype=complex)
     a2 = np.abs(f) ** 2
-    assert hs_norm(a2, lam, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert hs_norm(a2, lam, 1.0) == pytest.approx(np.sqrt(3.0), rel=1e-15)
-    assert hs_norm(a2, lam, -1.0) == pytest.approx(np.sqrt(1.5), rel=1e-15)
+    h, h1, hm1 = np.sqrt(hs_weights(lam, (0.0, 1.0, -1.0)) @ a2)
+    assert h == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert h1 == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert hm1 == pytest.approx(np.sqrt(1.5), rel=1e-15)
     g2 = np.abs(np.array([0.0, 0.0, 2.0], dtype=complex)) ** 2
-    assert hs_norm(g2, lam, 2.0) == pytest.approx(8.0, rel=1e-15)
-    assert hs_norm(g2, lam, -1.0) == pytest.approx(1.0, rel=1e-15)
+    h2, hm1 = np.sqrt(hs_weights(lam, (2.0, -1.0)) @ g2)
+    assert h2 == pytest.approx(8.0, rel=1e-15)
+    assert hm1 == pytest.approx(1.0, rel=1e-15)
+
+
+def test_hs_weights_stacks_exact_powers():
+    """One row per order, in the order asked; the orders a run samples
+    take numpy's exact power paths."""
+    lam = np.sort(1.0 + 30.0 * np.random.default_rng(3).random(64))
+    w = hs_weights(lam, (0.0, 1.0, -1.0, 2.0, 0.5))
+    assert w.shape == (5, 64)
+    assert np.array_equal(w[0], np.ones(64))
+    assert np.array_equal(w[1], lam)
+    assert np.array_equal(w[2], 1.0 / lam)
+    assert np.array_equal(w[3], lam * lam)
+    assert np.array_equal(w[4], np.sqrt(lam))
 
 
 def test_sobolev_norm_checks_size():
@@ -63,8 +77,8 @@ def test_sobolev_norm_interpolates_monotonically():
     rng = np.random.default_rng(1)
     lam = np.sort(1.0 + 10.0 * rng.random(32))
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    norms = [hs_norm(np.abs(f) ** 2, lam, s)
-             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    norms = np.sqrt(hs_weights(lam, (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+                    @ np.abs(f) ** 2)
     assert all(a <= b * (1 + 1e-14) for a, b in zip(norms, norms[1:]))
 
 
@@ -140,15 +154,16 @@ def test_dual_norm_variational_characterization():
     attained by the explicit maximizer."""
     rng = np.random.default_rng(11)
     lam = np.sort(0.2 + 30.0 * rng.random(16))
+    w_m1, w_1 = hs_weights(lam, (-1.0, 1.0))
     for _ in range(20):
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        dual = hs_norm(np.abs(f) ** 2, lam, -1.0)
+        dual = np.sqrt(w_m1 @ np.abs(f) ** 2)
         for _ in range(300):
             eta = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             pairing = abs(np.sum(f * np.conj(eta)))
-            assert pairing <= dual * hs_norm(np.abs(eta) ** 2, lam, 1.0) \
+            assert pairing <= dual * np.sqrt(w_1 @ np.abs(eta) ** 2) \
                 * (1 + 1e-12)
         eta_star = f / lam
         attained = abs(np.sum(f * np.conj(eta_star))) / \
-            hs_norm(np.abs(eta_star) ** 2, lam, 1.0)
+            np.sqrt(w_1 @ np.abs(eta_star) ** 2)
         assert attained == pytest.approx(dual, rel=1e-12)
