@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dgbmv, dtbsv, zgbmv
+from scipy.linalg.blas import dgbmv, zgbmv
 from scipy.linalg.lapack import dpttrf
 
 __all__ = [
@@ -898,16 +898,23 @@ def _series_times(times) -> np.ndarray:
     return times
 
 
+def _half_angle(rate, t, tau, sigma):
+    """The tangent of the half angle tau = tan(rate t / 2) into ``tau``
+    and sigma = 2 / (1 + tau^2) into ``sigma``, real arrays or views, so
+    that cos(rate t) = sigma - 1 and sin(rate t) = sigma tau. One ``tan``
+    costs about a fifth of a ``cos`` and a ``sin`` together. Next to odd
+    multiples of pi tau reaches ~1e16, and its square stays far from
+    overflow. Both series evaluate every time through here."""
+    np.tan(np.multiply(rate, 0.5 * t, out=tau), out=tau)
+    np.divide(2.0, np.add(np.square(tau, out=sigma), 1.0, out=sigma),
+              out=sigma)
+
+
 def _phase(rate, t, cos, sin):
     """cos(rate t) into ``cos`` and sin(rate t) into ``sin``, real arrays
-    or views, from one tangent of the half angle tau = tan(rate t / 2):
-    cos = 2 / (1 + tau^2) - 1 and sin = tau 2 / (1 + tau^2). One ``tan``
-    costs about a fifth of a ``cos`` and a ``sin`` together, and the
-    values lie within 4e-16 of theirs, also next to odd multiples of pi,
-    where tau reaches ~1e16 and its square stays far from overflow. Both
-    series evaluate every time through here."""
-    tau = np.tan(np.multiply(rate, 0.5 * t, out=sin), out=sin)
-    np.divide(2.0, np.add(np.square(tau, out=cos), 1.0, out=cos), out=cos)
+    or views, from :func:`_half_angle`: within 4e-16 of ``np.cos`` and
+    ``np.sin``, also next to odd multiples of pi."""
+    _half_angle(rate, t, sin, cos)
     sin *= cos
     cos -= 1.0
 
@@ -915,9 +922,10 @@ def _phase(rate, t, cos, sin):
 class _ShearGrid:
     """The grid y[::s] of the shear series, ``s`` a power of two dividing
     the 2M of the full grid: its rates, the datum's values with the FFT's
-    1/n folded in (times s, exact), the rows ``w`` of the h, h1 and hm1
-    weights at the full grid's eigenvalue of each of its modes, and the
-    slice of its outer half |m| > n/4 in FFT order."""
+    1/n folded in (times s, exact), the rows ``w`` of the h1 and hm1
+    weights at the full grid's eigenvalue of each of its modes (h^2 is
+    the spectrum's sum), and the slice of its outer half |m| > n/4 in FFT
+    order."""
 
     def __init__(self, rate, vals, lam, s):
         n = rate.size // s
@@ -926,7 +934,7 @@ class _ShearGrid:
             m[(n + 1) // 2:] -= n  # integer modes, FFT order
             rate, vals, lam = rate[::s].copy(), s * vals[::s], lam[m]
         self.points, self.rate, self.vals = n, rate, vals
-        self.w = hs_weights(lam, (0.0, 1.0, -1.0))
+        self.w = hs_weights(lam, (1.0, -1.0))
         self.outer = slice(n // 4 + 1, n - n // 4)
         self.g = np.empty(n, dtype=complex)
         self.a2 = np.empty(n)
@@ -957,11 +965,11 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
     ``(16 eps (1 + |t| max|k u|))^2`` of the energy, the round-off floor
     the phase k u t already carries on the full grid; otherwise s halves,
     for good, and the time is redone. A time costs one phase, one
-    unnormalized FFT and one product with each of the grid's three rows
-    of weights, formed once per grid, in reused buffers, against the
-    2M-point grid at every time; h and h1 agree with the full grid to
-    round-off and hm1 to the FFT's round-off relative to its small low
-    modes (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
+    unnormalized FFT, the spectrum's sum for h and one product with each
+    of the grid's two rows of weights, formed once per grid, in reused
+    buffers, against the 2M-point grid at every time; h and h1 agree with
+    the full grid to round-off and hm1 to the FFT's round-off relative to
+    its small low modes (~1e-13). A tabulated (CSV) profile is not smooth and the seeded
     ``random-h1`` fills every mode, so both run on the full 2M-point grid
     at every time. Memory stays O(M). A time on the full grid with more
     than ``TOP_BAND_FLAG`` of the energy in its outer half is warned of.
@@ -1002,13 +1010,14 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
         floor = (16.0 * eps * (1.0 + abs(times[i]) * problem.bound_B)) ** 2
         while True:
             a2 = grid.spectrum(times[i])
-            outer = a2[grid.outer].sum() / a2.sum()
+            h2 = a2.sum()
+            outer = a2[grid.outer].sum() / h2
             if s == 1 or outer <= floor:
                 break
             s //= 2
             del grid  # free the coarser grid before the finer one is made
             grid = level(s)
-        out[:, i] = [np.sqrt(w @ a2) for w in grid.w] + [outer]
+        out[:, i] = [np.sqrt(h2), *(np.sqrt(w @ a2) for w in grid.w), outer]
         points[i] = grid.points
     felt = (points == n) & (out[3] > TOP_BAND_FLAG)
     warnings = [f"{felt.sum()} of {times.size} times ran on the full "
@@ -1020,23 +1029,55 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
             "warnings": warnings, "datum": datum, "resolution": M}
 
 
+SCAN_CUT = 1e-100  # the scan's weight q starts a new run below this
+
+
+def _scan_runs(minus_e: np.ndarray):
+    """The weights q and the runs (lo, hi, carry) of the prefix sum that
+    solves L y = g, L unit lower bidiagonal with subdiagonal e, -e > 0:
+    y = q cumsum(g / q), q_j = prod_{i<j} (-e_i). q shrinks along the
+    grid (to 1e-386 at k = 100, N = 65536), so it restarts at 1 where it
+    would fall below ``SCAN_CUT``; a run's sum starts from the last sum s
+    before it as s_lo = g_lo + carry s_(lo-1), carry = -e_(lo-1) q_(lo-1)
+    (0 for the first run)."""
+    q, runs, lo, carry = np.ones(minus_e.size + 1), [], 0, 0.0
+    while True:
+        np.cumprod(minus_e[lo:], out=q[lo + 1:])
+        low = np.flatnonzero(q[lo + 1:] < SCAN_CUT)
+        hi = lo + 1 + int(low[0]) if low.size else q.size
+        runs.append((lo, hi, carry))
+        if hi == q.size:
+            return q, runs
+        lo, carry = hi, minus_e[hi - 1] * q[hi - 1]
+        q[lo] = 1.0
+
+
 def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
                          **model):
     """Exact inviscid norm history for the swirling disk flow.
 
-    The advection is a pure radial phase and every datum is real, so
-    each time works on two contiguous real columns, the datum's values f
-    times cos(rate t) and times sin(rate t) (:func:`_phase`). h1^2 is the
-    flux (Dirichlet) form of A, sum_e (r_e/dr)(f_e+1 - f_e)^2
-    + k^2 sum_j (dr/r_j) f_j^2, a sum of positive terms that also
-    normalizes the datum; the tridiagonal's own quadratic form cancels,
-    and its rounded entries put h1 ~1.4e-10 off at N = 65536. hm1^2 =
-    g^T A^-1 g = sum y_j^2 / d_j, g = sqrt(w) f, with A = L D L^T factored
-    once (L unit lower bidiagonal) and y = L^-1 g from one contiguous
-    ``dtbsv`` sweep per column; it agrees with a full tridiagonal solve
-    to ~1e-14. A time costs O(N) in reused buffers. A time whose phase
-    advances by more than 1 per radial cell, bound_B |t| / N > 1 with
-    bound_B = |k| max r^alpha, feels the truncation, and the series warns.
+    The advection is a pure radial phase theta = rate t and every datum
+    u is real, so f = u e^(-i theta), and each time starts from the
+    half-angle tangent tau and sigma = 2 / (1 + tau^2) of
+    :func:`_half_angle`. h1^2 is the flux (Dirichlet) form of A,
+    sum_e (r_e/dr)|f_e+1 - f_e|^2 + k^2 sum_j (dr/r_j)|f_j|^2, a sum of
+    positive terms that also normalizes the datum; the tridiagonal's own
+    quadratic form cancels, and its rounded entries put h1 ~1.4e-10 off
+    at N = 65536. By the half angle, |f_e+1 - f_e|^2 = (u_e+1 - u_e)^2
+    + u_e u_e+1 (tau_e+1 - tau_e)^2 sigma_e sigma_e+1, so h1^2 = c0
+    + sum_e c_e (tau_e+1 - tau_e)^2 sigma_e sigma_e+1, with c0 and
+    c_e = (r_e/dr) u_e u_e+1 formed once. hm1^2 = g^H A^-1 g
+    = sum_j |y_j|^2 / d_j, g = sqrt(w) f, with A = L D L^T factored once
+    (L unit lower bidiagonal) and y = L^-1 g = q cumsum(g / q), one
+    complex prefix sum (:func:`_scan_runs`) whose real and imaginary
+    parts carry the cosine and the sine: z = conj(g) / q
+    = b (sigma - 1 + i sigma tau), b = u sqrt(w) / q, formed once a time;
+    h^2 = sum q^2 |z|^2 before the scan and hm1^2
+    = sum (q^2 / d)|cumsum z|^2 after it, which agrees with a full
+    tridiagonal solve to ~1e-14. A time costs O(N) in reused buffers. A
+    time whose phase advances by more than 1 per radial cell,
+    bound_B |t| / N > 1 with bound_B = |k| max r^alpha, feels the
+    truncation, and the series warns.
 
     Parameters / returns as in `shear_mixing_series` (`build_spiral` for
     `build_shear`), "grid" always N and no "outer"; `datum` "uniform",
@@ -1052,32 +1093,40 @@ def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
     j = np.arange(1.0, N + 1.0)  # r_j = (j - 1/2) dr, r_e = j dr
     edge, cell = j[:-1], k * k / (j - 0.5)  # r_e / dr and k^2 dr / r_j
 
-    def h1_squared(f, df, ff):
-        """The flux form of f's h1^2, rows summed; ``df`` and ``ff``
-        take f's differences and squares."""
-        np.subtract(f[..., 1:], f[..., :-1], out=df)
-        return (np.sum(np.square(df, out=df) @ edge)
-                + np.sum(np.square(f, out=ff) @ cell))
+    def h1_squared(u):
+        """The flux form of a real u's h1^2."""
+        return np.square(np.diff(u)) @ edge + np.square(u) @ cell
 
     u = data[datum]().real.copy()
-    u /= np.sqrt(h1_squared(u, np.empty(N - 1), np.empty(N)))
-    sqw = np.sqrt(w)
-    d, e, info = dpttrf(diag, off)
+    u /= np.sqrt(h1_squared(u))
+    c0, c = h1_squared(u), edge * u[:-1] * u[1:]
+    # N = 1: A = [diag_0], nothing to factor
+    d, e, info = dpttrf(diag, off) if N > 1 else (diag, off, 0)
     if info != 0:
         raise ValueError(f"disk operator is not positive definite (info={info})")
-    band = np.zeros((2, N), order="F")  # L's subdiagonal, LAPACK band layout
-    band[1, :-1] = e
-    inv_d = 1.0 / d
-    f, g, df = np.empty((2, N)), np.empty((2, N)), np.empty((2, N - 1))
+    q, runs = _scan_runs(-e)
+    b = u * np.sqrt(w) / q
+    # the weights of |z|^2 and |cumsum z|^2 over z's (real, imag) pairs
+    wh, wm = np.repeat(q * q, 2), np.repeat(q * q / d, 2)
+    tau, sigma, bs = np.empty((3, N))
+    dtau = np.empty(N - 1)
+    z = np.empty(N, dtype=complex)
+    zf = z.view(float)
     out = np.empty((3, times.size))
     for i, t in enumerate(times):
-        _phase(rate, t, f[0], f[1])
-        f *= u
-        h1 = np.sqrt(h1_squared(f, df, g))
-        h = np.sqrt(np.vdot(np.multiply(f, sqw, out=g), g))
-        for y in g:  # y = L^-1 g in place, column by column
-            dtbsv(1, band, y, lower=1, diag=1, overwrite_x=1)
-        out[:, i] = h, h1, np.sqrt(np.sum(np.square(g, out=g) @ inv_d))
+        _half_angle(rate, t, tau, sigma)
+        np.multiply(b, sigma, out=bs)
+        np.subtract(bs, b, out=z.real)  # b cos(rate t)
+        np.multiply(bs, tau, out=z.imag)  # b sin(rate t)
+        h_sq = np.einsum("i,i,i->", zf, zf, wh)
+        np.square(np.subtract(tau[1:], tau[:-1], out=dtau), out=dtau)
+        dtau *= np.multiply(sigma[1:], sigma[:-1], out=bs[:-1])
+        h1_sq = c0 + c @ dtau
+        for lo, hi, carry in runs:  # z -> cumsum z, run by run, in place
+            if lo:
+                z[lo] += carry * z[lo - 1]
+            np.cumsum(z[lo:hi], out=z[lo:hi])
+        out[:, i] = np.sqrt([h_sq, h1_sq, np.einsum("i,i,i->", zf, zf, wm)])
     cells = np.abs(rate).max() * np.abs(times) / N  # phase per radial cell
     over = cells > 1.0
     warnings = [f"{over.sum()} of {times.size} times advance the phase by "

@@ -182,7 +182,7 @@ def test_mix_rate_refuses_a_bad_model_before_any_time(tmp_path, capsys,
     def evaluated(*args):
         raise AssertionError("the series evaluated a time")
 
-    monkeypatch.setattr(mx.models, "_phase", evaluated)
+    monkeypatch.setattr(mx.models, "_half_angle", evaluated)
     out = tmp_path / "m"
     assert cli.main(["mix-rate", "--model", "spiral", "--alpha", "0.5",
                      "--out", str(out)]) == 1

@@ -6,6 +6,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from itertools import product as _iproduct
 
 import numpy as np
 import pytest
@@ -568,11 +569,13 @@ def test_shear_mixing_series_matches_model_norms():
 
 
 def test_spiral_mixing_series_matches_model_norms():
+    """Also at N = 1, where the disk operator is the one entry diag_0:
+    nothing to factor or to sweep."""
     times = np.array([0.0, 2.0, 10.0])
-    for alpha in (1.0, 4.0):
-        prob = mx.build_model("spiral", alpha=alpha, k=1, N=64)
+    for N, alpha in _iproduct((1, 64), (1.0, 4.0)):
+        prob = mx.build_model("spiral", alpha=alpha, k=1, N=N)
         for datum in ("uniform", "single-mode-m1", "gaussian-bump"):
-            ser = mx.spiral_mixing_series(times, alpha=alpha, k=1, N=64,
+            ser = mx.spiral_mixing_series(times, alpha=alpha, k=1, N=N,
                                           datum=datum)
             f0 = mx.initial_datum(prob, datum)
             for i, t in enumerate(times):
@@ -647,8 +650,8 @@ def test_shear_series_grid_starts_coarse_and_never_shrinks():
 
 
 def test_shear_series_forms_its_weights_once_per_grid(monkeypatch):
-    """Each grid level stacks its h, h1 and hm1 weights once; the one
-    other call normalizes the datum."""
+    """Each grid level stacks its h1 and hm1 weights once (h is the
+    spectrum's sum); the one other call normalizes the datum."""
     calls = []
 
     def counting(lam, orders, real=mx.models.hs_weights):
@@ -692,10 +695,14 @@ def test_spiral_series_forward_sweep_matches_full_solve():
     z = sqrt(w) f, from _disk's entries at N = 256, where their rounding,
     magnified by the form's cancellation, stays below that; and the exact
     flux form sum_e (r_e/dr)(f_e+1 - f_e)^2 + k^2 sum_j (dr/r_j) f_j^2 at
-    N = 4096. hm1 agrees with a full tridiagonal solve to 1e-12."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
-    L, times = np.longdouble, np.array([0.0, 0.3, 7.0, 250.0])
+    N = 4096. hm1 agrees with a full tridiagonal solve to 1e-12. One time
+    puts the half angle rate t / 2 of a cell at N = 4096, as the series
+    rounds it, at the double nearest pi/2, where its tangent is ~1.6e16."""
+    rate = mx.models._disk(1.0, 1, 4096)[3][2048]
+    near = np.pi / rate + np.spacing(np.pi / rate) * np.arange(-64, 65)
+    odd = near[rate * (0.5 * near) == np.pi / 2][0]
+    assert abs(np.tan(rate * (0.5 * odd))) > 1e15
+    L, times = np.longdouble, np.array([0.0, 0.3, 7.0, 250.0, odd])
     w, diag, off, *_ = mx.models._disk(1.0, 1, 256)
 
     def a_form(f):
@@ -717,14 +724,60 @@ def test_spiral_series_forward_sweep_matches_full_solve():
     np.testing.assert_allclose(ser["h1"], _spiral_h1_oracle(
         N, times, flux_form).astype(float), rtol=1e-13, atol=0)
 
-    w, diag, off, r, *_ = mx.models._disk(1.0, 1, N)
-    g0 = np.sqrt(w / float(np.sum(1 / (j - 0.5))))  # unit h1
-    d, e, _ = dpttrf(diag, off)
-    for i, t in enumerate(times):
-        G = np.stack([np.cos(r * t) * g0, np.sin(r * t) * g0], axis=1)
-        hm1 = np.sqrt(np.vdot(G, dpttrs(d, e, G)[0]))
-        assert ser["hm1"][i] == pytest.approx(hm1, rel=1e-12)
+    np.testing.assert_allclose(ser["hm1"], _spiral_full_solve(
+        times, 1.0, 1, N, "uniform")[2], rtol=1e-12, atol=0)
     assert np.all(ser["grid"] == N)
+
+
+def _spiral_full_solve(times, alpha, k, N, datum):
+    """h, h1 and hm1 of the spiral series by an independent route: the
+    datum's values times np.cos and np.sin of rate t as two columns, h
+    from the weights, h1 from the flux form and hm1 from LAPACK's full
+    tridiagonal solve ``dpttrs``."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    w, diag, off, rate, _, _, data = mx.models._disk(alpha, k, N)
+    j = np.arange(1.0, N + 1.0)  # r_e / dr = e, dr / r_j = 1/(j - 1/2)
+
+    def flux_form(F):
+        return (np.sum(j[:-1, None] * np.diff(F, axis=0) ** 2)
+                + np.sum(k * k / (j[:, None] - 0.5) * F * F))
+
+    u = data[datum]().real[:, None]
+    u = u / np.sqrt(flux_form(u))
+    d, e, info = dpttrf(diag, off)
+    assert info == 0
+    out = []
+    for t in times:
+        F = u * np.stack([np.cos(rate * t), np.sin(rate * t)], axis=1)
+        G = np.sqrt(w)[:, None] * F
+        out.append([np.sqrt(np.sum(G * G)), np.sqrt(flux_form(F)),
+                    np.sqrt(np.sum(G * dpttrs(d, e, G)[0]))])
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("alpha, k, N, datum, times, runs", [
+    (4.0, 300, 4096, "gaussian-bump", [0.0, 0.3, 7.0, 250.0, 3e3], 7),
+    (1.0, 1, 65536, "uniform",
+     np.concatenate([[0.0], np.geomspace(0.1, 1e4, 11)]), 1),
+    (4.0, 1, 65536, "uniform",
+     np.concatenate([[0.0], np.geomspace(0.1, 1e4, 11)]), 1),
+], ids=["k300-alpha4-bump", "bench-alpha1", "bench-alpha4"])
+def test_spiral_series_scan_matches_full_solve(alpha, k, N, datum, times,
+                                               runs):
+    """The prefix-sum scan agrees with a full tridiagonal solve to 1e-12,
+    h and h1 with the flux form of the cos and sin columns. At k = 300,
+    N = 4096 the scan's weight q = prod(-e) falls to ~1e-651, so the scan
+    restarts in 7 runs; a single run would overflow. The bench size runs
+    in one."""
+    from scipy.linalg.lapack import dpttrf
+
+    w, diag, off, *_ = mx.models._disk(alpha, k, N)
+    assert len(mx.models._scan_runs(-dpttrf(diag, off)[1])[1]) == runs
+    ser = mx.spiral_mixing_series(times, alpha=alpha, k=k, N=N, datum=datum)
+    ref = _spiral_full_solve(times, alpha, k, N, datum)
+    for row, key in enumerate(("h", "h1", "hm1")):
+        np.testing.assert_allclose(ser[key], ref[row], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("family, bad", [
@@ -742,7 +795,8 @@ def test_series_refuse_what_their_builder_refuses(monkeypatch, family, bad):
     def evaluated(*args):
         raise AssertionError("the series evaluated a time")
 
-    monkeypatch.setattr(mx.models, "_phase", evaluated)
+    # both series take every time's phase through _half_angle
+    monkeypatch.setattr(mx.models, "_half_angle", evaluated)
     series = {"shear": mx.shear_mixing_series,
               "spiral": mx.spiral_mixing_series}[family]
     with pytest.raises(ValueError) as refused:
