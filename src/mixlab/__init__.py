@@ -11,7 +11,6 @@ __version__ = "0.1.0"  # set before the submodules, which record it
 
 from .diagnostics import (
     BoundReport,
-    ExpRateFit,
     RateFit,
     constant_c0_exp,
     constant_c0_poly,
@@ -51,8 +50,8 @@ from .models import (
 from .sweep import RowResult, SweepConfig, SweepResult, load_sweep, run_sweep
 
 __all__ = [
-    "BoundReport", "DecayTrace", "EvolutionError", "ExpRateFit",
-    "ModelProblem", "RateFit", "RowResult", "SweepConfig", "SweepResult",
+    "BoundReport", "DecayTrace", "EvolutionError", "ModelProblem",
+    "RateFit", "RowResult", "SweepConfig", "SweepResult",
     "build_model", "constant_c0_exp", "constant_c0_poly",
     "constant_c0_spiral", "constant_cs", "ed_exponent", "energy_residual",
     "evolve", "exact_inviscid", "exp_mixing_law", "exp_mixing_nu_threshold",

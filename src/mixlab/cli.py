@@ -27,7 +27,7 @@ from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; reserve 2 for numerics.
-    No abbreviations: ``ed-sweep --stop`` is not ``--stop-ratio``."""
+    No abbreviations: ``simulate --stop`` is not ``--stop-ratio``."""
 
     def __init__(self, **kw):
         super().__init__(allow_abbrev=False, **kw)
@@ -122,8 +122,8 @@ def _cmd_mix_rate(args) -> int:
               else spiral_mixing_series)(times, seed=args.seed, **kw)
     fit = fit_power_law(series["t"], series["hm1"],
                         window=(args.t_min, args.t_max))
-    p_meas, p_pred, warnings = -fit.exponent, series["p"], series["warnings"]
-    print(f"dual-norm decay: hm1 ~ t^{fit.exponent:+.4f} over "
+    p_pred, warnings = series["p"], series["warnings"]
+    print(f"dual-norm decay: hm1 ~ t^{-fit.rate:+.4f} over "
           f"t in [{args.t_min:g}, {args.t_max:g}]  (predicted mixing "
           f"exponent p = {'none' if p_pred is None else format(p_pred, 'g')})")
     for warning in warnings:
@@ -136,13 +136,13 @@ def _cmd_mix_rate(args) -> int:
         "model": args.model, "datum": series["datum"],
         "resolution": series["resolution"],
         "grid_points": [int(series["grid"].min()), int(series["grid"].max())],
-        "p_measured": p_meas, "p_predicted": p_pred, "fit": asdict(fit),
+        "p_measured": fit.rate, "p_predicted": p_pred, "fit": asdict(fit),
         "warnings": warnings})
     mask = series["t"] > 0
     tt = series["t"][mask]
-    fitted = np.exp(fit.intercept) * tt**fit.exponent
+    fitted = np.exp(fit.intercept) * tt**-fit.rate
     svg = line_plot_svg([(tt, series["hm1"][mask], "measured"),
-                         (tt, fitted, f"t^{fit.exponent:+.3f} fit")],
+                         (tt, fitted, f"t^{-fit.rate:+.3f} fit")],
                         "t", "dual norm", title=f"{args.model} mixing decay")
     with open(stem + ".svg", "w") as fh:
         fh.write(svg)
@@ -186,7 +186,7 @@ def _cmd_ed_sweep(args) -> int:
     axes = {axis + "s": (flags.pop(axis),)} if axis in flags else {}
     # a setting not given keeps SweepConfig's default
     given = {"ks": ks, "datum": args.datum, "resolution": args.resolution,
-             "stop_ratio": args.stop_ratio, "out_dir": args.out}
+             "out_dir": args.out}
     cfg = SweepConfig(model=args.model, nus=nus, **axes, model_flags=flags,
                       seed=args.seed,
                       **{k: v for k, v in given.items() if v is not None})
@@ -207,7 +207,7 @@ def _cmd_ed_sweep(args) -> int:
                 continue
             q_pred = rows[0].q_pred
             pred = f" (predicted {q_pred:.4g})" if q_pred else ""
-            print(f"{label}: q = {fit.exponent:.4f} (rms residual "
+            print(f"{label}: q = {fit.rate:.4f} (rms residual "
                   f"{fit.residual:.4f}) [{basis} time-scale]{pred}")
     print(f"sweep table: {result.csv_path}")
     if bad:
@@ -321,11 +321,11 @@ def _cmd_report(args) -> int:
                 entry[f"q_{basis}"] = None
                 entry[f"q_{basis}_note"] = str(fit)
                 continue
-            entry[f"q_{basis}"] = fit.exponent
+            entry[f"q_{basis}"] = fit.rate
             entry[f"q_{basis}_residual"] = fit.residual
             if q_meas is None:
-                q_meas = fit.exponent
-            print(f"{label}: q = {fit.exponent:.3f} (rms residual "
+                q_meas = fit.rate
+            print(f"{label}: q = {fit.rate:.3f} (rms residual "
                   f"{fit.residual:.3f}) [{basis}]")
         q_pred = rows[0].q_pred
         entry["verdict"] = "insufficient data" if q_meas is None else \
@@ -407,9 +407,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--" + key.replace("_", "-"), type=type(value),
                        help=f"default {value:g}; not with --nus")
     p.add_argument("--k-list", help="comma-separated wavenumbers")
-    # not given, each of these is None: SweepConfig's default
+    # not given, it is None: SweepConfig's default
     p.add_argument("--datum")
-    p.add_argument("--stop-ratio", type=float)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size for the sweep rows (>= 1)")
     p.set_defaults(func=_cmd_ed_sweep, k=None)

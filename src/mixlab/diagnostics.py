@@ -21,15 +21,15 @@ later times as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import DecayTrace
+from .models import q_from_p
 
 __all__ = [
     "RateFit",
-    "ExpRateFit",
     "BoundReport",
     "fit_power_law",
     "fit_decay_rate",
@@ -55,26 +55,14 @@ TAIL_EFOLDS = 3.0
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares power law ``y ~ exp(intercept) * x^exponent``: the
-    slope and intercept of log y against log x, as
-    :func:`fit_power_law` returns them. :func:`ed_exponent` flips the
-    sign of the exponent alone, so its record holds q = -slope with the
-    slope's intercept: ``taus ~ exp(intercept) * nus^(-exponent)``.
+    """A least-squares line through log y, reported as ``rate = -slope``:
+    ``y ~ exp(intercept) * x^(-rate)`` from :func:`fit_power_law`, whose
+    rate is a mixing exponent p or, through :func:`ed_exponent`, q; and
+    ``y ~ exp(intercept - rate * t)`` from :func:`fit_decay_rate`.
 
     ``window`` is the (min, max) range of the abscissa actually used —
-    times for mixing fits, viscosities for sweep fits.
+    times for mixing and tail fits, viscosities for sweep fits.
     """
-
-    exponent: float
-    intercept: float
-    residual: float
-    window: tuple
-    n_points: int
-
-
-@dataclass(frozen=True)
-class ExpRateFit:
-    """Least-squares exponential decay rate: slope of log h against t."""
 
     rate: float
     intercept: float
@@ -107,7 +95,7 @@ def _lsq_line(x: np.ndarray, y: np.ndarray):
 
 
 def fit_power_law(times, values, window=None) -> RateFit:
-    """Fit ``values ~ exp(intercept) * times^exponent`` by least squares in
+    """Fit ``values ~ exp(intercept) * times^(-rate)`` by least squares in
     (log t, log value).
 
     ``window = (t_min, t_max)`` restricts the samples used; at least 4
@@ -123,11 +111,11 @@ def fit_power_law(times, values, window=None) -> RateFit:
     if t.size < 4:
         raise ValueError(f"power-law fit needs >= 4 samples in window, got {t.size}")
     slope, intercept, resid = _lsq_line(np.log(t), np.log(v))
-    return RateFit(slope, intercept, resid, (float(t.min()), float(t.max())),
+    return RateFit(-slope, intercept, resid, (float(t.min()), float(t.max())),
                    int(t.size))
 
 
-def fit_decay_rate(times, values) -> ExpRateFit:
+def fit_decay_rate(times, values) -> RateFit:
     """Fit the asymptotic exponential decay rate of a positive signal.
 
     Least squares on (t, log value) over the tail where the signal sits
@@ -146,7 +134,7 @@ def fit_decay_rate(times, values) -> ExpRateFit:
         )
     slope, intercept, resid = _lsq_line(t[mask], lv[mask])
     tw = (float(t[mask].min()), float(t[mask].max()))
-    return ExpRateFit(-slope, intercept, resid, tw, int(mask.sum()))
+    return RateFit(-slope, intercept, resid, tw, int(mask.sum()))
 
 
 def tau_threshold(trace: DecayTrace, theta: float = THETA_DEFAULT) -> float:
@@ -213,9 +201,8 @@ def ed_exponent(pairs) -> RateFit:
 
     Fits log tau against log nu over the ``(nus, taus)`` pair — one row
     group's, as :func:`timescale_pairs` takes it from the rows — by
-    :func:`fit_power_law`, and reports q_meas = -slope as ``exponent``
-    with the fit's own ``intercept``, so
-    ``taus ~ exp(intercept) * nus^(-exponent)``. Requires at least 4
+    :func:`fit_power_law`, whose record holds q_meas as ``rate``, so
+    ``taus ~ exp(intercept) * nus^(-rate)``. Requires at least 4
     viscosities spanning two or more decades.
     """
     nus, taus = (np.asarray(x, dtype=float) for x in pairs)
@@ -223,8 +210,7 @@ def ed_exponent(pairs) -> RateFit:
         raise ValueError(f"need >= 4 viscosities, got {nus.size}")
     if nus.max() / nus.min() < 99.999:
         raise ValueError("viscosities must span at least two decades")
-    fit = fit_power_law(nus, taus)
-    return replace(fit, exponent=-fit.exponent)
+    return fit_power_law(nus, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +286,6 @@ def _check_positive(**kw):
     for name, val in kw.items():
         if val is None or val < 0 or (name != "c_B" and val == 0):
             raise ValueError(f"{name} must be positive (c_B may be zero), got {val}")
-
-
-def q_from_p(p: float) -> float:
-    """Enhanced-dissipation exponent from a polynomial mixing exponent."""
-    return 2.0 / (2.0 + p)
 
 
 def q_s_exponent(s: float, p: float) -> float:

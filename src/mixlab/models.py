@@ -75,6 +75,7 @@ __all__ = [
     "ModelProblem",
     "PROFILES",
     "fractional_symbol",
+    "q_from_p",
     "load_profile_csv",
     "resolve_profile",
     "build_shear",
@@ -110,15 +111,27 @@ def load_profile_csv(path) -> tuple[Callable, Callable, None]:
     derivative is a finite difference of the table (adequate for the
     advection bound and the commutator constant, which only need max|u'|).
     The vanishing order n0 cannot be inferred from a table and must be
-    supplied by the caller.
+    supplied by the caller. A table without rows, or a row whose first
+    two cells are not finite numbers, is a ValueError naming the file (and
+    the line).
     """
     ys, us = [], []
     with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
+        rows = _csv.reader(fh)
+        for row in rows:
             if not row or row[0].strip().lower() in ("y", ""):
                 continue
-            ys.append(float(row[0]))
-            us.append(float(row[1]))
+            try:
+                y, u = (float(cell) for cell in row[:2])
+                if not np.isfinite([y, u]).all():
+                    raise ValueError(f"y, u = {y:g}, {u:g} is not finite")
+            except ValueError as exc:
+                raise ValueError(f"shear profile {path}, line "
+                                 f"{rows.line_num}: {exc}") from None
+            ys.append(y)
+            us.append(u)
+    if not ys:
+        raise ValueError(f"shear profile {path} has no y,u rows")
     ys = np.asarray(ys)
     us = np.asarray(us)
     order = np.argsort(ys)
@@ -530,6 +543,11 @@ def fractional_symbol(gamma: float, k, m):
     return out
 
 
+def q_from_p(p: float) -> float:
+    """Enhanced-dissipation exponent from a polynomial mixing exponent."""
+    return 2.0 / (2.0 + p)
+
+
 def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
                 n0: int | None = None, M: int = 512) -> ModelProblem:
     """Shear flow on the torus, one x-wavenumber, fractional diffusion.
@@ -566,7 +584,7 @@ def build_shear(*, profile="sin", gamma: float = 2.0, k: int = 1,
         p = q = None
     else:
         p = gamma / (2.0 * (n0 + 1))
-        q = 2.0 / (2.0 + p)
+        q = q_from_p(p)
 
     params = {"profile": profile, "gamma": gamma, "k": k, "n0": n0, "M": M}
     return ModelProblem(
@@ -635,7 +653,7 @@ def build_kolmogorov(*, L: float = 2.0, k: int = 1,
         bound_B=abs(kL),
         mixed_bound=None,
         p=1.0,
-        q=2.0 / 3.0,
+        q=q_from_p(1.0),
         alt_q=3.0 / 5.0,
         basis="torus-fourier-sorted",
         data={"single-mode-m1": lambda: (modes == 1.0).astype(complex),

@@ -24,8 +24,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .diagnostics import TAIL_EFOLDS, THETA_DEFAULT, fit_decay_rate, \
-    tau_threshold
+from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, _certified_horizon, evolve, \
     write_trace
 from .models import FAMILIES, _builder_defaults, build_model, \
@@ -37,8 +36,12 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values: 2 = error-controlled steps, 3 = no ``dt``,
 #: 4 = one ``model_flags`` mapping, 5 = the certified horizon, 6 = no
-#: ``theta``; rows without a number predate all five
-ROW_FORMAT = 6
+#: ``theta``, 7 = no ``stop_ratio``; rows without a number predate all six
+ROW_FORMAT = 7
+#: a row stops once h has fallen to this fraction of h(0), ln 1000 = 6.9
+#: e-folds down: past the TAIL_EFOLDS of its rate fit, so the fitted tail
+#: never reaches back to t = 0
+STOP_RATIO = 1e-3
 
 
 #: axis -> how a row name writes its value (k is a plan row's int)
@@ -55,11 +58,10 @@ class SweepConfig:
     their values (``{"L": 3.0}``). ``datum`` names the initial data: the
     seeded ``"random-h1"`` or a name in the model's ``problem.data``
     (default ``"single-mode-m1"``, the lowest nontrivial mode).
-    ``stop_ratio`` ends a run once h has fallen to that fraction of h(0),
-    deep enough for the tail rate fit; the run's horizon is the time
-    ln(1/stop_ratio)/(nu lam1) by which the diffusive tail certificate
-    has got it there. ``resolution`` overrides the model's default
-    truncation.
+    ``resolution`` overrides the model's default truncation. Every row
+    runs until h has fallen to :data:`STOP_RATIO` h(0), within the time
+    ln(1/STOP_RATIO)/(nu lam1) by which the diffusive tail certificate
+    has got it there.
     """
 
     model: str
@@ -70,7 +72,6 @@ class SweepConfig:
     model_flags: dict = field(default_factory=dict)
     datum: str = "single-mode-m1"
     resolution: int | None = None
-    stop_ratio: float = 1e-3
     seed: int = 0
     out_dir: str = "sweep-out"
 
@@ -86,9 +87,6 @@ class SweepConfig:
                 raise ValueError(f"viscosities must lie in (0, 1), got {nu}")
         if self.resolution is not None and self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if not 0.0 < self.stop_ratio < THETA_DEFAULT:
-            raise ValueError(f"stop_ratio must lie in (0, e^-1 = "
-                             f"{THETA_DEFAULT:g}), got {self.stop_ratio}")
         # only the lists it crosses; no two values written alike in row names
         crossed = [name for name in (axis, "k", "nu") if name]
         for name, form in _NAMES.items():
@@ -119,10 +117,14 @@ class SweepConfig:
         data = json.loads(text)
         data.pop("dt", None)  # a setting of sweeps before row format 3
         data.pop("t_end_factor", None)  # and before row format 5
-        theta = data.pop("theta", THETA_DEFAULT)  # and before row format 6
-        if theta != THETA_DEFAULT:
-            raise ValueError(f"{source} has theta = {theta!r}; a sweep "
-                             f"reads tau at theta = {THETA_DEFAULT!r}")
+        # settings until row formats 5 (theta) and 6 (stop_ratio), now
+        # constants: a config that recorded another value is refused
+        for name, value, role in (("theta", THETA_DEFAULT, "reads tau at"),
+                                  ("stop_ratio", STOP_RATIO, "stops at")):
+            found = data.pop(name, value)
+            if found != value:
+                raise ValueError(f"{source} has {name} = {found!r}; a sweep "
+                                 f"{role} {name} = {value!r}")
         # row format 3's fields: the set ones the family reads are its flags
         old = {f: data.pop(f) for f in ("profile", "n0", "L") if f in data}
         reads = FAMILIES.get(data.get("model"), (None, {}))[1]
@@ -272,8 +274,8 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
     )
     try:
         trace = evolve(problem, datum, nu,
-                       _certified_horizon(problem, nu, cfg.stop_ratio),
-                       stop_ratio=cfg.stop_ratio)
+                       _certified_horizon(problem, nu, STOP_RATIO),
+                       stop_ratio=STOP_RATIO)
     except EvolutionError as exc:
         result.status = f"error: {exc}"
         return result, None
@@ -296,11 +298,6 @@ def _run_row(cfg: SweepConfig, problem, row: dict, index: int):
         if rf.rate <= 0.0:
             raise ValueError(f"the tail fit gives {rf.rate:.3e} <= 0")
         result.rate, result.fit["rate_fit"] = rf.rate, asdict(rf)
-        if rf.window[0] == trace.times[0]:  # no tail: h never fell that far
-            result.meta["warnings"].append(
-                f"the decay rate is fitted over the whole trace: h fell "
-                f"{np.log(trace.h[0] / trace.h[-1]):.3g} e-folds, fewer than "
-                f"the {TAIL_EFOLDS:g} of a tail")
     except ValueError as exc:
         result.meta["warnings"].append(f"no decay rate: {exc}")
     return result, trace

@@ -109,11 +109,11 @@ def test_criterion_3_mixing_rates(capsys):
     times = np.geomspace(10.0, 1e3, 40)
     shear = mx.shear_mixing_series(times, profile="sin", gamma=2.0, k=1,
                                    M=2048)
-    p_shear = -mx.fit_power_law(times, shear["hm1"]).exponent
+    p_shear = mx.fit_power_law(times, shear["hm1"]).rate
     sp1 = mx.spiral_mixing_series(times, alpha=1.0, k=1, N=8192)
-    p_sp1 = -mx.fit_power_law(times, sp1["hm1"]).exponent
+    p_sp1 = mx.fit_power_law(times, sp1["hm1"]).rate
     sp4 = mx.spiral_mixing_series(times, alpha=4.0, k=1, N=8192)
-    p_sp4 = -mx.fit_power_law(times, sp4["hm1"]).exponent
+    p_sp4 = mx.fit_power_law(times, sp4["hm1"]).rate
     ok = 0.4 < p_shear < 0.6 and 0.9 < p_sp1 < 1.1 and 0.4 < p_sp4 < 0.6
     _report(capsys, 3, ok,
             f"dual-norm decay exponents: shear {p_shear:.3f} (predicted "
@@ -130,7 +130,7 @@ def test_criterion_4_enhanced_dissipation(capsys, heat_sweep, shear2_sweep,
     rows_ok = all(r.status == "ok"
                   for s in sweeps.values() for r in s.rows)
     q = {name: {basis: mx.ed_exponent(
-                    mx.timescale_pairs(s.rows, basis)).exponent
+                    mx.timescale_pairs(s.rows, basis)).rate
                 for basis in ("crossing", "rate")}
          for name, s in sweeps.items()}
     q_pred = {name: s.rows[0].q_pred for name, s in sweeps.items()}

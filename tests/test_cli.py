@@ -249,7 +249,7 @@ def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 2, this sweep row_format = 6" in err
+    assert "row_format = 2, this sweep row_format = 7" in err
     assert "Traceback" not in err
 
 
@@ -279,7 +279,7 @@ def test_sweep_of_row_format_3_reports_but_does_not_resume(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "shear_g2_k1_nu1.0000e-01.json has row_format = 3, this sweep " \
-        "row_format = 6" in err
+        "row_format = 7" in err
     assert "Traceback" not in err
 
 
@@ -306,26 +306,26 @@ def test_sweep_with_a_horizon_factor_reports_but_does_not_resume(tmp_path,
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 4, this sweep row_format = 6" in err
+    assert "row_format = 4, this sweep row_format = 7" in err
     assert "Traceback" not in err
 
 
-def test_sweep_of_row_format_5_reports_but_does_not_resume(tmp_path, capsys):
-    """A sweep written when the crossing level was a setting (row format
-    5, ``theta = e^-1`` in its config and rows) loads without it, reports
-    and verifies; resuming it is refused by its row format, and a config
-    with another theta is refused by name."""
+def _sweep_of_a_retired_setting(tmp_path, capsys, row_format, name, value,
+                                other, refusal):
+    """A heat sweep whose config and rows record ``name = value``, a
+    setting until ``row_format``, loads without it, reports and verifies;
+    resuming it is refused by its row format, and a config that recorded
+    ``other`` is refused with ``refusal``."""
     out = tmp_path / "sweep"
     argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
             "--resolution", "16", "--out", str(out)]
     assert cli.main(argv) == 0
-    theta = mx.diagnostics.THETA_DEFAULT
     cfg_path = out / "sweep_config.json"
     cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "theta": theta}))
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path), name: value}))
     for path in (out / "rows").iterdir():
         row = _load_json(path)
-        row["config"].update(row_format=5, theta=theta)
+        row["config"].update({"row_format": row_format, name: value})
         path.write_text(json.dumps(row))
     assert mx.load_sweep(str(out)).config == cfg
     assert cli.main(["report", str(out)]) == 0
@@ -333,12 +333,33 @@ def test_sweep_of_row_format_5_reports_but_does_not_resume(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "row_format = 5, this sweep row_format = 6" in err
+    assert f"row_format = {row_format}, this sweep row_format = 7" in err
     assert "Traceback" not in err
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "theta": 0.5}))
+    cfg_path.write_text(json.dumps({**_load_json(cfg_path), name: other}))
     assert cli.main(["report", str(out)]) == 1
-    assert f"{cfg_path} has theta = 0.5; a sweep reads tau at theta = " \
-        f"{theta!r}" in capsys.readouterr().err
+    assert f"{cfg_path} has {name} = {other!r}; {refusal}" in \
+        capsys.readouterr().err
+
+
+def test_sweep_of_row_format_5_reports_but_does_not_resume(tmp_path, capsys):
+    """A sweep written when the crossing level was a setting (row format
+    5, ``theta = e^-1`` in its config and rows) loads without it, reports
+    and verifies; resuming it is refused by its row format, and a config
+    with another theta is refused by name."""
+    theta = mx.diagnostics.THETA_DEFAULT
+    _sweep_of_a_retired_setting(
+        tmp_path, capsys, 5, "theta", theta, 0.5,
+        f"a sweep reads tau at theta = {theta!r}")
+
+
+def test_sweep_of_row_format_6_reports_but_does_not_resume(tmp_path, capsys):
+    """A sweep written when the stop depth was a setting (row format 6,
+    ``stop_ratio = 1e-3`` in its config and rows) loads without it,
+    reports and verifies; resuming it is refused by its row format, and a
+    config with another stop_ratio is refused by name."""
+    _sweep_of_a_retired_setting(
+        tmp_path, capsys, 6, "stop_ratio", 1e-3, 0.3,
+        "a sweep stops at stop_ratio = 0.001")
 
 
 def _snapshot(root):
@@ -759,6 +780,28 @@ def test_csv_profile_on_simulate_and_mix_rate(tmp_path):
     assert 0.4 < fit["p_measured"] < 0.6
 
 
+@pytest.mark.parametrize("text, message", [
+    ("y,u\n", " has no y,u rows"),
+    ("y,u\n0,0\n1,abc\n", ", line 3: could not convert string to float: "
+                         "'abc'"),
+    ("y,u\n0,0\n1,nan\n3,0.5\n", ", line 3: y, u = 1, nan is not finite"),
+], ids=["header-only", "bad-cell", "nan-cell"])
+def test_a_bad_csv_profile_is_refused_by_name(tmp_path, capsys, text,
+                                              message):
+    """A profile table without rows, or with a cell that is not a finite
+    number, exits 1 naming the file and, for the cell, its line. (A nan
+    cell used to run, and fail as a non-finite norm with exit 2.)"""
+    prof = tmp_path / "prof.csv"
+    prof.write_text(text)
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--model", "shear", "--profile", str(prof),
+                     "--nu", "1e-3", "--t-end", "1", "--resolution", "16",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: shear profile {prof}{message}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_mix_rate_without_predicted_exponent(tmp_path, capsys):
     rc = cli.main(["mix-rate", "--model", "shear", "--profile", "zero",
                    "--resolution", "64", "--t-max", "100", "--points", "16",
@@ -836,8 +879,7 @@ def test_ed_sweep_defaults_are_the_sweep_configs(monkeypatch, model):
     monkeypatch.setattr(cli, "SweepConfig", config)
     monkeypatch.setattr(cli, "run_sweep", run)
     assert cli.main(["ed-sweep", "--model", model, "--nus", "0.1,0.05"]) == 1
-    assert not passed[0] & {"ks", "datum", "stop_ratio", "out_dir",
-                            "resolution"}
+    assert not passed[0] & {"ks", "datum", "out_dir", "resolution"}
     want = sweep.SweepConfig(model=model, nus=(0.1, 0.05))
     for f in dataclasses.fields(want):
         assert getattr(ran[0], f.name) == getattr(want, f.name), f.name
@@ -932,11 +974,14 @@ def test_bad_step_controls_exit_code_1(tmp_path, capsys, argv):
     ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--theta", "0.5"],
     ["verify-bound", "sweep", "--amp-t-max", "100"],
     [*_SIM, "--sample-every", "1"],
-], ids=["ed-sweep-theta", "verify-bound-amp-t-max", "simulate-sample-every"])
+    ["ed-sweep", "--model", "heat", "--nus", "0.1,0.01", "--stop-ratio",
+     "0.1"],
+], ids=["ed-sweep-theta", "verify-bound-amp-t-max", "simulate-sample-every",
+        "ed-sweep-stop-ratio"])
 def test_the_methods_constants_are_not_flags(capsys, argv):
-    """The crossing level e^-1, the amplitude fit's horizon and the first
-    sample stride are constants of the method: each old flag is refused
-    as unknown, before anything runs."""
+    """The crossing level e^-1, the amplitude fit's horizon, the first
+    sample stride and a sweep row's stop depth are constants of the
+    method: each old flag is refused as unknown, before anything runs."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
@@ -1008,8 +1053,6 @@ def test_undefined_datum_or_dimension_exit_code_1(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--stop-ratio", "1.5"),
-    ("--stop-ratio", "-1"),
     ("--resolution", "0"),
 ])
 def test_bad_sweep_controls_exit_code_1(tmp_path, capsys, flag, value):
@@ -1180,18 +1223,3 @@ def test_simulate_prints_each_trace_warning(tmp_path, capsys):
     assert lines[2:4] == ["stop reason: underflow", f"  warning: {warned}"]
     sidecar = _load_json(tmp_path / "trace_heat_k1_nu1.0000e+01.json")
     assert sidecar["warnings"] == [warned]
-
-
-def test_a_rate_fitted_over_the_whole_trace_warns(tmp_path, capsys):
-    """A row whose h never falls TAIL_EFOLDS below its start has no tail:
-    its rate is fitted from the first sample, and the row says so."""
-    out = tmp_path / "s"
-    assert cli.main(["ed-sweep", "--model", "heat", "--resolution", "32",
-                     "--nus", "0.1", "--stop-ratio", "0.3",
-                     "--out", str(out)]) == 0
-    warned = ("the decay rate is fitted over the whole trace: h fell 1.21 "
-              "e-folds, fewer than the 3 of a tail")
-    assert f"  warning: {warned}" in capsys.readouterr().out.splitlines()
-    row = _load_json(out / "rows" / "heat_k1_nu1.0000e-01.json")
-    assert row["meta"]["warnings"] == [warned]
-    assert row["fit"]["rate_fit"]["window"][0] == 0.0

@@ -31,10 +31,10 @@ def _decay(t, rate):
 def test_fit_power_law_exact():
     t = np.geomspace(1.0, 100.0, 20)
     fit = mx.fit_power_law(t, t**-2.0)
-    assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
+    assert fit.rate == pytest.approx(2.0, abs=1e-12)
     assert fit.residual < 1e-12
     fit = mx.fit_power_law(t, 3.0 * t**-1.0)
-    assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
+    assert fit.rate == pytest.approx(1.0, abs=1e-12)
     assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
     assert fit.n_points == 20
 
@@ -43,8 +43,8 @@ def test_fit_power_law_scale_equivariance():
     rng = np.random.default_rng(2)
     t = np.geomspace(1.0, 50.0, 12)
     v = t**-0.7 * np.exp(0.05 * rng.standard_normal(12))
-    e1 = mx.fit_power_law(t, v).exponent
-    e2 = mx.fit_power_law(t, 1e6 * v).exponent
+    e1 = mx.fit_power_law(t, v).rate
+    e2 = mx.fit_power_law(t, 1e6 * v).rate
     assert e1 == pytest.approx(e2, abs=1e-12)
 
 
@@ -53,7 +53,7 @@ def test_fit_power_law_window_and_validation():
     v = t**-1.0
     v[t < 1.0] = 1.0  # plateau outside the window
     fit = mx.fit_power_law(t, v, window=(1.0, 1000.0))
-    assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
+    assert fit.rate == pytest.approx(1.0, abs=1e-12)
     assert fit.window[0] >= 1.0
     with pytest.raises(ValueError):
         mx.fit_power_law([1, 2, 3], [1.0, 0.5, 0.25])  # too few
@@ -62,9 +62,13 @@ def test_fit_power_law_window_and_validation():
 
 
 def test_fit_decay_rate_exact_exponential():
+    """The tail fit is a RateFit with the power laws' sign: h = 2 e^{-0.3 t}
+    is exp(intercept - rate t) with rate 0.3 and intercept ln 2."""
     t = np.linspace(0.0, 30.0, 200)
-    fit = mx.fit_decay_rate(t, np.exp(-0.3 * t))
+    fit = mx.fit_decay_rate(t, 2.0 * np.exp(-0.3 * t))
+    assert type(fit) is mx.RateFit
     assert fit.rate == pytest.approx(0.3, abs=1e-12)
+    assert fit.intercept == pytest.approx(np.log(2.0), abs=1e-10)
     assert fit.residual < 1e-12
 
 
@@ -146,20 +150,20 @@ def test_tau_threshold_no_crossing_raises():
 def test_ed_exponent_synthetic_half():
     nus = np.geomspace(1e-6, 1e-2, 9)
     fit = mx.ed_exponent((nus, nus**-0.5))
-    assert fit.exponent == pytest.approx(0.5, abs=1e-12)
+    assert fit.rate == pytest.approx(0.5, abs=1e-12)
     assert fit.residual < 1e-12
 
 
 def test_ed_exponent_holds_q_with_the_slopes_intercept():
     """On an exact power law taus = 3 nus^-0.4 the record holds q = 0.4
     and the intercept ln 3 of log tau against log nu, so
-    taus = exp(intercept) * nus^(-exponent)."""
+    taus = exp(intercept) * nus^(-rate)."""
     nus = np.geomspace(1e-6, 1e-2, 9)
     taus = 3.0 * nus**-0.4
     fit = mx.ed_exponent((nus, taus))
-    assert fit.exponent == pytest.approx(0.4, abs=1e-12)
+    assert fit.rate == pytest.approx(0.4, abs=1e-12)
     assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
-    np.testing.assert_allclose(np.exp(fit.intercept) * nus**-fit.exponent,
+    np.testing.assert_allclose(np.exp(fit.intercept) * nus**-fit.rate,
                                taus, rtol=1e-10)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixlab as mx
-from mixlab import EvolutionError, evolution
+from mixlab import EvolutionError, evolution, sweep
 from mixlab.evolution import CHECK_EVERY, default_dt
 from mixlab.models import model_params
 
@@ -244,10 +244,11 @@ def test_controlled_rows_match_fixed_step_rows(tmp_path):
                 model, {**vars(cfg), "alpha": row.alpha,
                         "gamma": row.gamma, "k": row.k}))
             f0 = mx.initial_datum(prob, cfg.datum)
-            t_end = evolution._certified_horizon(prob, row.nu, cfg.stop_ratio)
+            t_end = evolution._certified_horizon(prob, row.nu,
+                                                 sweep.STOP_RATIO)
             ds = row.meta["sample_interval"]
             ref = mx.evolve(prob, f0, row.nu, t_end, dt=ds / 5,
-                            sample_every=5, stop_ratio=cfg.stop_ratio)
+                            sample_every=5, stop_ratio=sweep.STOP_RATIO)
             tau_rate = 1.0 / mx.fit_decay_rate(ref.times, ref.h).rate
             assert row.tau == pytest.approx(mx.tau_threshold(ref),
                                             rel=2e-5), row.key

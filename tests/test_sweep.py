@@ -58,15 +58,17 @@ def test_config_json_roundtrip():
 
 
 def test_config_reads_tau_at_e_minus_1_only():
-    """theta is no setting: a config neither holds nor records it, and
-    stop_ratio is bounded by e^-1. (A legacy theta: test_cli's format-5
-    sweep.)"""
-    assert "theta" not in {f.name for f in dataclasses.fields(mx.SweepConfig)}
+    """theta and stop_ratio are no settings: a config neither holds nor
+    records them. A row stops below its crossing level e^-1, and deeper
+    than the TAIL_EFOLDS of its rate fit. (A legacy theta or stop_ratio:
+    test_cli's format-5 and format-6 sweeps.)"""
     cfg = mx.SweepConfig(model="heat", nus=(0.1,))
-    assert "theta" not in json.loads(cfg.to_json())
-    assert "theta" not in cfg.row_config()
-    with pytest.raises(ValueError, match=r"stop_ratio must lie in \(0, e\^-1"):
-        mx.SweepConfig(model="heat", nus=(0.1,), stop_ratio=0.5)
+    for name in ("theta", "stop_ratio"):
+        assert name not in {f.name for f in dataclasses.fields(cfg)}
+        assert name not in json.loads(cfg.to_json())
+        assert name not in cfg.row_config()
+    assert sweep.STOP_RATIO < mx.diagnostics.THETA_DEFAULT
+    assert np.log(1.0 / sweep.STOP_RATIO) > mx.diagnostics.TAIL_EFOLDS
 
 
 def test_row_enumeration_order_and_count():
@@ -159,18 +161,33 @@ def test_heat_sweep_tau_scales_like_inverse_nu(tmp_path):
 
 
 def test_a_heat_row_runs_to_its_certified_horizon(tmp_path):
-    """A heat row's horizon is ln(1/stop_ratio)/(nu lam1), the time by
-    which the tail certificate gets h to stop_ratio; its sample interval is
+    """A heat row's horizon is ln(1/STOP_RATIO)/(nu lam1), the time by
+    which the tail certificate gets h to STOP_RATIO; its sample interval is
     1/1000 of it, and the row stops on stop_ratio within it."""
     cfg = _heat_cfg(tmp_path, nus=(0.1, 0.01))
     for row in mx.run_sweep(cfg).rows:
-        horizon = np.log(1.0 / cfg.stop_ratio) / row.nu  # lam1 = 1
+        horizon = np.log(1.0 / sweep.STOP_RATIO) / row.nu  # lam1 = 1
         trace = mx.read_trace(os.path.join(str(tmp_path), row.trace_path))
         assert row.meta["stop_reason"] == "stop_ratio"
-        assert trace.h[-1] <= cfg.stop_ratio * trace.h[0] < trace.h[-2]
+        assert trace.h[-1] <= sweep.STOP_RATIO * trace.h[0] < trace.h[-2]
         assert trace.times[-1] == row.meta["t_end"] <= horizon
         assert row.meta["sample_interval"] == pytest.approx(horizon / 1000,
                                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("model, axes", [
+    ("heat", {}), ("shear", {"gammas": (2.0,)})], ids=["heat", "shear"])
+def test_a_rows_rate_is_fitted_on_its_tail(tmp_path, model, axes):
+    """A row stops STOP_RATIO down, more than TAIL_EFOLDS below h(0), so
+    the window of its rate fit starts after t = 0 and ends at the row's
+    end, and the row warns of nothing."""
+    cfg = mx.SweepConfig(model=model, nus=(1e-2,), resolution=32,
+                         out_dir=str(tmp_path), **axes)
+    (row,) = mx.run_sweep(cfg).rows
+    assert row.status == "ok" and row.meta["warnings"] == []
+    assert row.meta["h_end_over_h0"] <= sweep.STOP_RATIO
+    start, end = row.fit["rate_fit"]["window"]
+    assert 0.0 < start < end == row.meta["t_end"]
 
 
 @settings(max_examples=8, deadline=None)
@@ -184,7 +201,7 @@ def test_the_certified_horizon_cuts_no_shear_row_short(log_nu, gamma):
     (_, params, [(index, row)]), = sweep.row_groups(cfg, enumerate(cfg.rows()))
     problem = mx.build_model("shear", **params)
     certified, _ = sweep._run_row(cfg, problem, row, index)
-    horizon = sweep._certified_horizon(problem, row["nu"], cfg.stop_ratio)
+    horizon = sweep._certified_horizon(problem, row["nu"], sweep.STOP_RATIO)
     with mock.patch.object(sweep, "_certified_horizon",
                            lambda *args: 10.0 * horizon), \
             mock.patch.object(mx.evolution, "_certified_horizon",
@@ -497,7 +514,7 @@ def test_a_shear_row_on_the_complex_path_matches_the_real_row(
 def test_nonpositive_rate_fit_is_a_row_warning(tmp_path, monkeypatch):
     """A tail fit whose rate is not positive records no rate, and the row,
     still ok on its tau, says why."""
-    monkeypatch.setattr(sweep, "fit_decay_rate", lambda t, h: mx.ExpRateFit(
+    monkeypatch.setattr(sweep, "fit_decay_rate", lambda t, h: mx.RateFit(
         -0.5, 0.0, 0.0, (float(t[0]), float(t[-1])), t.size))
     res = mx.run_sweep(_heat_cfg(str(tmp_path / "s")))
     (row,) = res.rows
