@@ -9,21 +9,24 @@ eigenvalues ``lam`` and the inner product is flat:
 
     g -> half * advect(half * g),   half = exp(-nu lam dt / 2),
 
-with ``advect = op.flow(dt)``, formed once per step size. A step
+with ``advect = op.flow(dt)``, formed once per model and step size,
+cached on the op (the ``FLOW_CACHE`` most recently used step sizes; see
+:class:`mixlab.models._CachedFlow`): the flow does not depend on nu, so
+the rows of a sweep, which share their group's model, share it. A step
 allocates one array, ``half * g``, and works in it: on the Fourier grid
 (shear) the flow of complex coefficients is an unscaled inverse FFT into
 it, a multiply by the grid phase with the forward FFT's 1/n folded in,
 and an unscaled forward FFT into it; the second half-step scales it in
 place. A real datum under an odd profile (``single-mode-m1`` under
 ``sin``) has real coefficients, which the flow keeps real: there it is
-one ``dgbmv`` with the phase's real kernel, a band formed once per step
-size, into a second array (:meth:`mixlab.models.FourierPhase.flow`;
+one ``dgbmv`` with the phase's real kernel, a band formed with the
+flow, into a second array (:meth:`mixlab.models.FourierPhase._form_flow`;
 where that band is wide, the FFT pair on a complex copy). For the matrix
 families (Kolmogorov, kinetic) the flow is one ``zgbmv`` with the band
 of exp(-B dt), formed from its Chebyshev-Bessel series by probing, into
 a second array; where no narrow band exists (kinetic d >= 2, or a step
 whose band is as wide as the matrix) it sums the series at each step
-(:meth:`mixlab.models.SkewMatrix.flow`). The step's input is never
+(:meth:`mixlab.models.SkewMatrix._form_flow`). The step's input is never
 written, so a caller's state, and the state that a step-doubling check
 steps twice, stay as they are. A model with no advection (B = 0, the
 heat equation) takes one diffusion multiply per step.
@@ -32,14 +35,14 @@ Every sampled norm is an eigenvalue-weighted sum over the internal
 coordinates. A run stacks, once, the weights of its sampled orders (1,
 lam, 1/lam, and lam^2 with ``"h2"``; see
 :func:`mixlab.models.hs_weights`) over the mask of the top band of
-eigenvalues, so each sample is one product ``W @ |g|^2``. Every sample is
-kept, in a buffer that doubles when it is full. The top band is one or
-two contiguous slices of the internal order, and every state a kept
-interval steps through before its sampled end adds up their energy; the
-largest is charged against the next sample's h^2, and the share is
-capped at 1. h never increases, so a sample's top-band share bounds that
-of every state stepped through since the one before, and a sparse grid
-hides no peak of the run.
+eigenvalues, so each sample is one product ``W @ |g|^2``, written into
+its own row of a buffer that doubles when it is full; every sample is
+kept. The top band is one or two contiguous slices of the internal
+order, and every state a kept interval steps through before its sampled
+end adds up their energy; the largest is charged against the next
+sample's h^2, and the share is capped at 1. h never increases, so a
+sample's top-band share bounds that of every state stepped through
+since the one before, and a sparse grid hides no peak of the run.
 
 Time steps. A viscous run with ``stop_ratio`` first cuts its horizon to
 ln(1/stop_ratio)/(nu lam1), where the tail certificate below has brought
@@ -91,7 +94,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from math import gcd, log
+from math import gcd, isfinite, log, sqrt
 
 import numpy as np
 import scipy
@@ -177,9 +180,12 @@ def step_viscous(problem: ModelProblem, f, nu: float, dt: float) -> np.ndarray:
 
 
 def _strang_step(problem: ModelProblem, nu: float, dt: float):
-    """The map g -> half * advect(half * g) on internal coordinates. It
-    allocates one array, ``half * g``, which the flow may overwrite and
-    which the last half-step scales in place; g is never written."""
+    """The map g -> half * advect(half * g) on internal coordinates. The
+    flow ``advect`` is formed once per model and step size, cached on the
+    op (at most ``FLOW_CACHE`` step sizes); only the halves depend on nu.
+    A step allocates one array, ``half * g``, which the flow may
+    overwrite and which the last half-step scales in place; g is never
+    written."""
     half = np.exp(-nu * problem.op.lam * dt / 2.0)
     if problem.bound_B == 0.0:  # no advection (heat): the halves compose
         full = half * half
@@ -297,37 +303,38 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         n_steps += n
         return g
 
-    # a column per sample: its index j, the squared norm of each order and
+    # a row per sample: its index j, the squared norm of each order and
     # the top band's energy; the buffer doubles when it is full
-    samples = np.empty((2 + len(orders), 1024))
+    samples = np.empty((1024, 2 + len(orders)))
     n_rec = 0
 
     def record(g, j):
-        """Sample g at t = j ds; returns its h^2."""
+        """Sample g at t = j ds into the next row; returns its h^2."""
         nonlocal samples, n_rec
-        sums = weights @ np.square(np.abs(g, out=a2), out=a2)
-        if not np.isfinite(sums[0]):
+        if n_rec == len(samples):
+            full, samples = samples, np.empty((2 * n_rec, samples.shape[1]))
+            samples[:n_rec] = full
+        row = samples[n_rec]
+        np.dot(weights, np.square(np.abs(g, out=a2), out=a2), out=row[1:])
+        h2 = row.item(1)
+        if not isfinite(h2):
             raise EvolutionError(
                 f"non-finite H norm at t={j * ds:g} "
                 f"(model {problem.name}, nu={nu:g}, dt={s * ds / m:g})"
             )
-        if n_rec == samples.shape[1]:
-            full, samples = samples, np.empty((len(samples), 2 * n_rec))
-            samples[:, :n_rec] = full
         # an inner state's share, charged to this h^2 <= its own, bounds
         # it; capped at this h^2, since no true share passes 1
-        sums[-1] = min(max(sums[-1], between), sums[0])
-        samples[0, n_rec] = j
-        samples[1:, n_rec] = sums
+        row[-1] = min(max(row.item(-1), between), h2)
+        row[0] = j
         n_rec += 1
-        return sums[0]
+        return h2
 
     # m steps per sample interval of s ds: m = s keeps an explicit dt
     m = m_max = s if dt is not None else 1
     dt_min = ds if dt is not None else s * ds  # the smallest regular step
     at_cap = False
     tiny = np.finfo(float).tiny  # the smallest normal double
-    h0 = np.sqrt(record(g, 0))
+    h0 = sqrt(record(g, 0))
     floor = stop_ratio * h0 if stop_ratio else -1.0
     # the step is exact without viscosity, without advection, or on the
     # zero state
@@ -366,7 +373,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
             g = advance(g, -(-m * span // s), span)
         j, k = j + span, k + 1
         h2 = record(g, j)
-        if np.sqrt(h2) <= floor:
+        if sqrt(h2) <= floor:
             meta["stop_reason"] = "stop_ratio"
             break
         if h2 < tiny and h0 > 0.0:  # the zero state aside
@@ -375,7 +382,7 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
                                     "run stops there")
             break
 
-    samples = samples[:, :n_rec]
+    samples = samples[:n_rec].T  # a row per quantity
     occupancy = np.divide(samples[-1], samples[1], out=samples[-1].copy(),
                           where=samples[1] > 0)
     meta.update(n_steps=n_steps, sample_stride=s, sample_interval=s * ds,
@@ -429,13 +436,13 @@ def write_norms(path, t, h, h1, hm1) -> None:
     """Write the norm table: a header, then t, h, h1, hm1 per row, each
     number as ``%.17g`` (the bytes ``np.savetxt`` writes with that
     format, in two thirds of its time). Rows are formatted from Python
-    floats, 4096 at a time, and streamed to the file, so no copy of the
-    table is held as text or as Python floats."""
+    floats, 1024 at a time (about 0.13 MB of them), and streamed to the
+    file, so no copy of the table is held as text or as Python floats."""
     table = np.column_stack([t, h, h1, hm1])
     with open(path, "w") as fh:
         fh.write("t,h,h1,hm1\n")
-        for start in range(0, len(table), 4096):
-            cols = table[start:start + 4096].T.tolist()
+        for start in range(0, len(table), 1024):
+            cols = table[start:start + 1024].T.tolist()
             fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__,
                               zip(*cols)))
 

@@ -22,9 +22,12 @@ the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
 Fourier grid, an FFT pair that overwrites a complex argument, or, for
 real coefficients under an odd shear, one banded product with the
 phase's real kernel), or the Chebyshev-Bessel series
-in the banded Hermitian iB, a polynomial formed once per step
-size as one narrow band and applied by one ``zgbmv`` a step, or summed at
-each step (about 13 O(n) products) where no narrow band exists.
+in the banded Hermitian iB, a polynomial formed as one narrow band and
+applied by one ``zgbmv`` a step, or summed at each step (about 13 O(n)
+products) where no narrow band exists. A flow does not depend on the
+viscosity: each op forms it once per step size and keeps the
+``FLOW_CACHE`` most recently used (:class:`_CachedFlow`), so every row
+that runs on one model shares them.
 :class:`ModelProblem` reads every norm and projection off it: the product
 ``inner``, the H^s norms ``sobolev``, the cut-off ``project_low`` (P_R)
 and ``lam1``. Every H^s norm is a product of squared coefficient moduli
@@ -181,12 +184,36 @@ def _grid_times(mult: np.ndarray):
     return apply
 
 
+FLOW_CACHE = 8  # step sizes whose flow each op keeps
+
+
+class _CachedFlow:
+    """A representation whose flow is formed once per step size:
+    ``flow(t)`` returns the map :meth:`_form_flow` formed for this t,
+    kept on the op for the ``FLOW_CACHE`` most recently used t. An entry
+    holds what its map reads: the grid phase and its multiplier, two
+    n-vectors (and a real band once a real state used it), a dense
+    unitary U of 16 N^2 bytes (1 MB at N = 256), or a band of exp(-Bt),
+    16 (2w + 1) n bytes. A model pickles as its recipe, so no entry is
+    pickled."""
+
+    def flow(self, t: float):
+        flows = self.__dict__.setdefault("_flows", {})  # least recent first
+        apply = flows.pop(t, None)
+        if apply is None:
+            apply = self._form_flow(t)
+            if len(flows) == FLOW_CACHE:
+                del flows[next(iter(flows))]
+        flows[t] = apply
+        return apply
+
+
 ODD_ULPS = 16.0  # |rate(-y) + rate(y)| <= ODD_ULPS eps max|rate|: odd
 KERNEL_CUT = 4.0  # the real kernel is cut below KERNEL_CUT eps max|p_l|
 BAND_COST = 8.0  # a band of 2w + 1 <= BAND_COST log2 n diagonals is cheaper
 
 
-class FourierPhase:
+class FourierPhase(_CachedFlow):
     """B = i * rate(y) on the grid of a Fourier series (shear, heat); the
     internal coordinates are the state's own Fourier coefficients, and the
     working product is flat (``w = 1``).
@@ -220,7 +247,8 @@ class FourierPhase:
     def apply_B(self, g: np.ndarray) -> np.ndarray:
         return _grid_times(1j * self.rate)(np.array(g, dtype=complex))
 
-    def _band(self, phase: np.ndarray):
+    @staticmethod
+    def _band(phase: np.ndarray):
         """The flow on real coefficients as one ``dgbmv``, or None where
         its band is wide. For an odd rate the grid ``phase`` has the real
         kernel p_l = Re fft(phase)_l / n, and c_m -> sum_l p_l c_{m-l}
@@ -244,7 +272,7 @@ class FourierPhase:
         ext = (np.arange(n + 2 * w) - w) % n
         return lambda g: dgbmv(n, n + 2 * w, 0, 2 * w, 1.0, ab, g[ext])
 
-    def flow(self, t: float):
+    def _form_flow(self, t: float):
         """The flow g -> e^{-Bt} g. A complex g goes through the FFT pair
         of ``_grid_times``, which overwrites it. A real g (``odd`` only) is
         mapped into a new real array: by the band of :meth:`_band`, formed
@@ -256,10 +284,10 @@ class FourierPhase:
 
         def apply(g):
             nonlocal real
-            if np.iscomplexobj(g):
+            if g.dtype.kind == "c":
                 return pair(g)
-            if real is None:
-                real = self._band(phase) \
+            if real is None:  # the class's, so the map holds no op
+                real = FourierPhase._band(phase) \
                     or (lambda x: pair(x.astype(complex)).real)
             return real(g)
 
@@ -269,7 +297,7 @@ class FourierPhase:
         return self.flow(t)(np.array(state, dtype=complex))
 
 
-class RadialPhase:
+class RadialPhase(_CachedFlow):
     """B = i * rate(r) on the radial grid of the disk (spiral), whose
     working product has the quadrature weights ``w``; the internal
     coordinates are A's eigencoordinates ``V.T @ (sqrt(w) * f)``,
@@ -294,7 +322,7 @@ class RadialPhase:
     def apply_B(self, g: np.ndarray) -> np.ndarray:
         return self.V.T @ (1j * self.rate * (self.V @ g))
 
-    def flow(self, t: float):
+    def _form_flow(self, t: float):
         """The radial phase moved into A's eigenbasis: a dense unitary."""
         phase = np.exp(-1j * self.rate * t)
         U = self.V.T @ (phase[:, None] * self.V)
@@ -334,7 +362,7 @@ def _ladder_add(ladders, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class SkewMatrix:
+class SkewMatrix(_CachedFlow):
     """B a sparse skew-Hermitian matrix (Kolmogorov, kinetic), given as
     the Hermitian H = iB in the flat internal coordinates ``sqrt(w) * f``
     of the working product with per-coefficient weights ``w``, where A is
@@ -412,7 +440,7 @@ class SkewMatrix:
         ab = np.where(inside, probes[j % p, np.where(inside, i, j)], 0.0)
         return np.asfortranarray(ab)
 
-    def flow(self, t: float):
+    def _form_flow(self, t: float):
         """exp(-Bt) = exp(iHt), the series of :meth:`_series`.
         Where its band, of half-width w = (K-1) ``width``, is narrower
         than the matrix, 2w + 1 <= n (which ``zgbmv`` requires), and holds

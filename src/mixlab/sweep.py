@@ -10,19 +10,25 @@ bit-identical result set. ``sweep.csv`` is an output only: a sweep is
 read back from its ``sweep_config.json`` and the row file of every row
 that config plans. A row records the settings that shaped it, and a
 resumed sweep refuses rows computed with other settings. The rows that
-share ``(alpha, gamma, k)`` run one model, built once (:func:`row_groups`).
+share ``(alpha, gamma, k)`` run one model, built once (:func:`row_groups`),
+and share the advection flows its op forms once per step size.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from itertools import product, repeat
 
 import numpy as np
+import scipy
 
 from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, _certified_horizon, evolve, \
@@ -325,6 +331,56 @@ def _write_csv(result: SweepResult) -> None:
     _atomic_write(result.csv_path, "\n".join(lines) + "\n")
 
 
+#: the OpenBLAS that numpy and scipy each bundle: (package, the suffix of
+#: its ``scipy_openblas_*`` symbols)
+_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+@cache
+def _openblas_threads() -> tuple:
+    """``(get, set)`` ctypes calls of the thread count of each OpenBLAS
+    that numpy and scipy bundle (``scipy_openblas_get_num_threads`` and
+    ``..._set_...`` in ``libscipy_openblas*`` under ``numpy.libs`` and
+    ``scipy.libs``), resolved once a process. One not found is left out,
+    with a warning."""
+    found = []
+    for package, suffix in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, next(
+                name for name in os.listdir(libs)
+                if name.startswith("libscipy_openblas"))))
+            get, set_ = (getattr(lib, f"scipy_openblas_{verb}_num_threads"
+                                     f"{suffix}") for verb in ("get", "set"))
+        except (OSError, StopIteration, AttributeError) as exc:
+            warnings.warn(f"no thread control for {package.__name__}'s "
+                          f"OpenBLAS ({exc!r}); pool workers keep its "
+                          "default thread count", RuntimeWarning)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return tuple(found)
+
+
+def _one_blas_thread(blas: tuple) -> None:
+    """A pool worker's initializer: one thread in each OpenBLAS. A forked
+    worker otherwise starts a BLAS thread per core, and the workers'
+    threads oversubscribe the cores."""
+    for _, set_ in blas:
+        set_(1)
+
+
+def _row_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes with one BLAS thread each;
+    the OpenBLAS calls are resolved here, so that a warning about them is
+    raised in this process, not in a worker."""
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread, initargs=(_openblas_threads(),))
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run (or resume) a sweep.
 
@@ -336,8 +392,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     a pending row cannot build. A run's EvolutionError is recorded in the
     row status; any other error is raised once the rows before it in plan
     order are persisted, and no ``sweep.csv`` is written. Workers > 1
-    runs pending rows in a process pool, which rebuilds each row's model
-    from its pickled recipe; all files are written here.
+    runs pending rows in a pool of forked processes with one BLAS thread
+    each (:func:`_row_pool`), which rebuild each row's model from its
+    pickled recipe, once for a run of a group's rows; all files are
+    written here.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -374,7 +432,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)
     _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = _row_pool(workers) if workers > 1 else None
     with pool or nullcontext():  # both maps yield in plan order
         for rr, trace in (pool.map if pool else map)(
                 _run_row, repeat(cfg, len(runs)), *zip(*runs)):

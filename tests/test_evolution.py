@@ -708,7 +708,7 @@ def test_trace_io_roundtrip(tmp_path):
 def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
     """The norm table is byte for byte what np.savetxt writes with
     ``%.17g``, on zeros, subnormals, huge values and non-finite ones,
-    with no rows, and with rows past one 4096-row chunk."""
+    with no rows, and with rows past one 1024-row chunk."""
     from mixlab.evolution import write_norms
 
     col = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,

@@ -543,6 +543,36 @@ def test_unpickling_builds_each_recipe_once(monkeypatch):
     assert built == ["kolmogorov", "heat", "kolmogorov"]
 
 
+@pytest.mark.parametrize("name, kw, real", [
+    ("shear", dict(M=32), False), ("shear", dict(M=32), True),
+    ("spiral", dict(N=16), False), ("kolmogorov", dict(L=2.0, M=16), False),
+    ("kinetic", dict(N=6, d=2, k=(1, 2)), False)],
+    ids=["shear", "shear-real", "spiral", "kolmogorov", "kinetic-d2"])
+def test_an_op_keeps_the_flows_of_its_latest_step_sizes(name, kw, real):
+    """Driven through FLOW_CACHE + 3 step sizes, an op keeps the flows of
+    the FLOW_CACHE most recently used: a step size used again is kept
+    over older ones, and a flow formed again after its eviction maps a
+    state to the bytes a cold op's flow gives."""
+    from mixlab.models import FLOW_CACHE
+
+    op = mx.build_model(name, **kw).op
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal(op.lam.size)
+    if not real:
+        g = g + 1j * rng.standard_normal(op.lam.size)
+    times = [0.5 / 2**i for i in range(FLOW_CACHE + 3)]
+    for t in times:
+        op.flow(t)
+    assert list(op._flows) == times[3:]
+    assert op.flow(times[3]) is op.flow(times[3])  # a hit: the same map
+    op.flow(0.3)
+    assert list(op._flows) == [*times[5:], times[3], 0.3]
+    again = op.flow(times[0])(g.copy())
+    cold = mx.build_model(name, **kw).op.flow(times[0])(g.copy())
+    assert len(op._flows) == FLOW_CACHE
+    assert (again.dtype, again.tobytes()) == (cold.dtype, cold.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # closed-form norm histories
 

@@ -5,7 +5,9 @@ import json
 import os
 import pathlib
 import re
+import pickle
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import mixlab as mx
 from mixlab import sweep
-from mixlab.models import FourierPhase
+from mixlab.models import FourierPhase, RadialPhase, SkewMatrix
 
 
 def _heat_cfg(out_dir, nus=(0.1,), **kw):
@@ -371,6 +373,91 @@ def test_pool_writes_the_bytes_of_the_serial_run(tmp_path):
         runs[workers] = _result_files(cfg.out_dir)
     assert len(runs[1]) == 4 + 8 + 1  # row files, traces with sidecars, csv
     assert runs[2] == runs[1]
+
+
+def _blas_threads(pause):
+    """In a pool worker: its pid and the thread count of each OpenBLAS."""
+    time.sleep(pause)  # so that each worker takes one task
+    return os.getpid(), [get() for get, _ in sweep._openblas_threads()]
+
+
+def test_pool_workers_run_one_blas_thread():
+    """Each forked worker of a sweep's pool runs one thread in numpy's
+    and in scipy's OpenBLAS, and this process keeps its own count: with
+    a BLAS thread per core in each worker, two workers on two cores ran a
+    sweep up to 30x slower than one process."""
+    blas = sweep._openblas_threads()
+    assert len(blas) == 2
+    before = [get() for get, _ in blas]
+    with sweep._row_pool(2) as pool:
+        reports = list(pool.map(_blas_threads, [0.3, 0.3]))
+    assert len({pid for pid, _ in reports}) == 2
+    assert [counts for _, counts in reports] == [[1, 1], [1, 1]]
+    assert [get() for get, _ in blas] == before
+
+
+def test_a_missing_openblas_symbol_warns_once(monkeypatch):
+    """An OpenBLAS without the thread calls is left out with a warning,
+    raised once a process, so a pool started later raises none."""
+    monkeypatch.setattr(sweep, "_OPENBLAS", ((np, "_no_such_suffix"),))
+    sweep._openblas_threads.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="no thread control for "
+                                                "numpy's OpenBLAS"):
+            assert sweep._openblas_threads() == ()
+        assert sweep._openblas_threads() == ()  # no second warning
+    finally:
+        sweep._openblas_threads.cache_clear()
+
+
+@pytest.mark.parametrize("model, axes, nus", [
+    ("spiral", dict(alphas=(1.0,)), (1e-5, 1e-4, 1e-3, 1e-2)),
+    ("kolmogorov", dict(model_flags={"L": 2.0}), (1e-4, 3e-4, 1e-3, 3e-3))],
+    ids=["spiral", "kolmogorov"])
+def test_each_model_forms_each_flow_once(tmp_path, monkeypatch, model, axes,
+                                         nus):
+    """The advection flow does not depend on nu: the four rows of one
+    group, at resolution 64, form each step size's flow once between
+    them, on their one model."""
+    formed = []
+    for cls in (FourierPhase, RadialPhase, SkewMatrix):
+        def counting(op, t, form=cls._form_flow):
+            formed.append((op, t))
+            return form(op, t)
+
+        monkeypatch.setattr(cls, "_form_flow", counting)
+    cfg = mx.SweepConfig(model=model, nus=nus, resolution=64,
+                         out_dir=str(tmp_path), **axes)
+    result = mx.run_sweep(cfg)
+    assert [r.status for r in result.rows] == ["ok"] * 4
+    assert len({op for op, _ in formed}) == 1
+    assert len(formed) == len({t for _, t in formed}) > 1
+
+
+@pytest.mark.parametrize("model", ["spiral", "kolmogorov", "shear"])
+def test_a_row_on_a_warm_model_is_the_row_on_a_cold_one(tmp_path, model):
+    """A row run on a model whose flows another row has formed writes the
+    bytes (row, trace and sidecar) and the final state of the same row
+    on a freshly built model, and the warm model pickles to the bytes of
+    the cold one."""
+    cfg = mx.SweepConfig(model=model, nus=(1e-3, 1e-2), resolution=32,
+                         datum="random-h1", out_dir=str(tmp_path))
+    plan = cfg.rows()
+    params = sweep.row_groups(cfg, list(enumerate(plan)))[0][1]
+    warm, cold = (mx.build_model(model, **params) for _ in range(2))
+    sweep._run_row(cfg, warm, plan[0], 0)
+    assert warm.op._flows
+    written = {}
+    for name, problem in (("warm", warm), ("cold", cold)):
+        rr, trace = sweep._run_row(cfg, problem, plan[1], 1)
+        mx.write_trace(trace, tmp_path / f"{name}.csv")
+        written[name] = (json.dumps(rr.to_dict(), sort_keys=True),
+                         _read(tmp_path / f"{name}.csv"),
+                         _read(tmp_path / f"{name}.json"),
+                         trace.final_state.tobytes(),
+                         trace.occupancy.tobytes())
+    assert written["warm"] == written["cold"]
+    assert pickle.dumps(warm) == pickle.dumps(cold)
 
 
 def test_load_sweep_missing_directory(tmp_path):
