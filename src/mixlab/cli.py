@@ -3,8 +3,8 @@
 Every subcommand is a thin shell over the library: build a model, run the
 flow or load a sweep directory, fit, write artifacts. Exit status is 0 on
 success, 1 on usage errors (bad flags, bad model parameters, missing
-inputs), 2 on numerical failures (NaN, unresolved rows, a decay bound that
-does not hold).
+inputs, an ``--out`` that is a file), 2 on numerical failures (NaN,
+unresolved rows, a decay bound that does not hold).
 """
 
 import argparse
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         print(f"mixlab {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"mixlab {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

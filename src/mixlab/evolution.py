@@ -228,7 +228,8 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         ln(1/stop_ratio)/(nu lam1), where the tail certificate has
         brought h there. Used by sweeps to capture the asymptotic decay.
     extras
-        Extra norms to sample; currently ``"h2"``.
+        Extra norms to sample: the one known is ``"h2"``; another name is
+        a ValueError.
 
     Returns a :class:`DecayTrace` whose ``meta`` records, besides the stop
     reason (``"t_end"``, ``"stop_ratio"`` or ``"underflow"``) and the
@@ -249,6 +250,10 @@ def evolve(problem: ModelProblem, f_in, nu: float, t_end: float,
         raise ValueError(f"stop_ratio must lie in (0, 1), got {stop_ratio:g}")
     if dt is not None and not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt:g}")
+    unknown = sorted(set(extras) - {"h2"})
+    if unknown:
+        raise ValueError(f"unknown extra(s) {', '.join(unknown)}: the one "
+                         "known extra is h2")
     s = 1 if sample_every is None else sample_every  # the sample stride
     if not (float(s).is_integer() and s >= 1):
         raise ValueError(f"sample_every must be an integer >= 1, got "

@@ -294,7 +294,9 @@ class FourierPhase(_CachedFlow):
         return apply
 
     def inviscid(self, state, t: float) -> np.ndarray:
-        return self.flow(t)(np.array(state, dtype=complex))
+        """The flow's FFT pair, formed here and not cached."""
+        return _grid_times(np.exp(-1j * self.rate * t))(
+            np.array(state, dtype=complex))
 
 
 class RadialPhase(_CachedFlow):

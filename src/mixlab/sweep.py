@@ -9,9 +9,10 @@ in enumeration order at the end, so an interrupted sweep resumes to a
 bit-identical result set. ``sweep.csv`` is an output only: a sweep is
 read back from its ``sweep_config.json`` and the row file of every row
 that config plans. A row records the settings that shaped it, and a
-resumed sweep refuses rows computed with other settings. The rows that
-share ``(alpha, gamma, k)`` run one model, built once (:func:`row_groups`),
-and share the advection flows its op forms once per step size.
+resume and :func:`load_sweep` alike refuse rows of other settings. The
+rows that share ``(alpha, gamma, k)`` run one model, built once
+(:func:`row_groups`), and share the advection flows its op forms once
+per step size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product, repeat
 import numpy as np
 import scipy
 
-from .diagnostics import THETA_DEFAULT, fit_decay_rate, tau_threshold
+from .diagnostics import fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, _certified_horizon, evolve, \
     write_trace
 from .models import FAMILIES, _builder_defaults, build_model, \
@@ -40,9 +41,7 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
            "row_key", "row_datum", "row_groups"]
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
-#: version of the row values: 2 = error-controlled steps, 3 = no ``dt``,
-#: 4 = one ``model_flags`` mapping, 5 = the certified horizon, 6 = no
-#: ``theta``, 7 = no ``stop_ratio``; rows without a number predate all six
+#: version of the row values, which every row records
 ROW_FORMAT = 7
 #: a row stops once h has fallen to this fraction of h(0), ln 1000 = 6.9
 #: e-folds down: past the TAIL_EFOLDS of its rate fit, so the fitted tail
@@ -120,23 +119,8 @@ class SweepConfig:
         """The config written by :meth:`to_json`; ValueError naming
         ``source`` if it holds a field this version does not know or
         lacks a required one."""
-        data = json.loads(text)
-        data.pop("dt", None)  # a setting of sweeps before row format 3
-        data.pop("t_end_factor", None)  # and before row format 5
-        # settings until row formats 5 (theta) and 6 (stop_ratio), now
-        # constants: a config that recorded another value is refused
-        for name, value, role in (("theta", THETA_DEFAULT, "reads tau at"),
-                                  ("stop_ratio", STOP_RATIO, "stops at")):
-            found = data.pop(name, value)
-            if found != value:
-                raise ValueError(f"{source} has {name} = {found!r}; a sweep "
-                                 f"{role} {name} = {value!r}")
-        # row format 3's fields: the set ones the family reads are its flags
-        old = {f: data.pop(f) for f in ("profile", "n0", "L") if f in data}
-        reads = FAMILIES.get(data.get("model"), (None, {}))[1]
-        data.setdefault("model_flags", {}).update(
-            {f: v for f, v in old.items() if v is not None and f in reads})
-        return SweepConfig(**_checked_fields(SweepConfig, data, source))
+        return SweepConfig(**_checked_fields(SweepConfig, json.loads(text),
+                                             source))
 
     def row_config(self) -> dict:
         """What every row of this sweep records and a resumed sweep must
@@ -258,9 +242,24 @@ def _row_path(out_dir: str, key: str) -> str:
     return os.path.join(out_dir, "rows", key + ".json")
 
 
-def _read_row(path: str) -> RowResult:
+def _read_row(path: str, cfg: SweepConfig, expected: dict) -> RowResult:
+    """The row in ``path``, or a ValueError naming the file and the first
+    field of ``expected``, ``cfg``'s :meth:`SweepConfig.row_config` (its
+    callers form it once a directory), that the row records otherwise or
+    not at all: :func:`run_sweep` and :func:`load_sweep` accept and
+    refuse the same rows."""
     with open(path) as fh:
-        return RowResult.from_dict(json.load(fh), path)
+        rr = RowResult.from_dict(json.load(fh), path)
+    for name, value in expected.items():
+        if name not in rr.config or not _same_setting(
+                cfg.model, name, rr.config[name], value):
+            found = f"{name} = {rr.config[name]!r}" \
+                if name in rr.config else f"no {name} record"
+            raise ValueError(
+                f"{path} has {found}, this sweep {name} = {value!r}; a "
+                "sweep directory holds the rows of one configuration: use "
+                "another directory for other settings")
+    return rr
 
 
 def row_datum(cfg: SweepConfig, problem, index: int) -> np.ndarray:
@@ -385,10 +384,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Run (or resume) a sweep.
 
     Rows already present under ``out_dir/rows/`` are not recomputed, but
-    each must record this sweep's :meth:`SweepConfig.row_config` (model
-    flags that give the builder the same keywords match):
-    otherwise a ValueError naming the first field that differs is raised
-    before anything is written, as is the ValueError of a model or datum
+    each must record this sweep's :meth:`SweepConfig.row_config`
+    (:func:`_read_row`): otherwise its ValueError is raised before
+    anything is written, as is the ValueError of a model or datum
     a pending row cannot build. A run's EvolutionError is recorded in the
     row status; any other error is raised once the rows before it in plan
     order are persisted, and no ``sweep.csv`` is written. Workers > 1
@@ -410,16 +408,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         if not os.path.exists(row_path):
             pending.append(idx)
             continue
-        rr = _read_row(row_path)
-        for name, value in expected.items():
-            if name not in rr.config or not _same_setting(
-                    cfg.model, name, rr.config[name], value):
-                found = f"{name} = {rr.config[name]!r}" \
-                    if name in rr.config else f"no {name} record"
-                raise ValueError(
-                    f"{row_path} has {found}, this sweep {name} = {value!r}; "
-                    "resume with the same settings or use another out_dir")
-        results[key] = rr
+        results[key] = _read_row(row_path, cfg, expected)
     # one model per group, and a model or datum the rows cannot build
     # leaves no directory behind; a group's rows are consecutive in plan order
     runs, groups = [], row_groups(cfg, [(i, plan[i]) for i in pending])
@@ -454,14 +443,15 @@ def load_sweep(out_dir: str) -> SweepResult:
 
     A missing config or row file is a FileNotFoundError naming it, so the
     rows read back are exactly the rows the sweep planned; an interrupted
-    sweep loads once ``ed-sweep`` has resumed it.
+    sweep loads once ``ed-sweep`` has resumed it. A row of other settings
+    is the ValueError of :func:`_read_row`, as on a resume.
     """
     cfg_path = os.path.join(out_dir, "sweep_config.json")
     if not os.path.exists(cfg_path):
         raise FileNotFoundError(f"no sweep_config.json under {out_dir!r}")
     with open(cfg_path) as fh:
         cfg = SweepConfig.from_json(fh.read(), cfg_path)
-    rows = []
+    rows, expected = [], cfg.row_config()
     for row in cfg.rows():
         key = row_key(cfg.model, row)
         path = _row_path(out_dir, key)
@@ -469,5 +459,5 @@ def load_sweep(out_dir: str) -> SweepResult:
             raise FileNotFoundError(
                 f"row {key} has no file {path}; the sweep is unfinished: "
                 f"resume it with ed-sweep")
-        rows.append(_read_row(path))
+        rows.append(_read_row(path, cfg, expected))
     return SweepResult(rows, out_dir, cfg)

@@ -226,144 +226,146 @@ def test_ed_sweep_k_list_and_report(tmp_path):
     assert list(report["groups"]) == ["spiral_a1_k1", "spiral_a1_k2"]
 
 
-@pytest.mark.parametrize("dt", [None, 0.02])
-def test_sweep_of_row_format_2_reports_but_does_not_resume(tmp_path, capsys,
-                                                           dt):
-    """A sweep written when the step was a setting (row format 2, a
-    ``dt`` in its config and rows) loads, reports and verifies; resuming
-    it is refused."""
-    out = tmp_path / "sweep"
-    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
-            "--resolution", "16", "--out", str(out)]
-    assert cli.main(argv) == 0
-    cfg_path = out / "sweep_config.json"
-    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path), "dt": dt}))
-    for path in (out / "rows").iterdir():
-        row = _load_json(path)
-        row["config"].update(row_format=2, dt=dt)
-        path.write_text(json.dumps(row))
-    assert mx.load_sweep(str(out)).config == cfg
-    assert cli.main(["report", str(out)]) == 0
-    assert cli.main(["verify-bound", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert "row_format = 2, this sweep row_format = 7" in err
-    assert "Traceback" not in err
-
-
-def test_sweep_of_row_format_3_reports_but_does_not_resume(tmp_path, capsys):
-    """A sweep written when profile, n0 and L were fields of every config
-    (row format 3) loads with the set ones its family reads as its
-    model_flags, reports and verifies; resuming it is refused by name."""
-    out = tmp_path / "sweep"
-    argv = ["ed-sweep", "--model", "shear", "--nus", "0.1,0.05",
-            "--resolution", "16", "--out", str(out)]
-    assert cli.main(argv) == 0
-    old = {"profile": "sin", "n0": None, "L": 2.0}
-    cfg_path = out / "sweep_config.json"
-    data = _load_json(cfg_path)
-    assert data.pop("model_flags") == {}
-    cfg_path.write_text(json.dumps({**data, **old}))
-    for path in (out / "rows").iterdir():
-        row = _load_json(path)
-        del row["config"]["model_flags"]
-        row["config"].update(row_format=3, **old)
-        path.write_text(json.dumps(row))
-    cfg = mx.load_sweep(str(out)).config
-    assert cfg.model_flags == {"profile": "sin"} and cfg.gammas == (2.0,)
-    assert cli.main(["report", str(out)]) == 0
-    assert cli.main(["verify-bound", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert "shear_g2_k1_nu1.0000e-01.json has row_format = 3, this sweep " \
-        "row_format = 7" in err
-    assert "Traceback" not in err
-
-
-def test_sweep_with_a_horizon_factor_reports_but_does_not_resume(tmp_path,
-                                                                 capsys):
-    """A sweep written when the horizon was a setting (row format 4, a
-    ``t_end_factor`` in its config and rows) loads without it, reports and
-    verifies; resuming it is refused."""
-    out = tmp_path / "sweep"
-    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
-            "--resolution", "16", "--out", str(out)]
-    assert cli.main(argv) == 0
-    cfg_path = out / "sweep_config.json"
-    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path),
-                                    "t_end_factor": 20.0}))
-    for path in (out / "rows").iterdir():
-        row = _load_json(path)
-        row["config"].update(row_format=4, t_end_factor=20.0)
-        path.write_text(json.dumps(row))
-    assert mx.load_sweep(str(out)).config == cfg
-    assert cli.main(["report", str(out)]) == 0
-    assert cli.main(["verify-bound", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert "row_format = 4, this sweep row_format = 7" in err
-    assert "Traceback" not in err
-
-
-def _sweep_of_a_retired_setting(tmp_path, capsys, row_format, name, value,
-                                other, refusal):
-    """A heat sweep whose config and rows record ``name = value``, a
-    setting until ``row_format``, loads without it, reports and verifies;
-    resuming it is refused by its row format, and a config that recorded
-    ``other`` is refused with ``refusal``."""
-    out = tmp_path / "sweep"
-    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
-            "--resolution", "16", "--out", str(out)]
-    assert cli.main(argv) == 0
-    cfg_path = out / "sweep_config.json"
-    cfg = sweep.SweepConfig.from_json(cfg_path.read_text())
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path), name: value}))
-    for path in (out / "rows").iterdir():
-        row = _load_json(path)
-        row["config"].update({"row_format": row_format, name: value})
-        path.write_text(json.dumps(row))
-    assert mx.load_sweep(str(out)).config == cfg
-    assert cli.main(["report", str(out)]) == 0
-    assert cli.main(["verify-bound", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"row_format = {row_format}, this sweep row_format = 7" in err
-    assert "Traceback" not in err
-    cfg_path.write_text(json.dumps({**_load_json(cfg_path), name: other}))
-    assert cli.main(["report", str(out)]) == 1
-    assert f"{cfg_path} has {name} = {other!r}; {refusal}" in \
-        capsys.readouterr().err
-
-
-def test_sweep_of_row_format_5_reports_but_does_not_resume(tmp_path, capsys):
-    """A sweep written when the crossing level was a setting (row format
-    5, ``theta = e^-1`` in its config and rows) loads without it, reports
-    and verifies; resuming it is refused by its row format, and a config
-    with another theta is refused by name."""
-    theta = mx.diagnostics.THETA_DEFAULT
-    _sweep_of_a_retired_setting(
-        tmp_path, capsys, 5, "theta", theta, 0.5,
-        f"a sweep reads tau at theta = {theta!r}")
-
-
-def test_sweep_of_row_format_6_reports_but_does_not_resume(tmp_path, capsys):
-    """A sweep written when the stop depth was a setting (row format 6,
-    ``stop_ratio = 1e-3`` in its config and rows) loads without it,
-    reports and verifies; resuming it is refused by its row format, and a
-    config with another stop_ratio is refused by name."""
-    _sweep_of_a_retired_setting(
-        tmp_path, capsys, 6, "stop_ratio", 1e-3, 0.3,
-        "a sweep stops at stop_ratio = 0.001")
-
-
 def _snapshot(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+#: a setting that sweep_config.json held until a row format -> that
+#: format and what its config and rows recorded
+_RETIRED = {
+    "dt": (2, {"dt": 0.02}),
+    "profile": (3, {"profile": "sin", "n0": None, "L": 2.0}),
+    "t_end_factor": (4, {"t_end_factor": 20.0}),
+    "theta": (5, {"theta": mx.diagnostics.THETA_DEFAULT}),
+    "stop_ratio": (6, {"stop_ratio": 1e-3}),
+}
+
+
+@pytest.mark.parametrize("setting", list(_RETIRED))
+def test_a_sweep_of_an_older_row_format_is_refused(tmp_path, capsys,
+                                                   setting):
+    """A sweep of an older row format, whose config holds a retired
+    setting and whose rows record that format, is refused by every
+    command that reads it: ``report`` and ``verify-bound`` name the
+    config and the setting, a resumed ``ed-sweep`` (which reads the rows)
+    a row and its ``row_format``. Each exits 1 and writes nothing."""
+    row_format, old = _RETIRED[setting]
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "shear" if setting == "profile" else
+            "heat", "--nus", "0.1,0.05", "--resolution", "16",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    for path in [out / "sweep_config.json", *(out / "rows").iterdir()]:
+        data = _load_json(path)
+        record = data["config"] if "config" in data else data
+        if setting == "profile":  # format 3 had no model_flags
+            del record["model_flags"]
+        record.update(old)
+        if record is not data:
+            record["row_format"] = row_format
+        path.write_text(json.dumps(data))
+    before = _snapshot(out)
+    for command in ("report", "verify-bound", "ed-sweep"):
+        capsys.readouterr()
+        assert cli.main(argv if command == "ed-sweep"
+                        else [command, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"mixlab {command}: error: " in err and "Traceback" not in err
+        if command == "ed-sweep":
+            assert re.search(re.escape(str(out / "rows")) + r"/\S+\.json has "
+                             f"row_format = {row_format}, this sweep "
+                             "row_format = 7", err)
+        else:
+            assert f"{out / 'sweep_config.json'} has unknown SweepConfig " \
+                f"field(s) {', '.join(sorted(old))}" in err
+        assert _snapshot(out) == before
+
+
+def test_a_row_of_an_older_row_format_is_refused(tmp_path, capsys):
+    """One row recording row format 6 in an otherwise current sweep is
+    refused by report, verify-bound and a resumed ed-sweep alike, naming
+    the row file and the field; nothing is written."""
+    out = tmp_path / "sweep"
+    argv = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(argv) == 0
+    path = out / "rows" / "heat_k1_nu5.0000e-02.json"
+    row = _load_json(path)
+    row["config"]["row_format"] = 6
+    path.write_text(json.dumps(row))
+    before = _snapshot(out)
+    for command in ("report", "verify-bound", "ed-sweep"):
+        capsys.readouterr()
+        assert cli.main(argv if command == "ed-sweep"
+                        else [command, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"mixlab {command}: error: {path} has row_format = 6, this " \
+            "sweep row_format = 7" in err
+        assert _snapshot(out) == before
+
+
+def test_a_row_of_other_settings_is_refused_by_every_reader(tmp_path,
+                                                            capsys):
+    """A row copied in from a sweep of other settings is refused by
+    report and verify-bound as by a resumed ed-sweep: exit 1, naming the
+    row file and the field, nothing written. A --gamma 1 row in a
+    --gamma 2 heat sweep would move its fitted q from 1.000 to 1.065; a
+    resolution-32 shear row (with its trace) in a resolution-16 sweep
+    would be checked under the resolution-16 model."""
+    heat = ["--model", "heat", "--resolution", "16"]
+    shear = ["--model", "shear", "--nus", "0.1,0.05,0.03,0.01"]
+    cases = [
+        (heat + ["--gamma", "2", "--nus", "1e-3,2e-3,5e-3,1e-2,2e-2,5e-2"],
+         heat + ["--gamma", "1", "--nus", "1e-3"], "heat_k1_nu1.0000e-03",
+         "model_flags = {'gamma': 1.0}, this sweep model_flags = "
+         "{'gamma': 2.0}"),
+        (shear + ["--resolution", "16"], shear + ["--resolution", "32"],
+         "shear_g2_k1_nu1.0000e-01",
+         "resolution = 32, this sweep resolution = 16"),
+    ]
+    for i, (flags, foreign, key, found) in enumerate(cases):
+        out, other = tmp_path / f"sweep{i}", tmp_path / f"other{i}"
+        argv = ["ed-sweep", *flags, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert cli.main(["ed-sweep", *foreign, "--out", str(other)]) == 0
+        for name in (f"rows/{key}.json", f"traces/{key}.csv",
+                     f"traces/{key}.json"):
+            (out / name).write_bytes((other / name).read_bytes())
+        before = _snapshot(out)
+        for command in ("report", "verify-bound", "ed-sweep"):
+            capsys.readouterr()
+            assert cli.main(argv if command == "ed-sweep"
+                            else [command, str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert f"mixlab {command}: error: {out / 'rows' / key}.json " \
+                f"has {found}" in err
+            assert _snapshot(out) == before
+
+
+def test_an_out_that_is_a_file_exit_code_1(tmp_path, capsys):
+    """An --out naming an existing file is a usage error: simulate,
+    mix-rate, ed-sweep and report each exit 1 with an error line, no
+    traceback, and write nothing."""
+    sweep_dir = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+                     "--resolution", "16", "--out", str(sweep_dir)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    before = _snapshot(tmp_path)
+    for argv in (["simulate", "--model", "heat", "--nu", "0.1",
+                  "--t-end", "1", "--resolution", "16"],
+                 ["mix-rate", "--model", "shear", "--resolution", "64"],
+                 ["ed-sweep", "--model", "heat", "--nus", "0.1",
+                  "--resolution", "16"],
+                 ["report", str(sweep_dir)]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert f"mixlab {argv[0]}: error: " in err and str(blocker) in err
+        assert "Traceback" not in err
+        assert _snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("where, command", [
@@ -428,7 +430,7 @@ def _synthetic_sweep_dir(tmp_path, statuses=None, q_pred=0.8):
         rr = sweep.RowResult(
             key=key, model="shear", n0=1, **row,
             tau=row["nu"] ** -0.6 if status == "ok" else None, rate=None,
-            q_pred=q_pred, status=status)
+            q_pred=q_pred, status=status, config=cfg.row_config())
         (d / "rows" / f"{key}.json").write_text(json.dumps(rr.to_dict()))
     return d
 

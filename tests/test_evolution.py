@@ -149,6 +149,16 @@ def test_extras_h2_sampling():
     assert h2[0] == pytest.approx(prob.sobolev(f0, 2.0), rel=1e-12)
 
 
+def test_an_unknown_extra_is_refused():
+    """An extra norm other than h2 is a ValueError naming it, not an
+    empty ``trace.extras``."""
+    prob = mx.build_model("spiral", alpha=1.0, k=1, N=32)
+    f0 = mx.initial_datum(prob, "gaussian-bump")
+    with pytest.raises(ValueError, match="unknown extra.s. h3: the one "
+                                         "known extra is h2"):
+        mx.evolve(prob, f0, 1e-3, 0.5, dt=0.01, extras=("h3",))
+
+
 def test_viscous_flow_approaches_inviscid_limit():
     prob = mx.build_model("spiral", alpha=1.0, k=1, N=64)
     f0 = mx.initial_datum(prob, "single-mode-m1")

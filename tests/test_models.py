@@ -330,6 +330,22 @@ def test_exact_inviscid_unsupported_models():
         mx.exact_inviscid(kol, np.ones(kol.size, dtype=complex), 1.0)
 
 
+def test_exact_inviscid_leaves_the_flow_cache_alone():
+    """exact_inviscid on a shear model forms its phase without caching
+    it: asked at 12 times, it leaves the op's cached flows as they were
+    (the step-size flows that a group's rows share), and each result has
+    the bytes of op.flow(t) on the same complex state."""
+    prob = mx.build_model("shear", profile="sin", k=1, M=32)
+    op = prob.op
+    step = op.flow(0.25)
+    f0 = _random_state(prob, np.random.default_rng(5))
+    times = [0.5 * (i + 1) for i in range(12)]
+    outs = [mx.exact_inviscid(prob, f0, t) for t in times]
+    assert list(op._flows) == [0.25] and op._flows[0.25] is step
+    for t, out in zip(times, outs):
+        assert out.tobytes() == op.flow(t)(f0.astype(complex)).tobytes()
+
+
 @pytest.mark.parametrize("M", [16, 64, 256])
 @pytest.mark.parametrize("profile", ["sin", "sin2"])
 def test_real_flow_is_the_fft_pair_on_the_complex_copy(profile, M):

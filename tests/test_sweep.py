@@ -62,8 +62,8 @@ def test_config_json_roundtrip():
 def test_config_reads_tau_at_e_minus_1_only():
     """theta and stop_ratio are no settings: a config neither holds nor
     records them. A row stops below its crossing level e^-1, and deeper
-    than the TAIL_EFOLDS of its rate fit. (A legacy theta or stop_ratio:
-    test_cli's format-5 and format-6 sweeps.)"""
+    than the TAIL_EFOLDS of its rate fit. (A config that holds either is
+    refused: test_cli's test_a_sweep_of_an_older_row_format_is_refused.)"""
     cfg = mx.SweepConfig(model="heat", nus=(0.1,))
     for name in ("theta", "stop_ratio"):
         assert name not in {f.name for f in dataclasses.fields(cfg)}
@@ -258,8 +258,64 @@ def test_resume_refuses_rows_of_other_settings(tmp_path):
     row_path.write_text(json.dumps(row))
     with pytest.raises(ValueError, match="no row_format record"):
         mx.run_sweep(_heat_cfg(tmp_path, nus=(0.1,)))
-    # such a row still loads
-    assert mx.load_sweep(str(tmp_path)).rows[0].config == {}
+    # and loading it is refused alike
+    with pytest.raises(ValueError, match="no row_format record"):
+        mx.load_sweep(str(tmp_path))
+
+
+#: row_config field -> values that a row of a sweep of
+#: ``_heat_cfg(resolution=16)`` does not record
+_OTHER_SETTINGS = {
+    "row_format": st.integers().filter(lambda v: v != sweep.ROW_FORMAT),
+    "model": st.sampled_from(sorted(set(mx.models.FAMILIES) - {"heat"})),
+    "model_flags": st.floats(0.25, 4.0).filter(lambda g: g != 2.0).map(
+        lambda g: {"gamma": g}),  # gamma 2 is the builder's default
+    "datum": st.text(max_size=8).filter(lambda d: d != "single-mode-m1"),
+    "resolution": st.none() | st.integers().filter(lambda n: n != 16),
+    "seed": st.integers().filter(lambda v: v != 0),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_OTHER_SETTINGS)),
+       index=st.integers(0, 1), delete=st.booleans())
+def test_a_config_mismatch_is_always_caught(data, name, index, delete):
+    """One row_config field of one row changed or deleted: load_sweep
+    and run_sweep both refuse the directory with a ValueError naming the
+    row file and the field, and nothing is written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _heat_cfg(tmp, nus=(0.1, 0.05), resolution=16)
+        os.makedirs(os.path.join(tmp, "rows"))
+        pathlib.Path(tmp, "sweep_config.json").write_text(cfg.to_json())
+        paths = []
+        for row in cfg.rows():
+            rr = mx.RowResult(key=sweep.row_key("heat", row), model="heat",
+                              n0=None, **row, tau=None, rate=None,
+                              q_pred=1.0, status="ok",
+                              config=cfg.row_config())
+            paths.append(pathlib.Path(tmp, "rows", rr.key + ".json"))
+            paths[-1].write_text(json.dumps(rr.to_dict()))
+        assert len(mx.load_sweep(tmp).rows) == 2
+        row = json.loads(paths[index].read_text())
+        if delete:
+            del row["config"][name]
+            found = f"no {name} record"
+        else:
+            row["config"][name] = data.draw(_OTHER_SETTINGS[name])
+            found = f"{name} = {row['config'][name]!r}"
+        paths[index].write_text(json.dumps(row))
+
+        def files():
+            return {p: p.read_bytes() for p in pathlib.Path(tmp).rglob("*")
+                    if p.is_file()}
+
+        before = files()
+        for read in (mx.load_sweep, lambda _: mx.run_sweep(cfg)):
+            with pytest.raises(ValueError) as exc:
+                read(tmp)
+            assert str(exc.value).startswith(
+                f"{paths[index]} has {found}, this sweep {name} = ")
+        assert files() == before
 
 
 def test_rows_and_traces_record_versions(tmp_path):
