@@ -19,14 +19,16 @@ it, a multiply by the grid phase with the forward FFT's 1/n folded in,
 and an unscaled forward FFT into it; the second half-step scales it in
 place. A real datum under an odd profile (``single-mode-m1`` under
 ``sin``) has real coefficients, which the flow keeps real: there it is
-one ``dgbmv`` with the phase's real kernel, a band formed with the
-flow, into a second array (:meth:`mixlab.models.FourierPhase._form_flow`;
-where that band is wide, the FFT pair on a complex copy). For the matrix
-families (Kolmogorov, kinetic) the flow is one ``zgbmv`` with the band
-of exp(-B dt), formed from its Chebyshev-Bessel series by probing, into
-a second array; where no narrow band exists (kinetic d >= 2, or a step
-whose band is as wide as the matrix) it sums the series at each step
-(:meth:`mixlab.models.SkewMatrix._form_flow`). The step's input is never
+one matmul of the state's gathered windows with a Toeplitz block of the
+phase's real kernel, formed with the flow, into a second array
+(:meth:`mixlab.models.FourierPhase._form_flow`; where that band is wide,
+the FFT pair on a complex copy). For the matrix families (Kolmogorov,
+kinetic) the flow is one batched matmul with the dense blocks along the
+band of exp(-B dt), formed from its Chebyshev-Bessel series by probing,
+into a second array; where no narrow band exists (kinetic d >= 2, or a
+step whose band is as wide as the matrix) it sums the series at each
+step (:meth:`mixlab.models.SkewMatrix._form_flow`). Every product is
+numpy's own; no step calls ``scipy.linalg``. The step's input is never
 written, so a caller's state, and the state that a step-doubling check
 steps twice, stay as they are. A model with no advection (B = 0, the
 heat equation) takes one diffusion multiply per step.

@@ -20,11 +20,15 @@ the working product once (``op.w``), maps states to orthonormal
 coordinates where A is diagonal (``op.lam``), applies B there and returns
 the flow g -> e^{-Bt} g for any t, exact to round-off: a phase (on the
 Fourier grid, an FFT pair that overwrites a complex argument, or, for
-real coefficients under an odd shear, one banded product with the
+real coefficients under an odd shear, one blocked product with the
 phase's real kernel), or the Chebyshev-Bessel series
-in the banded Hermitian iB, a polynomial formed as one narrow band and
-applied by one ``zgbmv`` a step, or summed at each step (about 13 O(n)
-products) where no narrow band exists. A flow does not depend on the
+in the banded Hermitian iB, a polynomial formed as one narrow band, cut
+into dense blocks and applied by one batched matmul a step, or summed at
+each step (about 13 O(n) products) where no narrow band exists. Every
+product and solve is numpy's own: the band products are matmuls over
+``BLOCK``-row blocks, the disk's eigenbasis is ``np.linalg.eigh`` and its
+LDL^T factor and lowest mode are formed here, so no command imports
+``scipy.linalg``. A flow does not depend on the
 viscosity: each op forms it once per step size and keeps the
 ``FLOW_CACHE`` most recently used (:class:`_CachedFlow`), so every row
 that runs on one model shares them.
@@ -61,13 +65,10 @@ import csv as _csv
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import product as _iproduct
+from itertools import accumulate, product as _iproduct
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dgbmv, zgbmv
-from scipy.linalg.lapack import dpttrf
 
 __all__ = [
     "EvolutionError",
@@ -192,10 +193,10 @@ class _CachedFlow:
     ``flow(t)`` returns the map :meth:`_form_flow` formed for this t,
     kept on the op for the ``FLOW_CACHE`` most recently used t. An entry
     holds what its map reads: the grid phase and its multiplier, two
-    n-vectors (and a real band once a real state used it), a dense
-    unitary U of 16 N^2 bytes (1 MB at N = 256), or a band of exp(-Bt),
-    16 (2w + 1) n bytes. A model pickles as its recipe, so no entry is
-    pickled."""
+    n-vectors (and a real Toeplitz block once a real state used it), a
+    dense unitary U of 16 N^2 bytes (1 MB at N = 256), or the dense
+    blocks of exp(-Bt), about 16 (``BLOCK`` + 2w) n bytes. A model
+    pickles as its recipe, so no entry is pickled."""
 
     def flow(self, t: float):
         flows = self.__dict__.setdefault("_flows", {})  # least recent first
@@ -211,6 +212,7 @@ class _CachedFlow:
 ODD_ULPS = 16.0  # |rate(-y) + rate(y)| <= ODD_ULPS eps max|rate|: odd
 KERNEL_CUT = 4.0  # the real kernel is cut below KERNEL_CUT eps max|p_l|
 BAND_COST = 8.0  # a band of 2w + 1 <= BAND_COST log2 n diagonals is cheaper
+BLOCK = 32  # rows of one block of a band product
 
 
 class FourierPhase(_CachedFlow):
@@ -249,17 +251,20 @@ class FourierPhase(_CachedFlow):
 
     @staticmethod
     def _band(phase: np.ndarray):
-        """The flow on real coefficients as one ``dgbmv``, or None where
-        its band is wide. For an odd rate the grid ``phase`` has the real
-        kernel p_l = Re fft(phase)_l / n, and c_m -> sum_l p_l c_{m-l}
+        """The flow on real coefficients as one blocked product, or None
+        where its band is wide. For an odd rate the grid ``phase`` has the
+        real kernel p_l = Re fft(phase)_l / n, and c_m -> sum_l p_l c_{m-l}
         (indices mod n) is the cyclic convolution, aliasing included, that
         the FFT pair computes. The kernel is cut at the half-width w past
         which every |p_l| is below ``KERNEL_CUT`` eps max|p|, its round-off
-        floor (for ``sin``, J_l(t) past |l| = 11 at t = 0.5). The band is
-        the n x (n + 2w) Toeplitz matrix with kl = 0, ku = 2w, whose
-        storage row q is the constant p_{q-w}, applied to the state
-        extended periodically by w on each side. It is wide, and the FFT
-        pair is cheaper, once 2w + 1 > min(n, ``BAND_COST`` log2 n)."""
+        floor (for ``sin``, J_l(t) past |l| = 11 at t = 0.5). The rows go
+        in blocks of ``BLOCK``, n padded up to a multiple of it; block b
+        reads the window c_{bB-w}, ..., c_{bB+B+w-1} (indices mod n), and
+        one index array gathers every window. The kernel is the same for
+        every block, so the product is one matmul of the windows with the
+        (B + 2w) x B Toeplitz matrix T[a, r] = p_{w+r-a}. It is wide, and
+        the FFT pair is cheaper, once 2w + 1 > min(n, ``BAND_COST``
+        log2 n)."""
         n = phase.size
         p = np.fft.fft(phase).real / n
         dist = np.minimum(np.arange(n), n - np.arange(n))  # |l| mod n
@@ -267,10 +272,11 @@ class FourierPhase(_CachedFlow):
                      * np.abs(p).max()].max())
         if 2 * w + 1 > min(n, BAND_COST * np.log2(n)):
             return None
-        ab = np.asfortranarray(np.broadcast_to(
-            p[np.arange(-w, w + 1), None], (2 * w + 1, n + 2 * w)))
-        ext = (np.arange(n + 2 * w) - w) % n
-        return lambda g: dgbmv(n, n + 2 * w, 0, 2 * w, 1.0, ab, g[ext])
+        a = np.arange(BLOCK + 2 * w)
+        lag = a[:, None] - np.arange(BLOCK)  # l = w - lag
+        T = np.where((lag >= 0) & (lag <= 2 * w), p[(w - lag) % n], 0.0)
+        windows = (np.arange(0, n, BLOCK)[:, None] + a - w) % n
+        return lambda g: (g[windows] @ T).reshape(-1)[:n]
 
     def _form_flow(self, t: float):
         """The flow g -> e^{-Bt} g. A complex g goes through the FFT pair
@@ -426,37 +432,47 @@ class SkewMatrix(_CachedFlow):
 
         return J, series
 
-    def _band(self, series, w: int) -> np.ndarray:
-        """exp(-Bt) = exp(iHt) in LAPACK band storage,
-        ab[w + i - j, j] = exp(-Bt)[i, j], from the ``series`` of
-        :meth:`_series`. A polynomial of degree K-1 in H is exactly banded,
-        of half-width w = (K-1) ``width``, so the series run once on the
-        2w+1 comb vectors v_r = sum of e_j over j = r mod 2w+1 gives every
-        entry (Curtis-Powell-Reid probing): row i of exp(iHt) v_r holds
-        the entry of the one column j of v_r with |i - j| <= w."""
+    def _band(self, series, w: int) -> tuple:
+        """exp(-Bt) = exp(iHt) as dense blocks along its band, from the
+        ``series`` of :meth:`_series`: ``(blocks, windows)``. A polynomial
+        of degree K-1 in H is exactly banded, of half-width
+        w = (K-1) ``width``, so the series run once on the 2w+1 comb
+        vectors v_r = sum of e_j over j = r mod 2w+1 gives every entry
+        (Curtis-Powell-Reid probing): row i of exp(iHt) v_r holds the
+        entry of the one column j of v_r with |i - j| <= w. The rows go in
+        blocks of ``BLOCK``, n padded up to a multiple of it; block b's
+        rows i = bB + r read the columns j = bB - w + s, s < B + 2w, and
+        ``blocks[b, r, s]`` = exp(iHt)[i, j], zero off the band and
+        outside the matrix. ``windows[b, s]`` is that j, clipped into the
+        matrix where the block is zero."""
         n = self.lam.size
         p, j = 2 * w + 1, np.arange(n)
         probes = series((j % p == np.arange(p)[:, None]).astype(complex))
-        i = j + np.arange(-w, w + 1)[:, None]  # the row of each ab entry
-        inside = (i >= 0) & (i < n)
-        ab = np.where(inside, probes[j % p, np.where(inside, i, j)], 0.0)
-        return np.asfortranarray(ab)
+        start = np.arange(0, n, BLOCK)[:, None, None]
+        rows = start + np.arange(BLOCK)[:, None]  # i, (blocks, B, 1)
+        cols = start - w + np.arange(BLOCK + 2 * w)  # j, (blocks, 1, B + 2w)
+        inside = (np.abs(rows - cols) <= w) & (rows < n) & (cols >= 0) \
+            & (cols < n)
+        blocks = np.where(inside, probes[cols % p, np.minimum(rows, n - 1)],
+                          0.0)
+        return blocks, np.clip(cols[:, 0], 0, n - 1)
 
     def _form_flow(self, t: float):
         """exp(-Bt) = exp(iHt), the series of :meth:`_series`.
         Where its band, of half-width w = (K-1) ``width``, is narrower
-        than the matrix, 2w + 1 <= n (which ``zgbmv`` requires), and holds
-        no more entries than the K ladder products of one series step
-        read, (2w + 1) n <= K nnz, it is formed once (:meth:`_band`) and
-        each step is one ``zgbmv``. Otherwise (a t whose band is as wide
-        as the matrix, or the wide index-array ladders of kinetic d >= 2)
-        each step sums the series."""
+        than the matrix, 2w + 1 <= n, and holds no more entries than the K
+        ladder products of one series step read, (2w + 1) n <= K nnz, it
+        is formed once as dense blocks (:meth:`_band`) and each step is
+        one batched matmul of the blocks with their gathered windows.
+        Otherwise (a t whose band is as wide as the matrix, or the wide
+        index-array ladders of kinetic d >= 2) each step sums the
+        series."""
         J, series = self._series(t)
         n, w = self.lam.size, (J.size - 1) * self.width
         if 2 * w + 1 > n or (2 * w + 1) * n > J.size * self.nnz:
             return series
-        ab = self._band(series, w)
-        return lambda g: zgbmv(n, n, w, w, 1.0, ab, g)
+        blocks, windows = self._band(series, w)
+        return lambda g: np.matmul(blocks, g[windows, None]).reshape(-1)[:n]
 
 
 def hs_weights(lam: np.ndarray, orders) -> np.ndarray:
@@ -703,7 +719,7 @@ def _disk(alpha: float, k: int, N: int) -> tuple:
     boundary, which makes the matrix exactly self-adjoint in the midpoint
     quadrature and strictly positive for k != 0, the only k it accepts.
     ``"uniform"`` is the radial data class that saturates the mixing rate;
-    ``"single-mode-m1"``, A's lowest eigenmode, takes a one-pair solve.
+    ``"single-mode-m1"`` is A's lowest eigenmode (:func:`_lowest_disk_mode`).
     """
     if alpha < 1.0:
         raise ValueError(f"swirl exponent alpha must be >= 1, got {alpha}")
@@ -711,6 +727,19 @@ def _disk(alpha: float, k: int, N: int) -> tuple:
         raise ValueError("spiral model requires a nonzero angular wavenumber k")
     if N < 1:
         raise ValueError(f"disk resolution N must be >= 1, got {N}")
+    r, diag, off = _disk_operator(k, N)
+    w, p = r * (1.0 / N), 2.0 / max(alpha, 2.0)  # r_j dr
+    data = {"uniform": lambda: np.ones(N, dtype=complex),
+            "single-mode-m1": lambda: (_lowest_disk_mode(k, N)
+                                       / np.sqrt(w)).astype(complex),
+            "gaussian-bump": lambda: np.exp(-((r - 0.5) ** 2)
+                                            / 0.045).astype(complex)}
+    return w, diag, off, k * r**alpha, p, (4.0 - p) / (4.0 + p), data
+
+
+def _disk_operator(k: int, N: int) -> tuple:
+    """``(r, diag, off)``: the cell centers r_j = (j-1/2)/N and -Lap_k
+    on them as a symmetric tridiagonal, in :func:`_disk`'s flux form."""
     dr = 1.0 / N
     r = (np.arange(1, N + 1) - 0.5) * dr
     re = np.arange(1, N) * dr  # interior cell edges r_{j+1/2}
@@ -718,14 +747,66 @@ def _disk(alpha: float, k: int, N: int) -> tuple:
     flux[1:-1] = re
     diag = (flux[:-1] + flux[1:]) / (r * dr * dr) + k * k / (r * r)
     off = -re / (dr * dr * np.sqrt(r[:-1] * r[1:]))
-    w, p = r * dr, 2.0 / max(alpha, 2.0)
-    data = {"uniform": lambda: np.ones(N, dtype=complex),
-            "single-mode-m1": lambda: (eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, 0))[1][:, 0]
-                / np.sqrt(w)).astype(complex),
-            "gaussian-bump": lambda: np.exp(-((r - 0.5) ** 2)
-                                            / 0.045).astype(complex)}
-    return w, diag, off, k * r**alpha, p, (4.0 - p) / (4.0 + p), data
+    return r, diag, off
+
+
+def _ldl(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(d, e)``: the LDL^T factor of the symmetric tridiagonal with
+    diagonal a and off-diagonal b, L unit lower bidiagonal with
+    subdiagonal e. The pivots run d_0 = a_0, d_i+1 = a_i+1 - (b_i/d_i) b_i
+    and e = b / d[:-1]: the operations of LAPACK's ``dpttrf`` in its
+    order, so its factor bit for bit. The recurrence is serial, one
+    Python ``accumulate`` (~12 ms at N = 65,536). A pivot <= 0, the matrix
+    not positive definite, is a ValueError with the 1-based index of the
+    first, dpttrf's ``info``; the recurrence carries that pivot on
+    unchanged."""
+    d = np.fromiter(accumulate(
+        zip(a[1:].tolist(), b.tolist()),
+        lambda di, ab: ab[0] - (ab[1] / di) * ab[1] if di > 0.0 else di,
+        initial=float(a[0])), float, a.size)
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        raise ValueError(f"disk operator is not positive definite "
+                         f"(info={bad[0] + 1})")
+    return d, b / d[:-1]
+
+
+@lru_cache(maxsize=2)
+def _disk_factor(k: int, N: int) -> tuple:
+    """The :func:`_ldl` factor ``(d, e)`` of -Lap_k on N cells, read-only.
+    It does not depend on alpha, so it is formed once per (k, N) per
+    process: the spiral series of one pass share it."""
+    d, e = _ldl(*_disk_operator(k, N)[1:])
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
+
+
+@lru_cache(maxsize=2)
+def _lowest_disk_mode(k: int, N: int) -> np.ndarray:
+    """-Lap_k's lowest eigenvector on N cells, unit and positive,
+    read-only; formed once per (k, N) per process. Inverse iteration from
+    the uniform vector on :func:`_disk_factor`: each solve of
+    L D L^T x = v is two prefix sums (:func:`_scan_runs`), L's forward
+    and L^T's mirrored, until the step between iterates stops falling or
+    is below eps. A is an M-matrix, so A^-1 is entrywise nonnegative:
+    every iterate stays positive and every scan sums terms of one sign.
+    The mode agrees with a one-pair tridiagonal eigensolve to ~1e-14; the
+    iteration count grows as the gap to the second eigenvalue closes
+    (about 17 at k = 1, 400 at k = 300)."""
+    d, e = _disk_factor(k, N)
+    q, runs = _scan_runs(-e)
+    q_back, runs_back = _scan_runs(-e[::-1])
+    scale = d[::-1] * q_back  # mirrored: D^-1 folded into L^T's weights
+    v, step = np.full(N, N ** -0.5), np.inf
+    while True:
+        y = q * _prefix_sum(v / q, runs)  # L y = v
+        x = (q_back * _prefix_sum(y[::-1] / scale, runs_back))[::-1]
+        x /= np.linalg.norm(x)
+        last, step = step, np.linalg.norm(x - v)
+        v = x
+        if step >= last or step <= np.finfo(float).eps:
+            v.flags.writeable = False
+            return v
 
 
 def build_spiral(*, alpha: float = 1.0, k: int = 1,
@@ -742,7 +823,8 @@ def build_spiral(*, alpha: float = 1.0, k: int = 1,
     sharpened constant in the decay-rate formulas.
     """
     w, diag, off, rate, p, q, data = _disk(alpha, k, N)
-    lam, vecs = eigh_tridiagonal(diag, off)
+    # eigh reads the lower triangle
+    lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
     mixed = 2.0 * alpha * abs(k)
     return ModelProblem(
         name="spiral",
@@ -1080,6 +1162,16 @@ def shear_mixing_series(times, *, M=2048, datum="single-mode-m1", seed=None,
 SCAN_CUT = 1e-100  # the scan's weight q starts a new run below this
 
 
+def _prefix_sum(z: np.ndarray, runs) -> np.ndarray:
+    """z -> its prefix sum run by run (:func:`_scan_runs`), in place;
+    returns z."""
+    for lo, hi, carry in runs:
+        if lo:
+            z[lo] += carry * z[lo - 1]
+        np.cumsum(z[lo:hi], out=z[lo:hi])
+    return z
+
+
 def _scan_runs(minus_e: np.ndarray):
     """The weights q and the runs (lo, hi, carry) of the prefix sum that
     solves L y = g, L unit lower bidiagonal with subdiagonal e, -e > 0:
@@ -1134,7 +1226,7 @@ def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
     times = _series_times(times)
     disk = {**_builder_defaults("spiral"), **model, "N": N}
     k = disk["k"]
-    w, diag, off, rate, p, _, data = _disk(**disk)
+    w, _, _, rate, p, _, data = _disk(**disk)
     if datum not in data:
         raise ValueError(f"datum {datum!r} is not defined for the spiral "
                          f"series; its data: {', '.join(sorted(data))}")
@@ -1148,10 +1240,7 @@ def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
     u = data[datum]().real.copy()
     u /= np.sqrt(h1_squared(u))
     c0, c = h1_squared(u), edge * u[:-1] * u[1:]
-    # N = 1: A = [diag_0], nothing to factor
-    d, e, info = dpttrf(diag, off) if N > 1 else (diag, off, 0)
-    if info != 0:
-        raise ValueError(f"disk operator is not positive definite (info={info})")
+    d, e = _disk_factor(k, N)
     q, runs = _scan_runs(-e)
     b = u * np.sqrt(w) / q
     # the weights of |z|^2 and |cumsum z|^2 over z's (real, imag) pairs
@@ -1170,10 +1259,7 @@ def spiral_mixing_series(times, *, N=8192, datum="uniform", seed=None,
         np.square(np.subtract(tau[1:], tau[:-1], out=dtau), out=dtau)
         dtau *= np.multiply(sigma[1:], sigma[:-1], out=bs[:-1])
         h1_sq = c0 + c @ dtau
-        for lo, hi, carry in runs:  # z -> cumsum z, run by run, in place
-            if lo:
-                z[lo] += carry * z[lo - 1]
-            np.cumsum(z[lo:hi], out=z[lo:hi])
+        _prefix_sum(z, runs)  # z -> cumsum z
         out[:, i] = np.sqrt([h_sq, h1_sq, np.einsum("i,i,i->", zf, zf, wm)])
     cells = np.abs(rate).max() * np.abs(times) / N  # phase per radial cell
     over = cells > 1.0

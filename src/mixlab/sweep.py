@@ -29,7 +29,6 @@ from functools import cache
 from itertools import product, repeat
 
 import numpy as np
-import scipy
 
 from .diagnostics import fit_decay_rate, tau_threshold
 from .evolution import EvolutionError, _certified_horizon, evolve, \
@@ -242,23 +241,29 @@ def _row_path(out_dir: str, key: str) -> str:
     return os.path.join(out_dir, "rows", key + ".json")
 
 
-def _read_row(path: str, cfg: SweepConfig, expected: dict) -> RowResult:
-    """The row in ``path``, or a ValueError naming the file and the first
-    field of ``expected``, ``cfg``'s :meth:`SweepConfig.row_config` (its
-    callers form it once a directory), that the row records otherwise or
-    not at all: :func:`run_sweep` and :func:`load_sweep` accept and
-    refuse the same rows."""
-    with open(path) as fh:
-        rr = RowResult.from_dict(json.load(fh), path)
+def _check_settings(path: str, recorded: dict, cfg: SweepConfig,
+                    expected: dict) -> None:
+    """A ValueError naming ``path`` and the first field of ``expected``,
+    ``cfg``'s :meth:`SweepConfig.row_config` (its callers form it once a
+    directory), that ``recorded`` holds otherwise or not at all."""
     for name, value in expected.items():
-        if name not in rr.config or not _same_setting(
-                cfg.model, name, rr.config[name], value):
-            found = f"{name} = {rr.config[name]!r}" \
-                if name in rr.config else f"no {name} record"
+        if name not in recorded or not _same_setting(
+                cfg.model, name, recorded[name], value):
+            found = f"{name} = {recorded[name]!r}" \
+                if name in recorded else f"no {name} record"
             raise ValueError(
                 f"{path} has {found}, this sweep {name} = {value!r}; a "
                 "sweep directory holds the rows of one configuration: use "
                 "another directory for other settings")
+
+
+def _read_row(path: str, cfg: SweepConfig, expected: dict) -> RowResult:
+    """The row in ``path``, or the ValueError of :func:`_check_settings`
+    where it records other settings: :func:`run_sweep` and
+    :func:`load_sweep` accept and refuse the same rows."""
+    with open(path) as fh:
+        rr = RowResult.from_dict(json.load(fh), path)
+    _check_settings(path, rr.config, cfg, expected)
     return rr
 
 
@@ -330,18 +335,18 @@ def _write_csv(result: SweepResult) -> None:
     _atomic_write(result.csv_path, "\n".join(lines) + "\n")
 
 
-#: the OpenBLAS that numpy and scipy each bundle: (package, the suffix of
-#: its ``scipy_openblas_*`` symbols)
-_OPENBLAS = ((np, "64_"), (scipy, ""))
+#: the OpenBLAS that numpy bundles, the one mixlab calls: (package, the
+#: suffix of its ``scipy_openblas_*`` symbols)
+_OPENBLAS = ((np, "64_"),)
 
 
 @cache
 def _openblas_threads() -> tuple:
     """``(get, set)`` ctypes calls of the thread count of each OpenBLAS
-    that numpy and scipy bundle (``scipy_openblas_get_num_threads`` and
-    ``..._set_...`` in ``libscipy_openblas*`` under ``numpy.libs`` and
-    ``scipy.libs``), resolved once a process. One not found is left out,
-    with a warning."""
+    of :data:`_OPENBLAS` (``scipy_openblas_get_num_threads64_`` and
+    ``..._set_...`` in ``libscipy_openblas*`` under ``numpy.libs``),
+    resolved once a process. One not found is left out, with a
+    warning."""
     found = []
     for package, suffix in _OPENBLAS:
         libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
@@ -385,8 +390,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     Rows already present under ``out_dir/rows/`` are not recomputed, but
     each must record this sweep's :meth:`SweepConfig.row_config`
-    (:func:`_read_row`): otherwise its ValueError is raised before
-    anything is written, as is the ValueError of a model or datum
+    (:func:`_read_row`), and so must a ``sweep_config.json`` already
+    there, whose axis lists alone may differ (a resume may extend them):
+    otherwise the ValueError naming the file and the field is raised
+    before anything is written, as is the ValueError of a model or datum
     a pending row cannot build. A run's EvolutionError is recorded in the
     row status; any other error is raised once the rows before it in plan
     order are persisted, and no ``sweep.csv`` is written. Workers > 1
@@ -409,6 +416,11 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
             pending.append(idx)
             continue
         results[key] = _read_row(row_path, cfg, expected)
+    cfg_path = os.path.join(out, "sweep_config.json")
+    if os.path.exists(cfg_path):  # another sweep's rows may share no key
+        with open(cfg_path) as fh:
+            _check_settings(cfg_path, SweepConfig.from_json(
+                fh.read(), cfg_path).row_config(), cfg, expected)
     # one model per group, and a model or datum the rows cannot build
     # leaves no directory behind; a group's rows are consecutive in plan order
     runs, groups = [], row_groups(cfg, [(i, plan[i]) for i in pending])
@@ -419,7 +431,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
     os.makedirs(os.path.join(out, "rows"), exist_ok=True)
     os.makedirs(os.path.join(out, "traces"), exist_ok=True)
-    _atomic_write(os.path.join(out, "sweep_config.json"), cfg.to_json())
+    _atomic_write(cfg_path, cfg.to_json())
 
     pool = _row_pool(workers) if workers > 1 else None
     with pool or nullcontext():  # both maps yield in plan order

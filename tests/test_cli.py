@@ -344,6 +344,69 @@ def test_a_row_of_other_settings_is_refused_by_every_reader(tmp_path,
             assert _snapshot(out) == before
 
 
+def test_a_sweep_of_other_settings_is_refused_by_its_config(tmp_path,
+                                                            capsys):
+    """An ed-sweep into the directory of a sweep of other settings whose
+    rows it does not plan (a Kolmogorov sweep after a heat one) is
+    refused by the sweep_config.json there, naming it and the field;
+    exit 1, the directory byte for byte as it was. The heat rows would
+    otherwise stay beside the Kolmogorov rows, unread. More viscosities
+    of the same settings still resume it."""
+    out = tmp_path / "sweep"
+    heat = ["ed-sweep", "--model", "heat", "--nus", "0.1,0.05",
+            "--resolution", "16", "--out", str(out)]
+    assert cli.main(heat) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert cli.main(["ed-sweep", "--model", "kolmogorov", "--nus", "0.1",
+                     "--resolution", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"mixlab ed-sweep: error: {out / 'sweep_config.json'} has " \
+        "model = 'heat', this sweep model = 'kolmogorov'; a sweep " \
+        "directory holds the rows of one configuration" in err
+    assert _snapshot(out) == before
+    heat[heat.index("--nus") + 1] = "0.1,0.05,0.02"
+    assert cli.main(heat) == 0
+    assert len(mx.load_sweep(str(out)).rows) == 3
+
+
+def test_commands_load_no_scipy_linalg(tmp_path):
+    """``import mixlab`` and one small run of each family's sweep (a real
+    shear datum, Kolmogorov, spiral from its lowest mode, kinetic d = 1)
+    and of a spiral mix-rate, in a fresh interpreter, leave scipy.linalg
+    unloaded: its import would double every command's start-up time and
+    add ~25 MB of resident memory."""
+    src = os.path.dirname(os.path.dirname(mx.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import os, sys
+        import mixlab
+        from mixlab import cli
+        out, loaded = sys.argv[1], []
+        def check(step):
+            if "scipy.linalg" in sys.modules:
+                loaded.append(step)
+        check("import")
+        for flags in (["shear", "--datum", "single-mode-m1"],
+                      ["kolmogorov"], ["spiral", "--datum", "single-mode-m1"],
+                      ["kinetic", "--d", "1"]):
+            assert cli.main(["ed-sweep", "--model", *flags, "--nus", "0.05",
+                             "--resolution", "16",
+                             "--out", os.path.join(out, flags[0])]) == 0
+            check(flags[0])
+        assert cli.main(["mix-rate", "--model", "spiral", "--resolution",
+                         "64", "--out", os.path.join(out, "mix")]) == 0
+        check("mix-rate")
+        sys.stderr.write(f"scipy.linalg loaded after: {loaded}")
+        """
+    err = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stderr
+    assert err.endswith("scipy.linalg loaded after: []"), err
+
+
 def test_an_out_that_is_a_file_exit_code_1(tmp_path, capsys):
     """An --out naming an existing file is a usage error: simulate,
     mix-rate, ed-sweep and report each exit 1 with an error line, no

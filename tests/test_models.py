@@ -481,7 +481,7 @@ def test_single_mode_datum_sits_on_lowest_nontrivial_mode():
 
 def test_spiral_single_mode_has_one_source():
     """The spiral model's "single-mode-m1" is the bits of the datum the
-    closed-form series starts from (_disk's one-pair solve), and the
+    closed-form series starts from (_disk's lowest mode), and the
     series at t = 0 has the model's norms of it (to the 1e-10 to which
     the series' tridiagonal norms and the model's eigenbasis sums
     agree)."""
@@ -497,6 +497,115 @@ def test_spiral_single_mode_has_one_source():
         for key, s in (("h", 0.0), ("h1", 1.0), ("hm1", -1.0)):
             assert ser[key][0] == pytest.approx(prob.sobolev(f0, s),
                                                 rel=1e-10), (N, key)
+
+
+@pytest.mark.parametrize("k, N", [(1, 1), (1, 2), (1, 3), (300, 4096),
+                                  (1, 65536)])
+def test_ldl_pivots_are_dpttrf_bit_for_bit(k, N):
+    """The disk operator's LDL^T factor is LAPACK dpttrf's, bit for bit
+    (dpttrf takes an off-diagonal of at least one entry)."""
+    from scipy.linalg.lapack import dpttrf
+
+    _, diag, off, *_ = mx.models._disk(1.0, k, N)
+    d, e = mx.models._disk_factor(k, N)
+    ref_d, ref_e, info = dpttrf(diag, off if N > 1 else np.zeros(1))
+    assert info == 0
+    assert d.tobytes() == ref_d.tobytes()
+    assert e.tobytes() == ref_e[:N - 1].tobytes()
+
+
+def test_ldl_refuses_a_pivot_that_is_not_positive():
+    """A pivot <= 0 is a ValueError with dpttrf's 1-based info."""
+    from mixlab.models import _ldl
+
+    for a, b, info in (([1.0, 1.0], [2.0], 2),
+                       ([0.0, 1.0, 3.0], [2.0, 1.0], 1), ([-1.0], [], 1)):
+        with pytest.raises(ValueError, match=rf"disk operator is not positive "
+                                             rf"definite \(info={info}\)"):
+            _ldl(np.array(a), np.array(b))
+
+
+@pytest.mark.parametrize("k, N", [(1, 1), (1, 2), (1, 64), (1, 1024),
+                                  (3, 256)])
+def test_lowest_disk_mode_is_the_tridiagonal_eigenvector(k, N):
+    """The lowest mode, by inverse iteration on the LDL^T factor, is
+    within 1e-12 of LAPACK's one-pair tridiagonal eigensolve, unit and
+    positive; it is formed once per (k, N)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    _, diag, off, *_ = mx.models._disk(1.0, k, N)
+    ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0]
+    mode = mx.models._lowest_disk_mode(k, N)
+    assert np.abs(mode - np.sign(ref.sum()) * ref).max() < 1e-12
+    assert np.all(mode > 0.0) and np.linalg.norm(mode) == pytest.approx(1.0)
+    assert mx.models._lowest_disk_mode(k, N) is mode
+
+
+def _dgbmv_flow(phase):
+    """The real shear flow as LAPACK stores its band: the n x (n + 2w)
+    Toeplitz matrix with kl = 0, ku = 2w, storage row q the kernel entry
+    p_{q-w}, applied by dgbmv to the state extended periodically by w."""
+    from scipy.linalg.blas import dgbmv
+
+    n = phase.size
+    p = np.fft.fft(phase).real / n
+    dist = np.minimum(np.arange(n), n - np.arange(n))
+    w = int(dist[np.abs(p) > mx.models.KERNEL_CUT * np.finfo(float).eps
+                 * np.abs(p).max()].max())
+    ab = np.asfortranarray(np.broadcast_to(
+        p[np.arange(-w, w + 1), None], (2 * w + 1, n + 2 * w)))
+    ext = (np.arange(n + 2 * w) - w) % n
+    return lambda g: dgbmv(n, n + 2 * w, 0, 2 * w, 1.0, ab, g[ext])
+
+
+def _zgbmv_flow(op, t):
+    """exp(-Bt) of a matrix family as LAPACK stores its band,
+    ab[w + i - j, j] = exp(-Bt)[i, j], probed from the series, applied by
+    zgbmv."""
+    from scipy.linalg.blas import zgbmv
+
+    J, series = op._series(t)
+    n, w = op.lam.size, (J.size - 1) * op.width
+    p, j = 2 * w + 1, np.arange(n)
+    probes = series((j % p == np.arange(p)[:, None]).astype(complex))
+    i = j + np.arange(-w, w + 1)[:, None]
+    inside = (i >= 0) & (i < n)
+    ab = np.asfortranarray(np.where(inside, probes[j % p, np.where(
+        inside, i, j)], 0.0))
+    return lambda g: zgbmv(n, n, w, w, 1.0, ab, g)
+
+
+def test_blocked_band_products_match_blas_band_products():
+    """The blocked band products equal LAPACK's band products to 1e-14
+    at sizes that are not a multiple of the block: the real shear flow
+    (M = 37, sin; n = 74) against dgbmv, and the Kolmogorov (M = 37) and
+    kinetic d = 1 (N = 45) flows at the step sizes ds/16 to ds against
+    zgbmv. Neither writes its input."""
+    from mixlab.evolution import default_dt
+
+    rng = np.random.default_rng(37)
+    shear = mx.build_model("shear", profile="sin", M=37)
+    assert shear.size % mx.models.BLOCK
+    for t in (1.0 / 32.0, 0.1, 0.5):
+        phase = np.exp(-1j * shear.op.rate * t)
+        g = rng.standard_normal(shear.size)
+        before = g.copy()
+        out = mx.models.FourierPhase._band(phase)(g)
+        assert np.array_equal(g, before) and out.shape == g.shape
+        assert np.abs(out - _dgbmv_flow(phase)(g)).max() < 1e-14, t
+    for name, kw in (("kolmogorov", dict(L=2.0, k=1, M=37)),
+                     ("kinetic", dict(k=1, N=45))):
+        prob = mx.build_model(name, **kw)
+        assert prob.size % mx.models.BLOCK
+        ds = default_dt(prob, 1e3)
+        for t in (ds / 16, ds / 4, ds):
+            g = rng.standard_normal(prob.size) \
+                + 1j * rng.standard_normal(prob.size)
+            before = g.copy()
+            out = prob.op.flow(t)(g)
+            assert np.array_equal(g, before) and out.shape == g.shape
+            assert np.abs(out - _zgbmv_flow(prob.op, t)(g)).max() < 1e-14, \
+                (name, t)
 
 
 def _same_bits(a, b) -> bool:

@@ -439,16 +439,16 @@ def _blas_threads(pause):
 
 def test_pool_workers_run_one_blas_thread():
     """Each forked worker of a sweep's pool runs one thread in numpy's
-    and in scipy's OpenBLAS, and this process keeps its own count: with
-    a BLAS thread per core in each worker, two workers on two cores ran a
-    sweep up to 30x slower than one process."""
+    OpenBLAS, the one mixlab calls, and this process keeps its own count:
+    with a BLAS thread per core in each worker, two workers on two cores
+    ran a sweep up to 30x slower than one process."""
     blas = sweep._openblas_threads()
-    assert len(blas) == 2
+    assert len(blas) == 1
     before = [get() for get, _ in blas]
     with sweep._row_pool(2) as pool:
         reports = list(pool.map(_blas_threads, [0.3, 0.3]))
     assert len({pid for pid, _ in reports}) == 2
-    assert [counts for _, counts in reports] == [[1, 1], [1, 1]]
+    assert [counts for _, counts in reports] == [[1], [1]]
     assert [get() for get, _ in blas] == before
 
 
