@@ -18,11 +18,12 @@ import numpy as np
 from ._svg import line_plot_svg
 from .diagnostics import constant_c0_poly, constant_c0_spiral, ed_exponent, \
     fit_mixing_amplitude, fit_power_law, theorem_bound_check, timescale_pairs
-from .evolution import EvolutionError, evolve, read_trace, write_norms, \
-    write_trace
-from .models import FAMILIES, TOP_BAND_FLAG, build_model, initial_datum, \
-    model_params, shear_mixing_series, spiral_mixing_series
-from .sweep import SweepConfig, load_sweep, row_datum, row_key, run_sweep
+from .evolution import TRACE_SUFFIX, EvolutionError, evolve, read_trace, \
+    write_norms, write_trace
+from .models import FAMILIES, TOP_BAND_FLAG, _builder_defaults, build_model, \
+    initial_datum, model_params, shear_mixing_series, spiral_mixing_series
+from .sweep import SweepConfig, _group_label, load_sweep, row_datum, \
+    row_key, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +79,7 @@ def _cmd_simulate(args) -> int:
                    stop_ratio=args.stop_ratio)
     out = _out_dir(args)
     key = row_key(args.model, {**problem.params, "nu": args.nu})
-    path = os.path.join(out, f"trace_{key}.csv")
+    path = os.path.join(out, f"trace_{key}{TRACE_SUFFIX}")
     write_trace(trace, path)
     print(f"model={args.model} nu={args.nu:g} dt={trace.dt:g} "
           f"samples={len(trace)}")
@@ -130,8 +131,9 @@ def _cmd_mix_rate(args) -> int:
         print(f"  warning: {warning}")
 
     out = _out_dir(args)
-    stem = os.path.join(out, f"mixing_{args.model}_k{args.k}")
-    write_norms(stem + ".csv", *(series[c] for c in ("t", "h", "h1", "hm1")))
+    stem = os.path.join(out, "mixing_" + _group_label(
+        args.model, {**_builder_defaults(args.model), **kw}))
+    write_norms(stem + TRACE_SUFFIX, *map(series.get, ("t", "h", "h1", "hm1")))
     _write_json(stem + "_fit.json", {
         "model": args.model, "datum": series["datum"],
         "resolution": series["resolution"],
@@ -146,7 +148,7 @@ def _cmd_mix_rate(args) -> int:
                         "t", "dual norm", title=f"{args.model} mixing decay")
     with open(stem + ".svg", "w") as fh:
         fh.write(svg)
-    print(f"artifacts written to {stem}.csv / _fit.json / .svg")
+    print(f"artifacts written to {stem}{TRACE_SUFFIX} / _fit.json / .svg")
     return 0
 
 

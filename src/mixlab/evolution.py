@@ -437,21 +437,17 @@ def energy_residual(trace: DecayTrace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trace persistence: CSV with a JSON sidecar
+# trace persistence: a .npy norm table with a JSON sidecar
+
+#: the suffix of every norm table mixlab writes
+TRACE_SUFFIX = ".npy"
+
 
 def write_norms(path, t, h, h1, hm1) -> None:
-    """Write the norm table: a header, then t, h, h1, hm1 per row, each
-    number as ``%.17g`` (the bytes ``np.savetxt`` writes with that
-    format, in two thirds of its time). Rows are formatted from Python
-    floats, 1024 at a time (about 0.13 MB of them), and streamed to the
-    file, so no copy of the table is held as text or as Python floats."""
-    table = np.column_stack([t, h, h1, hm1])
-    with open(path, "w") as fh:
-        fh.write("t,h,h1,hm1\n")
-        for start in range(0, len(table), 1024):
-            cols = table[start:start + 1024].T.tolist()
-            fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__,
-                              zip(*cols)))
+    """Write t, h, h1, hm1 as the columns of one float64 ``(n, 4)`` array,
+    by ``np.save`` into the file ``path``; ``np.load`` reads it exactly."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.stack([t, h, h1, hm1], axis=1, dtype=float))
 
 
 def write_trace(trace: DecayTrace, path) -> None:
@@ -459,25 +455,27 @@ def write_trace(trace: DecayTrace, path) -> None:
     sidecar at the same path with extension ``.json``."""
     path = os.fspath(path)
     write_norms(path, trace.times, trace.h, trace.h1, trace.hm1)
-    sidecar = {
-        "model": trace.model,
-        "params": trace.params,
-        "nu": trace.nu,
-        "dt": trace.dt,
-        "n_samples": len(trace),
-        **{k: v for k, v in trace.meta.items()},
-    }
+    sidecar = {"model": trace.model, "params": trace.params, "nu": trace.nu,
+               "dt": trace.dt, "n_samples": len(trace), **trace.meta}
     with open(os.path.splitext(path)[0] + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
 
 
 def read_trace(path) -> DecayTrace:
-    """A trace written by :func:`write_trace`: the CSV and its sidecar,
-    which carries ``model``, ``params``, ``nu``, ``dt`` and the meta. A
-    missing sidecar is a FileNotFoundError, and one that lacks any of
-    those four a ValueError naming it."""
+    """A trace written by :func:`write_trace`: the norm table and its
+    sidecar, which carries ``model``, ``params``, ``nu``, ``dt`` and the
+    meta. A missing file is a FileNotFoundError; a table that ``np.load``
+    refuses (truncated, CSV text, an object array) or that is no float64
+    ``(n, 4)`` array, or a sidecar lacking one of those four, a
+    ValueError naming the file."""
     path = os.fspath(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path} is not a .npy norm table: {exc}")
+    if getattr(data, "dtype", None) != np.float64 or data.shape[1:] != (4,):
+        raise ValueError(f"{path} holds no float64 (n, 4) norm table")
     sidecar_path = os.path.splitext(path)[0] + ".json"
     with open(sidecar_path) as fh:
         meta = json.load(fh)

@@ -31,8 +31,8 @@ from itertools import product, repeat
 import numpy as np
 
 from .diagnostics import fit_decay_rate, tau_threshold
-from .evolution import EvolutionError, _certified_horizon, evolve, \
-    write_trace
+from .evolution import TRACE_SUFFIX, EvolutionError, _certified_horizon, \
+    evolve, write_trace
 from .models import FAMILIES, _builder_defaults, build_model, \
     initial_datum, model_params
 
@@ -41,7 +41,7 @@ __all__ = ["SweepConfig", "RowResult", "SweepResult", "run_sweep", "load_sweep",
 
 CSV_COLUMNS = ["model", "alpha", "gamma", "n0", "k", "nu", "tau", "q_pred", "status"]
 #: version of the row values, which every row records
-ROW_FORMAT = 7
+ROW_FORMAT = 8
 #: a row stops once h has fallen to this fraction of h(0), ln 1000 = 6.9
 #: e-folds down: past the TAIL_EFOLDS of its rate fit, so the fitted tail
 #: never reaches back to t = 0
@@ -438,7 +438,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         for rr, trace in (pool.map if pool else map)(
                 _run_row, repeat(cfg, len(runs)), *zip(*runs)):
             if trace is not None and len(trace) > 0:
-                rr.trace_path = os.path.join("traces", rr.key + ".csv")
+                rr.trace_path = os.path.join("traces", rr.key + TRACE_SUFFIX)
                 write_trace(trace, os.path.join(out, rr.trace_path))
             _atomic_write(_row_path(out, rr.key),
                           json.dumps(rr.to_dict(), indent=1, sort_keys=True))

@@ -63,7 +63,7 @@ def test_simulate_heat_writes_trace(tmp_path):
                    "--t-end", "5", "--resolution", "32",
                    "--out", str(tmp_path)])
     assert rc == 0
-    path = tmp_path / "trace_heat_k1_nu5.0000e-02.csv"
+    path = tmp_path / "trace_heat_k1_nu5.0000e-02.npy"
     assert path.exists()
     trace = mx.read_trace(str(path))
     # single-mode datum on eigenvalue 2 decays like exp(-2 nu t)
@@ -78,7 +78,7 @@ def test_simulate_inviscid_spiral_preserves_h(tmp_path):
                    "--t-end", "3", "--resolution", "64",
                    "--out", str(tmp_path)])
     assert rc == 0
-    trace = mx.read_trace(str(tmp_path / "trace_spiral_a1_k1_nu0.0000e+00.csv"))
+    trace = mx.read_trace(str(tmp_path / "trace_spiral_a1_k1_nu0.0000e+00.npy"))
     assert np.max(np.abs(trace.h - trace.h[0])) < 1e-12 * trace.h[0]
 
 
@@ -106,11 +106,11 @@ def test_mix_rate_shear(tmp_path, capsys):
                    "--t-max", "300", "--points", "32",
                    "--out", str(tmp_path)])
     assert rc == 0
-    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_shear_g2_k1_fit.json")
     assert 0.4 < fit["p_measured"] < 0.6
     assert fit["p_predicted"] == 0.5
-    assert (tmp_path / "mixing_shear_k1.csv").exists()
-    assert (tmp_path / "mixing_shear_k1.svg").exists()
+    assert (tmp_path / "mixing_shear_g2_k1.npy").exists()
+    assert (tmp_path / "mixing_shear_g2_k1.svg").exists()
     # at t = 300 the spectrum reaches |m| ~ 300, past the outer-half edge
     # |m| = 256 of the full 1024-point grid
     assert fit["grid_points"] == [64, 1024]
@@ -122,7 +122,7 @@ def test_mix_rate_shear(tmp_path, capsys):
                    "--t-max", "300", "--points", "32",
                    "--out", str(tmp_path)])
     assert rc == 0
-    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_shear_g2_k1_fit.json")
     assert fit["grid_points"] == [64, 2048]
     assert fit["warnings"] == []
     assert "warning" not in capsys.readouterr().out
@@ -133,7 +133,7 @@ def test_mix_rate_spiral(tmp_path):
                    "--t-max", "200", "--points", "24",
                    "--out", str(tmp_path)])
     assert rc == 0
-    fit = _load_json(tmp_path / "mixing_spiral_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_spiral_a1_k1_fit.json")
     assert 0.8 < fit["p_measured"] < 1.2
     assert fit["p_predicted"] == 1.0
     assert fit["grid_points"] == [256, 256]
@@ -150,14 +150,13 @@ def test_mix_rate_datum_sets_the_series_datum(tmp_path, model, datum,
             "--t-max", "100", "--points", "16", "--datum", datum,
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert _load_json(tmp_path / f"mixing_{model}_k1_fit.json")["datum"] \
-        == datum
+    stem = tmp_path / f"mixing_{model}_{'g2' if model == 'shear' else 'a1'}_k1"
+    assert _load_json(f"{stem}_fit.json")["datum"] == datum
     args = cli._build_parser().parse_args(argv)
     kw = mx.models.model_params(model, vars(args))
     series = getattr(mx, f"{model}_mixing_series")
     times = cli._mix_rate_times(args)
-    written = np.loadtxt(tmp_path / f"mixing_{model}_k1.csv", delimiter=",",
-                         skiprows=1)
+    written = np.load(f"{stem}.npy")
     assert np.array_equal(written[:, 3],
                           series(times, seed=0, datum=datum, **kw)["hm1"])
     assert not np.array_equal(written[:, 3], series(times, seed=0, **kw)["hm1"])
@@ -170,7 +169,7 @@ def test_mix_rate_spiral_warns_past_its_resolution(tmp_path, capsys):
                    "--t-max", "1e4", "--points", "100",
                    "--out", str(tmp_path)])
     assert rc == 0
-    fit = _load_json(tmp_path / "mixing_spiral_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_spiral_a1_k1_fit.json")
     assert fit["p_measured"] < 0.6 and fit["p_predicted"] == 1.0
     assert len(fit["warnings"]) == 1
     assert "truncation is felt" in fit["warnings"][0]
@@ -231,14 +230,26 @@ def _snapshot(root):
 
 
 #: a setting that sweep_config.json held until a row format -> that
-#: format and what its config and rows recorded
+#: format and what its config and rows recorded; format 7 held no other
+#: setting, but wrote its traces as CSV text
 _RETIRED = {
     "dt": (2, {"dt": 0.02}),
     "profile": (3, {"profile": "sin", "n0": None, "L": 2.0}),
     "t_end_factor": (4, {"t_end_factor": 20.0}),
     "theta": (5, {"theta": mx.diagnostics.THETA_DEFAULT}),
     "stop_ratio": (6, {"stop_ratio": 1e-3}),
+    "csv_traces": (7, {}),
 }
+
+
+def _as_csv_trace(out, row):
+    """Rewrite a row's trace as format 7 wrote it: ``%.17g`` text under
+    ``traces/<key>.csv``, which the row names."""
+    npy = out / row["trace_path"]
+    row["trace_path"] = row["trace_path"][:-len(".npy")] + ".csv"
+    np.savetxt(out / row["trace_path"], np.load(npy), fmt="%.17g",
+               delimiter=",", header="t,h,h1,hm1", comments="")
+    npy.unlink()
 
 
 @pytest.mark.parametrize("setting", list(_RETIRED))
@@ -248,7 +259,9 @@ def test_a_sweep_of_an_older_row_format_is_refused(tmp_path, capsys,
     setting and whose rows record that format, is refused by every
     command that reads it: ``report`` and ``verify-bound`` name the
     config and the setting, a resumed ``ed-sweep`` (which reads the rows)
-    a row and its ``row_format``. Each exits 1 and writes nothing."""
+    a row and its ``row_format``. A format-7 sweep, whose config is
+    current but whose traces are CSV text, is refused by all three by a
+    row and its ``row_format``. Each exits 1 and writes nothing."""
     row_format, old = _RETIRED[setting]
     out = tmp_path / "sweep"
     argv = ["ed-sweep", "--model", "shear" if setting == "profile" else
@@ -263,6 +276,8 @@ def test_a_sweep_of_an_older_row_format_is_refused(tmp_path, capsys,
         record.update(old)
         if record is not data:
             record["row_format"] = row_format
+            if setting == "csv_traces":
+                _as_csv_trace(out, data)
         path.write_text(json.dumps(data))
     before = _snapshot(out)
     for command in ("report", "verify-bound", "ed-sweep"):
@@ -271,10 +286,10 @@ def test_a_sweep_of_an_older_row_format_is_refused(tmp_path, capsys,
                         else [command, str(out)]) == 1
         err = capsys.readouterr().err
         assert f"mixlab {command}: error: " in err and "Traceback" not in err
-        if command == "ed-sweep":
+        if command == "ed-sweep" or not old:
             assert re.search(re.escape(str(out / "rows")) + r"/\S+\.json has "
                              f"row_format = {row_format}, this sweep "
-                             "row_format = 7", err)
+                             "row_format = 8", err)
         else:
             assert f"{out / 'sweep_config.json'} has unknown SweepConfig " \
                 f"field(s) {', '.join(sorted(old))}" in err
@@ -301,7 +316,7 @@ def test_a_row_of_an_older_row_format_is_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"mixlab {command}: error: {path} has row_format = 6, this " \
-            "sweep row_format = 7" in err
+            "sweep row_format = 8" in err
         assert _snapshot(out) == before
 
 
@@ -329,7 +344,7 @@ def test_a_row_of_other_settings_is_refused_by_every_reader(tmp_path,
         argv = ["ed-sweep", *flags, "--out", str(out)]
         assert cli.main(argv) == 0
         assert cli.main(["ed-sweep", *foreign, "--out", str(other)]) == 0
-        for name in (f"rows/{key}.json", f"traces/{key}.csv",
+        for name in (f"rows/{key}.json", f"traces/{key}.npy",
                      f"traces/{key}.json"):
             (out / name).write_bytes((other / name).read_bytes())
         before = _snapshot(out)
@@ -769,7 +784,7 @@ def test_missing_row_file_exit_code_1(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, suffix", [
-    ("report", ".csv"), ("report", ".json"), ("verify-bound", ".json")])
+    ("report", ".npy"), ("report", ".json"), ("verify-bound", ".json")])
 def test_trace_file_gone_exit_code_1(tmp_path, capsys, command, suffix):
     """A trace that report plots or verify-bound checks must be there
     with its sidecar; a missing one is an error, not a plot of another
@@ -787,6 +802,61 @@ def test_trace_file_gone_exit_code_1(tmp_path, capsys, command, suffix):
     assert not (out / "report.json").exists()
     assert not (out / "bounds.json").exists()
     assert not list(out.glob("*.svg"))  # every trace is read first
+
+
+def _damage(path, damage):
+    """Overwrite the .npy table at ``path`` as ``damage`` names."""
+    table = np.load(path)
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-100])
+    elif damage == "csv-text":
+        np.savetxt(path, table, fmt="%.17g", delimiter=",",
+                   header="t,h,h1,hm1", comments="")
+    elif damage == "object-array":
+        np.save(path, table.astype(object))
+    elif damage == "three-columns":
+        np.save(path, table[:, :3])
+    else:  # "float32"
+        np.save(path, table.astype(np.float32))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "csv-text", "object-array",
+                                    "three-columns", "float32"])
+@pytest.mark.parametrize("command", ["report", "verify-bound"])
+def test_a_damaged_trace_is_refused_by_name(tmp_path, capsys, command,
+                                            damage):
+    """A trace table that np.load refuses, or that is not a float64
+    (n, 4) array, exits 1 naming the file, with no traceback and
+    nothing written. (A truncated CSV trace was refused without its
+    name, and a 3-column one raised an IndexError.)"""
+    out = tmp_path / "sweep"
+    assert cli.main(["ed-sweep", "--model", "shear", "--nus", "0.03,0.01",
+                     "--resolution", "16", "--out", str(out)]) == 0
+    # report reads the smallest viscosity's trace, verify-bound each
+    path = out / "traces" / "shear_g2_k1_nu1.0000e-02.npy"
+    _damage(path, damage)
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert cli.main([command, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"mixlab {command}: error: {path} " in err
+    assert "Traceback" not in err
+    assert _snapshot(out) == before
+
+
+def test_mix_rate_names_its_artefacts_by_the_swept_flag(tmp_path):
+    """Two mix-rate runs of one family at other alphas, into one --out,
+    leave both sets of artefacts, each named like a row group."""
+    for alpha in ("1", "4"):
+        assert cli.main(["mix-rate", "--model", "spiral", "--alpha", alpha,
+                         "--resolution", "256", "--t-max", "100",
+                         "--points", "16", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"mixing_spiral_a{alpha}_k1{suffix}" for alpha in ("1", "4")
+        for suffix in (".npy", ".svg", "_fit.json")]
+    p = {alpha: _load_json(tmp_path / f"mixing_spiral_a{alpha}_k1_fit.json")
+         ["p_predicted"] for alpha in ("1", "4")}
+    assert p["1"] != p["4"]
 
 
 @pytest.mark.parametrize("model, flags", [
@@ -830,7 +900,7 @@ def test_csv_profile_on_simulate_and_mix_rate(tmp_path):
     rc = cli.main(["simulate", "--model", "shear", *args,
                    "--out", str(tmp_path / "sin")])
     assert rc == 0
-    name = "trace_shear_g2_k1_nu1.0000e-03.csv"
+    name = "trace_shear_g2_k1_nu1.0000e-03.npy"
     tabulated = mx.read_trace(str(tmp_path / "csv" / name))
     builtin = mx.read_trace(str(tmp_path / "sin" / name))
     assert tabulated.params["profile"] == prof
@@ -840,7 +910,7 @@ def test_csv_profile_on_simulate_and_mix_rate(tmp_path):
                    "--n0", "1", "--resolution", "512", "--t-max", "300",
                    "--points", "32", "--out", str(tmp_path)])
     assert rc == 0
-    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_shear_g2_k1_fit.json")
     assert fit["p_predicted"] == 0.5
     assert 0.4 < fit["p_measured"] < 0.6
 
@@ -873,11 +943,11 @@ def test_mix_rate_without_predicted_exponent(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert "p = none" in capsys.readouterr().out
-    fit = _load_json(tmp_path / "mixing_shear_k1_fit.json")
+    fit = _load_json(tmp_path / "mixing_shear_g2_k1_fit.json")
     assert fit["p_predicted"] is None
     assert abs(fit["p_measured"]) < 1e-12  # no mixing: constant dual norm
-    assert (tmp_path / "mixing_shear_k1.csv").exists()
-    assert (tmp_path / "mixing_shear_k1.svg").exists()
+    assert (tmp_path / "mixing_shear_g2_k1.npy").exists()
+    assert (tmp_path / "mixing_shear_g2_k1.svg").exists()
 
 
 def test_ed_sweep_kinetic_dimension_is_a_model_flag(tmp_path):
@@ -993,7 +1063,7 @@ def test_rows_and_traces_are_named_as_before_without_model_flags(tmp_path):
     assert cli.main(["simulate", "--model", "spiral", "--nu", "0.1",
                      "--t-end", "1", "--resolution", "16",
                      "--out", str(tmp_path / "sim")]) == 0
-    assert (tmp_path / "sim" / "trace_spiral_a1_k1_nu1.0000e-01.csv").exists()
+    assert (tmp_path / "sim" / "trace_spiral_a1_k1_nu1.0000e-01.npy").exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1247,7 +1317,7 @@ def test_simulate_past_2_63_intervals_writes_the_shorter_run(tmp_path):
         assert cli.main([*base, "--t-end", t_end,
                          "--out", str(tmp_path / t_end)]) == 0
     name = "trace_shear_g2_k1_nu1.0000e-02"
-    for ext in (".csv", ".json"):
+    for ext in (".npy", ".json"):
         assert (tmp_path / "1e19" / (name + ext)).read_bytes() \
             == (tmp_path / "1e6" / (name + ext)).read_bytes()
 
@@ -1271,7 +1341,7 @@ def test_heat_simulate_past_its_certified_horizon(tmp_path, capsys):
                      "--t-end", "1e19", "--stop-ratio", "1e-3",
                      "--out", str(tmp_path)]) == 0
     assert "stop reason: stop_ratio" in capsys.readouterr().out.splitlines()
-    trace = mx.read_trace(tmp_path / "trace_heat_k1_nu1.0000e-01.csv")
+    trace = mx.read_trace(tmp_path / "trace_heat_k1_nu1.0000e-01.npy")
     assert len(trace) > 2
     assert 0.0 < trace.h[-1] <= 1e-3 * trace.h[0] < trace.h[-2]
     assert trace.times[-1] <= np.log(1e3) / 0.1

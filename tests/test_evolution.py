@@ -693,7 +693,7 @@ def test_trace_io_roundtrip(tmp_path):
     prob = mx.build_model("shear", profile="sin", gamma=2.0, k=1, M=16)
     f0 = mx.initial_datum(prob, "random-h1", seed=4)
     tr = mx.evolve(prob, f0, 1e-3, 2.0, dt=0.01, sample_every=5)
-    path = tmp_path / "trace.csv"
+    path = tmp_path / "trace.npy"
     mx.write_trace(tr, path)
     back = mx.read_trace(path)
     assert np.array_equal(back.times, tr.times)
@@ -717,10 +717,10 @@ def test_trace_io_roundtrip(tmp_path):
         mx.read_trace(path)
 
 
-def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
-    """The norm table is byte for byte what np.savetxt writes with
-    ``%.17g``, on zeros, subnormals, huge values and non-finite ones,
-    with no rows, and with rows past one 1024-row chunk."""
+def test_a_norm_table_round_trips_bit_for_bit(tmp_path):
+    """np.load reads back the float64 (n, 4) table write_norms wrote, bit
+    for bit, on zeros of both signs, subnormals, huge values and
+    non-finite ones, with no rows, and with 9000 rows."""
     from mixlab.evolution import write_norms
 
     col = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
@@ -729,11 +729,11 @@ def test_write_norms_writes_the_bytes_of_savetxt(tmp_path):
     long = np.random.default_rng(0).standard_normal((4, 9000))
     for cols in ((col, col[::-1], np.roll(col, 3), -col / 7.0),
                  (np.empty(0),) * 4, tuple(long)):
-        write_norms(tmp_path / "a.csv", *cols)
-        np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g",
-                   delimiter=",", header="t,h,h1,hm1", comments="")
-        assert (tmp_path / "a.csv").read_bytes() \
-            == (tmp_path / "b.csv").read_bytes()
+        write_norms(tmp_path / "a.npy", *cols)
+        back = np.load(tmp_path / "a.npy")
+        assert back.dtype == np.float64 and back.shape == (len(cols[0]), 4)
+        assert np.array_equal(back.view(np.uint64),
+                              np.column_stack(cols).view(np.uint64))
 
 
 def test_step_control_at_its_cap_warns(monkeypatch):

@@ -506,9 +506,9 @@ def test_a_row_on_a_warm_model_is_the_row_on_a_cold_one(tmp_path, model):
     written = {}
     for name, problem in (("warm", warm), ("cold", cold)):
         rr, trace = sweep._run_row(cfg, problem, plan[1], 1)
-        mx.write_trace(trace, tmp_path / f"{name}.csv")
+        mx.write_trace(trace, tmp_path / f"{name}.npy")
         written[name] = (json.dumps(rr.to_dict(), sort_keys=True),
-                         _read(tmp_path / f"{name}.csv"),
+                         (tmp_path / f"{name}.npy").read_bytes(),
                          _read(tmp_path / f"{name}.json"),
                          trace.final_state.tobytes(),
                          trace.occupancy.tobytes())
